@@ -68,13 +68,7 @@ OPTIONAL_INT_KEYS = ("seed", "n_neighborhoods", "n_purchase_events",
 def _caster_for(key: str, default):
     if default is None:
         return int if key in OPTIONAL_INT_KEYS else str
-    if isinstance(default, bool):
-        return bool
-    if isinstance(default, int):
-        return int
-    if isinstance(default, float):
-        return float
-    return str
+    return type(default) if isinstance(default, (bool, int, float)) else str
 
 
 def _resolve(args: argparse.Namespace, file_cfg: dict, defaults: dict) -> dict:
@@ -250,26 +244,8 @@ def cmd_sweep(cfg, out: Path) -> list[str]:
     for channel, _, weighted in nets:
         steps = segregation.extremes_sweep(weighted, groups)
         if cfg["jackknife_replicates"] > 0:
-            mix_M = segregation.mixing_matrix(weighted, groups).M
-            for t, step in enumerate(steps, start=1):
-                if not step.valid:
-                    continue
-                keep = np.r_[0:t, groups.k - t:groups.k]
-                vals = np.arange(1, groups.k + 1, dtype=float)[keep]
-
-                def stat(W, keep=keep, vals=vals):
-                    M = segregation.mixing_from_matrix(W, groups, channel).M
-                    sub = M[np.ix_(keep, keep)]
-                    total = sub.sum()
-                    if total <= 0:
-                        raise segregation.DegenerateMatrixError("no interaction mass")
-                    return segregation._assortativity_e(sub / total, vals, vals)
-
-                est = stats.jackknife_statistic(
-                    weighted.W, stat, cfg["jackknife_fraction"],
-                    cfg["jackknife_replicates"], cfg["seed"], cfg["threads"])
-                step.ci_low, step.ci_high = est.ci_low, est.ci_high
-                step.std, step.replicates = est.std, est.replicates
+            stats.jackknife_extremes_sweep(weighted, groups, steps, cfg["jackknife_fraction"],
+                                           cfg["jackknife_replicates"], cfg["seed"])
         name = f"sweep_extremes_{channel}.csv"
         segregation.write_sweep_csv(steps, out / name)
         outputs.append(name)
@@ -318,8 +294,7 @@ def cmd_null(cfg, out: Path) -> list[str]:
     for channel, _, weighted in nets:
         dist = models.null_shuffle_ses(
             weighted, table, replicates=cfg["replicates"], seed=cfg["seed"],
-            k=cfg["k"], ses_ascending=not cfg["ses_descending"],
-            threads=cfg["threads"])
+            k=cfg["k"], ses_ascending=not cfg["ses_descending"])
         name = f"null_{channel}.csv"
         with open(out / name, "w") as fh:
             fh.write("replicate,statistic,value\n")
@@ -381,7 +356,7 @@ COMMANDS = {
     "sweep": (cmd_sweep, "extreme-group and distance sweeps", dict(
         data=".", min_tx=10, night_start=20, night_end=6, k=10,
         ses_descending=False, jackknife_replicates=100, jackknife_fraction=0.05,
-        seed=None, threads=1)),
+        seed=None)),
     "asymmetry": (cmd_asymmetry, "poor-to-rich bias sweep", dict(
         data=".", min_tx=10, night_start=20, night_end=6, k=10,
         ses_descending=False)),
@@ -390,7 +365,7 @@ COMMANDS = {
         eps_start=0.0, eps_stop=2.0, eps_step=0.01, linear_distance=False)),
     "null": (cmd_null, "SES-shuffle null distribution", dict(
         data=".", min_tx=10, night_start=20, night_end=6, k=10,
-        ses_descending=False, replicates=100, seed=None, threads=1)),
+        ses_descending=False, replicates=100, seed=None)),
     "jackknife": (cmd_jackknife, "edge-removal confidence interval", dict(
         data=".", min_tx=10, night_start=20, night_end=6, k=10,
         ses_descending=False, replicates=100, fraction=0.05, seed=None)),
@@ -410,11 +385,7 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--config", default=None, help="flat key=value config file")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker cap for replicate loops")
         for key, default in defaults.items():
-            if key == "threads":
-                continue
             flag = "--" + key.replace("_", "-")
             caster = _caster_for(key, default)
             if caster is bool:
@@ -436,7 +407,6 @@ def main(argv=None) -> int:
     runner, _, defaults = COMMANDS[args.command]
     try:
         file_cfg = read_config_file(args.config) if args.config else {}
-        defaults = dict(defaults, threads=1)
         cfg = _resolve(args, file_cfg, defaults)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

@@ -9,10 +9,10 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from datetime import datetime
-from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -120,6 +120,17 @@ def _cell(row: Mapping[str, str], col: str, lineno: int, path) -> str:
     return value
 
 
+def _finite(row: Mapping[str, str], col: str, lineno: int, path) -> float:
+    value = _cell(row, col, lineno, path)
+    try:
+        number = float(value)
+    except ValueError:
+        number = math.nan
+    if not math.isfinite(number):
+        raise ValidationError(f"{path}: line {lineno}: {col} is not a finite number: {value!r}")
+    return number
+
+
 def _parse_ts(value: str, lineno: int, path) -> datetime:
     try:
         return datetime.fromisoformat(value)
@@ -138,13 +149,13 @@ def load_neighborhoods(path) -> NeighborhoodTable:
             if nid in seen:
                 raise ValidationError(f"{path}: duplicate neighborhood_id {nid!r}")
             seen.add(nid)
+            lats.append(_finite(row, "lat", lineno, path))
+            lons.append(_finite(row, "lon", lineno, path))
             try:
-                lats.append(float(_cell(row, "lat", lineno, path)))
-                lons.append(float(_cell(row, "lon", lineno, path)))
                 pops.append(int(_cell(row, "population", lineno, path)))
-                ses.append(float(_cell(row, "ses", lineno, path)))
             except ValueError as exc:
                 raise ValidationError(f"{path}: line {lineno}: {exc}") from exc
+            ses.append(_finite(row, "ses", lineno, path))
             ids.append(nid)
     if not ids:
         raise ValidationError(f"{path}: no neighborhoods")
@@ -160,7 +171,7 @@ def load_purchases(path) -> list[PurchaseEvent]:
     fh, reader = _open_reader(path, PURCHASE_COLUMNS)
     with fh:
         for lineno, row in enumerate(reader, start=2):
-            amount = float(_cell(row, "amount", lineno, path))
+            amount = _finite(row, "amount", lineno, path)
             if amount < 0:
                 raise ValidationError(f"{path}: line {lineno}: negative amount")
             events.append(PurchaseEvent(
@@ -202,8 +213,8 @@ def load_geoposts(path) -> list[GeoPost]:
     fh, reader = _open_reader(path, GEOPOST_COLUMNS)
     with fh:
         for lineno, row in enumerate(reader, start=2):
-            lat = float(_cell(row, "lat", lineno, path))
-            lon = float(_cell(row, "lon", lineno, path))
+            lat = _finite(row, "lat", lineno, path)
+            lon = _finite(row, "lon", lineno, path)
             if abs(lat) > 90.0 or abs(lon) > 180.0:
                 raise ValidationError(f"{path}: line {lineno}: coordinates out of range")
             posts.append(GeoPost(

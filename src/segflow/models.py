@@ -9,18 +9,16 @@ by its own flow value.
 """
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._parallel import replicate_map
 from .ingest import NeighborhoodTable, PurchaseEvent
 from .network import InteractionNetwork
-from .segregation import (DegenerateMatrixError, GroupAssignment,
+from .segregation import (DegenerateMatrixError, GroupAssignment, MixingMatrix,
                           assign_groups, asymmetry_bias, assortativity,
-                          mixing_from_matrix)
+                          group_flows)
 
 DEFAULT_EPS_GRID = np.round(np.arange(0.0, 2.0 + 1e-9, 0.01), 10)
 
@@ -48,14 +46,7 @@ class GravityParams:
             raise ValueError("epsilon must be non-negative")
 
     def as_dict(self) -> dict:
-        return {
-            "c": self.c, "beta1": self.beta1, "beta2": self.beta2,
-            "epsilon": self.epsilon, "alpha": self.alpha,
-            "channel": self.channel, "r2_weighted": self.r2_weighted,
-            "residual_norm": self.residual_norm, "n_pairs": self.n_pairs,
-            "zero_pairs_excluded": self.zero_pairs_excluded,
-            "linear_distance": self.linear_distance,
-        }
+        return asdict(self)
 
 
 def fit_gravity(
@@ -215,7 +206,6 @@ def null_shuffle_ses(
     k: int = 10,
     ses_ascending: bool = True,
     groups: GroupAssignment | None = None,
-    threads: int = 1,
 ) -> NullDistribution:
     """Recompute r and bias after randomly permuting neighborhood status.
 
@@ -229,26 +219,22 @@ def null_shuffle_ses(
         groups = assign_groups(table, k=k, ses_ascending=ses_ascending)
     if net.nodes != groups.nodes:
         raise ValueError("network and group assignment cover different node sets")
-    n = net.n
-    labels = groups.labels
-
-    def one(rep: int):
+    o, d = np.nonzero(net.W)
+    w = net.W[o, d]
+    r_vals, bias_vals = [], []
+    for rep in range(replicates):
         rng = np.random.default_rng((seed, rep))
-        shuffled = GroupAssignment(nodes=groups.nodes,
-                                   labels=labels[rng.permutation(n)], k=groups.k)
+        labels = groups.labels[rng.permutation(net.n)]
         try:
-            mix = mixing_from_matrix(net.W, shuffled, net.channel)
-            return assortativity(mix), asymmetry_bias(mix)
+            mix = MixingMatrix.from_flows(group_flows(o, d, w, labels, groups.k), net.channel)
+            r_vals.append(assortativity(mix))
+            bias_vals.append(asymmetry_bias(mix))
         except DegenerateMatrixError:
-            return None
-
-    results = replicate_map(one, replicates, threads)
-    kept = [res for res in results if res is not None]
-    if not kept:
+            pass
+    if not r_vals:
         raise ValueError("every null replicate was degenerate")
-    r_vals, bias_vals = zip(*kept)
     return NullDistribution(r_values=np.array(r_vals), bias_values=np.array(bias_vals),
-                            seed=seed, discarded=replicates - len(kept))
+                            seed=seed, discarded=replicates - len(r_vals))
 
 
 @dataclass
@@ -265,18 +251,21 @@ class PurchaseArrays:
     n_neighborhoods: int
     dropped: int = 0
 
-    def flow_matrix(self, home=None, loc=None) -> np.ndarray:
+    def event_cells(self, home=None, loc=None) -> tuple[np.ndarray, np.ndarray]:
+        """Home and store neighborhood index of every event."""
         home = self.home_of_customer if home is None else home
         loc = self.loc_of_store if loc is None else loc
-        W = np.zeros((self.n_neighborhoods, self.n_neighborhoods))
-        np.add.at(W, (home[self.ev_customer], loc[self.ev_store]), 1.0)
-        return W
+        return home[self.ev_customer], loc[self.ev_store]
+
+    def flow_matrix(self, home=None, loc=None) -> np.ndarray:
+        i, j = self.event_cells(home, loc)
+        n = self.n_neighborhoods
+        return np.bincount(i * n + j, minlength=n * n).reshape(n, n).astype(float)
 
     def revenue(self, loc=None) -> np.ndarray:
         loc = self.loc_of_store if loc is None else loc
-        rev = np.zeros(self.n_neighborhoods)
-        np.add.at(rev, loc[self.ev_store], self.ev_amount)
-        return rev
+        return np.bincount(loc[self.ev_store], weights=self.ev_amount,
+                           minlength=self.n_neighborhoods)
 
     def customer_counts(self, home=None) -> np.ndarray:
         home = self.home_of_customer if home is None else home
@@ -327,10 +316,19 @@ def purchase_arrays(events: Iterable[PurchaseEvent], table: NeighborhoodTable) -
 
 @dataclass
 class ReshuffleReplicate:
-    W: np.ndarray
+    """One relocation: every customer's home and every store's neighborhood."""
+
+    arrays: PurchaseArrays = field(repr=False)
+    home: np.ndarray
+    loc: np.ndarray
     revenue: np.ndarray
     store_counts: np.ndarray
     customer_counts: np.ndarray
+
+    @property
+    def W(self) -> np.ndarray:
+        """Dense flow matrix, built on demand."""
+        return self.arrays.flow_matrix(home=self.home, loc=self.loc)
 
 
 def reshuffle_locations(
@@ -339,7 +337,6 @@ def reshuffle_locations(
     fraction: float,
     replicates: int = 50,
     seed: int = 0,
-    threads: int = 1,
 ) -> list[ReshuffleReplicate]:
     """Randomly relocate a fraction of stores and customers, repeatedly.
 
@@ -354,8 +351,8 @@ def reshuffle_locations(
     arrays = events if isinstance(events, PurchaseArrays) else purchase_arrays(events, table)
     n_stores = len(arrays.store_ids)
     n_cust = len(arrays.customer_ids)
-
-    def one(rep: int) -> ReshuffleReplicate:
+    reps = []
+    for rep in range(replicates):
         rng = np.random.default_rng((seed, int(round(fraction * 1000)), rep))
         loc = arrays.loc_of_store.copy()
         home = arrays.home_of_customer.copy()
@@ -363,14 +360,11 @@ def reshuffle_locations(
         loc[sel_s] = loc[sel_s][rng.permutation(sel_s.size)]
         sel_c = rng.choice(n_cust, size=int(fraction * n_cust), replace=False)
         home[sel_c] = home[sel_c][rng.permutation(sel_c.size)]
-        return ReshuffleReplicate(
-            W=arrays.flow_matrix(home=home, loc=loc),
-            revenue=arrays.revenue(loc=loc),
+        reps.append(ReshuffleReplicate(
+            arrays=arrays, home=home, loc=loc, revenue=arrays.revenue(loc=loc),
             store_counts=np.bincount(loc, minlength=arrays.n_neighborhoods),
-            customer_counts=np.bincount(home, minlength=arrays.n_neighborhoods),
-        )
-
-    return replicate_map(one, replicates, threads)
+            customer_counts=arrays.customer_counts(home=home)))
+    return reps
 
 
 def adjust_gravity_amounts(
@@ -392,18 +386,11 @@ def adjust_gravity_amounts(
     arrays = events if isinstance(events, PurchaseArrays) else purchase_arrays(events, table)
     W_emp = empirical_net.W
     W_sim = simulated_net.W
-    used = W_emp > 0
-    if np.any(W_sim[used] <= 0):
+    if np.any(W_sim[W_emp > 0] <= 0):
         raise ValueError("simulated flow is zero on a pair with observed flow")
-    ratio = np.zeros_like(W_emp)
-    if direction == "actual_over_simulated":
-        ratio[used] = W_emp[used] / W_sim[used]
-    else:
-        ratio[used] = W_sim[used] / W_emp[used]
-    i = arrays.home_of_customer[arrays.ev_customer]
-    j = arrays.loc_of_store[arrays.ev_store]
-    if np.any(~used[i, j]):
+    i, j = arrays.event_cells()
+    emp, sim = W_emp[i, j], W_sim[i, j]
+    if np.any(emp <= 0):
         raise ValueError("event on a pair with zero empirical flow")
-    revenue = np.zeros(table.n)
-    np.add.at(revenue, j, arrays.ev_amount * ratio[i, j])
-    return revenue
+    ratio = emp / sim if direction == "actual_over_simulated" else sim / emp
+    return np.bincount(j, weights=arrays.ev_amount * ratio, minlength=table.n)

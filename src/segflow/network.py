@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import json
-from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
@@ -127,31 +126,32 @@ def population_weight(
     """
     if net.weighting != "raw":
         raise ValueError("network is already population-weighted")
-    m = np.asarray(user_counts if user_counts is not None else net.user_counts, dtype=float)
-    p = np.asarray(table.population if table is not None else net.population, dtype=float)
+    m = user_counts if user_counts is not None else net.user_counts
+    p = table.population if table is not None else net.population
     if m is None or p is None:
         raise ValueError("population weighting needs user counts and population")
+    m = np.asarray(m, dtype=float)
+    p = np.asarray(p, dtype=float)
     if np.any((p == 0) & (m > 0)):
         raise ValueError("inconsistent census: zero population with sampled users")
     W = net.W
+    rate = sampling_rate(m, p)
     if net.channel == "purchase":
-        if np.any((m == 0) & (W.sum(axis=1) > 0)):
-            raise ValueError("zero sampled users in a neighborhood with outgoing flow")
-        ratio = np.ones_like(p)
-        ok = m > 0
-        ratio[ok] = m[ok] / p[ok]
-        weighted = W / ratio[:, None]
+        involved, scale = W.sum(axis=1) > 0, rate[:, None]
     elif net.channel == "mention":
-        involved = (W.sum(axis=1) > 0) | (W.sum(axis=0) > 0)
-        if np.any((m == 0) & involved):
-            raise ValueError("zero sampled users in a neighborhood with flow")
-        factor = np.ones_like(p)
-        ok = m > 0
-        factor[ok] = m[ok] / p[ok]
-        weighted = W / np.outer(factor, factor)
+        involved, scale = (W.sum(axis=1) > 0) | (W.sum(axis=0) > 0), np.outer(rate, rate)
     else:
         raise ValueError(f"unknown channel {net.channel!r}")
-    return replace(net, W=weighted, weighting="population_weighted")
+    if np.any((m == 0) & involved):
+        raise ValueError(f"zero sampled users in a neighborhood with {net.channel} flow")
+    return replace(net, W=W / scale, weighting="population_weighted")
+
+
+def sampling_rate(user_counts, population) -> np.ndarray:
+    """Sampled users over census population; 1 where nobody was sampled."""
+    m = np.asarray(user_counts, dtype=float)
+    p = np.asarray(population, dtype=float)
+    return np.divide(m, p, out=np.ones_like(p), where=m > 0)
 
 
 def centroid_distances(table: NeighborhoodTable) -> np.ndarray:
@@ -179,9 +179,8 @@ def write_network(net: InteractionNetwork, edges_path, header_path) -> None:
     with open(edges_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["origin_id", "dest_id", "weight"])
-        rows, cols = np.nonzero(net.W)
-        for i, j in zip(rows, cols):
-            writer.writerow([net.nodes[i], net.nodes[j], repr(float(net.W[i, j]))])
+        for i, j, w in zip(*np.nonzero(net.W), net.W[net.W != 0]):
+            writer.writerow([net.nodes[i], net.nodes[j], repr(float(w))])
     header = {
         "nodes": net.nodes,
         "channel": net.channel,

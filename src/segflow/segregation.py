@@ -52,11 +52,7 @@ def assign_groups(table: NeighborhoodTable, k: int = 10, ses_ascending: bool = T
     order = np.lexsort((np.asarray(table.ids, dtype=object), score))
     base, extra = divmod(n, k)
     labels = np.zeros(n, dtype=np.int64)
-    start = 0
-    for g in range(1, k + 1):
-        size = base + (1 if g <= extra else 0)
-        labels[order[start:start + size]] = g
-        start += size
+    labels[order] = np.repeat(np.arange(1, k + 1), base + (np.arange(1, k + 1) <= extra))
     return GroupAssignment(nodes=list(table.ids), labels=labels, k=k)
 
 
@@ -75,25 +71,31 @@ class MixingMatrix:
     def k(self) -> int:
         return self.M.shape[0]
 
+    @classmethod
+    def from_flows(cls, M: np.ndarray, channel: str = "purchase") -> "MixingMatrix":
+        """Stochastic and normalized views of a k x k group flow matrix."""
+        total = M.sum()
+        if total <= 0:
+            raise DegenerateMatrixError("no interaction mass")
+        row_sums = M.sum(axis=1, keepdims=True)
+        S = np.divide(M, row_sums, out=np.zeros_like(M), where=row_sums > 0)
+        zero_rows = [int(i) for i in np.nonzero(row_sums[:, 0] == 0)[0]]
+        return cls(M=M, S=S, e=M / total,
+                   group_values=np.arange(1, M.shape[0] + 1, dtype=float),
+                   channel=channel, zero_rows=zero_rows)
+
+
+def group_flows(o: np.ndarray, d: np.ndarray, w: np.ndarray | None,
+                labels: np.ndarray, k: int) -> np.ndarray:
+    """k x k edge weight sums by (origin, destination) group 1..k; ``w=None`` counts."""
+    cells = (labels[o] - 1) * k + (labels[d] - 1)
+    return np.bincount(cells, weights=w, minlength=k * k).reshape(k, k)
+
 
 def mixing_from_matrix(W: np.ndarray, groups: GroupAssignment, channel: str = "purchase") -> MixingMatrix:
     """Aggregate an n x n weight matrix into group space."""
-    k = groups.k
-    n = W.shape[0]
-    G = np.zeros((n, k))
-    G[np.arange(n), groups.labels - 1] = 1.0
-    M = G.T @ W @ G
-    total = M.sum()
-    if total <= 0:
-        raise DegenerateMatrixError("no interaction mass")
-    row_sums = M.sum(axis=1)
-    zero_rows = [int(i) for i in np.nonzero(row_sums == 0)[0]]
-    S = np.zeros_like(M)
-    ok = row_sums > 0
-    S[ok] = M[ok] / row_sums[ok, None]
-    return MixingMatrix(M=M, S=S, e=M / total,
-                        group_values=np.arange(1, k + 1, dtype=float),
-                        channel=channel, zero_rows=zero_rows)
+    o, d = np.nonzero(W)
+    return MixingMatrix.from_flows(group_flows(o, d, W[o, d], groups.labels, groups.k), channel)
 
 
 def mixing_matrix(net: InteractionNetwork, groups: GroupAssignment, allow_raw: bool = False) -> MixingMatrix:
@@ -112,7 +114,8 @@ def _assortativity_e(e: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
     mean_y = float(y @ b)
     var_x = float((x ** 2) @ a - mean_x ** 2)
     var_y = float((y ** 2) @ b - mean_y ** 2)
-    if var_x <= 0 or var_y <= 0:
+    # mass on a single group has zero variance, whatever rounding leaves
+    if var_x <= 0 or var_y <= 0 or np.count_nonzero(a) < 2 or np.count_nonzero(b) < 2:
         raise DegenerateMatrixError("degenerate attribute distribution")
     cov = float(x @ e @ y - mean_x * mean_y)
     return min(1.0, max(-1.0, cov / float(np.sqrt(var_x * var_y))))
@@ -153,12 +156,19 @@ class SweepStep:
     replicates: int | None = None
 
 
-def _restricted_e(M: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    sub = M[np.ix_(keep, keep)]
-    total = sub.sum()
-    if total <= 0:
-        raise DegenerateMatrixError("no interaction mass")
-    return sub / total
+def extremes_value(M: np.ndarray, t: int, relabel: bool = False,
+                   statistic: str = "assortativity") -> float:
+    """Assortativity (or ``"bias"``) of k x k flows restricted to the t lowest
+    and t highest status groups and renormalized; attribute values are the
+    original group labels, or 1..2t with ``relabel=True``.
+    """
+    k = M.shape[0]
+    keep = np.r_[0:t, k - t:k]
+    mix = MixingMatrix.from_flows(M[np.ix_(keep, keep)])
+    if statistic != "assortativity":
+        return asymmetry_bias(mix)
+    vals = mix.group_values if relabel else keep + 1.0
+    return _assortativity_e(mix.e, vals, vals)
 
 
 def extremes_sweep(
@@ -170,10 +180,8 @@ def extremes_sweep(
 ) -> list[SweepStep]:
     """Assortativity over nested extreme-group submatrices.
 
-    Step t keeps the t lowest and t highest status groups, renormalizes
-    the restricted mixing matrix, and computes the statistic with the
-    original group labels as attribute values (``relabel=True`` switches
-    to contiguous 1..2t values).  The final step equals the full-matrix
+    Step t keeps the t lowest and t highest status groups (see
+    ``extremes_value``).  The final step equals the full-matrix
     statistic.  Degenerate steps are flagged invalid, not raised.
     """
     if groups.k % 2 != 0:
@@ -182,18 +190,9 @@ def extremes_sweep(
     k = groups.k
     steps = []
     for t in range(1, k // 2 + 1):
-        keep = np.r_[0:t, k - t:k]
         desc = f"groups=1..{t},{k - t + 1}..{k}" if t > 1 else f"groups=1,{k}"
         try:
-            e_sub = _restricted_e(mix.M, keep)
-            if relabel:
-                vals = np.arange(1, 2 * t + 1, dtype=float)
-            else:
-                vals = mix.group_values[keep]
-            if statistic == "assortativity":
-                value = _assortativity_e(e_sub, vals, vals)
-            else:
-                value = float(np.triu(e_sub, 1).sum() - np.tril(e_sub, -1).sum())
+            value = extremes_value(mix.M, t, relabel, statistic)
             steps.append(SweepStep(descriptor=desc, param=float(t), value=value))
         except DegenerateMatrixError:
             steps.append(SweepStep(descriptor=desc, param=float(t), value=float("nan"), valid=False))
@@ -235,15 +234,17 @@ def distance_sweep(
     thresholds = [float(d) for d in thresholds]
     if any(d <= 0 for d in thresholds) or any(b <= a for a, b in zip(thresholds, thresholds[1:])):
         raise ValueError("thresholds must be positive and ascending")
+    i, j = np.nonzero(net.W)
+    w, edge_dist = net.W[i, j], dist[i, j]
     steps = []
     for d in thresholds:
-        within = dist <= d
+        within = edge_dist <= d
         for side, mask in (("within", within), ("beyond", ~within)):
             desc = f"{side}:{d:.6g}km"
             try:
-                mix = mixing_from_matrix(net.W * mask, groups, net.channel)
-                value = _assortativity_e(mix.e, mix.group_values, mix.group_values)
-                steps.append(SweepStep(descriptor=desc, param=d, value=value))
+                mix = MixingMatrix.from_flows(
+                    group_flows(i[mask], j[mask], w[mask], groups.labels, groups.k), net.channel)
+                steps.append(SweepStep(descriptor=desc, param=d, value=assortativity(mix)))
             except DegenerateMatrixError:
                 steps.append(SweepStep(descriptor=desc, param=d, value=float("nan"), valid=False))
     return steps

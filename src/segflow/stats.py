@@ -4,15 +4,17 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ._parallel import replicate_map
 from .ingest import NeighborhoodTable, PurchaseEvent
-from .network import InteractionNetwork, centroid_distances, population_weight
-from .segregation import (DegenerateMatrixError, GroupAssignment,
-                          assign_groups, assortativity, mixing_from_matrix)
+from .network import (InteractionNetwork, centroid_distances, population_weight,
+                      sampling_rate)
+from .segregation import (DegenerateMatrixError, GroupAssignment, MixingMatrix,
+                          SweepStep, assign_groups, assortativity, extremes_value,
+                          group_flows)
 from . import models
 
 
@@ -30,48 +32,57 @@ class ResampleEstimate:
     removal_fraction: float
 
 
-def jackknife_statistic(
+def _jackknife_flows(
     W: np.ndarray,
-    statistic: Callable[[np.ndarray], float],
+    groups: GroupAssignment,
     removal_fraction: float = 0.05,
     replicates: int = 100,
     seed: int = 0,
-    threads: int = 1,
-) -> ResampleEstimate:
-    """Delete-a-fraction resampling of a matrix statistic.
+) -> tuple[np.ndarray, np.ndarray]:
+    """k x k group flows of W and of each delete-a-fraction replicate.
 
-    Each replicate zeroes floor(removal_fraction * E) uniformly chosen
-    nonzero entries and recomputes the statistic; the interval is the
-    interpolated 2.5/97.5 percentile of the replicate values.  Replicates
-    where the statistic degenerates are discarded and counted; more than
-    20% discarded is an error.
+    Replicate i drops floor(removal_fraction * E) of the E positive entries
+    of W, drawn from the stream (seed, i) in row-major order, by subtracting
+    their flows; a cell that lost all its edges is exactly 0.
     """
     if not 0.0 <= removal_fraction < 1.0:
         raise ValueError("removal_fraction must be in [0, 1)")
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
-    nz = np.argwhere(W > 0)
-    n_edges = len(nz)
-    n_remove = int(removal_fraction * n_edges)
-    point = statistic(W)
+    o, d = np.nonzero(W > 0)
+    w = W[o, d]
+    labels, k = groups.labels, groups.k
+    M = group_flows(o, d, w, labels, k)
+    counts = group_flows(o, d, None, labels, k)
+    n_remove = int(removal_fraction * len(w))
+    reps = np.repeat(M[None], replicates, axis=0)
+    if n_remove == 0:
+        return M, reps
+    for rep in range(replicates):
+        drop = np.random.default_rng((seed, rep)).choice(len(w), size=n_remove, replace=False)
+        reps[rep] -= group_flows(o[drop], d[drop], w[drop], labels, k)
+        lost_edges = group_flows(o[drop], d[drop], None, labels, k)
+        reps[rep][counts == lost_edges] = 0.0
+    return M, reps
 
-    def one(rep: int):
-        if n_remove == 0:
-            return point
-        rng = np.random.default_rng((seed, rep))
-        drop = nz[rng.choice(n_edges, size=n_remove, replace=False)]
-        Wr = W.copy()
-        Wr[drop[:, 0], drop[:, 1]] = 0.0
+
+def _estimate(statistic: Callable[[np.ndarray], float], M: np.ndarray,
+              reps: np.ndarray, removal_fraction: float) -> ResampleEstimate:
+    """Score the full flows and each replicate from ``_jackknife_flows``.
+
+    The interval is the interpolated 2.5/97.5 percentile of the replicate
+    values.  Degenerate replicates are discarded; more than 20% is an error.
+    """
+    point = statistic(M)
+    values = []
+    for Mr in reps:
         try:
-            return statistic(Wr)
+            values.append(statistic(Mr))
         except DegenerateMatrixError:
-            return None
-
-    results = replicate_map(one, replicates, threads)
-    values = [v for v in results if v is not None]
-    discarded = replicates - len(values)
-    if discarded > 0.2 * replicates:
-        raise ValueError(f"{discarded}/{replicates} resampling replicates were degenerate")
+            pass
+    discarded = len(reps) - len(values)
+    if discarded > 0.2 * len(reps):
+        raise ValueError(f"{discarded}/{len(reps)} resampling replicates were degenerate")
     arr = np.array(values)
     ci_low, ci_high = np.percentile(arr, [2.5, 97.5])
     std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
@@ -79,6 +90,29 @@ def jackknife_statistic(
                             ci_high=float(ci_high), std=std,
                             replicates=len(values), discarded=discarded,
                             removal_fraction=removal_fraction)
+
+
+def jackknife_statistic(
+    W: np.ndarray,
+    statistic: Callable[[np.ndarray], float],
+    groups: GroupAssignment,
+    removal_fraction: float = 0.05,
+    replicates: int = 100,
+    seed: int = 0,
+) -> ResampleEstimate:
+    """Delete-a-fraction resampling of a statistic of the k x k group flows.
+
+    ``statistic`` maps the flows of W and of each replicate (see
+    ``_jackknife_flows``) to a number; the interval is the interpolated
+    2.5/97.5 percentile of the replicate values.
+    """
+    M, reps = _jackknife_flows(W, groups, removal_fraction, replicates, seed)
+    return _estimate(statistic, M, reps, removal_fraction)
+
+
+def flows_assortativity(M: np.ndarray) -> float:
+    """Assortativity of a k x k group flow matrix."""
+    return assortativity(MixingMatrix.from_flows(M))
 
 
 def jackknife_assortativity(
@@ -91,11 +125,27 @@ def jackknife_assortativity(
     """Sampling variability of assortativity under random edge removal."""
     if int((net.W > 0).sum()) < 20:
         raise ValueError("network has fewer than 20 nonzero edges")
-    return jackknife_statistic(
-        net.W,
-        lambda W: assortativity(mixing_from_matrix(W, groups, net.channel)),
-        removal_fraction=removal_fraction, replicates=replicates, seed=seed,
-    )
+    return jackknife_statistic(net.W, flows_assortativity, groups,
+                               removal_fraction=removal_fraction,
+                               replicates=replicates, seed=seed)
+
+
+def jackknife_extremes_sweep(
+    net: InteractionNetwork,
+    groups: GroupAssignment,
+    steps: Sequence[SweepStep],
+    removal_fraction: float = 0.05,
+    replicates: int = 100,
+    seed: int = 0,
+) -> None:
+    """Attach edge-removal intervals to the valid steps of ``extremes_sweep``,
+    scoring one shared set of replicates with ``extremes_value``."""
+    M, reps = _jackknife_flows(net.W, groups, removal_fraction, replicates, seed)
+    for t, step in enumerate(steps, start=1):
+        if step.valid:
+            est = _estimate(partial(extremes_value, t=t), M, reps, removal_fraction)
+            step.ci_low, step.ci_high = est.ci_low, est.ci_high
+            step.std, step.replicates = est.std, est.replicates
 
 
 def gini(values) -> float:
@@ -166,21 +216,20 @@ def segregation_inequality_report(
     store_counts = np.bincount(arrays.loc_of_store, minlength=table.n).astype(np.int64)
     has_store = store_counts > 0
 
-    def weighted_r(W: np.ndarray) -> float:
-        net = InteractionNetwork(nodes=list(table.ids), W=W, channel="purchase",
-                                 weighting="raw", population=table.population,
-                                 ses=table.ses, user_counts=user_counts,
-                                 store_counts=store_counts)
-        return assortativity(mixing_from_matrix(
-            population_weight(net, table, user_counts).W, groups, "purchase"))
+    def weighted(W: np.ndarray) -> np.ndarray:
+        net = InteractionNetwork(nodes=list(table.ids), W=W, channel="purchase")
+        return population_weight(net, table, user_counts).W
 
     rows: list[InequalityRow] = []
 
-    W_emp = arrays.flow_matrix()
+    emp_net = InteractionNetwork(nodes=list(table.ids), W=arrays.flow_matrix(),
+                                 channel="purchase", population=table.population,
+                                 ses=table.ses, user_counts=user_counts,
+                                 store_counts=store_counts)
     rev_emp = arrays.revenue()
     total_emp = float(rev_emp.sum())
-    jk_emp = jackknife_statistic(W_emp, weighted_r, removal_fraction,
-                                 jackknife_replicates, seed)
+    jk_emp = jackknife_statistic(weighted(emp_net.W), flows_assortativity, groups,
+                                 removal_fraction, jackknife_replicates, seed)
     gini_emp = gini(rev_emp)
     rows.append(InequalityRow(
         label="empirical", fraction=None,
@@ -189,16 +238,12 @@ def segregation_inequality_report(
         details={"gini_excluding_storeless": gini(rev_emp[has_store])},
     ))
 
-    emp_net = InteractionNetwork(nodes=list(table.ids), W=W_emp, channel="purchase",
-                                 weighting="raw", population=table.population,
-                                 ses=table.ses, user_counts=user_counts,
-                                 store_counts=store_counts)
     dist = centroid_distances(table)
     params = gravity_params or models.fit_gravity(emp_net, dist, user_counts,
                                                   store_counts, eps_grid=eps_grid)
     sim_net = models.simulate_gravity(params, dist, user_counts, store_counts, table)
-    jk_sim = jackknife_statistic(sim_net.W, weighted_r, removal_fraction,
-                                 jackknife_replicates, seed)
+    jk_sim = jackknife_statistic(weighted(sim_net.W), flows_assortativity, groups,
+                                 removal_fraction, jackknife_replicates, seed)
     rev_imposed = models.adjust_gravity_amounts(arrays, emp_net, sim_net, table,
                                                 direction="simulated_over_actual")
     rows.append(InequalityRow(
@@ -213,12 +258,17 @@ def segregation_inequality_report(
         },
     ))
 
+    # reshuffles keep every neighborhood's customer count, so each event
+    # carries its home's population weight whatever home it moves to
+    inv_rate = 1.0 / sampling_rate(user_counts, table.population)
     for fraction in fractions:
         reps = models.reshuffle_locations(arrays, table, fraction,
                                           replicates=replicates, seed=seed)
         r_vals, g_vals, g_excl, totals = [], [], [], []
         for rep in reps:
-            r_vals.append(weighted_r(rep.W))
+            i, j = arrays.event_cells(rep.home, rep.loc)
+            r_vals.append(flows_assortativity(
+                group_flows(i, j, inv_rate[i], groups.labels, groups.k)))
             g_vals.append(gini(rep.revenue))
             g_excl.append(gini(rep.revenue[has_store]))
             totals.append(float(rep.revenue.sum()))

@@ -111,6 +111,31 @@ class TestErrors:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("amount", ["abc", "nan", "inf"])
+    def test_bad_purchase_amount_names_line(self, tmp_path, capsys, amount):
+        data = tmp_path / "city"
+        data.mkdir()
+        (data / "neighborhoods.csv").write_text(
+            "neighborhood_id,lat,lon,population,ses\nN1,40.0,-3.0,500,20\n")
+        (data / "purchases.csv").write_text(
+            "customer_id,store_id,timestamp,amount\n"
+            "C1,S1,2013-05-01T10:00:00,12.5\n"
+            f"C1,S1,2013-05-01T11:00:00,{amount}\n")
+        assert main(["ingest", "--data", str(data), "--out", str(tmp_path / "out")]) == 1
+        assert "purchases.csv: line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("column", ["lat", "lon", "ses"])
+    def test_non_finite_neighborhood_names_line(self, tmp_path, capsys, column):
+        data = tmp_path / "city"
+        data.mkdir()
+        row = {"lat": "40.0", "lon": "-3.0", "ses": "20", column: "nan"}
+        (data / "neighborhoods.csv").write_text(
+            "neighborhood_id,lat,lon,population,ses\n"
+            "N1,40.1,-3.1,600,30\n"
+            f"N2,{row['lat']},{row['lon']},500,{row['ses']}\n")
+        assert main(["ingest", "--data", str(data), "--out", str(tmp_path / "out")]) == 1
+        assert "neighborhoods.csv: line 3" in capsys.readouterr().err
+
     def test_internal_error_exits_two(self, tmp_path, monkeypatch):
         def boom(cfg, out):
             raise RuntimeError("wires crossed")

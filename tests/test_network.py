@@ -3,9 +3,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from segflow.network import (build_mention_network, build_purchase_network,
-                             centroid_distances, haversine_km,
-                             population_weight, read_network, write_network)
+from segflow.network import (InteractionNetwork, build_mention_network,
+                             build_purchase_network, centroid_distances,
+                             haversine_km, population_weight, read_network,
+                             write_network)
 from segflow.segregation import assign_groups, assortativity, mixing_matrix
 from segflow.ingest import NeighborhoodTable
 
@@ -135,6 +136,14 @@ class TestPopulationWeight:
         net = build_purchase_network([purchase("C1", "S1", "N01", "N02")], table4)
         weighted = population_weight(net, table4)
         assert not weighted.W[0].any()
+
+    @pytest.mark.parametrize("channel", ["purchase", "mention"])
+    def test_missing_user_counts_named(self, table4, channel):
+        W = np.zeros((4, 4))
+        W[1, 2] = 1.0
+        net = InteractionNetwork(nodes=list(table4.ids), W=W, channel=channel)
+        with pytest.raises(ValueError, match="needs user counts and population"):
+            population_weight(net, table4)
 
     def test_double_weighting_rejected(self, table4):
         net = build_purchase_network([purchase("C1", "S1", "N01", "N02")], table4)

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from segflow.network import InteractionNetwork
-from segflow.segregation import assign_groups
-from segflow.stats import (gini, jackknife_assortativity, jackknife_statistic,
+from segflow.segregation import (DegenerateMatrixError, assign_groups,
+                                 extremes_sweep, extremes_value, mixing_from_matrix)
+from segflow.stats import (flows_assortativity, gini, jackknife_assortativity,
+                           jackknife_extremes_sweep, jackknife_statistic,
                            segregation_inequality_report, write_report_csv)
 from segflow import filter_active_customers, synth
 
@@ -13,6 +15,11 @@ from conftest import make_table
 positive_vectors = st.lists(st.floats(min_value=0.0, max_value=1e6,
                                       allow_nan=False), min_size=2, max_size=40).filter(
     lambda v: sum(v) > 0)
+# Scaling a subnormal vector can underflow it to all zeros, where gini
+# rightly raises (v=[0, 5e-324], c=0.5), so scale invariance excludes them.
+normal_vectors = st.lists(st.floats(min_value=0.0, max_value=1e6, allow_nan=False,
+                                    allow_subnormal=False),
+                          min_size=2, max_size=40).filter(lambda v: sum(v) > 0)
 
 
 class TestGini:
@@ -32,7 +39,7 @@ class TestGini:
             oracle = np.abs(v[:, None] - v[None, :]).sum() / (2 * v.size ** 2 * v.mean())
             assert gini(v) == pytest.approx(oracle, abs=1e-11)
 
-    @given(positive_vectors, st.floats(min_value=1e-3, max_value=1e3))
+    @given(normal_vectors, st.floats(min_value=1e-3, max_value=1e3))
     def test_scale_invariance(self, v, c):
         assert gini(np.array(v) * c) == pytest.approx(gini(v), abs=1e-12)
 
@@ -112,11 +119,9 @@ class TestJackknife:
             i, j = rng.integers(0, 5, 2)
             W[i, j] += 1.0
         W[7, 8] = 0.5
-        from segflow.segregation import assortativity, mixing_from_matrix
         with pytest.raises(ValueError, match="degenerate"):
-            jackknife_statistic(
-                W, lambda m: assortativity(mixing_from_matrix(m, groups, "purchase")),
-                removal_fraction=0.5, replicates=60, seed=1)
+            jackknife_statistic(W, flows_assortativity, groups,
+                                removal_fraction=0.5, replicates=60, seed=1)
 
     def test_validation(self):
         net, table = dense_weighted_net()
@@ -125,6 +130,46 @@ class TestJackknife:
             jackknife_assortativity(net, groups, removal_fraction=1.2)
         with pytest.raises(ValueError):
             jackknife_assortativity(net, groups, replicates=0)
+
+
+class TestSweepReplicates:
+    def test_emptied_group_cell_discards_replicate(self):
+        # At step t=1 (groups 1 and 4) group 4's only outgoing flow is three
+        # edges in one cell.  A replicate that drops all three has no group-4
+        # origin mass: it must be discarded, not scored from the rounding
+        # residue that subtracting the dropped flows can leave.
+        table = make_table(8, ses=np.arange(8, dtype=float))
+        groups = assign_groups(table, k=4)
+        rng = np.random.default_rng(0)
+        W = np.zeros((8, 8))
+        W[np.ix_([0, 1], [0, 1, 6, 7])] = rng.uniform(0.5, 2.0, (2, 4))
+        W[np.ix_([2, 4], [3, 5])] = 1.0
+        W[6, 6], W[6, 7], W[7, 6] = 0.1, 0.2, 0.7
+        net = InteractionNetwork(nodes=list(table.ids), W=W, channel="purchase",
+                                 weighting="population_weighted")
+        fraction, replicates, seed = 0.5, 60, 3
+
+        # dense reference: zero the same draws and score what is left
+        o, d = np.nonzero(W > 0)
+        expected = []
+        for rep in range(replicates):
+            drop = np.random.default_rng((seed, rep)).choice(
+                len(o), size=int(fraction * len(o)), replace=False)
+            Wr = W.copy()
+            Wr[o[drop], d[drop]] = 0.0
+            try:
+                expected.append(extremes_value(mixing_from_matrix(Wr, groups).M, 1))
+            except DegenerateMatrixError:
+                pass
+
+        assert len(expected) < replicates
+
+        steps = extremes_sweep(net, groups)
+        jackknife_extremes_sweep(net, groups, steps, fraction, replicates, seed)
+        assert steps[0].replicates == len(expected)
+        assert steps[0].std == pytest.approx(np.std(expected, ddof=1), rel=1e-12)
+        assert (steps[0].ci_low, steps[0].ci_high) == pytest.approx(
+            tuple(np.percentile(expected, [2.5, 97.5])), rel=1e-12)
 
 
 @pytest.fixture(scope="module")
