@@ -7,7 +7,7 @@ jackknife confidence intervals, and the segregation-inequality report,
 all verifiable end to end on a built-in synthetic-city generator.
 """
 
-from .ingest import (GeoPost, MentionEvent, NeighborhoodTable, PurchaseEvent,
+from .ingest import (GeoPost, MentionEvent, NeighborhoodTable, PurchaseLog,
                      ValidationError, assign_points_to_neighborhoods,
                      filter_active_customers, infer_home, load_geometry,
                      load_geoposts, load_mentions, load_neighborhoods,

@@ -106,41 +106,44 @@ def _write_manifest(out: Path, command: str, cfg: dict, inputs: list[Path],
         fh.write("\n")
 
 
-def _load_tables(cfg: dict):
-    """Shared loading path: table, filtered purchases, mentions, homes."""
+def _load_purchases(cfg: dict):
+    """The neighborhood table and the active customers' purchase log (None
+    without purchases.csv)."""
     data = Path(cfg["data"])
     table = load_neighborhoods(data / "neighborhoods.csv")
-    purchases = []
+    purchases = None
     if (data / "purchases.csv").exists():
         purchases = filter_active_customers(load_purchases(data / "purchases.csv"),
-                                            cfg.get("min_tx", 10))
-    mentions = []
-    homes = {}
+                                            cfg["min_tx"])
+    return table, purchases
+
+
+def _mentions(cfg: dict):
+    """Mentions and the users' inferred homes; empty without their files."""
+    data = Path(cfg["data"])
+    mentions, homes = [], {}
     if (data / "mentions.csv").exists():
         mentions = load_mentions(data / "mentions.csv")
     if (data / "geoposts.csv").exists() and (data / "geometry.json").exists():
         geometry = load_geometry(data / "geometry.json")
         posts = load_geoposts(data / "geoposts.csv")
         localized, _ = assign_points_to_neighborhoods(posts, geometry)
-        homes, _ = infer_home(localized, cfg.get("night_start", 20),
-                              cfg.get("night_end", 6))
-    return table, purchases, mentions, homes
+        homes, _ = infer_home(localized, cfg["night_start"], cfg["night_end"])
+    return mentions, homes
 
 
 def _both_networks(cfg: dict):
-    """(channel, raw, weighted) for every channel with data present."""
-    table, purchases, mentions, homes = _load_tables(cfg)
-    out = []
-    if purchases:
-        raw = network.build_purchase_network(purchases, table)
-        out.append(("purchase", raw, network.population_weight(raw, table)))
+    """(channel, raw, weighted) for every channel with resolved flow."""
+    table, purchases = _load_purchases(cfg)
+    mentions, homes = _mentions(cfg)
+    raws = [network.build_purchase_network(purchases, table)] if purchases else []
     if mentions and homes:
-        raw = network.build_mention_network(mentions, homes, table)
-        if raw.W.any():
-            out.append(("mention", raw, network.population_weight(raw, table)))
+        raws.append(network.build_mention_network(mentions, homes, table))
+    out = [(raw.channel, raw, network.population_weight(raw, table))
+           for raw in raws if raw.W.any()]
     if not out:
         raise ValidationError("no usable event data found in the data directory")
-    return table, purchases, out
+    return table, out
 
 
 def _groups(table, cfg):
@@ -194,14 +197,15 @@ def cmd_ingest(cfg, out: Path) -> list[str]:
 
 
 def cmd_diversity(cfg, out: Path) -> list[str]:
-    table, purchases, mentions, homes = _load_tables(cfg)
+    table, purchases = _load_purchases(cfg)
+    mentions, homes = _mentions(cfg)
     results = []
     if purchases:
-        profiles = metrics.purchase_profiles(purchases)
-        customer_homes = {e.customer_id: e.customer_home for e in purchases
-                          if e.customer_home}
-        results.append(metrics.neighborhood_diversity(profiles, customer_homes,
-                                                      "purchase", table))
+        home, _ = purchases.indices(table)
+        customer_homes = {c: table.ids[h] for c, h in zip(purchases.customer_ids, home) if h >= 0}
+        if customer_homes:
+            results.append(metrics.neighborhood_diversity(
+                metrics.purchase_profiles(purchases), customer_homes, "purchase", table))
     if mentions and homes:
         results.append(metrics.neighborhood_diversity(
             metrics.mention_profiles(mentions), homes, "mention", table))
@@ -212,7 +216,7 @@ def cmd_diversity(cfg, out: Path) -> list[str]:
 
 
 def cmd_network(cfg, out: Path) -> list[str]:
-    _, _, nets = _both_networks(cfg)
+    _, nets = _both_networks(cfg)
     outputs = []
     for channel, raw, weighted in nets:
         for tag, net in (("raw", raw), ("weighted", weighted)):
@@ -224,7 +228,7 @@ def cmd_network(cfg, out: Path) -> list[str]:
 
 
 def cmd_mixing(cfg, out: Path) -> list[str]:
-    table, _, nets = _both_networks(cfg)
+    table, nets = _both_networks(cfg)
     groups = _groups(table, cfg)
     outputs = []
     for channel, _, weighted in nets:
@@ -237,7 +241,7 @@ def cmd_mixing(cfg, out: Path) -> list[str]:
 
 
 def cmd_sweep(cfg, out: Path) -> list[str]:
-    table, _, nets = _both_networks(cfg)
+    table, nets = _both_networks(cfg)
     groups = _groups(table, cfg)
     dist = network.centroid_distances(table)
     outputs = []
@@ -258,7 +262,7 @@ def cmd_sweep(cfg, out: Path) -> list[str]:
 
 
 def cmd_asymmetry(cfg, out: Path) -> list[str]:
-    table, _, nets = _both_networks(cfg)
+    table, nets = _both_networks(cfg)
     groups = _groups(table, cfg)
     outputs = []
     for channel, _, weighted in nets:
@@ -270,7 +274,7 @@ def cmd_asymmetry(cfg, out: Path) -> list[str]:
 
 
 def cmd_gravity(cfg, out: Path) -> list[str]:
-    table, _, nets = _both_networks(cfg)
+    table, nets = _both_networks(cfg)
     dist = network.centroid_distances(table)
     eps_grid = np.round(np.arange(cfg["eps_start"], cfg["eps_stop"] + 1e-9,
                                   cfg["eps_step"]), 10)
@@ -289,7 +293,7 @@ def cmd_gravity(cfg, out: Path) -> list[str]:
 
 
 def cmd_null(cfg, out: Path) -> list[str]:
-    table, _, nets = _both_networks(cfg)
+    table, nets = _both_networks(cfg)
     outputs = []
     for channel, _, weighted in nets:
         dist = models.null_shuffle_ses(
@@ -307,7 +311,7 @@ def cmd_null(cfg, out: Path) -> list[str]:
 
 
 def cmd_jackknife(cfg, out: Path) -> list[str]:
-    table, _, nets = _both_networks(cfg)
+    table, nets = _both_networks(cfg)
     groups = _groups(table, cfg)
     outputs = []
     for channel, _, weighted in nets:
@@ -327,7 +331,7 @@ def cmd_jackknife(cfg, out: Path) -> list[str]:
 
 
 def cmd_gini_report(cfg, out: Path) -> list[str]:
-    table, purchases, _, _ = _load_tables(cfg)
+    table, purchases = _load_purchases(cfg)
     if not purchases:
         raise ValidationError("the inequality report needs purchase events")
     fractions = tuple(float(f) for f in cfg["fractions"].split(","))

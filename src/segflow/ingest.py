@@ -77,14 +77,81 @@ class NeighborhoodTable:
                                  int(self.population[i]), repr(float(self.ses[i]))])
 
 
-@dataclass
-class PurchaseEvent:
-    customer_id: str
-    store_id: str
-    timestamp: datetime
-    amount: float
-    customer_home: str | None = None
-    store_neighborhood: str | None = None
+@dataclass(eq=False)
+class PurchaseLog:
+    """Columnar purchase events: customer and store codes (ids interned in
+    first-seen order) and amounts.  Each customer has one home and each
+    store one location, a neighborhood id or None when no row names one."""
+
+    customer_ids: list[str]
+    store_ids: list[str]
+    home: list[str | None]
+    location: list[str | None]
+    customer: np.ndarray
+    store: np.ndarray
+    amount: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.customer)
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[tuple[str, str, float, str | None, str | None]],
+                  source="purchases") -> PurchaseLog:
+        """Intern (customer, store, amount, home, location) rows; the first
+        row is line 2 of ``source``.  A row that names a second home for its
+        customer or a second location for its store is a ValidationError."""
+        customers, stores, homes, locations = {}, {}, [], []
+        ev_c, ev_s, ev_a = [], [], []
+        for line, (customer, store, amount, home, location) in enumerate(rows, start=2):
+            ev_c.append(_intern(customers, homes, customer, home, "customer", source, line))
+            ev_s.append(_intern(stores, locations, store, location, "store", source, line))
+            ev_a.append(amount)
+        return cls(list(customers), list(stores), homes, locations,
+                   np.array(ev_c, dtype=np.int64), np.array(ev_s, dtype=np.int64),
+                   np.array(ev_a, dtype=float))
+
+    def select(self, keep: np.ndarray) -> PurchaseLog:
+        """The events where ``keep`` holds, customers and stores renumbered
+        in first-seen order."""
+        customer, customer_ids, home = _renumber(self.customer[keep], self.customer_ids, self.home)
+        store, store_ids, location = _renumber(self.store[keep], self.store_ids, self.location)
+        return PurchaseLog(customer_ids, store_ids, home, location, customer, store,
+                           self.amount[keep])
+
+    def indices(self, table: NeighborhoodTable) -> tuple[np.ndarray, np.ndarray]:
+        """Table index of every customer's home and every store's location;
+        -1 where the table has no such neighborhood."""
+        return tuple(np.array([table.index.get(nid, -1) for nid in names], dtype=np.int64)
+                     for names in (self.home, self.location))
+
+    def resolved(self, table: NeighborhoodTable) -> tuple[PurchaseLog, np.ndarray, np.ndarray]:
+        """The events whose home and store location are both in ``table``,
+        with the table index of each kept customer's home and store's location."""
+        home, loc = self.indices(table)
+        log = self.select((home[self.customer] >= 0) & (loc[self.store] >= 0))
+        return (log, *log.indices(table))
+
+
+def _intern(index: dict[str, int], places: list, key: str, place: str | None,
+            kind: str, source, line: int) -> int:
+    code = index.setdefault(key, len(index))
+    if code == len(places):
+        places.append(place)
+    elif place is not None and place != places[code]:
+        if places[code] is not None:
+            raise ValidationError(f"{source}: line {line}: {kind} {key!r} is placed in "
+                                  f"{place!r}, but an earlier row names {places[code]!r}")
+        places[code] = place
+    return code
+
+
+def _renumber(codes: np.ndarray, ids: list[str], places: list):
+    """Codes renumbered in first-seen order, with the ids and places kept."""
+    used, first = np.unique(codes, return_index=True)
+    order = used[np.argsort(first)]
+    new = np.empty(len(ids), dtype=np.int64)
+    new[order] = np.arange(order.size)
+    return new[codes], [ids[i] for i in order], [places[i] for i in order]
 
 
 @dataclass
@@ -165,25 +232,26 @@ def load_neighborhoods(path) -> NeighborhoodTable:
     return table
 
 
-def load_purchases(path) -> list[PurchaseEvent]:
-    """Parse purchase events; home/store neighborhood columns are optional."""
-    events = []
+def load_purchases(path) -> PurchaseLog:
+    """Parse purchase events; home/store neighborhood columns are optional.
+    Timestamps are validated, not kept."""
     fh, reader = _open_reader(path, PURCHASE_COLUMNS)
     with fh:
-        for lineno, row in enumerate(reader, start=2):
-            amount = _finite(row, "amount", lineno, path)
-            if amount < 0:
-                raise ValidationError(f"{path}: line {lineno}: negative amount")
-            events.append(PurchaseEvent(
-                customer_id=_cell(row, "customer_id", lineno, path),
-                store_id=_cell(row, "store_id", lineno, path),
-                timestamp=_parse_ts(_cell(row, "timestamp", lineno, path), lineno, path),
-                amount=amount,
-                customer_home=row.get("customer_home") or None,
-                store_neighborhood=row.get("store_neighborhood") or None,
-            ))
-    log.info("loaded %d purchase events from %s", len(events), path)
-    return events
+        purchases = PurchaseLog.from_rows(_purchase_rows(reader, path), path)
+    log.info("loaded %d purchase events from %s", len(purchases), path)
+    return purchases
+
+
+def _purchase_rows(reader, path):
+    for lineno, row in enumerate(reader, start=2):
+        amount = _finite(row, "amount", lineno, path)
+        if amount < 0:
+            raise ValidationError(f"{path}: line {lineno}: negative amount")
+        customer = _cell(row, "customer_id", lineno, path)
+        store = _cell(row, "store_id", lineno, path)
+        _parse_ts(_cell(row, "timestamp", lineno, path), lineno, path)
+        yield (customer, store, amount, row.get("customer_home") or None,
+               row.get("store_neighborhood") or None)
 
 
 def load_mentions(path) -> list[MentionEvent]:
@@ -249,13 +317,12 @@ def load_geometry(path) -> dict[str, list[np.ndarray]]:
     return geometry
 
 
-def filter_active_customers(events: Iterable[PurchaseEvent], min_tx: int = 10) -> list[PurchaseEvent]:
+def filter_active_customers(events: PurchaseLog, min_tx: int = 10) -> PurchaseLog:
     """Keep only events of customers with at least ``min_tx`` transactions."""
     if min_tx < 1:
         raise ValueError("min_tx must be >= 1")
-    events = list(events)
-    counts = Counter(e.customer_id for e in events)
-    return [e for e in events if counts[e.customer_id] >= min_tx]
+    counts = np.bincount(events.customer, minlength=len(events.customer_ids))
+    return events.select(counts[events.customer] >= min_tx)
 
 
 def _points_in_ring(px: np.ndarray, py: np.ndarray, ring: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .ingest import MentionEvent, NeighborhoodTable, PurchaseEvent
+from .ingest import MentionEvent, NeighborhoodTable, PurchaseLog
 
 
 def individual_diversity(counts) -> float:
@@ -38,12 +38,17 @@ def individual_diversity(counts) -> float:
     return abs(float((p * np.log(p)).sum()))
 
 
-def purchase_profiles(events: Iterable[PurchaseEvent]) -> dict[str, Counter]:
-    """Per-customer store visit counts."""
-    profiles: dict[str, Counter] = defaultdict(Counter)
-    for e in events:
-        profiles[e.customer_id][e.store_id] += 1
-    return dict(profiles)
+def purchase_profiles(events: PurchaseLog) -> dict[str, dict[str, int]]:
+    """Per-customer store visit counts, customers and their stores in
+    first-seen order."""
+    pairs, first, counts = np.unique(events.customer * len(events.store_ids) + events.store,
+                                     return_index=True, return_counts=True)
+    order = np.argsort(first)
+    customer, store = np.divmod(pairs[order], len(events.store_ids))
+    profiles: dict[str, dict[str, int]] = {}
+    for c, s, count in zip(customer.tolist(), store.tolist(), counts[order].tolist()):
+        profiles.setdefault(events.customer_ids[c], {})[events.store_ids[s]] = count
+    return profiles
 
 
 def mention_profiles(mentions: Iterable[MentionEvent]) -> dict[str, Counter]:

@@ -10,11 +10,11 @@ by its own flow value.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .ingest import NeighborhoodTable, PurchaseEvent
+from .ingest import NeighborhoodTable, PurchaseLog
 from .network import InteractionNetwork
 from .segregation import (DegenerateMatrixError, GroupAssignment, MixingMatrix,
                           assign_groups, asymmetry_bias, assortativity,
@@ -239,17 +239,15 @@ def null_shuffle_ses(
 
 @dataclass
 class PurchaseArrays:
-    """Integer-indexed view of a purchase event log for fast reshuffling."""
+    """The resolved events of a purchase log, as table indices, for fast
+    reshuffling."""
 
-    customer_ids: list[str]
-    store_ids: list[str]
     home_of_customer: np.ndarray
     loc_of_store: np.ndarray
     ev_customer: np.ndarray
     ev_store: np.ndarray
     ev_amount: np.ndarray
     n_neighborhoods: int
-    dropped: int = 0
 
     def event_cells(self, home=None, loc=None) -> tuple[np.ndarray, np.ndarray]:
         """Home and store neighborhood index of every event."""
@@ -257,61 +255,23 @@ class PurchaseArrays:
         loc = self.loc_of_store if loc is None else loc
         return home[self.ev_customer], loc[self.ev_store]
 
-    def flow_matrix(self, home=None, loc=None) -> np.ndarray:
-        i, j = self.event_cells(home, loc)
-        n = self.n_neighborhoods
-        return np.bincount(i * n + j, minlength=n * n).reshape(n, n).astype(float)
-
     def revenue(self, loc=None) -> np.ndarray:
         loc = self.loc_of_store if loc is None else loc
         return np.bincount(loc[self.ev_store], weights=self.ev_amount,
                            minlength=self.n_neighborhoods)
 
-    def customer_counts(self, home=None) -> np.ndarray:
-        home = self.home_of_customer if home is None else home
-        return np.bincount(home, minlength=self.n_neighborhoods).astype(np.int64)
 
-
-def purchase_arrays(events: Iterable[PurchaseEvent], table: NeighborhoodTable) -> PurchaseArrays:
+def purchase_arrays(events: PurchaseLog, table: NeighborhoodTable) -> PurchaseArrays:
     """Index customers, stores, and events against the neighborhood table.
 
-    Events with an unknown home or store neighborhood are dropped and
-    counted, matching the network builder.
+    Events with an unknown home or store neighborhood are dropped, as in
+    the network builder.
     """
-    cust_index: dict[str, int] = {}
-    store_index: dict[str, int] = {}
-    homes: list[int] = []
-    locs: list[int] = []
-    ev_c, ev_s, ev_a = [], [], []
-    dropped = 0
-    for e in events:
-        i = table.index.get(e.customer_home)
-        j = table.index.get(e.store_neighborhood)
-        if i is None or j is None:
-            dropped += 1
-            continue
-        ci = cust_index.get(e.customer_id)
-        if ci is None:
-            ci = cust_index[e.customer_id] = len(cust_index)
-            homes.append(i)
-        si = store_index.get(e.store_id)
-        if si is None:
-            si = store_index[e.store_id] = len(store_index)
-            locs.append(j)
-        ev_c.append(ci)
-        ev_s.append(si)
-        ev_a.append(e.amount)
-    if not ev_c:
+    log, home, loc = events.resolved(table)
+    if not len(log):
         raise ValueError("no resolvable purchase events")
-    return PurchaseArrays(
-        customer_ids=list(cust_index), store_ids=list(store_index),
-        home_of_customer=np.array(homes, dtype=np.int64),
-        loc_of_store=np.array(locs, dtype=np.int64),
-        ev_customer=np.array(ev_c, dtype=np.int64),
-        ev_store=np.array(ev_s, dtype=np.int64),
-        ev_amount=np.array(ev_a, dtype=float),
-        n_neighborhoods=table.n, dropped=dropped,
-    )
+    return PurchaseArrays(home_of_customer=home, loc_of_store=loc, ev_customer=log.customer,
+                          ev_store=log.store, ev_amount=log.amount, n_neighborhoods=table.n)
 
 
 @dataclass
@@ -322,18 +282,17 @@ class ReshuffleReplicate:
     home: np.ndarray
     loc: np.ndarray
     revenue: np.ndarray
-    store_counts: np.ndarray
-    customer_counts: np.ndarray
 
     @property
     def W(self) -> np.ndarray:
         """Dense flow matrix, built on demand."""
-        return self.arrays.flow_matrix(home=self.home, loc=self.loc)
+        i, j = self.arrays.event_cells(self.home, self.loc)
+        n = self.arrays.n_neighborhoods
+        return np.bincount(i * n + j, minlength=n * n).reshape(n, n).astype(float)
 
 
 def reshuffle_locations(
-    events: Iterable[PurchaseEvent] | PurchaseArrays,
-    table: NeighborhoodTable,
+    arrays: PurchaseArrays,
     fraction: float,
     replicates: int = 50,
     seed: int = 0,
@@ -348,9 +307,8 @@ def reshuffle_locations(
     """
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must be in (0, 1]")
-    arrays = events if isinstance(events, PurchaseArrays) else purchase_arrays(events, table)
-    n_stores = len(arrays.store_ids)
-    n_cust = len(arrays.customer_ids)
+    n_stores = arrays.loc_of_store.size
+    n_cust = arrays.home_of_customer.size
     reps = []
     for rep in range(replicates):
         rng = np.random.default_rng((seed, int(round(fraction * 1000)), rep))
@@ -360,18 +318,15 @@ def reshuffle_locations(
         loc[sel_s] = loc[sel_s][rng.permutation(sel_s.size)]
         sel_c = rng.choice(n_cust, size=int(fraction * n_cust), replace=False)
         home[sel_c] = home[sel_c][rng.permutation(sel_c.size)]
-        reps.append(ReshuffleReplicate(
-            arrays=arrays, home=home, loc=loc, revenue=arrays.revenue(loc=loc),
-            store_counts=np.bincount(loc, minlength=arrays.n_neighborhoods),
-            customer_counts=arrays.customer_counts(home=home)))
+        reps.append(ReshuffleReplicate(arrays=arrays, home=home, loc=loc,
+                                       revenue=arrays.revenue(loc=loc)))
     return reps
 
 
 def adjust_gravity_amounts(
-    events: Iterable[PurchaseEvent] | PurchaseArrays,
+    arrays: PurchaseArrays,
     empirical_net: InteractionNetwork,
     simulated_net: InteractionNetwork,
-    table: NeighborhoodTable,
     direction: str = "actual_over_simulated",
 ) -> np.ndarray:
     """Rescale each transaction amount by a per-pair flow ratio.
@@ -383,7 +338,6 @@ def adjust_gravity_amounts(
     """
     if direction not in ("actual_over_simulated", "simulated_over_actual"):
         raise ValueError(f"unknown direction {direction!r}")
-    arrays = events if isinstance(events, PurchaseArrays) else purchase_arrays(events, table)
     W_emp = empirical_net.W
     W_sim = simulated_net.W
     if np.any(W_sim[W_emp > 0] <= 0):
@@ -393,4 +347,4 @@ def adjust_gravity_amounts(
     if np.any(emp <= 0):
         raise ValueError("event on a pair with zero empirical flow")
     ratio = emp / sim if direction == "actual_over_simulated" else sim / emp
-    return np.bincount(j, weights=arrays.ev_amount * ratio, minlength=table.n)
+    return np.bincount(j, weights=arrays.ev_amount * ratio, minlength=arrays.n_neighborhoods)

@@ -14,7 +14,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .ingest import MentionEvent, NeighborhoodTable, PurchaseEvent
+from .ingest import MentionEvent, NeighborhoodTable, PurchaseLog
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -40,42 +40,21 @@ class InteractionNetwork:
         return float(self.W.sum())
 
 
-def build_purchase_network(
-    events: Iterable[PurchaseEvent],
-    table: NeighborhoodTable,
-    homes: Mapping[str, str] | None = None,
-    store_locations: Mapping[str, str] | None = None,
-) -> InteractionNetwork:
+def build_purchase_network(events: PurchaseLog, table: NeighborhoodTable) -> InteractionNetwork:
     """Count purchases from each home neighborhood at each store neighborhood.
 
     Events whose home or store neighborhood is unknown are dropped and
-    counted.  ``homes`` / ``store_locations`` fill in events whose CSV rows
-    lacked those columns.
+    counted.
     """
+    log, home, loc = events.resolved(table)
     n = table.n
-    W = np.zeros((n, n))
-    customers: list[set] = [set() for _ in range(n)]
-    stores: list[set] = [set() for _ in range(n)]
-    dropped = 0
-    homes = homes or {}
-    store_locations = store_locations or {}
-    for e in events:
-        home = e.customer_home or homes.get(e.customer_id)
-        loc = e.store_neighborhood or store_locations.get(e.store_id)
-        i = table.index.get(home)
-        j = table.index.get(loc)
-        if i is None or j is None:
-            dropped += 1
-            continue
-        W[i, j] += 1
-        customers[i].add(e.customer_id)
-        stores[j].add(e.store_id)
+    cells = home[log.customer] * n + loc[log.store]
     return InteractionNetwork(
-        nodes=list(table.ids), W=W, channel="purchase", weighting="raw",
+        nodes=list(table.ids), W=np.bincount(cells, minlength=n * n).reshape(n, n).astype(float),
+        channel="purchase", weighting="raw",
         population=table.population.copy(), ses=table.ses.copy(),
-        user_counts=np.array([len(c) for c in customers], dtype=np.int64),
-        store_counts=np.array([len(s) for s in stores], dtype=np.int64),
-        dropped_events=dropped,
+        user_counts=np.bincount(home, minlength=n), store_counts=np.bincount(loc, minlength=n),
+        dropped_events=len(events) - len(log),
     )
 
 

@@ -5,13 +5,13 @@ import csv
 import json
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .ingest import NeighborhoodTable, PurchaseEvent
-from .network import (InteractionNetwork, centroid_distances, population_weight,
-                      sampling_rate)
+from .ingest import NeighborhoodTable, PurchaseLog
+from .network import (InteractionNetwork, build_purchase_network, centroid_distances,
+                      population_weight, sampling_rate)
 from .segregation import (DegenerateMatrixError, GroupAssignment, MixingMatrix,
                           SweepStep, assign_groups, assortativity, extremes_value,
                           group_flows)
@@ -180,7 +180,7 @@ class InequalityRow:
 
 
 def segregation_inequality_report(
-    events: Iterable[PurchaseEvent],
+    events: PurchaseLog,
     table: NeighborhoodTable,
     k: int = 10,
     ses_ascending: bool = True,
@@ -210,25 +210,16 @@ def segregation_inequality_report(
         # the simulated network must evaluate the zero-distance diagonal,
         # so the fitted offset has to stay strictly positive
         eps_grid = np.round(np.arange(0.01, 2.0 + 1e-9, 0.01), 10)
-    arrays = events if isinstance(events, models.PurchaseArrays) else models.purchase_arrays(events, table)
+    arrays = models.purchase_arrays(events, table)
     groups = assign_groups(table, k=k, ses_ascending=ses_ascending)
-    user_counts = arrays.customer_counts()
-    store_counts = np.bincount(arrays.loc_of_store, minlength=table.n).astype(np.int64)
+    emp_net = build_purchase_network(events, table)
+    user_counts, store_counts = emp_net.user_counts, emp_net.store_counts
     has_store = store_counts > 0
-
-    def weighted(W: np.ndarray) -> np.ndarray:
-        net = InteractionNetwork(nodes=list(table.ids), W=W, channel="purchase")
-        return population_weight(net, table, user_counts).W
-
     rows: list[InequalityRow] = []
 
-    emp_net = InteractionNetwork(nodes=list(table.ids), W=arrays.flow_matrix(),
-                                 channel="purchase", population=table.population,
-                                 ses=table.ses, user_counts=user_counts,
-                                 store_counts=store_counts)
     rev_emp = arrays.revenue()
     total_emp = float(rev_emp.sum())
-    jk_emp = jackknife_statistic(weighted(emp_net.W), flows_assortativity, groups,
+    jk_emp = jackknife_statistic(population_weight(emp_net).W, flows_assortativity, groups,
                                  removal_fraction, jackknife_replicates, seed)
     gini_emp = gini(rev_emp)
     rows.append(InequalityRow(
@@ -242,9 +233,9 @@ def segregation_inequality_report(
     params = gravity_params or models.fit_gravity(emp_net, dist, user_counts,
                                                   store_counts, eps_grid=eps_grid)
     sim_net = models.simulate_gravity(params, dist, user_counts, store_counts, table)
-    jk_sim = jackknife_statistic(weighted(sim_net.W), flows_assortativity, groups,
+    jk_sim = jackknife_statistic(population_weight(sim_net).W, flows_assortativity, groups,
                                  removal_fraction, jackknife_replicates, seed)
-    rev_imposed = models.adjust_gravity_amounts(arrays, emp_net, sim_net, table,
+    rev_imposed = models.adjust_gravity_amounts(arrays, emp_net, sim_net,
                                                 direction="simulated_over_actual")
     rows.append(InequalityRow(
         label="gravity", fraction=None,
@@ -262,8 +253,7 @@ def segregation_inequality_report(
     # carries its home's population weight whatever home it moves to
     inv_rate = 1.0 / sampling_rate(user_counts, table.population)
     for fraction in fractions:
-        reps = models.reshuffle_locations(arrays, table, fraction,
-                                          replicates=replicates, seed=seed)
+        reps = models.reshuffle_locations(arrays, fraction, replicates=replicates, seed=seed)
         r_vals, g_vals, g_excl, totals = [], [], [], []
         for rep in reps:
             i, j = arrays.event_cells(rep.home, rep.loc)

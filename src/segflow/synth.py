@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ingest import GeoPost, MentionEvent, NeighborhoodTable, PurchaseEvent
+from .ingest import GeoPost, MentionEvent, NeighborhoodTable, PurchaseLog
 from .models import GravityParams
 from .network import EARTH_RADIUS_KM
 
@@ -85,12 +85,12 @@ class SynthCity:
     config: SynthConfig
     table: NeighborhoodTable
     geometry: dict[str, list[np.ndarray]]
-    purchases: list[PurchaseEvent]
+    purchases: PurchaseLog
+    purchase_times: list[datetime]
     mentions: list[MentionEvent]
     geoposts: list[GeoPost]
     truth: dict
     customer_homes: dict[str, str]
-    store_locations: dict[str, str]
     user_homes: dict[str, str]
 
 
@@ -216,7 +216,6 @@ def generate_city(cfg: SynthConfig) -> SynthCity:
     store_ids = [f"S{i:05d}" for i in range(cfg.n_stores)]
     customer_ids = [f"C{i:05d}" for i in range(cfg.n_customers)]
     user_ids = [f"U{i:05d}" for i in range(cfg.n_twitter_users)]
-    store_nbhd = np.repeat(np.arange(n), store_counts)
     customer_nbhd = np.repeat(np.arange(n), customer_counts)
     user_nbhd = np.repeat(np.arange(n), twitter_counts)
 
@@ -234,13 +233,11 @@ def generate_city(cfg: SynthConfig) -> SynthCity:
     store = store_offset[ev_j] + _truncated_geometric(rng, rho, store_counts[ev_j])
     amounts = np.round(rng.lognormal(3.0, 0.6, n_ev), 2)
     hours = rng.integers(9, 22, n_ev)
-    times = _event_times(rng, n_ev, cfg, hours)
-    purchases = [
-        PurchaseEvent(customer_id=customer_ids[c], store_id=store_ids[s],
-                      timestamp=t, amount=float(a),
-                      customer_home=table.ids[i], store_neighborhood=table.ids[j])
-        for c, s, t, a, i, j in zip(cust, store, times, amounts, ev_i, ev_j)
-    ]
+    purchase_times = _event_times(rng, n_ev, cfg, hours)
+    purchases = PurchaseLog.from_rows(
+        (customer_ids[c], store_ids[s], a, table.ids[i], table.ids[j])
+        for c, s, a, i, j in zip(cust.tolist(), store.tolist(), amounts.tolist(),
+                                 ev_i.tolist(), ev_j.tolist()))
 
     # mentions
     lam_t, scale_t = _intensity(cfg, cfg.mention_gravity, twitter_counts,
@@ -299,11 +296,10 @@ def generate_city(cfg: SynthConfig) -> SynthCity:
 
     return SynthCity(
         config=cfg, table=table, geometry=geometry,
-        purchases=purchases, mentions=mentions, geoposts=geoposts, truth=truth,
+        purchases=purchases, purchase_times=purchase_times, mentions=mentions,
+        geoposts=geoposts, truth=truth,
         customer_homes={customer_ids[i]: table.ids[customer_nbhd[i]]
                         for i in range(cfg.n_customers)},
-        store_locations={store_ids[i]: table.ids[store_nbhd[i]]
-                         for i in range(cfg.n_stores)},
         user_homes={user_ids[i]: table.ids[user_nbhd[i]]
                     for i in range(cfg.n_twitter_users)},
     )
@@ -387,9 +383,11 @@ def write_city(city: SynthCity, outdir) -> dict[str, str]:
     paths["purchases"] = str(outdir / "purchases.csv")
     with open(paths["purchases"], "w") as fh:
         fh.write("customer_id,store_id,timestamp,amount,customer_home,store_neighborhood\n")
-        for e in city.purchases:
-            fh.write(f"{e.customer_id},{e.store_id},{e.timestamp.isoformat()},"
-                     f"{e.amount:.2f},{e.customer_home},{e.store_neighborhood}\n")
+        log = city.purchases
+        for c, s, t, a in zip(log.customer.tolist(), log.store.tolist(),
+                              city.purchase_times, log.amount.tolist()):
+            fh.write(f"{log.customer_ids[c]},{log.store_ids[s]},{t.isoformat()},"
+                     f"{a:.2f},{log.home[c]},{log.location[s]}\n")
 
     paths["mentions"] = str(outdir / "mentions.csv")
     with open(paths["mentions"], "w") as fh:

@@ -1,9 +1,10 @@
 from datetime import datetime
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from segflow.ingest import NeighborhoodTable, PurchaseEvent, MentionEvent
+from segflow.ingest import MentionEvent, NeighborhoodTable, PurchaseLog
 
 
 def make_table(n=4, ses=None, population=None, spacing_deg=0.05):
@@ -16,10 +17,22 @@ def make_table(n=4, ses=None, population=None, spacing_deg=0.05):
     return NeighborhoodTable(ids, lat, lon, pop, s)
 
 
-def purchase(cust, store, home, loc, amount=10.0, ts="2013-05-01T12:00:00"):
-    return PurchaseEvent(customer_id=cust, store_id=store,
-                         timestamp=datetime.fromisoformat(ts), amount=amount,
-                         customer_home=home, store_neighborhood=loc)
+class Purchase(NamedTuple):
+    """One purchases.csv row, in the column order of ``PurchaseLog.from_rows``."""
+
+    customer_id: str
+    store_id: str
+    amount: float
+    customer_home: str | None
+    store_neighborhood: str | None
+
+
+def purchase(cust, store, home, loc, amount=10.0):
+    return Purchase(cust, store, amount, home, loc)
+
+
+def purchase_log(events):
+    return PurchaseLog.from_rows(events)
 
 
 def mention(src, dst, ts="2013-05-01T12:00:00"):

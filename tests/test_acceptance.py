@@ -25,7 +25,7 @@ from segflow import (GravityParams, InteractionNetwork, assign_groups,
 from segflow.cli import main as cli_main
 from segflow.segregation import mixing_from_matrix
 
-from conftest import make_table, purchase
+from conftest import make_table, purchase, purchase_log
 
 REFERENCE_FITS = {
     "european_purchase": (0.249, 0.762, 0.598, 0.233, 0.918),
@@ -316,9 +316,9 @@ def test_criterion_12_population_weighting_invariance():
     table = make_table(30, ses=rng.uniform(0, 100, 30), population=[1000] * 30)
     events = []
     for k in range(900):
-        events.append(purchase(f"C{k % 60}", f"S{rng.integers(80)}",
-                               f"N{rng.integers(30):02d}", f"N{rng.integers(30):02d}"))
-    net = build_purchase_network(events, table)
+        s, h, loc = rng.integers(80), rng.integers(30), rng.integers(30)
+        events.append(purchase(f"C{k % 60}-N{h}", f"S{s}-N{loc}", f"N{h:02d}", f"N{loc:02d}"))
+    net = build_purchase_network(purchase_log(events), table)
     groups = assign_groups(table, k=10)
     r_raw = assortativity(mixing_matrix(net, groups, allow_raw=True))
     uniform_users = np.full(30, 25)  # m_i / p_i identical everywhere

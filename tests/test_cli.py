@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,19 @@ def city_dir(tmp_path_factory):
     data = tmp_path_factory.mktemp("city")
     assert main(["synth", "--out", str(data)] + SYNTH_ARGS) == 0
     return data
+
+
+DATA_COMMANDS = [name for name in COMMANDS if name != "synth"]
+
+
+def copy_city(city_dir: Path, dest: Path, purchase_lines: list[str]) -> Path:
+    """The city in ``dest``, with purchases.csv replaced by ``purchase_lines``."""
+    dest.mkdir()
+    for path in city_dir.iterdir():
+        if path.name not in ("purchases.csv", "manifest.json"):
+            shutil.copy(path, dest / path.name)
+    (dest / "purchases.csv").write_text("".join(purchase_lines))
+    return dest
 
 
 def tree_hashes(root: Path) -> dict[str, str]:
@@ -202,3 +216,40 @@ class TestConfigResolution:
         assert main(["asymmetry", "--data", str(city_dir),
                      "--out", str(tmp_path / "a")]) == 0
         assert tree_hashes(city_dir) == before
+
+
+class TestPurchasePlaces:
+    @pytest.mark.parametrize("kind", ["customer", "store"])
+    def test_second_neighborhood_fails_every_data_command(self, city_dir, tmp_path, capsys,
+                                                          kind):
+        lines = (city_dir / "purchases.csv").read_text().splitlines(keepends=True)
+        key, column = (0, 4) if kind == "customer" else (1, 5)
+        seen = set()
+        for idx, line in enumerate(lines[1:], start=1):
+            cells = line.rstrip("\n").split(",")
+            if cells[key] in seen:
+                break
+            seen.add(cells[key])
+        # a later row of an already-seen customer (store) names another place
+        cells[column] = "N0001" if cells[column] == "N0000" else "N0000"
+        lines[idx] = ",".join(cells) + "\n"
+        data = copy_city(city_dir, tmp_path / "city", lines)
+        for command in DATA_COMMANDS:
+            out = tmp_path / command
+            assert main([command, "--data", str(data), "--out", str(out)]) == 1, command
+            err = capsys.readouterr().err
+            assert f"purchases.csv: line {idx + 1}: {kind} {cells[key]!r}" in err, command
+
+    def test_purchase_channel_without_places_is_skipped(self, city_dir, tmp_path, capsys):
+        lines = (city_dir / "purchases.csv").read_text().splitlines(keepends=True)
+        data = copy_city(city_dir, tmp_path / "city",
+                         [",".join(line.split(",")[:4]) + "\n" for line in lines])
+        for command in ("network", "mixing"):
+            out = tmp_path / command
+            assert main([command, "--data", str(data), "--out", str(out)]) == 0
+            assert not list(out.glob("*purchase*")), command
+        (data / "mentions.csv").unlink()
+        for command in ("network", "mixing"):
+            out = tmp_path / f"{command}_no_mentions"
+            assert main([command, "--data", str(data), "--out", str(out)]) == 1
+            assert "no usable event data" in capsys.readouterr().err

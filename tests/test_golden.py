@@ -1,7 +1,9 @@
-"""Golden outputs of the resampling commands on a small seeded city.
+"""Golden outputs of the analysis commands on a small seeded city.
 
-The stored numbers were recorded from the dense n x n implementation of
-the replicate loops.  Later implementations must reproduce them to
+The resampling numbers were recorded from the dense n x n implementation
+of the replicate loops, and the ingest, diversity, network, asymmetry and
+gravity numbers from the per-event purchase loops that preceded the
+columnar purchase log.  Later implementations must reproduce them to
 rtol 1e-9, atol 1e-12: summing edge weights by bincount reorders the
 floating-point additions, which moves near-zero null r values by about
 1e-11 relative.
@@ -27,9 +29,14 @@ SYNTH_ARGS = ["--preset", "homophilous", "--seed", "7",
               "--n-stores", "200", "--n-twitter-users", "300"]
 
 COMMANDS = [
+    ("ingest", []),
+    ("diversity", []),
+    ("network", []),
     ("mixing", ["--k", "10"]),
     ("sweep", ["--jackknife-replicates", "100", "--seed", "1"]),
     ("null", ["--replicates", "100", "--seed", "1"]),
+    ("asymmetry", []),
+    ("gravity", ["--eps-step", "0.01"]),
     ("jackknife", ["--replicates", "100", "--seed", "1"]),
     ("gini-report", ["--replicates", "50", "--seed", "1"]),
 ]

@@ -1,14 +1,20 @@
+import re
+import tempfile
 from datetime import datetime
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from segflow.ingest import (GeoPost, ValidationError,
                             assign_points_to_neighborhoods,
                             filter_active_customers, infer_home,
                             load_geometry, load_neighborhoods, load_purchases)
 
-from conftest import make_table, purchase
+from segflow.cli import main
+
+from conftest import make_table, purchase, purchase_log
 
 
 def write(tmp_path, name, text):
@@ -76,8 +82,8 @@ class TestLoadPurchases:
                      "customer_id,store_id,timestamp,amount\n"
                      "C1,S1,2013-05-01T10:00:00,12.5\n")
         events = load_purchases(path)
-        assert events[0].customer_home is None
-        assert events[0].amount == 12.5
+        assert events.home == [None] and events.location == [None]
+        assert events.amount[0] == 12.5
 
     def test_negative_amount(self, tmp_path):
         path = write(tmp_path, "p.csv",
@@ -94,34 +100,74 @@ class TestLoadPurchases:
             load_purchases(path)
 
 
+# (column, bad value) pairs; "place" columns get a second neighborhood for
+# a customer or store that an earlier row already placed
+CORRUPTIONS = [("amount", v) for v in ("abc", "nan", "inf", "-inf", "-1.5", "")] + [
+    ("timestamp", v) for v in ("notatime", "2013-13-01T10:00:00", "")] + [
+    ("customer_id", ""), ("store_id", ""), ("customer_home", "N2"),
+    ("store_neighborhood", "N2")]
+PURCHASE_HEADER = ["customer_id", "store_id", "timestamp", "amount", "customer_home",
+                   "store_neighborhood"]
+
+
+@given(rows=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4),
+                               st.floats(0, 1e6, allow_nan=False)), min_size=2, max_size=12),
+       data=st.data(), corruption=st.sampled_from(CORRUPTIONS))
+@settings(max_examples=60, deadline=None)
+def test_fuzz_corrupt_purchase_cell(rows, data, corruption):
+    """One bad cell in a valid purchases.csv: a ValidationError naming the
+    file and line, and exit code 1 from the CLI."""
+    bad = data.draw(st.integers(1, len(rows) - 1), label="corrupted row")
+    table = [[f"C{c}", f"S{s}", "2013-05-01T10:00:00", repr(a), f"N{c % 2}", f"N{s % 2}"]
+             for c, s, a in rows]
+    column, value = corruption
+    if column == "customer_home":
+        table[bad][0] = table[0][0]
+    elif column == "store_neighborhood":
+        table[bad][1] = table[0][1]
+    table[bad][PURCHASE_HEADER.index(column)] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        city = Path(tmp)
+        (city / "neighborhoods.csv").write_text(
+            "neighborhood_id,lat,lon,population,ses\n"
+            "N0,40.0,-3.0,500,20\nN1,40.1,-3.0,600,30\nN2,40.2,-3.0,700,40\n")
+        path = city / "purchases.csv"
+        path.write_text("\n".join(",".join(r) for r in [PURCHASE_HEADER] + table) + "\n")
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: line {bad + 2}: "):
+            load_purchases(path)
+        assert main(["ingest", "--data", str(city), "--out", str(city / "out")]) == 1
+
+
 class TestFilterActiveCustomers:
     def test_nine_events_dropped(self):
-        events = [purchase("C1", f"S{i}", "N00", "N01") for i in range(9)]
-        assert filter_active_customers(events, 10) == []
+        events = purchase_log([purchase("C1", f"S{i}", "N00", "N01") for i in range(9)])
+        assert len(filter_active_customers(events, 10)) == 0
 
     def test_ten_events_retained(self):
-        events = [purchase("C1", f"S{i}", "N00", "N01") for i in range(10)]
+        events = purchase_log([purchase("C1", f"S{i}", "N00", "N01") for i in range(10)])
         assert len(filter_active_customers(events, 10)) == 10
 
     def test_mixed_log_counted_by_hand(self):
         # 12 events for C1 plus 3 for C2: only C1's 12 survive at min_tx=10
-        events = ([purchase("C1", f"S{i}", "N00", "N01") for i in range(12)]
-                  + [purchase("C2", f"S{i}", "N01", "N00") for i in range(3)])
+        events = purchase_log([purchase("C1", f"S{i}", "N00", "N01") for i in range(12)]
+                              + [purchase("C2", f"T{i}", "N01", "N00") for i in range(3)])
         kept = filter_active_customers(events, 10)
         assert len(kept) == 12
-        assert {e.customer_id for e in kept} == {"C1"}
+        assert kept.customer_ids == ["C1"]
 
     def test_idempotent(self):
         rng = np.random.default_rng(0)
-        events = [purchase(f"C{rng.integers(6)}", f"S{i}", "N00", "N01")
-                  for i in range(100)]
+        events = purchase_log([purchase(f"C{rng.integers(6)}", f"S{i}", "N00", "N01")
+                               for i in range(100)])
         once = filter_active_customers(events, 10)
         twice = filter_active_customers(once, 10)
-        assert twice == once
+        assert vars(twice).keys() == vars(once).keys()
+        for key, value in vars(once).items():
+            assert np.array_equal(getattr(twice, key), value), key
 
     def test_min_tx_validated(self):
         with pytest.raises(ValueError):
-            filter_active_customers([], 0)
+            filter_active_customers(purchase_log([]), 0)
 
 
 def square(x0, y0, size=1.0):

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from segflow.metrics import (individual_diversity, mention_profiles,
                              neighborhood_diversity, pearson,
                              purchase_profiles)
 
-from conftest import make_table, mention, purchase
+from conftest import make_table, mention, purchase, purchase_log
 
 counts_strategy = st.lists(st.integers(min_value=1, max_value=50), min_size=1, max_size=12)
 
@@ -67,9 +68,22 @@ class TestProfiles:
     def test_purchase_profiles(self):
         events = [purchase("C1", "S1", "N00", "N01"), purchase("C1", "S1", "N00", "N01"),
                   purchase("C1", "S2", "N00", "N01"), purchase("C2", "S3", "N01", "N00")]
-        profiles = purchase_profiles(events)
+        profiles = purchase_profiles(purchase_log(events))
         assert profiles["C1"] == {"S1": 2, "S2": 1}
         assert profiles["C2"] == {"S3": 1}
+
+    def test_purchase_profiles_match_event_loop(self):
+        # reference: one Counter per customer, filled event by event
+        rng = np.random.default_rng(4)
+        events = [purchase(f"C{c}", f"S{s}", "N00", "N01")
+                  for c, s in zip(rng.integers(0, 15, 300), rng.integers(0, 25, 300))]
+        oracle = {}
+        for e in events:
+            oracle.setdefault(e.customer_id, Counter())[e.store_id] += 1
+        profiles = purchase_profiles(purchase_log(events))
+        assert list(profiles) == list(oracle)
+        for customer, counts in oracle.items():
+            assert list(profiles[customer].items()) == list(counts.items())
 
     def test_mention_profiles(self):
         events = [mention("u1", "u2"), mention("u1", "u2"), mention("u1", "u3")]

@@ -9,7 +9,7 @@ from segflow.network import (InteractionNetwork, build_purchase_network,
 from segflow.segregation import assign_groups, assortativity, mixing_matrix
 from segflow import synth
 
-from conftest import make_table, purchase
+from conftest import make_table, purchase, purchase_log
 
 
 @pytest.fixture(scope="module")
@@ -215,17 +215,17 @@ class TestReshuffle:
         table = make_table(6, ses=np.arange(6, dtype=float))
         events = []
         for k in range(300):
-            events.append(purchase(f"C{rng.integers(30)}", f"S{rng.integers(20)}",
-                                   f"N{rng.integers(6):02d}", f"N{rng.integers(6):02d}",
+            c, s, h, loc = rng.integers(30), rng.integers(20), rng.integers(6), rng.integers(6)
+            events.append(purchase(f"C{c}-N{h}", f"S{s}-N{loc}", f"N{h:02d}", f"N{loc:02d}",
                                    amount=float(rng.uniform(1, 50))))
-        return events, table
+        return purchase_log(events), table
 
     def test_tiny_fraction_selects_nothing(self):
         events, table = self._events()
         arrays = purchase_arrays(events, table)
-        reps = reshuffle_locations(events, table, fraction=0.001, replicates=3, seed=0)
+        reps = reshuffle_locations(arrays, fraction=0.001, replicates=3, seed=0)
         for rep in reps:
-            assert np.array_equal(rep.W, arrays.flow_matrix())
+            assert np.array_equal(rep.W, build_purchase_network(events, table).W)
             assert np.allclose(rep.revenue, arrays.revenue())
 
     def test_amount_and_count_conservation(self):
@@ -235,25 +235,25 @@ class TestReshuffle:
         base_stores = np.bincount(arrays.loc_of_store, minlength=6)
         base_cust = np.bincount(arrays.home_of_customer, minlength=6)
         for fraction in (0.2, 0.6, 1.0):
-            for rep in reshuffle_locations(events, table, fraction, replicates=5, seed=2):
+            for rep in reshuffle_locations(arrays, fraction, replicates=5, seed=2):
                 assert rep.revenue.sum() == pytest.approx(total, rel=1e-12)
                 assert rep.W.sum() == len(arrays.ev_amount)
-                assert np.array_equal(rep.store_counts, base_stores)
-                assert np.array_equal(rep.customer_counts, base_cust)
+                assert np.array_equal(np.bincount(rep.loc, minlength=6), base_stores)
+                assert np.array_equal(np.bincount(rep.home, minlength=6), base_cust)
 
     def test_seed_determinism(self):
-        events, table = self._events()
-        a = reshuffle_locations(events, table, 0.5, replicates=4, seed=9)
-        b = reshuffle_locations(events, table, 0.5, replicates=4, seed=9)
+        arrays = purchase_arrays(*self._events())
+        a = reshuffle_locations(arrays, 0.5, replicates=4, seed=9)
+        b = reshuffle_locations(arrays, 0.5, replicates=4, seed=9)
         for ra, rb in zip(a, b):
             assert np.array_equal(ra.W, rb.W)
 
     def test_fraction_validation(self):
-        events, table = self._events()
+        arrays = purchase_arrays(*self._events())
         with pytest.raises(ValueError):
-            reshuffle_locations(events, table, 0.0)
+            reshuffle_locations(arrays, 0.0)
         with pytest.raises(ValueError):
-            reshuffle_locations(events, table, 1.5)
+            reshuffle_locations(arrays, 1.5)
 
 
 class TestAdjustAmounts:
@@ -261,12 +261,12 @@ class TestAdjustAmounts:
         table = make_table(3, ses=[1.0, 2.0, 3.0])
         events = ([purchase("C1", "S1", "N00", "N01", amount=10.0)] * 4
                   + [purchase("C2", "S2", "N01", "N02", amount=5.0)] * 2)
-        net = build_purchase_network(events, table)
-        return events, table, net
+        net = build_purchase_network(purchase_log(events), table)
+        return events, table, net, purchase_arrays(purchase_log(events), table)
 
     def test_identical_networks_identity(self):
-        events, table, net = self._setup()
-        revenue = adjust_gravity_amounts(events, net, net, table)
+        _, table, net, arrays = self._setup()
+        revenue = adjust_gravity_amounts(arrays, net, net)
         oracle = np.zeros(3)
         oracle[1] = 40.0
         oracle[2] = 10.0
@@ -274,21 +274,21 @@ class TestAdjustAmounts:
 
     def test_single_pair_plug_in(self):
         table = make_table(2)
-        events = [purchase("C1", "S1", "N00", "N01", amount=10.0)] * 4
-        emp = build_purchase_network(events, table)
+        log = purchase_log([purchase("C1", "S1", "N00", "N01", amount=10.0)] * 4)
+        emp = build_purchase_network(log, table)
         sim = InteractionNetwork(nodes=list(table.ids), W=emp.W / 2.0,
                                  channel="purchase", weighting="raw")
-        revenue = adjust_gravity_amounts(events, emp, sim, table)
+        revenue = adjust_gravity_amounts(purchase_arrays(log, table), emp, sim)
         # each of the four 10-unit amounts is doubled (w=4, w_hat=2)
         assert revenue[1] == pytest.approx(80.0)
 
     def test_brute_force_total(self):
-        events, table, net = self._setup()
+        events, table, net, arrays = self._setup()
         rng = np.random.default_rng(31)
         sim_W = net.W * rng.uniform(0.5, 2.0, net.W.shape)
         sim = InteractionNetwork(nodes=list(table.ids), W=sim_W,
                                  channel="purchase", weighting="raw")
-        revenue = adjust_gravity_amounts(events, net, sim, table)
+        revenue = adjust_gravity_amounts(arrays, net, sim)
         oracle = 0.0
         for e in events:
             i, j = table.index[e.customer_home], table.index[e.store_neighborhood]
@@ -296,25 +296,24 @@ class TestAdjustAmounts:
         assert revenue.sum() == pytest.approx(oracle, rel=1e-12)
 
     def test_inverse_direction(self):
-        events, table, net = self._setup()
+        _, table, net, arrays = self._setup()
         sim = InteractionNetwork(nodes=list(table.ids), W=net.W * 2.0,
                                  channel="purchase", weighting="raw")
-        default = adjust_gravity_amounts(events, net, sim, table)
-        inverse = adjust_gravity_amounts(events, net, sim, table,
-                                         direction="simulated_over_actual")
+        default = adjust_gravity_amounts(arrays, net, sim)
+        inverse = adjust_gravity_amounts(arrays, net, sim, direction="simulated_over_actual")
         assert np.allclose(default * 4.0, inverse)
 
     def test_zero_simulated_flow_errors(self):
-        events, table, net = self._setup()
+        _, table, net, arrays = self._setup()
         sim = InteractionNetwork(nodes=list(table.ids), W=np.zeros_like(net.W),
                                  channel="purchase", weighting="raw")
         with pytest.raises(ValueError, match="zero on a pair"):
-            adjust_gravity_amounts(events, net, sim, table)
+            adjust_gravity_amounts(arrays, net, sim)
 
     def test_unknown_direction(self):
-        events, table, net = self._setup()
+        _, table, net, arrays = self._setup()
         with pytest.raises(ValueError, match="direction"):
-            adjust_gravity_amounts(events, net, net, table, direction="sideways")
+            adjust_gravity_amounts(arrays, net, net, direction="sideways")
 
 
 def test_reference_parameter_sets_round_trip():

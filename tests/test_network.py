@@ -10,34 +10,35 @@ from segflow.network import (InteractionNetwork, build_mention_network,
 from segflow.segregation import assign_groups, assortativity, mixing_matrix
 from segflow.ingest import NeighborhoodTable
 
-from conftest import make_table, mention, purchase
+from conftest import make_table, mention, purchase, purchase_log
 
 
 class TestBuildPurchaseNetwork:
     def test_simple_counts(self, table4):
         events = [purchase("C1", "S1", "N00", "N01")] * 3 + [purchase("C2", "S2", "N01", "N00")]
-        net = build_purchase_network(events, table4)
+        net = build_purchase_network(purchase_log(events), table4)
         assert net.W[0, 1] == 3
         assert net.W[1, 0] == 1
         assert net.weighting == "raw"
         assert net.total_weight() == 4
 
     def test_empty_stream(self, table4):
-        net = build_purchase_network([], table4)
+        net = build_purchase_network(purchase_log([]), table4)
         assert not net.W.any()
 
     def test_unknown_neighborhood_dropped_and_counted(self, table4):
         events = [purchase("C1", "S1", "N00", "N01"), purchase("C2", "S2", "NXX", "N00")]
-        net = build_purchase_network(events, table4)
+        net = build_purchase_network(purchase_log(events), table4)
         assert net.dropped_events == 1
         assert net.total_weight() == 1
 
     def test_fifty_event_fixture_matches_group_by(self, table4):
         rng = np.random.default_rng(7)
-        events = [purchase(f"C{rng.integers(8)}", f"S{rng.integers(10)}",
-                           f"N{rng.integers(4):02d}", f"N{rng.integers(4):02d}")
-                  for _ in range(50)]
-        net = build_purchase_network(events, table4)
+        events = []
+        for _ in range(50):
+            c, s, h, loc = rng.integers(8), rng.integers(10), rng.integers(4), rng.integers(4)
+            events.append(purchase(f"C{c}-N{h}", f"S{s}-N{loc}", f"N{h:02d}", f"N{loc:02d}"))
+        net = build_purchase_network(purchase_log(events), table4)
         oracle = Counter((e.customer_home, e.store_neighborhood) for e in events)
         for (h, s), count in oracle.items():
             assert net.W[table4.index[h], table4.index[s]] == count
@@ -46,17 +47,20 @@ class TestBuildPurchaseNetwork:
 
     def test_user_and_store_counts_are_distinct_counts(self, table4):
         events = [purchase("C1", "S1", "N00", "N01"), purchase("C1", "S2", "N00", "N01"),
-                  purchase("C2", "S1", "N00", "N02")]
-        net = build_purchase_network(events, table4)
+                  purchase("C2", "S3", "N00", "N02")]
+        net = build_purchase_network(purchase_log(events), table4)
         assert net.user_counts[0] == 2
         assert net.store_counts[1] == 2
         assert net.store_counts[2] == 1
 
     def test_homes_mapping_fills_missing_columns(self, table4):
-        ev = purchase("C1", "S1", None, None)
-        net = build_purchase_network([ev], table4, homes={"C1": "N00"},
-                                     store_locations={"S1": "N03"})
-        assert net.W[0, 3] == 1
+        # a row without home/location takes the one its customer's and
+        # store's other rows name
+        events = [purchase("C1", "S1", None, None), purchase("C1", "S2", "N00", "N01"),
+                  purchase("C2", "S1", None, "N03")]
+        net = build_purchase_network(purchase_log(events), table4)
+        assert net.W[0, 3] == 1 and net.W[0, 1] == 1
+        assert net.dropped_events == 1
 
 
 class TestBuildMentionNetwork:
@@ -94,7 +98,7 @@ class TestPopulationWeight:
     def test_purchase_plug_in(self):
         table = make_table(2, population=[50, 50])
         net = build_purchase_network(
-            [purchase(f"C{c}", "S1", "N00", "N01") for c in range(5)] * 2, table)
+            purchase_log([purchase(f"C{c}", "S1", "N00", "N01") for c in range(5)] * 2), table)
         assert net.W[0, 1] == 10 and net.user_counts[0] == 5
         weighted = population_weight(net, table)
         assert weighted.W[0, 1] == pytest.approx(100.0)
@@ -115,12 +119,12 @@ class TestPopulationWeight:
         table = make_table(2, population=[3, 2])
         events = ([purchase(f"C{i}", "S1", "N00", "N01") for i in range(3)]
                   + [purchase(f"D{i}", "S2", "N01", "N00") for i in range(2)])
-        net = build_purchase_network(events, table)
+        net = build_purchase_network(purchase_log(events), table)
         weighted = population_weight(net, table)
         assert np.allclose(weighted.W, net.W)
 
     def test_zero_users_with_flow_errors(self, table4):
-        net = build_purchase_network([purchase("C1", "S1", "N00", "N01")], table4)
+        net = build_purchase_network(purchase_log([purchase("C1", "S1", "N00", "N01")]), table4)
         counts = net.user_counts.copy()
         counts[0] = 0
         with pytest.raises(ValueError, match="zero sampled users"):
@@ -128,12 +132,12 @@ class TestPopulationWeight:
 
     def test_zero_population_with_users_errors(self):
         table = make_table(2, population=[0, 100])
-        net = build_purchase_network([purchase("C1", "S1", "N00", "N01")], table)
+        net = build_purchase_network(purchase_log([purchase("C1", "S1", "N00", "N01")]), table)
         with pytest.raises(ValueError, match="inconsistent census"):
             population_weight(net, table)
 
     def test_zero_user_zero_flow_row_stays_zero(self, table4):
-        net = build_purchase_network([purchase("C1", "S1", "N01", "N02")], table4)
+        net = build_purchase_network(purchase_log([purchase("C1", "S1", "N01", "N02")]), table4)
         weighted = population_weight(net, table4)
         assert not weighted.W[0].any()
 
@@ -146,7 +150,7 @@ class TestPopulationWeight:
             population_weight(net, table4)
 
     def test_double_weighting_rejected(self, table4):
-        net = build_purchase_network([purchase("C1", "S1", "N01", "N02")], table4)
+        net = build_purchase_network(purchase_log([purchase("C1", "S1", "N01", "N02")]), table4)
         weighted = population_weight(net, table4)
         with pytest.raises(ValueError, match="already"):
             population_weight(weighted, table4)
@@ -159,9 +163,9 @@ class TestPopulationWeight:
         events = []
         for k in range(400):
             i, j = rng.integers(8), rng.integers(8)
-            events.append(purchase(f"C{k % 40}", f"S{rng.integers(30)}",
+            events.append(purchase(f"C{k % 40}-N{i}", f"S{rng.integers(30)}-N{j}",
                                    f"N{i:02d}", f"N{j:02d}"))
-        net = build_purchase_network(events, table)
+        net = build_purchase_network(purchase_log(events), table)
         m_uniform = np.full(8, 10)  # m_i/p_i = 0.01 for everyone
         weighted = population_weight(net, table, m_uniform)
         assert np.allclose(weighted.W, net.W * 100.0)
@@ -204,7 +208,7 @@ class TestDistances:
 class TestExport:
     def test_round_trip(self, tmp_path, table4):
         events = [purchase("C1", "S1", "N00", "N01")] * 3 + [purchase("C2", "S2", "N03", "N02")]
-        net = build_purchase_network(events, table4)
+        net = build_purchase_network(purchase_log(events), table4)
         write_network(net, tmp_path / "edges.csv", tmp_path / "header.json")
         text = (tmp_path / "edges.csv").read_text()
         assert "0.0" not in text.splitlines()[0]  # zero entries omitted
@@ -216,8 +220,9 @@ class TestExport:
 
 def test_mass_conservation_sums_to_event_count(table4):
     rng = np.random.default_rng(21)
-    events = [purchase(f"C{rng.integers(5)}", "S1",
-                       f"N{rng.integers(4):02d}", f"N{rng.integers(4):02d}")
-              for _ in range(73)]
-    net = build_purchase_network(events, table4)
+    events = []
+    for _ in range(73):
+        c, h, loc = rng.integers(5), rng.integers(4), rng.integers(4)
+        events.append(purchase(f"C{c}-N{h}", f"S1-N{loc}", f"N{h:02d}", f"N{loc:02d}"))
+    net = build_purchase_network(purchase_log(events), table4)
     assert net.total_weight() == 73

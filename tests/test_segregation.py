@@ -10,7 +10,7 @@ from segflow.segregation import (DegenerateMatrixError, assign_groups,
                                  extremes_sweep, mixing_from_matrix,
                                  mixing_matrix, pairwise_distance_vector)
 
-from conftest import make_table, purchase
+from conftest import make_table, purchase, purchase_log
 
 
 def weighted_net(W, table, channel="purchase"):
@@ -116,7 +116,7 @@ class TestMixingMatrix:
         assert np.allclose(mix.S.sum(axis=1), 1.0)
 
     def test_raw_requires_flag(self, table4):
-        net = build_purchase_network([purchase("C1", "S1", "N00", "N01")], table4)
+        net = build_purchase_network(purchase_log([purchase("C1", "S1", "N00", "N01")]), table4)
         with pytest.raises(ValueError, match="population-weighted"):
             mixing_matrix(net, assign_groups(table4, k=2))
         mixing_matrix(net, assign_groups(table4, k=2), allow_raw=True)
