@@ -85,11 +85,15 @@ class MixingMatrix:
                    channel=channel, zero_rows=zero_rows)
 
 
+def group_cells(o: np.ndarray, d: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """Row-major k x k cell of each edge's (origin, destination) group 1..k."""
+    return (labels[o] - 1) * k + (labels[d] - 1)
+
+
 def group_flows(o: np.ndarray, d: np.ndarray, w: np.ndarray | None,
                 labels: np.ndarray, k: int) -> np.ndarray:
     """k x k edge weight sums by (origin, destination) group 1..k; ``w=None`` counts."""
-    cells = (labels[o] - 1) * k + (labels[d] - 1)
-    return np.bincount(cells, weights=w, minlength=k * k).reshape(k, k)
+    return np.bincount(group_cells(o, d, labels, k), weights=w, minlength=k * k).reshape(k, k)
 
 
 def mixing_from_matrix(W: np.ndarray, groups: GroupAssignment, channel: str = "purchase") -> MixingMatrix:

@@ -14,7 +14,7 @@ from .network import (InteractionNetwork, build_purchase_network, centroid_dista
                       population_weight, sampling_rate)
 from .segregation import (DegenerateMatrixError, GroupAssignment, MixingMatrix,
                           SweepStep, assign_groups, assortativity, extremes_value,
-                          group_flows)
+                          group_cells, group_flows)
 from . import models
 
 
@@ -51,18 +51,21 @@ def _jackknife_flows(
         raise ValueError("replicates must be >= 1")
     o, d = np.nonzero(W > 0)
     w = W[o, d]
-    labels, k = groups.labels, groups.k
-    M = group_flows(o, d, w, labels, k)
-    counts = group_flows(o, d, None, labels, k)
+    k = groups.k
+    cell = group_cells(o, d, groups.labels, k)
+
+    def flows(cells, weights=None):
+        return np.bincount(cells, weights=weights, minlength=k * k).reshape(k, k)
+
+    M, counts = flows(cell, w), flows(cell)
     n_remove = int(removal_fraction * len(w))
     reps = np.repeat(M[None], replicates, axis=0)
     if n_remove == 0:
         return M, reps
     for rep in range(replicates):
         drop = np.random.default_rng((seed, rep)).choice(len(w), size=n_remove, replace=False)
-        reps[rep] -= group_flows(o[drop], d[drop], w[drop], labels, k)
-        lost_edges = group_flows(o[drop], d[drop], None, labels, k)
-        reps[rep][counts == lost_edges] = 0.0
+        reps[rep] -= flows(cell[drop], w[drop])
+        reps[rep][counts == flows(cell[drop])] = 0.0
     return M, reps
 
 

@@ -138,6 +138,24 @@ class TestErrors:
         assert main(["ingest", "--data", str(data), "--out", str(tmp_path / "out")]) == 1
         assert "purchases.csv: line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("before", [
+        "\n",                                            # a blank line 3
+        '"C\n2",S1,2013-05-01T10:30:00,3.0\n',           # one row on lines 3-4
+    ])
+    def test_error_names_physical_line(self, tmp_path, capsys, before):
+        data = tmp_path / "city"
+        data.mkdir()
+        (data / "neighborhoods.csv").write_text(
+            "neighborhood_id,lat,lon,population,ses\nN1,40.0,-3.0,500,20\n")
+        lines = ("customer_id,store_id,timestamp,amount\n"
+                 "C1,S1,2013-05-01T10:00:00,12.5\n" + before
+                 + "C1,S1,2013-05-01T11:00:00,abc\n")
+        (data / "purchases.csv").write_text(lines)
+        assert main(["ingest", "--data", str(data), "--out", str(tmp_path / "out")]) == 1
+        line = lines.count("\n")
+        assert f"purchases.csv: line {line}: amount is not a finite number: 'abc'" \
+            in capsys.readouterr().err
+
     @pytest.mark.parametrize("column", ["lat", "lon", "ses"])
     def test_non_finite_neighborhood_names_line(self, tmp_path, capsys, column):
         data = tmp_path / "city"

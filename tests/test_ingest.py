@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from segflow.ingest import (GeoPost, ValidationError,
+from segflow.ingest import (CHUNK_ROWS, GEOPOST_COLUMNS, MENTION_COLUMNS,
+                            NEIGHBORHOOD_COLUMNS, GeoPost, ValidationError,
                             assign_points_to_neighborhoods,
-                            filter_active_customers, infer_home,
-                            load_geometry, load_neighborhoods, load_purchases)
+                            filter_active_customers, infer_home, load_geometry,
+                            load_geoposts, load_mentions, load_neighborhoods,
+                            load_purchases)
 
 from segflow.cli import main
 
@@ -110,6 +112,47 @@ PURCHASE_HEADER = ["customer_id", "store_id", "timestamp", "amount", "customer_h
                    "store_neighborhood"]
 
 
+NEIGHBORHOODS_CSV = ("neighborhood_id,lat,lon,population,ses\n"
+                     "N0,40.0,-3.0,500,20\nN1,40.1,-3.0,600,30\nN2,40.2,-3.0,700,40\n")
+
+
+def corrupt_purchases(rows, faults):
+    """purchases.csv rows for (customer, store, amount) triples, with the
+    cell of each {row: (column, value)} fault corrupted."""
+    table = [[f"C{c}", f"S{s}", "2013-05-01T10:00:00", repr(a), f"N{c % 2}", f"N{s % 2}"]
+             for c, s, a in rows]
+    for bad, (column, value) in faults.items():
+        if column == "customer_home":
+            table[bad][0] = table[0][0]
+        elif column == "store_neighborhood":
+            table[bad][1] = table[0][1]
+        table[bad][PURCHASE_HEADER.index(column)] = value
+    return table
+
+
+def csv_text(header, table, blank_after=()):
+    """The CSV text, with a blank line after each data row in ``blank_after``."""
+    lines = [",".join(header)]
+    for i, row in enumerate(table):
+        lines += [",".join(row)] + [""] * (i in blank_after)
+    return "\n".join(lines) + "\n"
+
+
+def assert_line_named(load, city, name, text, line):
+    """``load`` of ``city/name`` holding ``text`` raises a ValidationError
+    that starts with the path and ``line``, and the CLI exits 1."""
+    path = city / name
+    path.write_text(text)
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: line {line}: "):
+        load(path)
+    assert main(["ingest", "--data", str(city), "--out", str(city / "out")]) == 1
+
+
+def physical_line(bad, blank_after):
+    """The line of data row ``bad`` after the header and the blank lines."""
+    return bad + 2 + sum(1 for i in blank_after if i < bad)
+
+
 @given(rows=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4),
                                st.floats(0, 1e6, allow_nan=False)), min_size=2, max_size=12),
        data=st.data(), corruption=st.sampled_from(CORRUPTIONS))
@@ -118,24 +161,75 @@ def test_fuzz_corrupt_purchase_cell(rows, data, corruption):
     """One bad cell in a valid purchases.csv: a ValidationError naming the
     file and line, and exit code 1 from the CLI."""
     bad = data.draw(st.integers(1, len(rows) - 1), label="corrupted row")
-    table = [[f"C{c}", f"S{s}", "2013-05-01T10:00:00", repr(a), f"N{c % 2}", f"N{s % 2}"]
-             for c, s, a in rows]
-    column, value = corruption
-    if column == "customer_home":
-        table[bad][0] = table[0][0]
-    elif column == "store_neighborhood":
-        table[bad][1] = table[0][1]
-    table[bad][PURCHASE_HEADER.index(column)] = value
+    blank = data.draw(st.sets(st.integers(0, len(rows) - 1)), label="blank line after rows")
     with tempfile.TemporaryDirectory() as tmp:
         city = Path(tmp)
-        (city / "neighborhoods.csv").write_text(
-            "neighborhood_id,lat,lon,population,ses\n"
-            "N0,40.0,-3.0,500,20\nN1,40.1,-3.0,600,30\nN2,40.2,-3.0,700,40\n")
-        path = city / "purchases.csv"
-        path.write_text("\n".join(",".join(r) for r in [PURCHASE_HEADER] + table) + "\n")
-        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: line {bad + 2}: "):
-            load_purchases(path)
-        assert main(["ingest", "--data", str(city), "--out", str(city / "out")]) == 1
+        (city / "neighborhoods.csv").write_text(NEIGHBORHOODS_CSV)
+        table = corrupt_purchases(rows, {bad: corruption})
+        assert_line_named(load_purchases, city, "purchases.csv",
+                          csv_text(PURCHASE_HEADER, table, blank), physical_line(bad, blank))
+
+
+@pytest.mark.parametrize("corruption", CORRUPTIONS)
+def test_corrupt_purchase_cell_after_first_chunk(tmp_path, corruption):
+    rows = [(i % 40, i % 30, 12.5) for i in range(2 * CHUNK_ROWS)]
+    bad = CHUNK_ROWS + 300
+    (tmp_path / "neighborhoods.csv").write_text(NEIGHBORHOODS_CSV)
+    assert_line_named(load_purchases, tmp_path, "purchases.csv",
+                      csv_text(PURCHASE_HEADER, corrupt_purchases(rows, {bad: corruption}), {5}),
+                      bad + 3)
+
+
+@pytest.mark.parametrize("faults, named", [
+    ({5: ("customer_home", "N2"), 3: ("store_neighborhood", "N2")}, 3),
+    ({3: ("customer_home", "N2"), 3 + CHUNK_ROWS: ("amount", "abc")}, 3),
+    ({4: ("amount", "abc"), 6: ("customer_home", "N2")}, 4),
+    ({6: ("store_neighborhood", "N2"), 4: ("timestamp", "")}, 4),
+])
+def test_earliest_of_several_faults_is_named(tmp_path, faults, named):
+    rows = [(i % 4, i % 3, 1.0) for i in range(2 * CHUNK_ROWS)]
+    (tmp_path / "neighborhoods.csv").write_text(NEIGHBORHOODS_CSV)
+    assert_line_named(load_purchases, tmp_path, "purchases.csv",
+                      csv_text(PURCHASE_HEADER, corrupt_purchases(rows, faults)), named + 2)
+
+
+# For each other loader: header, a valid row i, and (column, bad value)
+# faults that name a line.  Mention rows are never self-mentions, whose
+# timestamps go unchecked.
+LOADER_FAULTS = {
+    "mentions.csv": (load_mentions, list(MENTION_COLUMNS),
+                     lambda i: [f"U{i}", f"V{i}", "2013-05-01T10:00:00"],
+                     [("source_user", ""), ("target_user", ""), ("timestamp", "notatime"),
+                      ("timestamp", "")]),
+    "geoposts.csv": (load_geoposts, list(GEOPOST_COLUMNS),
+                     lambda i: [f"U{i}", "40.05", "-2.95", "2013-05-01T22:00:00"],
+                     [("user_id", ""), ("lat", "91"), ("lon", "-180.5"), ("lat", "nan"),
+                      ("lon", "abc"), ("lat", ""), ("timestamp", "2013-02-30T00:00:00")]),
+    "neighborhoods.csv": (load_neighborhoods, list(NEIGHBORHOOD_COLUMNS),
+                          lambda i: [f"N{i}", "40.0", "-3.0", "500", str(i)],
+                          [("neighborhood_id", ""), ("lat", "inf"), ("lon", "abc"),
+                           ("lon", ""), ("population", "1.5"), ("population", ""),
+                           ("ses", "nan")]),
+}
+
+
+@given(name=st.sampled_from(sorted(LOADER_FAULTS)), n=st.integers(1, 12), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_fuzz_corrupt_cell_of_other_loaders(name, n, data):
+    """One bad cell in a valid mentions, geoposts or neighborhoods file: a
+    ValidationError naming the file and physical line, and CLI exit 1."""
+    load, header, row, faults = LOADER_FAULTS[name]
+    column, value = data.draw(st.sampled_from(faults), label="fault")
+    bad = data.draw(st.integers(0, n - 1), label="corrupted row")
+    blank = data.draw(st.sets(st.integers(0, n - 1)), label="blank line after rows")
+    table = [row(i) for i in range(n)]
+    table[bad][header.index(column)] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        city = Path(tmp)
+        (city / "neighborhoods.csv").write_text(NEIGHBORHOODS_CSV)
+        (city / "geometry.json").write_text('{"N0": [[[-3,40],[-2,40],[-2,41],[-3,41],[-3,40]]]}')
+        assert_line_named(load, city, name, csv_text(header, table, blank),
+                          physical_line(bad, blank))
 
 
 class TestFilterActiveCustomers:
