@@ -5,13 +5,14 @@ its artifacts plus a manifest (input hashes, resolved config, version)
 into the output directory, and exits 0 on success, 1 on a validation
 problem, 2 on an internal error.  The seed falls back to the
 SEGFLOW_SEED environment variable, and a flat key=value config file can
-stand in for any flag; explicit flags win.
+stand in for any flag; explicit flags win.  Log records go to stderr at
+the level named by SEGFLOW_LOG (default WARNING).
 """
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
+import logging
 import os
 import sys
 import traceback
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, metrics, models, network, segregation, stats, synth
-from .ingest import (ValidationError, assign_points_to_neighborhoods,
+from .ingest import (ValidationError, assign_points_to_neighborhoods, file_sha256,
                      filter_active_customers, infer_home, load_geometry,
                      load_geoposts, load_mentions, load_neighborhoods,
                      load_purchases)
@@ -36,26 +37,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def read_config_file(path) -> dict[str, str]:
     """Flat key = value lines; '#' starts a comment; keys match flag names
     with dashes replaced by underscores."""
     values = {}
-    for lineno, raw in enumerate(open(path), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValidationError(f"{path}: line {lineno}: expected key = value")
-        key, value = line.split("=", 1)
-        values[key.strip().replace("-", "_")] = value.strip()
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ValidationError(f"{path}: line {lineno}: expected key = value")
+            key, value = line.split("=", 1)
+            values[key.strip().replace("-", "_")] = value.strip()
     return values
 
 
@@ -98,7 +92,7 @@ def _write_manifest(out: Path, command: str, cfg: dict, inputs: list[Path],
         "command": command,
         "version": __version__,
         "config": {key: (str(v) if isinstance(v, Path) else v) for key, v in cfg.items()},
-        "inputs": {p.name: _sha256(p) for p in inputs if p.exists()},
+        "inputs": {p.name: file_sha256(p) for p in inputs if p.exists()},
         "outputs": sorted(outputs),
     }
     with open(out / "manifest.json", "w") as fh:
@@ -410,6 +404,8 @@ def main(argv=None) -> int:
         return 1
     runner, _, defaults = COMMANDS[args.command]
     try:
+        logging.basicConfig(level=os.environ.get("SEGFLOW_LOG", "WARNING").upper(),
+                            format="%(levelname)s %(name)s: %(message)s")
         file_cfg = read_config_file(args.config) if args.config else {}
         cfg = _resolve(args, file_cfg, defaults)
         out = Path(args.out)

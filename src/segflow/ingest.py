@@ -5,19 +5,28 @@ loudly, naming the offending id or line number.  CSV files are read in
 chunks of ``CHUNK_ROWS`` rows, each validated and converted by whole
 columns.  Social-media users get a home neighborhood inferred from where
 their night-time posts land.
+
+``load_purchases`` keeps each file's parsed log in ``.segflow-cache/``
+beside it, so a later call on the same bytes skips the parse.
 """
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import logging
 import math
+import os
+import stat
+import tempfile
 from collections import Counter, defaultdict
+from contextlib import suppress
 from dataclasses import dataclass
 from datetime import datetime
 from functools import partial
 from itertools import compress, islice, tee
 from operator import ne, not_
+from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -30,6 +39,8 @@ CHUNK_ROWS = 1024
 # (point, ring edge) rows that point-in-polygon evaluates at once, which
 # bounds its memory.
 ROW_BLOCK = 1 << 16
+# Directory beside a purchases file that holds its parsed snapshot.
+SNAPSHOT_DIR = ".segflow-cache"
 
 NEIGHBORHOOD_COLUMNS = ("neighborhood_id", "lat", "lon", "population", "ses")
 PURCHASE_COLUMNS = ("customer_id", "store_id", "timestamp", "amount")
@@ -430,9 +441,102 @@ def load_neighborhoods(path) -> NeighborhoodTable:
     return table
 
 
+def file_sha256(path) -> str:
+    """Hex sha256 of a file's bytes."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 def load_purchases(path) -> PurchaseLog:
     """Parse purchase events; home/store neighborhood columns are optional.
-    Timestamps are validated, not kept."""
+    Timestamps are validated, not kept.
+
+    A valid file's log is kept in ``SNAPSHOT_DIR`` beside it, keyed by the
+    sha256 of the file and of this module; a later call on the same bytes
+    reads the snapshot back instead of parsing.  A directory that cannot be
+    written gets no snapshot.
+    """
+    before = os.stat(path)
+    key = file_sha256(path) + file_sha256(__file__)
+    snapshot = Path(path).parent / SNAPSHOT_DIR / (Path(path).name + ".npz")
+    purchases, miss = _read_snapshot(snapshot, key)
+    if purchases is None:
+        log.info("purchase snapshot miss (%s): %s", miss, snapshot)
+        purchases = _parse_purchases(path)
+        after = os.stat(path)
+        if (after.st_size, after.st_mtime_ns) != (before.st_size, before.st_mtime_ns):
+            log.info("purchase snapshot not written: %s changed while it was parsed", path)
+        else:
+            _write_snapshot(snapshot, key, purchases, before.st_mode)
+    else:
+        log.info("purchase snapshot hit: %s", snapshot)
+    log.info("loaded %d purchase events from %s", len(purchases), path)
+    return purchases
+
+
+_STRING_FIELDS = ("customer_ids", "store_ids", "home", "location")
+_ARRAY_FIELDS = ("customer", "store", "amount")
+
+
+def _read_snapshot(snapshot: Path, key: str) -> tuple[PurchaseLog | None, str]:
+    """The log stored in ``snapshot`` under ``key``, or None and why not."""
+    try:
+        # np.load leaves a file it opened unclosed when the zip is truncated
+        with open(snapshot, "rb") as fh, np.load(fh, allow_pickle=False) as stored:
+            if stored["key"].item() != key:
+                return None, "stale key"
+            strings = [_decoded(stored[name], stored[name + "_ends"]) for name in _STRING_FIELDS]
+            arrays = [stored[name] for name in _ARRAY_FIELDS]
+    except FileNotFoundError:
+        return None, "none"
+    except Exception as exc:  # truncated, foreign or partial: parse and overwrite
+        return None, f"unreadable: {exc!r}"
+    customer_ids, store_ids, home, location = strings
+    return PurchaseLog(customer_ids, store_ids, [place or None for place in home],
+                       [place or None for place in location], *arrays), "hit"
+
+
+def _write_snapshot(snapshot: Path, key: str, purchases: PurchaseLog, mode: int) -> None:
+    """Store ``purchases`` under ``key``: write a temporary file, then
+    rename it over ``snapshot``, so readers never see a partial one.  The
+    snapshot gets the permission bits ``mode`` of its CSV, so whoever can
+    read the CSV can read the snapshot."""
+    arrays = {"key": np.array(key)}
+    arrays.update((name, getattr(purchases, name)) for name in _ARRAY_FIELDS)
+    for name in _STRING_FIELDS:
+        arrays[name], arrays[name + "_ends"] = _encoded(getattr(purchases, name))
+    try:
+        snapshot.parent.mkdir(exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=snapshot.parent, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                os.fchmod(fd, stat.S_IMODE(mode))
+                np.savez(fh, **arrays)
+            os.replace(tmp, snapshot)
+        finally:
+            with suppress(FileNotFoundError):
+                os.unlink(tmp)
+    except OSError as exc:
+        log.info("purchase snapshot not written: %s", exc)
+
+
+def _encoded(strings: Sequence[str | None]) -> tuple[np.ndarray, np.ndarray]:
+    """The UTF-8 bytes of ``strings`` end to end (None as ""), and where each
+    ends.  Unlike a numpy "U" array, this keeps trailing NULs."""
+    parts = [(s or "").encode() for s in strings]
+    ends = np.cumsum([len(part) for part in parts], dtype=np.int64)
+    return np.frombuffer(b"".join(parts), dtype=np.uint8), ends
+
+
+def _decoded(data: np.ndarray, ends: np.ndarray) -> list[str]:
+    blob, ends = data.tobytes(), ends.tolist()
+    return [blob[start:end].decode() for start, end in zip([0, *ends], ends)]
+
+
+def _parse_purchases(path) -> PurchaseLog:
     builder = _PurchaseBuilder(path, partial(_line_of, path))
     for start, cols in _read_chunks(path, PURCHASE_COLUMNS,
                                     ("customer_home", "store_neighborhood")):
@@ -445,9 +549,7 @@ def load_purchases(path) -> PurchaseLog:
                     cols["customer_home"][:stop], cols["store_neighborhood"][:stop])
         if stop < len(faults):
             _fail(_check_purchase, path, start, cols, stop)
-    purchases = builder.log()
-    log.info("loaded %d purchase events from %s", len(purchases), path)
-    return purchases
+    return builder.log()
 
 
 def load_mentions(path) -> list[MentionEvent]:
@@ -490,8 +592,8 @@ def load_geoposts(path) -> list[GeoPost]:
 def load_geometry(path) -> dict[str, list[np.ndarray]]:
     """Load neighborhood polygons: id -> list of closed rings in (lon, lat).
 
-    A ring must repeat its first vertex at the end and contain at least
-    three distinct vertices.
+    A ring must repeat its first vertex at the end, contain at least
+    three distinct vertices and have only finite coordinates.
     """
     with open(path) as fh:
         raw = json.load(fh)
@@ -506,6 +608,9 @@ def load_geometry(path) -> dict[str, list[np.ndarray]]:
             if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 4:
                 _check_closed(geometry)
                 raise ValidationError(f"malformed polygon for {nid!r}: ring too short")
+            if not np.isfinite(arr).all():  # json reads NaN and Infinity
+                _check_closed(geometry)
+                raise ValidationError(f"malformed polygon for {nid!r}: non-finite vertex")
             parsed.append(arr)
     _check_closed(geometry)
     return geometry

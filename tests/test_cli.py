@@ -1,12 +1,16 @@
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from segflow.cli import COMMANDS, main, read_config_file
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 SYNTH_ARGS = ["--preset", "homophilous", "--seed", "7",
               "--n-neighborhoods", "144", "--n-purchase-events", "12000",
@@ -28,7 +32,7 @@ def copy_city(city_dir: Path, dest: Path, purchase_lines: list[str]) -> Path:
     """The city in ``dest``, with purchases.csv replaced by ``purchase_lines``."""
     dest.mkdir()
     for path in city_dir.iterdir():
-        if path.name not in ("purchases.csv", "manifest.json"):
+        if path.is_file() and path.name not in ("purchases.csv", "manifest.json"):
             shutil.copy(path, dest / path.name)
     (dest / "purchases.csv").write_text("".join(purchase_lines))
     return dest
@@ -168,6 +172,20 @@ class TestErrors:
         assert main(["ingest", "--data", str(data), "--out", str(tmp_path / "out")]) == 1
         assert "neighborhoods.csv: line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    def test_non_finite_vertex_exits_one(self, tmp_path, capsys, value):
+        data = tmp_path / "city"
+        data.mkdir()
+        (data / "neighborhoods.csv").write_text(
+            "neighborhood_id,lat,lon,population,ses\nA,0.5,0.5,500,20\n")
+        (data / "geometry.json").write_text(
+            f'{{"A": [[[0,0],[1,0],[1,{value}],[0,1],[0,0]]]}}')
+        (data / "geoposts.csv").write_text("user_id,lat,lon,timestamp\n"
+                                           "u1,0.5,0.5,2013-05-01T23:00:00\n")
+        assert main(["ingest", "--data", str(data), "--out", str(tmp_path / "out")]) == 1
+        assert ("error: malformed polygon for 'A': non-finite vertex"
+                in capsys.readouterr().err)
+
     def test_internal_error_exits_two(self, tmp_path, monkeypatch):
         def boom(cfg, out):
             raise RuntimeError("wires crossed")
@@ -200,6 +218,17 @@ class TestConfigResolution:
         config.write_text("replicates 6\n")
         with pytest.raises(Exception):
             read_config_file(config)
+
+    def test_config_file_is_closed(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("replicates = 6\n")
+        code = f"from segflow.cli import read_config_file; print(read_config_file({str(config)!r}))"
+        done = subprocess.run([sys.executable, "-W", "error::ResourceWarning", "-c", code],
+                              env={**os.environ, "PYTHONPATH": str(SRC)},
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0
+        assert done.stdout == "{'replicates': '6'}\n"
+        assert done.stderr == ""
 
     def test_manifest_hashes_inputs(self, city_dir, tmp_path):
         out = tmp_path / "mix"

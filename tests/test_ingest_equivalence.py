@@ -82,11 +82,18 @@ def test_purchases_match_dictreader_reference(layout, records):
         write_csv(path, layout, records)
         log = load(load_purchases, path, layout)
         expected = reference.load_purchases(path)
+        with mock.patch.object(ingest, "_parse_purchases", side_effect=AssertionError("parsed")):
+            snapshot = load_purchases(path)
     assert {key: getattr(log, key) for key in ("customer_ids", "store_ids", "home", "location")} \
         == {key: expected[key] for key in ("customer_ids", "store_ids", "home", "location")}
     assert log.customer.tolist() == expected["customer"]
     assert log.store.tolist() == expected["store"]
     assert log.amount.tolist() == expected["amount"]
+    for key in ("customer_ids", "store_ids", "home", "location"):
+        assert getattr(snapshot, key) == getattr(log, key), key
+    for key in ("customer", "store", "amount"):
+        assert getattr(snapshot, key).dtype == getattr(log, key).dtype, key
+        assert np.array_equal(getattr(snapshot, key), getattr(log, key)), key
 
 
 @given(layout=csv_layout(ingest.MENTION_COLUMNS),
