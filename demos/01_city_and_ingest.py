@@ -1,8 +1,9 @@
 """Generate a synthetic city, write it to disk, and run the ingest loop.
 
 The generator plants a known segregation structure; the ingest layer
-reads the files back, filters inactive customers, and infers each
-social-media user's home neighborhood from night-time posts.
+reads the files back into columnar logs (ids interned once, one code per
+event), filters inactive customers, and infers each social-media user's
+home neighborhood from night-time posts.
 """
 import tempfile
 from pathlib import Path
@@ -32,6 +33,8 @@ posts = load_geoposts(paths["geoposts"])
 geometry = load_geometry(paths["geometry"])
 print(f"{table.n} neighborhoods, ses range "
       f"{table.ses.min():.1f}..{table.ses.max():.1f}")
+print(f"{len(mentions)} mentions among {len(mentions.user_ids)} users; "
+      f"{len(posts)} geo posts by {len(posts.user_ids)} users")
 
 print()
 print("=== 3. keep only customers with at least ten transactions ===")
@@ -40,9 +43,9 @@ print(f"{len(purchases)} events -> {len(active)} from active customers")
 
 print()
 print("=== 4. infer homes from night posts (8pm-6am window) ===")
-localized, outside = assign_points_to_neighborhoods(posts, geometry)
-homes, unassigned = infer_home(localized)
+place, outside = assign_points_to_neighborhoods(posts, geometry)  # index into sorted(geometry)
+homes, unassigned = infer_home(posts, place, sorted(geometry))
 agree = sum(homes[u] == city.user_homes[u] for u in homes)
-print(f"{len(localized)} posts localized ({outside} outside every polygon)")
+print(f"{len(posts) - outside} posts localized ({outside} outside every polygon)")
 print(f"{len(homes)} users homed, {len(unassigned)} without night posts")
 print(f"inferred home matches the planted one for {agree}/{len(homes)} users")

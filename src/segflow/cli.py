@@ -101,35 +101,41 @@ def _write_manifest(out: Path, command: str, cfg: dict, inputs: list[Path],
 
 
 def _load_purchases(cfg: dict):
-    """The neighborhood table and the active customers' purchase log (None
-    without purchases.csv)."""
+    """The neighborhood table, the active customers' purchase log and the
+    counts that ``ingest`` reports; None and no counts without purchases.csv."""
     data = Path(cfg["data"])
     table = load_neighborhoods(data / "neighborhoods.csv")
-    purchases = None
+    purchases, counts = None, {}
     if (data / "purchases.csv").exists():
-        purchases = filter_active_customers(load_purchases(data / "purchases.csv"),
-                                            cfg["min_tx"])
-    return table, purchases
+        loaded = load_purchases(data / "purchases.csv")
+        purchases = filter_active_customers(loaded, cfg["min_tx"])
+        counts.update(purchases_loaded=len(loaded), purchases_active=len(purchases))
+    return table, purchases, counts
 
 
 def _mentions(cfg: dict):
-    """Mentions and the users' inferred homes; empty without their files."""
+    """Mentions, the users' inferred homes and the counts that ``ingest``
+    reports; None, {} and no counts without their files."""
     data = Path(cfg["data"])
-    mentions, homes = [], {}
+    mentions, homes, counts = None, {}, {}
     if (data / "mentions.csv").exists():
         mentions = load_mentions(data / "mentions.csv")
+        counts["mentions_loaded"] = len(mentions)
     if (data / "geoposts.csv").exists() and (data / "geometry.json").exists():
         geometry = load_geometry(data / "geometry.json")
         posts = load_geoposts(data / "geoposts.csv")
-        localized, _ = assign_points_to_neighborhoods(posts, geometry)
-        homes, _ = infer_home(localized, cfg["night_start"], cfg["night_end"])
-    return mentions, homes
+        place, outside = assign_points_to_neighborhoods(posts, geometry)
+        homes, unassigned = infer_home(posts, place, sorted(geometry),
+                                       cfg["night_start"], cfg["night_end"])
+        counts.update(geoposts=len(posts), geoposts_outside=outside,
+                      users_homed=len(homes), users_unassigned=len(unassigned))
+    return mentions, homes, counts
 
 
 def _both_networks(cfg: dict):
     """(channel, raw, weighted) for every channel with resolved flow."""
-    table, purchases = _load_purchases(cfg)
-    mentions, homes = _mentions(cfg)
+    table, purchases, _ = _load_purchases(cfg)
+    mentions, homes, _ = _mentions(cfg)
     raws = [network.build_purchase_network(purchases, table)] if purchases else []
     if mentions and homes:
         raws.append(network.build_mention_network(mentions, homes, table))
@@ -159,25 +165,12 @@ def cmd_synth(cfg, out: Path) -> list[str]:
 
 
 def cmd_ingest(cfg, out: Path) -> list[str]:
-    data = Path(cfg["data"])
-    table = load_neighborhoods(data / "neighborhoods.csv")
-    report = {"neighborhoods": table.n}
-    outputs = ["neighborhoods.csv"]
+    table, _, counts = _load_purchases(cfg)
+    _, homes, geo_counts = _mentions(cfg)
+    report = {"neighborhoods": table.n, **counts, **geo_counts}
     table.write_csv(out / "neighborhoods.csv")
-    if (data / "purchases.csv").exists():
-        purchases = load_purchases(data / "purchases.csv")
-        kept = filter_active_customers(purchases, cfg["min_tx"])
-        report["purchases_loaded"] = len(purchases)
-        report["purchases_active"] = len(kept)
-    if (data / "mentions.csv").exists():
-        report["mentions_loaded"] = len(load_mentions(data / "mentions.csv"))
-    if (data / "geoposts.csv").exists() and (data / "geometry.json").exists():
-        posts = load_geoposts(data / "geoposts.csv")
-        localized, dropped = assign_points_to_neighborhoods(
-            posts, load_geometry(data / "geometry.json"))
-        homes, unassigned = infer_home(localized, cfg["night_start"], cfg["night_end"])
-        report.update(geoposts=len(posts), geoposts_outside=dropped,
-                      users_homed=len(homes), users_unassigned=len(unassigned))
+    outputs = ["neighborhoods.csv"]
+    if "geoposts" in report:
         with open(out / "homes.csv", "w") as fh:
             fh.write("user_id,neighborhood_id\n")
             for user in sorted(homes):
@@ -191,12 +184,12 @@ def cmd_ingest(cfg, out: Path) -> list[str]:
 
 
 def cmd_diversity(cfg, out: Path) -> list[str]:
-    table, purchases = _load_purchases(cfg)
-    mentions, homes = _mentions(cfg)
+    table, purchases, _ = _load_purchases(cfg)
+    mentions, homes, _ = _mentions(cfg)
     results = []
     if purchases:
-        home, _ = purchases.indices(table)
-        customer_homes = {c: table.ids[h] for c, h in zip(purchases.customer_ids, home) if h >= 0}
+        customer_homes = {c: h for c, h in zip(purchases.customer_ids, purchases.home)
+                          if h in table.index}
         if customer_homes:
             results.append(metrics.neighborhood_diversity(
                 metrics.purchase_profiles(purchases), customer_homes, "purchase", table))
@@ -268,10 +261,14 @@ def cmd_asymmetry(cfg, out: Path) -> list[str]:
 
 
 def cmd_gravity(cfg, out: Path) -> list[str]:
-    table, nets = _both_networks(cfg)
-    dist = network.centroid_distances(table)
+    if not cfg["eps_step"] > 0:
+        raise ValueError(f"eps_step must be positive, got {cfg['eps_step']}")
     eps_grid = np.round(np.arange(cfg["eps_start"], cfg["eps_stop"] + 1e-9,
                                   cfg["eps_step"]), 10)
+    if not eps_grid.size:
+        raise ValueError(f"empty eps grid from {cfg['eps_start']} to {cfg['eps_stop']}")
+    table, nets = _both_networks(cfg)
+    dist = network.centroid_distances(table)
     outputs = []
     for channel, raw, _ in nets:
         dest = raw.store_counts if channel == "purchase" else raw.user_counts
@@ -325,7 +322,7 @@ def cmd_jackknife(cfg, out: Path) -> list[str]:
 
 
 def cmd_gini_report(cfg, out: Path) -> list[str]:
-    table, purchases = _load_purchases(cfg)
+    table, purchases, _ = _load_purchases(cfg)
     if not purchases:
         raise ValidationError("the inequality report needs purchase events")
     fractions = tuple(float(f) for f in cfg["fractions"].split(","))
@@ -337,40 +334,30 @@ def cmd_gini_report(cfg, out: Path) -> list[str]:
     return ["report.csv", "report_details.json"]
 
 
+# defaults of every command that reads a data directory, and of those that group neighborhoods
+DATA = dict(data=".", min_tx=10, night_start=20, night_end=6)
+GROUPED = dict(DATA, k=10, ses_descending=False)
+
 COMMANDS = {
     "synth": (cmd_synth, "generate a synthetic city", dict(
         preset="homophilous", seed=None, n_neighborhoods=None,
         n_purchase_events=None, n_mention_events=None, n_customers=None,
         n_stores=None, n_twitter_users=None)),
-    "ingest": (cmd_ingest, "validate inputs and infer homes", dict(
-        data=".", min_tx=10, night_start=20, night_end=6)),
-    "diversity": (cmd_diversity, "neighborhood diversity table", dict(
-        data=".", min_tx=10, night_start=20, night_end=6)),
-    "network": (cmd_network, "build raw and weighted networks", dict(
-        data=".", min_tx=10, night_start=20, night_end=6)),
-    "mixing": (cmd_mixing, "group-level mixing matrices", dict(
-        data=".", min_tx=10, night_start=20, night_end=6, k=10,
-        ses_descending=False)),
+    "ingest": (cmd_ingest, "validate inputs and infer homes", DATA),
+    "diversity": (cmd_diversity, "neighborhood diversity table", DATA),
+    "network": (cmd_network, "build raw and weighted networks", DATA),
+    "mixing": (cmd_mixing, "group-level mixing matrices", GROUPED),
     "sweep": (cmd_sweep, "extreme-group and distance sweeps", dict(
-        data=".", min_tx=10, night_start=20, night_end=6, k=10,
-        ses_descending=False, jackknife_replicates=100, jackknife_fraction=0.05,
-        seed=None)),
-    "asymmetry": (cmd_asymmetry, "poor-to-rich bias sweep", dict(
-        data=".", min_tx=10, night_start=20, night_end=6, k=10,
-        ses_descending=False)),
+        GROUPED, jackknife_replicates=100, jackknife_fraction=0.05, seed=None)),
+    "asymmetry": (cmd_asymmetry, "poor-to-rich bias sweep", GROUPED),
     "gravity": (cmd_gravity, "fit the gravity model", dict(
-        data=".", min_tx=10, night_start=20, night_end=6,
-        eps_start=0.0, eps_stop=2.0, eps_step=0.01, linear_distance=False)),
+        DATA, eps_start=0.0, eps_stop=2.0, eps_step=0.01, linear_distance=False)),
     "null": (cmd_null, "SES-shuffle null distribution", dict(
-        data=".", min_tx=10, night_start=20, night_end=6, k=10,
-        ses_descending=False, replicates=100, seed=None)),
+        GROUPED, replicates=100, seed=None)),
     "jackknife": (cmd_jackknife, "edge-removal confidence interval", dict(
-        data=".", min_tx=10, night_start=20, night_end=6, k=10,
-        ses_descending=False, replicates=100, fraction=0.05, seed=None)),
+        GROUPED, replicates=100, fraction=0.05, seed=None)),
     "gini-report": (cmd_gini_report, "segregation-inequality coupling", dict(
-        data=".", min_tx=10, night_start=20, night_end=6, k=10,
-        ses_descending=False, replicates=50, seed=None,
-        fractions="0.2,0.4,0.6,0.8,1.0")),
+        GROUPED, replicates=50, seed=None, fractions="0.2,0.4,0.6,0.8,1.0")),
 }
 
 

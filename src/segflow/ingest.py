@@ -24,8 +24,8 @@ from contextlib import suppress
 from dataclasses import dataclass
 from datetime import datetime
 from functools import partial
-from itertools import compress, islice, tee
-from operator import ne, not_
+from itertools import chain, compress, islice
+from operator import attrgetter, ne, not_
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -90,6 +90,10 @@ class NeighborhoodTable:
     def n(self) -> int:
         return len(self.ids)
 
+    def rows(self, ids: Iterable[str | None]) -> np.ndarray:
+        """The row of each neighborhood id; -1 for None or an id not in the table."""
+        return np.array([self.index.get(nid, -1) for nid in ids], dtype=np.int64)
+
     def write_csv(self, path) -> None:
         """Write the table back out in normalized (sorted, canonical) form."""
         with open(path, "w", newline="") as fh:
@@ -139,18 +143,12 @@ class PurchaseLog:
         return PurchaseLog(customer_ids, store_ids, home, location, customer, store,
                            self.amount[keep])
 
-    def indices(self, table: NeighborhoodTable) -> tuple[np.ndarray, np.ndarray]:
-        """Table index of every customer's home and every store's location;
-        -1 where the table has no such neighborhood."""
-        return tuple(np.array([table.index.get(nid, -1) for nid in names], dtype=np.int64)
-                     for names in (self.home, self.location))
-
     def resolved(self, table: NeighborhoodTable) -> tuple[PurchaseLog, np.ndarray, np.ndarray]:
         """The events whose home and store location are both in ``table``,
-        with the table index of each kept customer's home and store's location."""
-        home, loc = self.indices(table)
+        with the table row of each kept customer's home and store's location."""
+        home, loc = table.rows(self.home), table.rows(self.location)
         log = self.select((home[self.customer] >= 0) & (loc[self.store] >= 0))
-        return (log, *log.indices(table))
+        return log, table.rows(log.home), table.rows(log.location)
 
 
 def _interner() -> defaultdict:
@@ -232,19 +230,48 @@ def _renumber(codes: np.ndarray, ids: list[str], places: list):
     return new[codes], [ids[i] for i in order], [places[i] for i in order]
 
 
-@dataclass
-class MentionEvent:
-    source_user: str
-    target_user: str
-    timestamp: datetime
+@dataclass(eq=False)
+class MentionLog:
+    """Columnar mention events: source and target codes into one list of
+    user ids, interned in first-seen order (a row's source first)."""
+
+    user_ids: list[str]
+    source: np.ndarray
+    target: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.source)
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[tuple[str, str]]) -> MentionLog:
+        """Intern (source user, target user) rows."""
+        users = _interner()
+        codes = np.fromiter(map(users.__getitem__, chain.from_iterable(rows)), dtype=np.int64)
+        return cls(list(users), codes[0::2], codes[1::2])
 
 
-@dataclass
-class GeoPost:
-    user_id: str
-    lat: float
-    lon: float
-    timestamp: datetime
+@dataclass(eq=False)
+class GeoPostLog:
+    """Columnar geo-tagged posts: user codes (ids interned in first-seen
+    order), coordinates and the local hour of day of each post."""
+
+    user_ids: list[str]
+    user: np.ndarray
+    lat: np.ndarray
+    lon: np.ndarray
+    hour: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.user)
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[tuple[str, float, float, int]]) -> GeoPostLog:
+        """Intern (user, lat, lon, local hour) rows."""
+        users = _interner()
+        posts = np.fromiter(((users[user], lat, lon, hour) for user, lat, lon, hour in rows),
+                            dtype=[("user", np.int64), ("lat", float), ("lon", float),
+                                   ("hour", np.int64)])
+        return cls(list(users), posts["user"], posts["lat"], posts["lon"], posts["hour"])
 
 
 def _read_chunks(path, required: Sequence[str], optional: Sequence[str] = ()
@@ -323,12 +350,6 @@ def _blank(cells: Sequence[str]) -> np.ndarray:
     if "" not in cells:
         return np.zeros(len(cells), dtype=bool)
     return np.fromiter(map(not_, cells), dtype=bool, count=len(cells))
-
-
-def _shared(strings: dict[str, str], cells: Iterable[str]) -> Iterator[str]:
-    """Each cell as the first equal string seen, so kept events hold one
-    copy of an id however many rows repeat it, not a chunk's strings."""
-    return map(strings.setdefault, *tee(cells))
 
 
 def _first(faults: np.ndarray) -> int:
@@ -552,41 +573,44 @@ def _parse_purchases(path) -> PurchaseLog:
     return builder.log()
 
 
-def load_mentions(path) -> list[MentionEvent]:
-    """Parse mention events. Self-mentions carry no interaction signal and
-    are dropped here."""
-    events = []
-    n_self = 0
-    users = {}
-    for start, cols in _read_chunks(path, MENTION_COLUMNS):
-        src, dst = cols["source_user"], cols["target_user"]
-        other = np.fromiter(map(ne, src, dst), dtype=bool, count=len(src))
-        times, bad_time = _parsed(datetime.fromisoformat,
+def load_mentions(path) -> MentionLog:
+    """Parse mention events; timestamps are validated, not kept.
+    Self-mentions carry no interaction signal and are dropped here."""
+    rows = 0
+
+    def other_user_chunks():
+        nonlocal rows
+        for start, cols in _read_chunks(path, MENTION_COLUMNS):
+            src, dst = cols["source_user"], cols["target_user"]
+            other = np.fromiter(map(ne, src, dst), dtype=bool, count=len(src))
+            _, bad_time = _parsed(datetime.fromisoformat,
                                   tuple(compress(cols["timestamp"], other)))
-        faults = _blank(src) | _blank(dst)
-        faults[other] |= bad_time
-        if faults.any():
-            _fail(_check_mention, path, start, cols, _first(faults))
-        events += map(MentionEvent, _shared(users, compress(src, other)),
-                      _shared(users, compress(dst, other)), times)
-        n_self += len(src) - len(times)
-    if n_self:
-        log.info("dropped %d self-mentions from %s", n_self, path)
-    return events
+            faults = _blank(src) | _blank(dst)
+            faults[other] |= bad_time
+            if faults.any():
+                _fail(_check_mention, path, start, cols, _first(faults))
+            rows += len(src)
+            yield compress(zip(src, dst), other)
+
+    mentions = MentionLog.from_rows(chain.from_iterable(other_user_chunks()))
+    if rows > len(mentions):
+        log.info("dropped %d self-mentions from %s", rows - len(mentions), path)
+    return mentions
 
 
-def load_geoposts(path) -> list[GeoPost]:
-    posts = []
-    users = {}
-    for start, cols in _read_chunks(path, GEOPOST_COLUMNS):
-        lat, lon = _numbers(cols["lat"]), _numbers(cols["lon"])
-        times, bad_time = _parsed(datetime.fromisoformat, cols["timestamp"])
-        faults = (~np.isfinite(lat) | ~np.isfinite(lon) | (np.abs(lat) > 90.0)
-                  | (np.abs(lon) > 180.0) | _blank(cols["user_id"]) | bad_time)
-        if faults.any():
-            _fail(_check_geopost, path, start, cols, _first(faults))
-        posts += map(GeoPost, _shared(users, cols["user_id"]), lat.tolist(), lon.tolist(), times)
-    return posts
+def load_geoposts(path) -> GeoPostLog:
+    """Parse geo-tagged posts; of each timestamp only the local hour is kept."""
+    def chunks():
+        for start, cols in _read_chunks(path, GEOPOST_COLUMNS):
+            lat, lon = _numbers(cols["lat"]), _numbers(cols["lon"])
+            times, bad_time = _parsed(datetime.fromisoformat, cols["timestamp"])
+            faults = (~np.isfinite(lat) | ~np.isfinite(lon) | (np.abs(lat) > 90.0)
+                      | (np.abs(lon) > 180.0) | _blank(cols["user_id"]) | bad_time)
+            if faults.any():
+                _fail(_check_geopost, path, start, cols, _first(faults))
+            yield zip(cols["user_id"], lat.tolist(), lon.tolist(), map(attrgetter("hour"), times))
+
+    return GeoPostLog.from_rows(chain.from_iterable(chunks()))
 
 
 def load_geometry(path) -> dict[str, list[np.ndarray]]:
@@ -696,63 +720,56 @@ def _containing(px: np.ndarray, py: np.ndarray, rings: list[np.ndarray],
 
 
 def assign_points_to_neighborhoods(
-    posts: Sequence[GeoPost],
+    posts: GeoPostLog,
     geometry: Mapping[str, list[np.ndarray]],
-) -> tuple[list[tuple[str, str, datetime]], int]:
+) -> tuple[np.ndarray, int]:
     """Map each post to the neighborhood polygon containing it.
 
-    Points on a shared border go to the lexicographically smaller
-    neighborhood_id; points outside every polygon are dropped.  Returns
-    the localized posts and the drop count.
+    Returns each post's neighborhood as a position in ``sorted(geometry)``,
+    -1 for a post outside every polygon, and the count of those.  Points on
+    a shared border go to the lexicographically smaller neighborhood_id.
     """
-    if not posts:
-        return [], 0
-    px = np.array([p.lon for p in posts])
-    py = np.array([p.lat for p in posts])
     ordered = sorted(geometry)
     owner = np.array([pos for pos, nid in enumerate(ordered) for _ in geometry[nid]])
-    assigned = _containing(px, py, [ring for nid in ordered for ring in geometry[nid]], owner)
-    localized = [(posts[i].user_id, ordered[assigned[i]], posts[i].timestamp)
-                 for i in range(len(posts)) if assigned[i] >= 0]
-    dropped = int((assigned < 0).sum())
+    place = _containing(posts.lon, posts.lat,
+                        [ring for nid in ordered for ring in geometry[nid]], owner)
+    dropped = int((place < 0).sum())
     if dropped:
         log.info("dropped %d posts outside all polygons", dropped)
-    return localized, dropped
+    return place, dropped
 
 
 def infer_home(
-    localized: Iterable[tuple[str, str, datetime]],
+    posts: GeoPostLog,
+    place: np.ndarray,
+    neighborhood_ids: Sequence[str],
     night_start: int = 20,
     night_end: int = 6,
 ) -> tuple[dict[str, str], list[str]]:
     """Assign each user the neighborhood used most during night hours.
 
-    The window [night_start, night_end) is in local time and may wrap
-    midnight.  Ties break on total all-hours count, then on the smaller
-    neighborhood_id.  Users without any night post are left unassigned
-    and returned separately.
+    ``place`` is each post's position in the sorted ``neighborhood_ids``, or
+    -1 (outside every polygon, ignored).  The window [night_start, night_end)
+    in local hours 0-23 may wrap midnight.  Ties break on total all-hours
+    count, then on the smaller neighborhood_id.  Users without any night post
+    are left unassigned and returned separately, both results in user_id order.
     """
-    def is_night(hour: int) -> bool:
-        if night_start <= night_end:
-            return night_start <= hour < night_end
-        return hour >= night_start or hour < night_end
-
-    night_counts: dict[str, Counter] = defaultdict(Counter)
-    total_counts: dict[str, Counter] = defaultdict(Counter)
-    for user, nid, ts in localized:
-        total_counts[user][nid] += 1
-        if is_night(ts.hour):
-            night_counts[user][nid] += 1
-
-    homes: dict[str, str] = {}
-    unassigned = []
-    for user in sorted(total_counts):
-        nights = night_counts.get(user)
-        if not nights:
-            unassigned.append(user)
-            continue
-        totals = total_counts[user]
-        homes[user] = min(nights, key=lambda nid: (-nights[nid], -totals[nid], nid))
+    if not (0 <= night_start <= 23 and 0 <= night_end <= 23) or night_start == night_end:
+        raise ValueError(f"night window {night_start}-{night_end}: needs two different hours 0-23")
+    inside = place >= 0
+    night = (posts.hour[inside] - night_start) % 24 < (night_end - night_start) % 24
+    n = len(neighborhood_ids)
+    cell, which, total = np.unique(posts.user[inside] * n + place[inside],
+                                   return_inverse=True, return_counts=True)
+    nights = np.bincount(which[night], minlength=len(cell))
+    user, nid = np.divmod(cell, n)
+    # each user's cells, best first; keep the first cell of each user
+    order = np.lexsort((nid, -total, -nights, user))
+    best = order[np.diff(user[order], prepend=-1) != 0]
+    found = sorted(zip(map(posts.user_ids.__getitem__, user[best].tolist()),
+                       nid[best].tolist(), nights[best].tolist()))
+    homes = {uid: neighborhood_ids[pos] for uid, pos, count in found if count}
+    unassigned = [uid for uid, _, count in found if not count]
     if unassigned:
         log.info("%d users had no night posts and were left unassigned", len(unassigned))
     return homes, unassigned

@@ -8,13 +8,13 @@ residents of each neighborhood.
 from __future__ import annotations
 
 import csv
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .ingest import MentionEvent, NeighborhoodTable, PurchaseLog
+from .ingest import MentionLog, NeighborhoodTable, PurchaseLog
 
 
 def individual_diversity(counts) -> float:
@@ -41,22 +41,26 @@ def individual_diversity(counts) -> float:
 def purchase_profiles(events: PurchaseLog) -> dict[str, dict[str, int]]:
     """Per-customer store visit counts, customers and their stores in
     first-seen order."""
-    pairs, first, counts = np.unique(events.customer * len(events.store_ids) + events.store,
+    return _profiles(events.customer, events.store, events.customer_ids, events.store_ids)
+
+
+def mention_profiles(mentions: MentionLog) -> dict[str, dict[str, int]]:
+    """Per-user mention-target counts, users and targets in first-seen order."""
+    return _profiles(mentions.source, mentions.target, mentions.user_ids, mentions.user_ids)
+
+
+def _profiles(person: np.ndarray, target: np.ndarray, person_ids: Sequence[str],
+              target_ids: Sequence[str]) -> dict[str, dict[str, int]]:
+    """Each person's count per target, persons and each one's targets in
+    first-seen order, which fixes the order of every float sum over them."""
+    pairs, first, counts = np.unique(person * len(target_ids) + target,
                                      return_index=True, return_counts=True)
     order = np.argsort(first)
-    customer, store = np.divmod(pairs[order], len(events.store_ids))
+    person, target = np.divmod(pairs[order], len(target_ids))
     profiles: dict[str, dict[str, int]] = {}
-    for c, s, count in zip(customer.tolist(), store.tolist(), counts[order].tolist()):
-        profiles.setdefault(events.customer_ids[c], {})[events.store_ids[s]] = count
+    for p, t, count in zip(person.tolist(), target.tolist(), counts[order].tolist()):
+        profiles.setdefault(person_ids[p], {})[target_ids[t]] = count
     return profiles
-
-
-def mention_profiles(mentions: Iterable[MentionEvent]) -> dict[str, Counter]:
-    """Per-user mention-target counts."""
-    profiles: dict[str, Counter] = defaultdict(Counter)
-    for m in mentions:
-        profiles[m.source_user][m.target_user] += 1
-    return dict(profiles)
 
 
 @dataclass

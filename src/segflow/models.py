@@ -55,16 +55,14 @@ def fit_gravity(
     origin_counts: Sequence[float],
     dest_counts: Sequence[float],
     eps_grid: Sequence[float] | None = None,
-    weight_matrix: np.ndarray | None = None,
     linear_distance: bool = False,
 ) -> GravityParams:
     """Weighted least-squares fit of the gravity law to observed flows.
 
     Zero flows are excluded (their log is undefined) and each remaining
-    observation is weighted by its own raw flow value unless an explicit
-    ``weight_matrix`` is given.  ``linear_distance`` switches the distance
-    regressor from -log(T+eps) to -T, in which case eps is not separately
-    identifiable and is reported as 0.
+    observation is weighted by its own raw flow value.  ``linear_distance``
+    switches the distance regressor from -log(T+eps) to -T, in which case
+    eps is not separately identifiable and is reported as 0.
     """
     W = net.W
     n_o = np.asarray(origin_counts, dtype=float)
@@ -77,9 +75,7 @@ def fit_gravity(
     if np.any(n_o[rows] <= 0) or np.any(n_d[cols] <= 0):
         raise ValueError("positive flow from/to a neighborhood with zero mass count")
     y = np.log(W[mask])
-    w = (weight_matrix[mask] if weight_matrix is not None else W[mask]).astype(float)
-    if np.any(w <= 0):
-        raise ValueError("fit weights must be positive on fitted pairs")
+    w = W[mask].astype(float)
     T = dist[mask]
     A = np.column_stack([np.ones(n_pos), np.log(n_o[rows]), np.log(n_d[cols])])
 
@@ -307,6 +303,8 @@ def reshuffle_locations(
     """
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must be in (0, 1]")
+    if replicates < 1:
+        raise ValueError("replicates must be >= 1")
     n_stores = arrays.loc_of_store.size
     n_cust = arrays.home_of_customer.size
     reps = []

@@ -10,11 +10,11 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
-from .ingest import MentionEvent, NeighborhoodTable, PurchaseLog
+from .ingest import MentionLog, NeighborhoodTable, PurchaseLog
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -59,7 +59,7 @@ def build_purchase_network(events: PurchaseLog, table: NeighborhoodTable) -> Int
 
 
 def build_mention_network(
-    mentions: Iterable[MentionEvent],
+    mentions: MentionLog,
     homes: Mapping[str, str],
     table: NeighborhoodTable,
 ) -> InteractionNetwork:
@@ -70,24 +70,16 @@ def build_mention_network(
     whether or not they mention anyone.
     """
     n = table.n
-    W = np.zeros((n, n))
-    dropped = 0
-    for m in mentions:
-        i = table.index.get(homes.get(m.source_user))
-        j = table.index.get(homes.get(m.target_user))
-        if i is None or j is None:
-            dropped += 1
-            continue
-        W[i, j] += 1
-    user_counts = np.zeros(n, dtype=np.int64)
-    for nid in homes.values():
-        pos = table.index.get(nid)
-        if pos is not None:
-            user_counts[pos] += 1
+    row = table.rows(map(homes.get, mentions.user_ids))
+    source, target = row[mentions.source], row[mentions.target]
+    kept = (source >= 0) & (target >= 0)
+    cells, homed = source[kept] * n + target[kept], table.rows(homes.values())
     return InteractionNetwork(
-        nodes=list(table.ids), W=W, channel="mention", weighting="raw",
+        nodes=list(table.ids), W=np.bincount(cells, minlength=n * n).reshape(n, n).astype(float),
+        channel="mention", weighting="raw",
         population=table.population.copy(), ses=table.ses.copy(),
-        user_counts=user_counts, dropped_events=dropped,
+        user_counts=np.bincount(homed[homed >= 0], minlength=n),
+        dropped_events=len(mentions) - int(kept.sum()),
     )
 
 

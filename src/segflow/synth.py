@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ingest import GeoPost, MentionEvent, NeighborhoodTable, PurchaseLog
+from .ingest import GeoPostLog, MentionLog, NeighborhoodTable, PurchaseLog
 from .models import GravityParams
 from .network import EARTH_RADIUS_KM
 
@@ -87,8 +87,10 @@ class SynthCity:
     geometry: dict[str, list[np.ndarray]]
     purchases: PurchaseLog
     purchase_times: list[datetime]
-    mentions: list[MentionEvent]
-    geoposts: list[GeoPost]
+    mentions: MentionLog
+    mention_times: list[datetime]
+    geoposts: GeoPostLog
+    geopost_times: list[datetime]
     truth: dict
     customer_homes: dict[str, str]
     user_homes: dict[str, str]
@@ -257,16 +259,14 @@ def generate_city(cfg: SynthConfig) -> SynthCity:
         (dst[movable] - twitter_offset[ev_j[movable]] + 1) % twitter_counts[ev_j[movable]])
     keep = src != dst
     hours = rng.integers(8, 24, n_ev)
-    times = _event_times(rng, n_ev, cfg, hours)
-    mentions = [
-        MentionEvent(source_user=user_ids[a], target_user=user_ids[b], timestamp=t)
-        for a, b, t, ok in zip(src, dst, times, keep) if ok
-    ]
+    mention_times = [t for t, ok in zip(_event_times(rng, n_ev, cfg, hours), keep) if ok]
+    mentions = MentionLog.from_rows((user_ids[a], user_ids[b])
+                                    for a, b in zip(src[keep].tolist(), dst[keep].tolist()))
 
     # geo posts: a handful of night posts at home plus daytime posts elsewhere
     km_per_deg_lon = KM_PER_DEG_LAT * math.cos(math.radians(BASE_LAT))
     base = datetime.fromisoformat(cfg.start_day)
-    geoposts = []
+    post_rows, geopost_times = [], []
     for uid_idx, uid in enumerate(user_ids):
         home = user_nbhd[uid_idx]
         n_night = int(rng.integers(2, 6))
@@ -280,12 +280,9 @@ def generate_city(cfg: SynthConfig) -> SynthCity:
             y_km = cell_origin_km[cell, 1] + fy * spacing
             ts = base + timedelta(days=int(rng.integers(0, cfg.n_days)), hours=hour,
                                   minutes=int(rng.integers(0, 60)))
-            geoposts.append(GeoPost(
-                user_id=uid,
-                lat=float(BASE_LAT + y_km / KM_PER_DEG_LAT),
-                lon=float(BASE_LON + x_km / km_per_deg_lon),
-                timestamp=ts,
-            ))
+            post_rows.append((uid, float(BASE_LAT + y_km / KM_PER_DEG_LAT),
+                              float(BASE_LON + x_km / km_per_deg_lon), ts.hour))
+            geopost_times.append(ts)
 
     truth = planted_truth(cfg)
     truth["effective_c_purchase"] = cfg.purchase_gravity.c * scale_p
@@ -297,7 +294,8 @@ def generate_city(cfg: SynthConfig) -> SynthCity:
     return SynthCity(
         config=cfg, table=table, geometry=geometry,
         purchases=purchases, purchase_times=purchase_times, mentions=mentions,
-        geoposts=geoposts, truth=truth,
+        mention_times=mention_times, geoposts=GeoPostLog.from_rows(post_rows),
+        geopost_times=geopost_times, truth=truth,
         customer_homes={customer_ids[i]: table.ids[customer_nbhd[i]]
                         for i in range(cfg.n_customers)},
         user_homes={user_ids[i]: table.ids[user_nbhd[i]]
@@ -392,15 +390,18 @@ def write_city(city: SynthCity, outdir) -> dict[str, str]:
     paths["mentions"] = str(outdir / "mentions.csv")
     with open(paths["mentions"], "w") as fh:
         fh.write("source_user,target_user,timestamp\n")
-        for m in city.mentions:
-            fh.write(f"{m.source_user},{m.target_user},{m.timestamp.isoformat()}\n")
+        users = city.mentions.user_ids
+        for a, b, ts in zip(city.mentions.source.tolist(), city.mentions.target.tolist(),
+                            city.mention_times):
+            fh.write(f"{users[a]},{users[b]},{ts.isoformat()}\n")
 
     paths["geoposts"] = str(outdir / "geoposts.csv")
     with open(paths["geoposts"], "w") as fh:
         fh.write("user_id,lat,lon,timestamp\n")
-        for p in city.geoposts:
-            fh.write(f"{p.user_id},{float(p.lat)!r},{float(p.lon)!r},"
-                     f"{p.timestamp.isoformat()}\n")
+        posts = city.geoposts
+        for u, lat, lon, ts in zip(posts.user.tolist(), posts.lat.tolist(), posts.lon.tolist(),
+                                   city.geopost_times):
+            fh.write(f"{posts.user_ids[u]},{lat!r},{lon!r},{ts.isoformat()}\n")
 
     paths["truth"] = str(outdir / "truth.json")
     with open(paths["truth"], "w") as fh:

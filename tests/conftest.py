@@ -1,10 +1,10 @@
-from datetime import datetime
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from segflow.ingest import MentionEvent, NeighborhoodTable, PurchaseLog
+from segflow.ingest import (GeoPostLog, MentionLog, NeighborhoodTable, PurchaseLog,
+                            assign_points_to_neighborhoods, infer_home)
 
 
 def make_table(n=4, ses=None, population=None, spacing_deg=0.05):
@@ -35,9 +35,43 @@ def purchase_log(events):
     return PurchaseLog.from_rows(events)
 
 
-def mention(src, dst, ts="2013-05-01T12:00:00"):
-    return MentionEvent(source_user=src, target_user=dst,
-                        timestamp=datetime.fromisoformat(ts))
+class Mention(NamedTuple):
+    """One mentions.csv row, in the column order of ``MentionLog.from_rows``."""
+
+    source_user: str
+    target_user: str
+
+
+def mention(src, dst):
+    return Mention(src, dst)
+
+
+def mention_log(events):
+    return MentionLog.from_rows(events)
+
+
+def post(user, lon, lat, hour=22):
+    """One geoposts.csv row, in the column order of ``GeoPostLog.from_rows``."""
+    return (user, lat, lon, hour)
+
+
+def localize(posts: GeoPostLog, geometry):
+    """``assign_points_to_neighborhoods`` as (user, neighborhood_id, hour) of
+    each post inside a polygon, and the count of the others."""
+    place, dropped = assign_points_to_neighborhoods(posts, geometry)
+    ids = sorted(geometry)
+    return [(posts.user_ids[u], ids[p], h) for u, p, h in
+            zip(posts.user.tolist(), place.tolist(), posts.hour.tolist()) if p >= 0], dropped
+
+
+def homes_of(localized, **window):
+    """``infer_home`` on (user, neighborhood_id, hour) posts; a neighborhood
+    of None stands for a post outside every polygon."""
+    ids = sorted({nid for _, nid, _ in localized} - {None})
+    posts = GeoPostLog.from_rows((user, 0.0, 0.0, hour) for user, _, hour in localized)
+    place = np.array([-1 if nid is None else ids.index(nid) for _, nid, _ in localized],
+                     dtype=np.int64)
+    return infer_home(posts, place, ids, **window)
 
 
 @pytest.fixture

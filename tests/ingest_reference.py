@@ -1,6 +1,8 @@
-"""Row-at-a-time reference implementations of the chunked loaders and of
-point-in-polygon, for equivalence tests.  They accept valid input only."""
+"""Row-at-a-time reference implementations of the chunked loaders, of
+point-in-polygon and of the per-event home inference, mention network and
+mention profiles, for equivalence tests.  They accept valid input only."""
 import csv
+from collections import Counter, defaultdict
 from datetime import datetime
 
 import numpy as np
@@ -35,13 +37,25 @@ def load_purchases(path):
 
 
 def load_mentions(path):
-    return [(row["source_user"], row["target_user"], datetime.fromisoformat(row["timestamp"]))
-            for row in _rows(path) if row["source_user"] != row["target_user"]]
+    """The MentionLog fields of a valid mentions.csv, as a dict."""
+    users, source, target = {}, [], []
+    for row in _rows(path):
+        if row["source_user"] != row["target_user"]:
+            datetime.fromisoformat(row["timestamp"])
+            source.append(users.setdefault(row["source_user"], len(users)))
+            target.append(users.setdefault(row["target_user"], len(users)))
+    return {"user_ids": list(users), "source": source, "target": target}
 
 
 def load_geoposts(path):
-    return [(row["user_id"], float(row["lat"]), float(row["lon"]),
-             datetime.fromisoformat(row["timestamp"])) for row in _rows(path)]
+    """The GeoPostLog fields of a valid geoposts.csv, as a dict."""
+    users, user, lat, lon, hour = {}, [], [], [], []
+    for row in _rows(path):
+        user.append(users.setdefault(row["user_id"], len(users)))
+        lat.append(float(row["lat"]))
+        lon.append(float(row["lon"]))
+        hour.append(datetime.fromisoformat(row["timestamp"]).hour)
+    return {"user_ids": list(users), "user": user, "lat": lat, "lon": lon, "hour": hour}
 
 
 def points_in_ring(px, py, ring):
@@ -62,10 +76,10 @@ def points_in_ring(px, py, ring):
 
 
 def assign_points(posts, geometry):
-    """(localized, dropped) as ``assign_points_to_neighborhoods`` returns
-    them, testing polygons one at a time in sorted id order."""
-    px = np.array([p.lon for p in posts])
-    py = np.array([p.lat for p in posts])
+    """The (user, neighborhood_id, hour) of each of the GeoPostLog ``posts``
+    inside a polygon, and the count of the others, testing polygons one at a
+    time in sorted id order."""
+    px, py = posts.lon, posts.lat
     assigned = np.full(len(posts), -1, dtype=np.int64)
     ordered = sorted(geometry)
     for pos, nid in enumerate(ordered):
@@ -77,6 +91,61 @@ def assign_points(posts, geometry):
             hit[pending] |= points_in_ring(px[pending], py[pending], ring)
             pending = pending & ~hit
         assigned[hit] = pos
-    localized = [(posts[i].user_id, ordered[assigned[i]], posts[i].timestamp)
+    localized = [(posts.user_ids[posts.user[i]], ordered[assigned[i]], int(posts.hour[i]))
                  for i in range(len(posts)) if assigned[i] >= 0]
     return localized, int((assigned < 0).sum())
+
+
+def infer_home(localized, night_start=20, night_end=6):
+    """``infer_home`` on (user, neighborhood_id, hour) posts, by Counters."""
+    def is_night(hour: int) -> bool:
+        if night_start <= night_end:
+            return night_start <= hour < night_end
+        return hour >= night_start or hour < night_end
+
+    night_counts = defaultdict(Counter)
+    total_counts = defaultdict(Counter)
+    for user, nid, hour in localized:
+        total_counts[user][nid] += 1
+        if is_night(hour):
+            night_counts[user][nid] += 1
+
+    homes = {}
+    unassigned = []
+    for user in sorted(total_counts):
+        nights = night_counts.get(user)
+        if not nights:
+            unassigned.append(user)
+            continue
+        totals = total_counts[user]
+        homes[user] = min(nights, key=lambda nid: (-nights[nid], -totals[nid], nid))
+    return homes, unassigned
+
+
+def build_mention_network(mentions, homes, table):
+    """(W, user_counts, dropped_events) of ``build_mention_network`` on
+    (source, target) pairs, one mention at a time."""
+    n = table.n
+    W = np.zeros((n, n))
+    dropped = 0
+    for source, target in mentions:
+        i = table.index.get(homes.get(source))
+        j = table.index.get(homes.get(target))
+        if i is None or j is None:
+            dropped += 1
+            continue
+        W[i, j] += 1
+    user_counts = np.zeros(n, dtype=np.int64)
+    for nid in homes.values():
+        pos = table.index.get(nid)
+        if pos is not None:
+            user_counts[pos] += 1
+    return W, user_counts, dropped
+
+
+def mention_profiles(mentions):
+    """Per-user mention-target Counters of (source, target) pairs."""
+    profiles = defaultdict(Counter)
+    for source, target in mentions:
+        profiles[source][target] += 1
+    return dict(profiles)

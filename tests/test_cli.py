@@ -300,3 +300,36 @@ class TestPurchasePlaces:
             out = tmp_path / f"{command}_no_mentions"
             assert main([command, "--data", str(data), "--out", str(out)]) == 1
             assert "no usable event data" in capsys.readouterr().err
+
+
+class TestBadParameters:
+    """Out-of-range parameters exit 1 with a plain message, not 2, and
+    never write NaN into an artifact."""
+
+    def test_zero_reshuffle_replicates(self, city_dir, tmp_path, capsys):
+        code = main(["gini-report", "--data", str(city_dir), "--out", str(tmp_path / "rep"),
+                     "--replicates", "0"])
+        assert code == 1
+        assert "replicates must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "rep" / "report.csv").exists()
+
+    @pytest.mark.parametrize("command, start, end", [
+        ("ingest", "25", "30"), ("network", "5", "5"), ("diversity", "-1", "6"),
+        ("mixing", "20", "24")])
+    def test_bad_night_window(self, city_dir, tmp_path, capsys, command, start, end):
+        code = main([command, "--data", str(city_dir), "--out", str(tmp_path / command),
+                     "--night-start", start, "--night-end", end])
+        assert code == 1
+        assert f"night window {start}-{end}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--eps-step", "0"], "eps_step must be positive"),
+        (["--eps-step", "-0.01"], "eps_step must be positive"),
+        (["--eps-step", "nan"], "eps_step must be positive"),
+        (["--eps-start", "3", "--eps-stop", "2"], "empty eps grid"),
+    ])
+    def test_bad_eps_grid(self, city_dir, tmp_path, capsys, flags, message):
+        code = main(["gravity", "--data", str(city_dir), "--out", str(tmp_path / "g"), *flags])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert message in err and "collinear" not in err

@@ -1,6 +1,5 @@
 import re
 import tempfile
-from datetime import datetime
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from segflow.ingest import (CHUNK_ROWS, GEOPOST_COLUMNS, MENTION_COLUMNS,
-                            NEIGHBORHOOD_COLUMNS, GeoPost, ValidationError,
+                            NEIGHBORHOOD_COLUMNS, GeoPostLog, ValidationError,
                             assign_points_to_neighborhoods,
                             filter_active_customers, infer_home, load_geometry,
                             load_geoposts, load_mentions, load_neighborhoods,
@@ -16,7 +15,7 @@ from segflow.ingest import (CHUNK_ROWS, GEOPOST_COLUMNS, MENTION_COLUMNS,
 
 from segflow.cli import main
 
-from conftest import make_table, purchase, purchase_log
+from conftest import homes_of, localize, make_table, post, purchase, purchase_log
 
 
 def write(tmp_path, name, text):
@@ -269,37 +268,29 @@ def square(x0, y0, size=1.0):
                      [x0, y0 + size], [x0, y0]])
 
 
-def post(user, lon, lat, ts="2013-05-01T22:00:00"):
-    return GeoPost(user_id=user, lat=lat, lon=lon,
-                   timestamp=datetime.fromisoformat(ts))
-
-
 class TestAssignPoints:
     geometry = {"A": [square(0.0, 0.0)], "B": [square(1.0, 0.0)]}
 
     def test_strictly_inside(self):
-        localized, dropped = assign_points_to_neighborhoods(
-            [post("u1", 0.5, 0.5)], self.geometry)
-        assert localized == [("u1", "A", datetime.fromisoformat("2013-05-01T22:00:00"))]
+        localized, dropped = localize(GeoPostLog.from_rows([post("u1", 0.5, 0.5)]), self.geometry)
+        assert localized == [("u1", "A", 22)]
         assert dropped == 0
 
     def test_outside_all_dropped(self):
-        localized, dropped = assign_points_to_neighborhoods(
-            [post("u1", 5.0, 5.0), post("u2", 0.2, 0.2)], self.geometry)
+        localized, dropped = localize(
+            GeoPostLog.from_rows([post("u1", 5.0, 5.0), post("u2", 0.2, 0.2)]), self.geometry)
         assert dropped == 1
         assert len(localized) == 1
 
     def test_shared_border_goes_to_smaller_id(self):
         # the two unit squares share the x = 1 edge
         geometry = {"B": [square(1.0, 0.0)], "A": [square(0.0, 0.0)]}
-        localized, dropped = assign_points_to_neighborhoods(
-            [post("u1", 1.0, 0.5)], geometry)
+        localized, dropped = localize(GeoPostLog.from_rows([post("u1", 1.0, 0.5)]), geometry)
         assert localized[0][1] == "A"
         assert dropped == 0
 
     def test_corner_point(self):
-        localized, _ = assign_points_to_neighborhoods(
-            [post("u1", 1.0, 1.0)], self.geometry)
+        localized, _ = localize(GeoPostLog.from_rows([post("u1", 1.0, 1.0)]), self.geometry)
         assert localized[0][1] == "A"
 
     def test_malformed_polygon(self, tmp_path):
@@ -316,13 +307,13 @@ class TestAssignPoints:
 
 
 def localized(user, nid, hour):
-    return (user, nid, datetime(2013, 5, 1, hour, 0, 0))
+    return (user, nid, hour)
 
 
 class TestInferHome:
     def test_majority_night_neighborhood(self):
         posts = [localized("u1", "A", 22)] * 5 + [localized("u1", "B", 23)] * 2
-        homes, unassigned = infer_home(posts)
+        homes, unassigned = homes_of(posts)
         assert homes == {"u1": "A"}
         assert unassigned == []
 
@@ -330,37 +321,43 @@ class TestInferHome:
         posts = ([localized("u1", "A", 21)] * 3 + [localized("u1", "B", 22)] * 3
                  + [localized("u1", "B", 12)] * 7 + [localized("u1", "A", 13)] * 1)
         # night tie 3-3; totals: B has 10, A has 4
-        homes, _ = infer_home(posts)
+        homes, _ = homes_of(posts)
         assert homes == {"u1": "B"}
 
     def test_full_tie_breaks_lexicographically(self):
         posts = [localized("u1", "B", 22), localized("u1", "A", 23)]
-        homes, _ = infer_home(posts)
+        homes, _ = homes_of(posts)
         assert homes == {"u1": "A"}
 
     def test_daytime_only_unassigned(self):
         posts = [localized("u1", "A", 12)] * 4
-        homes, unassigned = infer_home(posts)
+        homes, unassigned = homes_of(posts)
         assert homes == {}
         assert unassigned == ["u1"]
 
     def test_window_half_open(self):
         # 06:00 is day, 05:59 counts as night, 20:00 counts as night
-        homes, unassigned = infer_home([("u1", "A", datetime(2013, 5, 1, 6, 0))])
+        homes, unassigned = homes_of([("u1", "A", 6)])
         assert unassigned == ["u1"]
-        homes, _ = infer_home([("u2", "A", datetime(2013, 5, 1, 5, 59)),
-                               ("u2", "A", datetime(2013, 5, 1, 20, 0))])
+        homes, _ = homes_of([("u2", "A", 5), ("u2", "A", 20)])
         assert homes == {"u2": "A"}
 
     def test_non_wrapping_window(self):
-        homes, _ = infer_home([("u1", "A", datetime(2013, 5, 1, 10, 0))],
-                              night_start=9, night_end=11)
+        homes, _ = homes_of([("u1", "A", 10)], night_start=9, night_end=11)
         assert homes == {"u1": "A"}
+
+    @pytest.mark.parametrize("start, end", [(25, 30), (5, 5), (-1, 6), (20, 24), (0, 0)])
+    def test_bad_window_rejected(self, start, end):
+        with pytest.raises(ValueError, match="night window"):
+            homes_of([("u1", "A", 22)], night_start=start, night_end=end)
+        with pytest.raises(ValueError, match="night window"):
+            homes_of([], night_start=start, night_end=end)
 
 
 def test_home_assignment_referential_integrity(table4):
     geometry = {"N00": [square(0.0, 0.0)], "N01": [square(1.0, 0.0)]}
-    posts = [post("u1", 0.4, 0.6), post("u1", 1.5, 0.5), post("u2", 1.2, 0.8)]
-    loc, _ = assign_points_to_neighborhoods(posts, geometry)
-    homes, _ = infer_home(loc)
+    posts = GeoPostLog.from_rows([post("u1", 0.4, 0.6), post("u1", 1.5, 0.5),
+                                  post("u2", 1.2, 0.8)])
+    place, _ = assign_points_to_neighborhoods(posts, geometry)
+    homes, _ = infer_home(posts, place, sorted(geometry))
     assert set(homes.values()) <= set(table4.ids)

@@ -1,26 +1,33 @@
-"""The chunked loaders and the vectorized point-in-polygon against the
-row-at-a-time references in ``ingest_reference``."""
+"""The chunked loaders, the vectorized point-in-polygon and the array home
+inference, mention network and mention profiles against the row-at-a-time
+references in ``ingest_reference``."""
 import csv
 import io
 import json
 import tempfile
-from datetime import datetime
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from segflow import ingest
-from segflow.ingest import (GeoPost, assign_points_to_neighborhoods, load_geometry,
-                            load_geoposts, load_mentions, load_purchases)
+from segflow.ingest import (GeoPostLog, load_geometry, load_geoposts, load_mentions,
+                            load_purchases)
+from segflow.metrics import mention_profiles
+from segflow.network import build_mention_network
 
 import ingest_reference as reference
+from conftest import homes_of, localize, make_table, mention_log
 
 # ids need quoting: commas, quotes and newlines inside a field
 IDS = st.text(alphabet='ab ,"\n', min_size=1, max_size=4)
 STAMPS = st.datetimes(datetime(2000, 1, 1), datetime(2030, 1, 1)).map(datetime.isoformat)
+# a post keeps the hour of its own offset
+LOCAL_STAMPS = st.datetimes(datetime(2000, 1, 1), datetime(2030, 1, 1), timezones=st.sampled_from(
+    [None, timezone.utc, timezone(timedelta(hours=-5))])).map(datetime.isoformat)
 EXTRA = ["note", "x,y"]
 
 
@@ -106,23 +113,28 @@ def test_mentions_match_dictreader_reference(layout, records):
         path = Path(tmp) / "mentions.csv"
         write_csv(path, layout, records)
         events = load(load_mentions, path, layout)
-        assert [(e.source_user, e.target_user, e.timestamp) for e in events] \
-            == reference.load_mentions(path)
+        expected = reference.load_mentions(path)
+    assert events.user_ids == expected["user_ids"]
+    assert events.source.tolist() == expected["source"]
+    assert events.target.tolist() == expected["target"]
 
 
 @given(layout=csv_layout(ingest.GEOPOST_COLUMNS),
        records=st.lists(st.fixed_dictionaries({"user_id": IDS,
                                                "lat": st.floats(-90, 90).map(repr),
                                                "lon": st.floats(-180, 180).map(repr),
-                                               "timestamp": STAMPS}), min_size=1, max_size=15))
+                                               "timestamp": LOCAL_STAMPS}),
+                        min_size=1, max_size=15))
 @settings(max_examples=40, deadline=None)
 def test_geoposts_match_dictreader_reference(layout, records):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "geoposts.csv"
         write_csv(path, layout, records)
         posts = load(load_geoposts, path, layout)
-        assert [(p.user_id, p.lat, p.lon, p.timestamp) for p in posts] \
-            == reference.load_geoposts(path)
+        expected = reference.load_geoposts(path)
+    assert posts.user_ids == expected["user_ids"]
+    for key in ("user", "lat", "lon", "hour"):
+        assert getattr(posts, key).tolist() == expected[key], key
 
 
 def jittered_grid(rng, n=6):
@@ -151,8 +163,7 @@ def boundary_points(geometry):
 
 
 def posts_at(points):
-    return [GeoPost(f"u{i}", lat, lon, datetime(2013, 5, 1, i % 24))
-            for i, (lon, lat) in enumerate(points)]
+    return GeoPostLog.from_rows((f"u{i}", lat, lon, i % 24) for i, (lon, lat) in enumerate(points))
 
 
 @pytest.mark.parametrize("row_block", [ingest.ROW_BLOCK, 7])
@@ -171,15 +182,67 @@ def test_assignments_match_per_polygon_reference(seed, row_block):
     with mock.patch.object(ingest, "ROW_BLOCK", row_block):
         for points in (border, scattered, far, np.vstack([border, scattered, far])):
             posts = posts_at(points)
-            assert assign_points_to_neighborhoods(posts, geometry) \
-                == reference.assign_points(posts, geometry)
-        localized, dropped = assign_points_to_neighborhoods(posts_at(border), geometry)
+            assert localize(posts, geometry) == reference.assign_points(posts, geometry)
+        localized, dropped = localize(posts_at(border), geometry)
         assert dropped == 0
-        assert assign_points_to_neighborhoods(posts_at(far), geometry) == ([], len(far))
+        assert localize(posts_at(far), geometry) == ([], len(far))
 
 
 def test_no_polygons_drops_every_post():
-    assert assign_points_to_neighborhoods(posts_at([[0.5, 0.5]]), {}) == ([], 1)
+    assert localize(posts_at([[0.5, 0.5]]), {}) == ([], 1)
+
+
+def test_no_posts():
+    assert localize(posts_at(np.zeros((0, 2))), jittered_grid(np.random.default_rng(0))) \
+        == ([], 0)
+    assert homes_of([]) == ({}, [])
+
+
+# Few users, neighborhoods and hours, so that night and total counts tie often.
+USERS = st.sampled_from(["u1", "u2", "u,3", "b", "B"])
+POSTS = st.lists(st.tuples(USERS, st.sampled_from(["N00", "N01", "N02", "N10", None]),
+                           st.integers(0, 23)), max_size=40)
+HOURS = st.integers(0, 23)
+
+
+@given(posts=POSTS, start=HOURS, end=HOURS)
+@settings(max_examples=200, deadline=None)
+def test_infer_home_matches_counter_reference(posts, start, end):
+    """Wrapping (start > end) and non-wrapping windows; a post at None lies
+    outside every polygon."""
+    assume(start != end)
+    homes, unassigned = homes_of(posts, night_start=start, night_end=end)
+    expected_homes, expected_unassigned = reference.infer_home(
+        [post for post in posts if post[1] is not None], start, end)
+    assert list(homes.items()) == list(expected_homes.items())
+    assert unassigned == expected_unassigned
+
+
+MENTIONS = st.lists(st.tuples(USERS, USERS), max_size=40)
+HOMES = st.dictionaries(USERS, st.sampled_from(["N00", "N01", "N02", "N03", "N99"]))
+
+
+@given(mentions=MENTIONS, homes=HOMES)
+@settings(max_examples=100, deadline=None)
+def test_mention_network_matches_loop_reference(mentions, homes):
+    """Endpoints without a home, or with a home missing from the table
+    ("N99"), drop their mention."""
+    table = make_table(4)
+    net = build_mention_network(mention_log(mentions), homes, table)
+    W, user_counts, dropped = reference.build_mention_network(mentions, homes, table)
+    assert np.array_equal(net.W, W) and net.W.dtype == W.dtype
+    assert net.user_counts.tolist() == user_counts.tolist()
+    assert net.dropped_events == dropped and type(net.dropped_events) is int
+
+
+@given(mentions=MENTIONS)
+@settings(max_examples=100, deadline=None)
+def test_mention_profiles_match_loop_reference(mentions):
+    """Same counts in the same order: users and each user's targets first-seen."""
+    profiles = mention_profiles(mention_log(mentions))
+    expected = reference.mention_profiles(mentions)
+    assert [(u, list(c.items())) for u, c in profiles.items()] \
+        == [(u, list(c.items())) for u, c in expected.items()]
 
 
 SQUARE = [[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]]

@@ -9,7 +9,7 @@ from segflow.metrics import (individual_diversity, mention_profiles,
                              neighborhood_diversity, pearson,
                              purchase_profiles)
 
-from conftest import make_table, mention, purchase, purchase_log
+from conftest import make_table, mention, mention_log, purchase, purchase_log
 
 counts_strategy = st.lists(st.integers(min_value=1, max_value=50), min_size=1, max_size=12)
 
@@ -87,7 +87,7 @@ class TestProfiles:
 
     def test_mention_profiles(self):
         events = [mention("u1", "u2"), mention("u1", "u2"), mention("u1", "u3")]
-        assert mention_profiles(events)["u1"] == {"u2": 2, "u3": 1}
+        assert mention_profiles(mention_log(events))["u1"] == {"u2": 2, "u3": 1}
 
 
 class TestNeighborhoodDiversity:

@@ -86,14 +86,6 @@ class TestFitGravity:
         assert fit.zero_pairs_excluded == 49
         assert fit.beta1 == pytest.approx(planted.beta1, rel=1e-6)
 
-    def test_explicit_weight_matrix(self, geometry):
-        table, dist, n_o, n_d = geometry
-        planted = GravityParams(c=0.3, beta1=0.6, beta2=0.7, epsilon=0.25, alpha=0.8)
-        sim = simulate_gravity(planted, dist, n_o, n_d, table)
-        fit = fit_gravity(sim, dist, n_o, n_d, weight_matrix=np.ones_like(sim.W),
-                          eps_grid=[0.25])
-        assert fit.beta1 == pytest.approx(planted.beta1, rel=1e-6)
-
     def test_linear_distance_variant(self, geometry):
         table, dist, n_o, n_d = geometry
         # plant the exponential-distance form the flag reproduces
@@ -254,6 +246,11 @@ class TestReshuffle:
             reshuffle_locations(arrays, 0.0)
         with pytest.raises(ValueError):
             reshuffle_locations(arrays, 1.5)
+
+    @pytest.mark.parametrize("replicates", [0, -1])
+    def test_replicate_count_validation(self, replicates):
+        with pytest.raises(ValueError, match="replicates"):
+            reshuffle_locations(purchase_arrays(*self._events()), 0.5, replicates=replicates)
 
 
 class TestAdjustAmounts:

@@ -10,7 +10,7 @@ from segflow.network import (InteractionNetwork, build_mention_network,
 from segflow.segregation import assign_groups, assortativity, mixing_matrix
 from segflow.ingest import NeighborhoodTable
 
-from conftest import make_table, mention, purchase, purchase_log
+from conftest import make_table, mention, mention_log, purchase, purchase_log
 
 
 class TestBuildPurchaseNetwork:
@@ -66,18 +66,18 @@ class TestBuildPurchaseNetwork:
 class TestBuildMentionNetwork:
     def test_simple_counts(self, table4):
         homes = {"u1": "N00", "u2": "N01"}
-        net = build_mention_network([mention("u1", "u2")] * 2, homes, table4)
+        net = build_mention_network(mention_log([mention("u1", "u2")] * 2), homes, table4)
         assert net.W[0, 1] == 2
 
     def test_unknown_home_dropped(self, table4):
         homes = {"u1": "N00"}
-        net = build_mention_network([mention("u1", "u2")], homes, table4)
+        net = build_mention_network(mention_log([mention("u1", "u2")]), homes, table4)
         assert net.dropped_events == 1
         assert not net.W.any()
 
     def test_user_counts_from_homes_map(self, table4):
         homes = {"u1": "N00", "u2": "N00", "u3": "N01"}
-        net = build_mention_network([], homes, table4)
+        net = build_mention_network(mention_log([]), homes, table4)
         assert list(net.user_counts[:2]) == [2, 1]
 
     def test_forty_mention_fixture_matches_group_by(self, table4):
@@ -88,7 +88,7 @@ class TestBuildMentionNetwork:
             a, b = rng.integers(12), rng.integers(12)
             if a != b:
                 events.append(mention(f"u{a}", f"u{b}"))
-        net = build_mention_network(events, homes, table4)
+        net = build_mention_network(mention_log(events), homes, table4)
         oracle = Counter((homes[e.source_user], homes[e.target_user]) for e in events)
         for (h, t), count in oracle.items():
             assert net.W[table4.index[h], table4.index[t]] == count
@@ -110,7 +110,7 @@ class TestPopulationWeight:
         events = []
         for _ in range(6):
             events.append(mention("a1", "b1"))
-        net = build_mention_network(events, homes, table)
+        net = build_mention_network(mention_log(events), homes, table)
         weighted = population_weight(net, table)
         # 6 / ((2*3)/(20*30)) = 600
         assert weighted.W[0, 1] == pytest.approx(600.0)

@@ -147,14 +147,13 @@ class TestIngestLoop:
         assert set(geometry) == set(table.ids)
         posts = load_geoposts(paths["geoposts"])
         assert len(posts) == len(city.geoposts)
-        assert posts[0].lat == pytest.approx(city.geoposts[0].lat, abs=1e-12)
+        assert posts.lat[0] == pytest.approx(city.geoposts.lat[0], abs=1e-12)
 
     def test_home_inference_recovers_planted_homes(self, tmp_path):
         city = generate_city(tiny_cfg(seed=8))
-        localized, dropped = assign_points_to_neighborhoods(city.geoposts,
-                                                            city.geometry)
+        place, dropped = assign_points_to_neighborhoods(city.geoposts, city.geometry)
         assert dropped == 0
-        homes, unassigned = infer_home(localized)
+        homes, unassigned = infer_home(city.geoposts, place, sorted(city.geometry))
         assert unassigned == []
         agree = sum(homes[u] == city.user_homes[u] for u in homes)
         assert agree / len(homes) >= 0.95
