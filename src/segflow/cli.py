@@ -39,7 +39,9 @@ class _Parser(argparse.ArgumentParser):
 
 def read_config_file(path) -> dict[str, str]:
     """Flat key = value lines; '#' starts a comment; keys match flag names
-    with dashes replaced by underscores."""
+    with dashes replaced by underscores.  A key that is an option of no
+    command (``--out`` and ``--config`` included) is a ValidationError."""
+    known = {key for _, _, defaults in COMMANDS.values() for key in defaults}
     values = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -48,8 +50,10 @@ def read_config_file(path) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise ValidationError(f"{path}: line {lineno}: expected key = value")
-            key, value = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key.replace("-", "_") not in known:
+                raise ValidationError(f"{path}: line {lineno}: unknown key {key!r}")
+            values[key.replace("-", "_")] = value
     return values
 
 
@@ -334,8 +338,10 @@ def cmd_gini_report(cfg, out: Path) -> list[str]:
     return ["report.csv", "report_details.json"]
 
 
-# defaults of every command that reads a data directory, and of those that group neighborhoods
-DATA = dict(data=".", min_tx=10, night_start=20, night_end=6)
+# defaults of every command that reads purchases, of those that also read
+# mentions and geoposts, and of those that group neighborhoods
+PURCHASES = dict(data=".", min_tx=10)
+DATA = dict(PURCHASES, night_start=20, night_end=6)
 GROUPED = dict(DATA, k=10, ses_descending=False)
 
 COMMANDS = {
@@ -357,7 +363,8 @@ COMMANDS = {
     "jackknife": (cmd_jackknife, "edge-removal confidence interval", dict(
         GROUPED, replicates=100, fraction=0.05, seed=None)),
     "gini-report": (cmd_gini_report, "segregation-inequality coupling", dict(
-        GROUPED, replicates=50, seed=None, fractions="0.2,0.4,0.6,0.8,1.0")),
+        PURCHASES, k=10, ses_descending=False, replicates=50, seed=None,
+        fractions="0.2,0.4,0.6,0.8,1.0")),
 }
 
 

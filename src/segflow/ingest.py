@@ -15,7 +15,6 @@ import csv
 import hashlib
 import json
 import logging
-import math
 import os
 import stat
 import tempfile
@@ -345,90 +344,48 @@ def _numbers(cells: Sequence[str]) -> np.ndarray:
     return np.array(_parsed(float, cells)[0], dtype=float)
 
 
-def _blank(cells: Sequence[str]) -> np.ndarray:
-    """Where a cell is empty, which ``_cell`` rejects."""
-    if "" not in cells:
-        return np.zeros(len(cells), dtype=bool)
-    return np.fromiter(map(not_, cells), dtype=bool, count=len(cells))
-
-
 def _first(faults: np.ndarray) -> int:
     """Index of the first True in ``faults``, or its length if none."""
     return int(np.argmax(faults)) if faults.any() else len(faults)
 
 
-def _fail(check: Callable, path, start: int, columns: Mapping[str, Sequence[str]],
-          index: int):
-    """Raise the ValidationError that the per-row ``check`` gives for row
-    ``index`` of the chunk that starts at row ``start``."""
-    line = _line_of(path, start + index)
-    check({name: cells[index] for name, cells in columns.items()}, line, path)
-    raise AssertionError(f"{path}: line {line}: flagged in bulk but passes its row check")
+def _missing(columns: Mapping[str, Sequence[str]], name: str) -> tuple[np.ndarray, str]:
+    cells = columns[name]
+    blank = (np.fromiter(map(not_, cells), dtype=bool, count=len(cells)) if "" in cells
+             else np.zeros(len(cells), dtype=bool))
+    return blank, f"missing field {name!r}"
 
 
-def _cell(row: Mapping[str, str], col: str, lineno: int, path) -> str:
-    value = row.get(col)
-    if value is None or value == "":
-        raise ValidationError(f"{path}: line {lineno}: missing field {col!r}")
-    return value
+def _number_faults(columns: Mapping[str, Sequence[str]], name: str,
+                   values: np.ndarray) -> list[tuple[np.ndarray, str]]:
+    """A numeric column's faults: a blank cell, then a cell whose number in
+    ``values`` (the cells as by ``_numbers``) is NaN or infinite."""
+    return [_missing(columns, name),
+            (~np.isfinite(values), f"{name} is not a finite number: {{{name}!r}}")]
 
 
-def _finite(row: Mapping[str, str], col: str, lineno: int, path) -> float:
-    value = _cell(row, col, lineno, path)
-    try:
-        number = float(value)
-    except ValueError:
-        number = math.nan
-    if not math.isfinite(number):
-        raise ValidationError(f"{path}: line {lineno}: {col} is not a finite number: {value!r}")
-    return number
+def _time_faults(columns: Mapping[str, Sequence[str]],
+                 bad: np.ndarray) -> list[tuple[np.ndarray, str]]:
+    """The timestamp column's faults: a blank cell, then one ``bad`` flags."""
+    return [_missing(columns, "timestamp"), (bad, "bad timestamp {timestamp!r}")]
 
 
-def _parse_ts(value: str, lineno: int, path) -> datetime:
-    try:
-        return datetime.fromisoformat(value)
-    except ValueError as exc:
-        raise ValidationError(f"{path}: line {lineno}: bad timestamp {value!r}") from exc
-
-
-# Per-row checks, in the order a row's faults are reported.  Loaders run
-# them only on the first row that their column checks flag.
-
-def _check_neighborhood(row, lineno: int, path, seen) -> None:
-    nid = _cell(row, "neighborhood_id", lineno, path)
-    if nid in seen:
-        raise ValidationError(f"{path}: duplicate neighborhood_id {nid!r}")
-    _finite(row, "lat", lineno, path)
-    _finite(row, "lon", lineno, path)
-    try:
-        int(_cell(row, "population", lineno, path))
-    except ValueError as exc:
-        raise ValidationError(f"{path}: line {lineno}: {exc}") from exc
-    _finite(row, "ses", lineno, path)
-
-
-def _check_purchase(row, lineno: int, path) -> None:
-    amount = _finite(row, "amount", lineno, path)
-    if amount < 0:
-        raise ValidationError(f"{path}: line {lineno}: negative amount")
-    _cell(row, "customer_id", lineno, path)
-    _cell(row, "store_id", lineno, path)
-    _parse_ts(_cell(row, "timestamp", lineno, path), lineno, path)
-
-
-def _check_mention(row, lineno: int, path) -> None:
-    src = _cell(row, "source_user", lineno, path)
-    if src != _cell(row, "target_user", lineno, path):
-        _parse_ts(_cell(row, "timestamp", lineno, path), lineno, path)
-
-
-def _check_geopost(row, lineno: int, path) -> None:
-    lat = _finite(row, "lat", lineno, path)
-    lon = _finite(row, "lon", lineno, path)
-    if abs(lat) > 90.0 or abs(lon) > 180.0:
-        raise ValidationError(f"{path}: line {lineno}: coordinates out of range")
-    _cell(row, "user_id", lineno, path)
-    _parse_ts(_cell(row, "timestamp", lineno, path), lineno, path)
+def _reject(path, start: int, columns: Mapping[str, Sequence[str]],
+            faults: Sequence[tuple[np.ndarray, str]], accept: Callable[[int], None] | None = None):
+    """Raise a ValidationError for the earliest row of the chunk starting at
+    row ``start`` that a (mask, message) fault flags, if any does, with the
+    message of the first fault that flags it, formatted with the row's cells
+    by column name.  ``accept`` first gets the number of rows before that
+    one (all rows if none is flagged); a ValidationError it raises wins."""
+    flagged = np.array([mask for mask, _ in faults])
+    row = _first(flagged.any(axis=0))
+    if accept:
+        accept(row)
+    if row < flagged.shape[1]:
+        message = faults[int(np.argmax(flagged[:, row]))][1]
+        cells = {name: column[row] for name, column in columns.items()}
+        raise ValidationError(f"{path}: line {_line_of(path, start + row)}: "
+                              f"{message.format_map(cells)}")
 
 
 def load_neighborhoods(path) -> NeighborhoodTable:
@@ -436,20 +393,19 @@ def load_neighborhoods(path) -> NeighborhoodTable:
     index = _interner()
     lats, lons, pops, ses = [], [], [], []
     for start, cols in _read_chunks(path, NEIGHBORHOOD_COLUMNS):
-        nids = cols["neighborhood_id"]
         before = len(index)
-        codes = _codes(index, nids)
-        repeated = np.ones(len(nids), dtype=bool)
+        codes = _codes(index, cols["neighborhood_id"])
+        repeated = np.ones(len(codes), dtype=bool)
         first = np.unique(codes, return_index=True)[1]
         repeated[first] = codes[first] < before
         lat, lon, s = (_numbers(cols[c]) for c in ("lat", "lon", "ses"))
         pop, bad_pop = _parsed(int, cols["population"])
-        faults = (_blank(nids) | repeated | ~np.isfinite(lat)
-                  | ~np.isfinite(lon) | bad_pop | ~np.isfinite(s))
-        if faults.any():
-            i = _first(faults)
-            seen = {*islice(index, before), *nids[:i]}
-            _fail(partial(_check_neighborhood, seen=seen), path, start, cols, i)
+        _reject(path, start, cols, [
+            _missing(cols, "neighborhood_id"),
+            (repeated, "duplicate neighborhood_id {neighborhood_id!r}"),
+            *_number_faults(cols, "lat", lat), *_number_faults(cols, "lon", lon),
+            _missing(cols, "population"), (bad_pop, "population is not an integer: {population!r}"),
+            *_number_faults(cols, "ses", s)])
         lats.append(lat)
         lons.append(lon)
         pops += pop
@@ -563,13 +519,15 @@ def _parse_purchases(path) -> PurchaseLog:
                                     ("customer_home", "store_neighborhood")):
         amount = _numbers(cols["amount"])
         _, bad_time = _parsed(datetime.fromisoformat, cols["timestamp"])
-        faults = (~np.isfinite(amount) | (amount < 0) | _blank(cols["customer_id"])
-                  | _blank(cols["store_id"]) | bad_time)
-        stop = _first(faults)
-        builder.add(cols["customer_id"][:stop], cols["store_id"][:stop], amount[:stop],
-                    cols["customer_home"][:stop], cols["store_neighborhood"][:stop])
-        if stop < len(faults):
-            _fail(_check_purchase, path, start, cols, stop)
+        # rows before the first fault are interned first: a second place
+        # for a customer or store on an earlier row is named instead
+        _reject(path, start, cols, [
+            *_number_faults(cols, "amount", amount), (amount < 0, "negative amount"),
+            _missing(cols, "customer_id"), _missing(cols, "store_id"),
+            *_time_faults(cols, bad_time)],
+            lambda stop: builder.add(
+                cols["customer_id"][:stop], cols["store_id"][:stop], amount[:stop],
+                cols["customer_home"][:stop], cols["store_neighborhood"][:stop]))
     return builder.log()
 
 
@@ -583,12 +541,13 @@ def load_mentions(path) -> MentionLog:
         for start, cols in _read_chunks(path, MENTION_COLUMNS):
             src, dst = cols["source_user"], cols["target_user"]
             other = np.fromiter(map(ne, src, dst), dtype=bool, count=len(src))
-            _, bad_time = _parsed(datetime.fromisoformat,
-                                  tuple(compress(cols["timestamp"], other)))
-            faults = _blank(src) | _blank(dst)
-            faults[other] |= bad_time
-            if faults.any():
-                _fail(_check_mention, path, start, cols, _first(faults))
+            bad_time = np.zeros(len(src), dtype=bool)
+            bad_time[other] = _parsed(datetime.fromisoformat,
+                                      tuple(compress(cols["timestamp"], other)))[1]
+            # a self-mention's timestamp goes unchecked
+            _reject(path, start, cols, [
+                _missing(cols, "source_user"), _missing(cols, "target_user"),
+                *((mask & other, message) for mask, message in _time_faults(cols, bad_time))])
             rows += len(src)
             yield compress(zip(src, dst), other)
 
@@ -604,10 +563,10 @@ def load_geoposts(path) -> GeoPostLog:
         for start, cols in _read_chunks(path, GEOPOST_COLUMNS):
             lat, lon = _numbers(cols["lat"]), _numbers(cols["lon"])
             times, bad_time = _parsed(datetime.fromisoformat, cols["timestamp"])
-            faults = (~np.isfinite(lat) | ~np.isfinite(lon) | (np.abs(lat) > 90.0)
-                      | (np.abs(lon) > 180.0) | _blank(cols["user_id"]) | bad_time)
-            if faults.any():
-                _fail(_check_geopost, path, start, cols, _first(faults))
+            _reject(path, start, cols, [
+                *_number_faults(cols, "lat", lat), *_number_faults(cols, "lon", lon),
+                ((np.abs(lat) > 90.0) | (np.abs(lon) > 180.0), "coordinates out of range"),
+                _missing(cols, "user_id"), *_time_faults(cols, bad_time)])
             yield zip(cols["user_id"], lat.tolist(), lon.tolist(), map(attrgetter("hour"), times))
 
     return GeoPostLog.from_rows(chain.from_iterable(chunks()))

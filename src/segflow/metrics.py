@@ -28,8 +28,8 @@ def individual_diversity(counts) -> float:
     else:
         values = list(counts)
     c = np.asarray(values, dtype=float)
-    if c.size == 0 or np.any(c < 0):
-        raise ValueError("counts must be non-negative and non-empty")
+    if c.size == 0 or not np.all(np.isfinite(c) & (c >= 0)):
+        raise ValueError("counts must be finite, non-negative and non-empty")
     total = c.sum()
     if total <= 0:
         raise ValueError("empty activity")
@@ -111,12 +111,14 @@ def pearson(x, y, weights=None) -> float:
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.size < 2:
         raise ValueError("x and y must have equal length >= 2")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("x and y must be finite")
     if weights is None:
         w = np.ones_like(x)
     else:
         w = np.asarray(weights, dtype=float)
-        if w.shape != x.shape or np.any(w < 0) or w.sum() <= 0:
-            raise ValueError("weights must be non-negative with positive total")
+        if w.shape != x.shape or not np.all(np.isfinite(w) & (w >= 0)) or w.sum() <= 0:
+            raise ValueError("weights must be finite and non-negative with positive total")
     w = w / w.sum()
     mx = float(w @ x)
     my = float(w @ y)

@@ -73,7 +73,10 @@ class MixingMatrix:
 
     @classmethod
     def from_flows(cls, M: np.ndarray, channel: str = "purchase") -> "MixingMatrix":
-        """Stochastic and normalized views of a k x k group flow matrix."""
+        """Stochastic and normalized views of a k x k group flow matrix.
+        Non-finite flows are a plain ValueError, which no replicate loop skips."""
+        if not np.isfinite(M).all():
+            raise ValueError("group flows must be finite")
         total = M.sum()
         if total <= 0:
             raise DegenerateMatrixError("no interaction mass")

@@ -158,8 +158,8 @@ def gini(values) -> float:
     (n-1)/n the maximum for a single concentrated value.
     """
     v = np.asarray(values, dtype=float)
-    if v.size == 0 or np.any(v < 0):
-        raise ValueError("values must be non-negative and non-empty")
+    if v.size == 0 or not np.all(np.isfinite(v) & (v >= 0)):
+        raise ValueError("values must be finite, non-negative and non-empty")
     total = v.sum()
     if total <= 0:
         raise ValueError("all-zero distribution")

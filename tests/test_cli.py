@@ -219,6 +219,30 @@ class TestConfigResolution:
         with pytest.raises(Exception):
             read_config_file(config)
 
+    @pytest.mark.parametrize("text, line, key", [
+        ("seed = 9\nreplicate = 3\n", 2, "replicate"),   # misspelt: would run 100
+        ("# where to write\nout = elsewhere\n", 2, "out"),  # a file cannot set --out
+    ])
+    def test_unknown_key_rejected(self, city_dir, tmp_path, capsys, text, line, key):
+        config = tmp_path / "run.cfg"
+        config.write_text(text)
+        out = tmp_path / "null"
+        assert main(["null", "--data", str(city_dir), "--out", str(out),
+                     "--config", str(config)]) == 1
+        assert f"{config}: line {line}: unknown key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_other_commands_keys_allowed(self, city_dir, tmp_path):
+        # one file can serve a whole pipeline; null reads only its own keys
+        config = tmp_path / "pipeline.cfg"
+        config.write_text("replicates = 4\neps-step = 0.05\nfractions = 0.5,1.0\n")
+        out = tmp_path / "null"
+        assert main(["null", "--data", str(city_dir), "--out", str(out),
+                     "--config", str(config)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["replicates"] == 4
+        assert not {"eps_step", "fractions"} & manifest["config"].keys()
+
     def test_config_file_is_closed(self, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text("replicates = 6\n")
@@ -312,6 +336,18 @@ class TestBadParameters:
         assert code == 1
         assert "replicates must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "rep" / "report.csv").exists()
+
+    def test_gini_report_has_no_night_window(self, city_dir, tmp_path, capsys):
+        # it reads no geoposts, so a night window would be recorded but unused
+        out = tmp_path / "rep"
+        assert main(["gini-report", "--data", str(city_dir), "--out", str(out),
+                     "--night-start", "25", "--night-end", "30"]) == 1
+        assert "unrecognized arguments: --night-start 25" in capsys.readouterr().err
+        assert main(["gini-report", "--data", str(city_dir), "--out", str(out),
+                     "--replicates", "2"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(manifest["config"]) == ["data", "fractions", "k", "min_tx", "replicates",
+                                              "seed", "ses_descending"]
 
     @pytest.mark.parametrize("command, start, end", [
         ("ingest", "25", "30"), ("network", "5", "5"), ("diversity", "-1", "6"),

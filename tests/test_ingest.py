@@ -38,7 +38,8 @@ class TestLoadNeighborhoods:
         path = write(tmp_path, "n.csv",
                      "neighborhood_id,lat,lon,population,ses\n"
                      "N1,40.0,-3.0,500,20\nN1,40.1,-3.1,600,30\n")
-        with pytest.raises(ValidationError, match="N1"):
+        with pytest.raises(ValidationError,
+                           match=r"n\.csv: line 3: duplicate neighborhood_id 'N1'$"):
             load_neighborhoods(path)
 
     def test_empty_file(self, tmp_path):
@@ -50,7 +51,8 @@ class TestLoadNeighborhoods:
         path = write(tmp_path, "n.csv",
                      "neighborhood_id,lat,lon,population,ses\n"
                      "N1,40.0,-3.0,500,20\nN2,40.1,-3.1,,30\n")
-        with pytest.raises(ValidationError, match="line 3"):
+        with pytest.raises(ValidationError,
+                           match=r"^[^:]*n\.csv: line 3: missing field 'population'$"):
             load_neighborhoods(path)
 
     def test_missing_column(self, tmp_path):
@@ -101,12 +103,18 @@ class TestLoadPurchases:
             load_purchases(path)
 
 
-# (column, bad value) pairs; "place" columns get a second neighborhood for
-# a customer or store that an earlier row already placed
-CORRUPTIONS = [("amount", v) for v in ("abc", "nan", "inf", "-inf", "-1.5", "")] + [
-    ("timestamp", v) for v in ("notatime", "2013-13-01T10:00:00", "")] + [
-    ("customer_id", ""), ("store_id", ""), ("customer_home", "N2"),
-    ("store_neighborhood", "N2")]
+# (column, bad value, message) triples; "place" columns get a second
+# neighborhood for a customer or store that an earlier row already placed,
+# and their messages are format strings over the cells of the first row
+CORRUPTIONS = [("amount", v, f"amount is not a finite number: {v!r}")
+               for v in ("abc", "nan", "inf", "-inf")] + [
+    ("amount", "-1.5", "negative amount"), ("amount", "", "missing field 'amount'")] + [
+    ("timestamp", v, f"bad timestamp {v!r}") for v in ("notatime", "2013-13-01T10:00:00")] + [
+    ("timestamp", "", "missing field 'timestamp'"),
+    ("customer_id", "", "missing field 'customer_id'"),
+    ("store_id", "", "missing field 'store_id'"),
+    ("customer_home", "N2", "customer {0!r} is placed in 'N2', but an earlier row names {4!r}"),
+    ("store_neighborhood", "N2", "store {1!r} is placed in 'N2', but an earlier row names {5!r}")]
 PURCHASE_HEADER = ["customer_id", "store_id", "timestamp", "amount", "customer_home",
                    "store_neighborhood"]
 
@@ -137,12 +145,14 @@ def csv_text(header, table, blank_after=()):
     return "\n".join(lines) + "\n"
 
 
-def assert_line_named(load, city, name, text, line):
+def assert_line_named(load, city, name, text, line, message=None):
     """``load`` of ``city/name`` holding ``text`` raises a ValidationError
-    that starts with the path and ``line``, and the CLI exits 1."""
+    that starts with the path and ``line`` (and is then ``message``, if
+    given), and the CLI exits 1."""
     path = city / name
     path.write_text(text)
-    with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: line {line}: "):
+    tail = "" if message is None else re.escape(message) + "$"
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: line {line}: {tail}"):
         load(path)
     assert main(["ingest", "--data", str(city), "--out", str(city / "out")]) == 1
 
@@ -159,24 +169,27 @@ def physical_line(bad, blank_after):
 def test_fuzz_corrupt_purchase_cell(rows, data, corruption):
     """One bad cell in a valid purchases.csv: a ValidationError naming the
     file and line, and exit code 1 from the CLI."""
+    column, value, message = corruption
     bad = data.draw(st.integers(1, len(rows) - 1), label="corrupted row")
     blank = data.draw(st.sets(st.integers(0, len(rows) - 1)), label="blank line after rows")
     with tempfile.TemporaryDirectory() as tmp:
         city = Path(tmp)
         (city / "neighborhoods.csv").write_text(NEIGHBORHOODS_CSV)
-        table = corrupt_purchases(rows, {bad: corruption})
+        table = corrupt_purchases(rows, {bad: (column, value)})
         assert_line_named(load_purchases, city, "purchases.csv",
-                          csv_text(PURCHASE_HEADER, table, blank), physical_line(bad, blank))
+                          csv_text(PURCHASE_HEADER, table, blank), physical_line(bad, blank),
+                          message.format(*table[0]))
 
 
 @pytest.mark.parametrize("corruption", CORRUPTIONS)
 def test_corrupt_purchase_cell_after_first_chunk(tmp_path, corruption):
+    column, value, message = corruption
     rows = [(i % 40, i % 30, 12.5) for i in range(2 * CHUNK_ROWS)]
     bad = CHUNK_ROWS + 300
     (tmp_path / "neighborhoods.csv").write_text(NEIGHBORHOODS_CSV)
+    table = corrupt_purchases(rows, {bad: (column, value)})
     assert_line_named(load_purchases, tmp_path, "purchases.csv",
-                      csv_text(PURCHASE_HEADER, corrupt_purchases(rows, {bad: corruption}), {5}),
-                      bad + 3)
+                      csv_text(PURCHASE_HEADER, table, {5}), bad + 3, message.format(*table[0]))
 
 
 @pytest.mark.parametrize("faults, named", [
@@ -192,23 +205,35 @@ def test_earliest_of_several_faults_is_named(tmp_path, faults, named):
                       csv_text(PURCHASE_HEADER, corrupt_purchases(rows, faults)), named + 2)
 
 
-# For each other loader: header, a valid row i, and (column, bad value)
-# faults that name a line.  Mention rows are never self-mentions, whose
-# timestamps go unchecked.
+# For each other loader: header, a valid row i, and (column, bad value,
+# message) faults that name a line.  Mention rows are never self-mentions,
+# whose timestamps go unchecked.
 LOADER_FAULTS = {
     "mentions.csv": (load_mentions, list(MENTION_COLUMNS),
                      lambda i: [f"U{i}", f"V{i}", "2013-05-01T10:00:00"],
-                     [("source_user", ""), ("target_user", ""), ("timestamp", "notatime"),
-                      ("timestamp", "")]),
+                     [("source_user", "", "missing field 'source_user'"),
+                      ("target_user", "", "missing field 'target_user'"),
+                      ("timestamp", "notatime", "bad timestamp 'notatime'"),
+                      ("timestamp", "", "missing field 'timestamp'")]),
     "geoposts.csv": (load_geoposts, list(GEOPOST_COLUMNS),
                      lambda i: [f"U{i}", "40.05", "-2.95", "2013-05-01T22:00:00"],
-                     [("user_id", ""), ("lat", "91"), ("lon", "-180.5"), ("lat", "nan"),
-                      ("lon", "abc"), ("lat", ""), ("timestamp", "2013-02-30T00:00:00")]),
+                     [("user_id", "", "missing field 'user_id'"),
+                      ("lat", "91", "coordinates out of range"),
+                      ("lon", "-180.5", "coordinates out of range"),
+                      ("lat", "nan", "lat is not a finite number: 'nan'"),
+                      ("lon", "abc", "lon is not a finite number: 'abc'"),
+                      ("lat", "", "missing field 'lat'"),
+                      ("timestamp", "2013-02-30T00:00:00",
+                       "bad timestamp '2013-02-30T00:00:00'")]),
     "neighborhoods.csv": (load_neighborhoods, list(NEIGHBORHOOD_COLUMNS),
                           lambda i: [f"N{i}", "40.0", "-3.0", "500", str(i)],
-                          [("neighborhood_id", ""), ("lat", "inf"), ("lon", "abc"),
-                           ("lon", ""), ("population", "1.5"), ("population", ""),
-                           ("ses", "nan")]),
+                          [("neighborhood_id", "", "missing field 'neighborhood_id'"),
+                           ("lat", "inf", "lat is not a finite number: 'inf'"),
+                           ("lon", "abc", "lon is not a finite number: 'abc'"),
+                           ("lon", "", "missing field 'lon'"),
+                           ("population", "1.5", "population is not an integer: '1.5'"),
+                           ("population", "", "missing field 'population'"),
+                           ("ses", "nan", "ses is not a finite number: 'nan'")]),
 }
 
 
@@ -218,7 +243,7 @@ def test_fuzz_corrupt_cell_of_other_loaders(name, n, data):
     """One bad cell in a valid mentions, geoposts or neighborhoods file: a
     ValidationError naming the file and physical line, and CLI exit 1."""
     load, header, row, faults = LOADER_FAULTS[name]
-    column, value = data.draw(st.sampled_from(faults), label="fault")
+    column, value, message = data.draw(st.sampled_from(faults), label="fault")
     bad = data.draw(st.integers(0, n - 1), label="corrupted row")
     blank = data.draw(st.sets(st.integers(0, n - 1)), label="blank line after rows")
     table = [row(i) for i in range(n)]
@@ -228,7 +253,52 @@ def test_fuzz_corrupt_cell_of_other_loaders(name, n, data):
         (city / "neighborhoods.csv").write_text(NEIGHBORHOODS_CSV)
         (city / "geometry.json").write_text('{"N0": [[[-3,40],[-2,40],[-2,41],[-3,41],[-3,40]]]}')
         assert_line_named(load, city, name, csv_text(header, table, blank),
-                          physical_line(bad, blank))
+                          physical_line(bad, blank), message)
+
+
+# Header and a valid row i of every CSV loader.
+ROWS = {"purchases.csv": (load_purchases, PURCHASE_HEADER,
+                          lambda i: [f"C{i}", f"S{i}", "2013-05-01T10:00:00", "1.0", "N0", "N0"]),
+        **{name: spec[:3] for name, spec in LOADER_FAULTS.items()}}
+
+
+@pytest.mark.parametrize("name, cells, message", [
+    ("purchases.csv", {"customer_id": "", "store_id": ""}, "missing field 'customer_id'"),
+    ("purchases.csv", {"amount": "-1", "customer_id": ""}, "negative amount"),
+    ("purchases.csv", {"store_id": "", "timestamp": "x"}, "missing field 'store_id'"),
+    ("mentions.csv", {"target_user": "", "timestamp": "x"}, "missing field 'target_user'"),
+    ("geoposts.csv", {"lat": "91", "lon": "abc"}, "lon is not a finite number: 'abc'"),
+    ("geoposts.csv", {"lon": "181", "user_id": ""}, "coordinates out of range"),
+    ("neighborhoods.csv", {"neighborhood_id": "N0", "lat": "inf"},
+     "duplicate neighborhood_id 'N0'"),
+    ("neighborhoods.csv", {"population": "1.5", "lon": ""}, "missing field 'lon'"),
+    ("neighborhoods.csv", {"ses": "nan", "population": "x"},
+     "population is not an integer: 'x'"),
+])
+def test_first_rule_a_row_breaks_is_named(tmp_path, name, cells, message):
+    load, header, row = ROWS[name]
+    table = [row(i) for i in range(3)]
+    for column, value in cells.items():
+        table[1][header.index(column)] = value
+    (tmp_path / "neighborhoods.csv").write_text(NEIGHBORHOODS_CSV)
+    (tmp_path / "geometry.json").write_text('{"N0": [[[-3,40],[-2,40],[-2,41],[-3,41],[-3,40]]]}')
+    assert_line_named(load, tmp_path, name, csv_text(header, table), 3, message)
+
+
+def test_self_mention_timestamp_unchecked(tmp_path):
+    path = write(tmp_path, "m.csv", "source_user,target_user,timestamp\n"
+                 "U1,U1,\nU2,U2,notatime\nU1,U2,2013-05-01T10:00:00\n")
+    mentions = load_mentions(path)
+    assert mentions.user_ids == ["U1", "U2"] and len(mentions) == 1
+
+
+@pytest.mark.parametrize("bad", [3, CHUNK_ROWS + 300])
+def test_duplicate_neighborhood_names_line(tmp_path, bad):
+    table = [[f"N{i}", "40.0", "-3.0", "500", "1"] for i in range(2 * CHUNK_ROWS)]
+    table[bad][0] = "N1"
+    assert_line_named(load_neighborhoods, tmp_path, "neighborhoods.csv",
+                      csv_text(list(NEIGHBORHOOD_COLUMNS), table, {5}),
+                      physical_line(bad, {5}), "duplicate neighborhood_id 'N1'")
 
 
 class TestFilterActiveCustomers:

@@ -37,6 +37,11 @@ class TestIndividualDiversity:
         with pytest.raises(ValueError):
             individual_diversity({})
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_count_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            individual_diversity({"A": 3, "B": bad})
+
     @given(counts_strategy)
     def test_permutation_invariant(self, counts):
         shuffled = list(reversed(counts))
@@ -158,6 +163,14 @@ class TestPearson:
     def test_zero_variance_errors(self):
         with pytest.raises(ValueError, match="degenerate"):
             pearson([1, 1, 1], [1, 2, 3])
+
+    @pytest.mark.parametrize("x, y, w", [
+        ([1, 2, np.nan], [1, 2, 3], None), ([1, 2, 3], [1, np.inf, 3], None),
+        ([1, 2, 3], [1, 2, 4], [1, np.nan, 1])])
+    def test_non_finite_rejected(self, x, y, w):
+        # min(1, max(-1, nan)) would clip the NaN to -1.0
+        with pytest.raises(ValueError, match="finite"):
+            pearson(x, y, w)
 
     def test_length_validation(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import pytest
 from segflow.ingest import NeighborhoodTable
 from segflow.network import (InteractionNetwork, build_purchase_network,
                              centroid_distances, population_weight)
-from segflow.segregation import (DegenerateMatrixError, assign_groups,
+from segflow.segregation import (DegenerateMatrixError, MixingMatrix, assign_groups,
                                  assortativity, asymmetry_bias,
                                  asymmetry_sweep, distance_sweep,
                                  extremes_sweep, mixing_from_matrix,
@@ -124,6 +124,14 @@ class TestMixingMatrix:
     def test_zero_network_errors(self, table4):
         with pytest.raises(DegenerateMatrixError, match="no interaction mass"):
             mixing_matrix(weighted_net(np.zeros((4, 4)), table4), assign_groups(table4, k=2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_flow_rejected(self, bad):
+        # a plain ValueError: replicate loops skip only DegenerateMatrixError
+        M = np.array([[3.0, 1.0], [1.0, bad]])
+        with pytest.raises(ValueError, match="finite") as info:
+            assortativity(MixingMatrix.from_flows(M))
+        assert not isinstance(info.value, DegenerateMatrixError)
 
     def test_zero_row_flagged_not_normalized(self):
         table = make_table(2)

@@ -61,6 +61,12 @@ class TestGini:
         with pytest.raises(ValueError):
             gini([])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite") as info:
+            gini([1.0, bad, 2.0])
+        assert not isinstance(info.value, DegenerateMatrixError)
+
 
 def dense_weighted_net(n=30, seed=2):
     rng = np.random.default_rng(seed)
