@@ -18,7 +18,7 @@ print("=== build and weight the purchase network ===")
 net = build_purchase_network(events, city.table)
 print(f"{net.n} nodes, {int((net.W > 0).sum())} nonzero flows, "
       f"{net.dropped_events} events dropped")
-weighted = population_weight(net, city.table)
+weighted = population_weight(net)
 print(f"raw total {net.total_weight():.0f} -> weighted total "
       f"{weighted.total_weight():.0f}")
 

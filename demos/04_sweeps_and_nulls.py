@@ -15,7 +15,7 @@ from segflow import (assign_groups, assortativity, asymmetry_sweep,
 
 city = synth.generate_city(synth.preset("homophilous", seed=7))
 events = filter_active_customers(city.purchases, 10)
-weighted = population_weight(build_purchase_network(events, city.table), city.table)
+weighted = population_weight(build_purchase_network(events, city.table))
 groups = assign_groups(city.table, k=10)
 
 print("=== extremes sweep: percent of neighborhoods considered vs r ===")
@@ -39,7 +39,7 @@ for step in asymmetry_sweep(weighted, groups):
 print()
 print("=== baselines ===")
 r = assortativity(mixing_matrix(weighted, groups))
-null = null_shuffle_ses(weighted, city.table, replicates=200, seed=1)
+null = null_shuffle_ses(weighted, groups, replicates=200, seed=1)
 jack = jackknife_assortativity(weighted, groups, replicates=100, seed=1)
 print(f"empirical r = {r:.3f}")
 print(f"SES-shuffle null: mean {null.r_mean:+.4f}, std {null.r_std:.4f} "

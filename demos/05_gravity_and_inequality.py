@@ -7,7 +7,7 @@ each network with the GINI inequality of neighborhood sales revenue.
 """
 import numpy as np
 
-from segflow import (build_purchase_network, centroid_distances,
+from segflow import (assign_groups, build_purchase_network, centroid_distances,
                      filter_active_customers, fit_gravity,
                      segregation_inequality_report, synth)
 
@@ -26,7 +26,8 @@ print(f"weighted R^2 = {fit.r2_weighted:.3f} on {fit.n_pairs} positive pairs")
 
 print()
 print("=== segregation vs revenue inequality ===")
-rows = segregation_inequality_report(events, city.table, gravity_params=fit,
+groups = assign_groups(city.table, k=10)
+rows = segregation_inequality_report(events, city.table, groups, gravity_params=fit,
                                      replicates=25, seed=3,
                                      jackknife_replicates=25)
 print(f"{'network':<16} {'fraction':>8} {'r':>8} {'gini':>8} {'total':>12}")

@@ -11,6 +11,7 @@ the level named by SEGFLOW_LOG (default WARNING).
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import logging
 import os
@@ -143,7 +144,7 @@ def _both_networks(cfg: dict):
     raws = [network.build_purchase_network(purchases, table)] if purchases else []
     if mentions and homes:
         raws.append(network.build_mention_network(mentions, homes, table))
-    out = [(raw.channel, raw, network.population_weight(raw, table))
+    out = [(raw.channel, raw, network.population_weight(raw))
            for raw in raws if raw.W.any()]
     if not out:
         raise ValidationError("no usable event data found in the data directory")
@@ -175,10 +176,10 @@ def cmd_ingest(cfg, out: Path) -> list[str]:
     table.write_csv(out / "neighborhoods.csv")
     outputs = ["neighborhoods.csv"]
     if "geoposts" in report:
-        with open(out / "homes.csv", "w") as fh:
-            fh.write("user_id,neighborhood_id\n")
-            for user in sorted(homes):
-                fh.write(f"{user},{homes[user]}\n")
+        with open(out / "homes.csv", "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["user_id", "neighborhood_id"])
+            writer.writerows(sorted(homes.items()))
         outputs.append("homes.csv")
     with open(out / "ingest_report.json", "w") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
@@ -187,16 +188,21 @@ def cmd_ingest(cfg, out: Path) -> list[str]:
     return outputs
 
 
+def _placed(pairs, table) -> dict:
+    """The (person, home) pairs whose home is in the table, as a dict."""
+    return {person: home for person, home in pairs if home in table.index}
+
+
 def cmd_diversity(cfg, out: Path) -> list[str]:
     table, purchases, _ = _load_purchases(cfg)
     mentions, homes, _ = _mentions(cfg)
     results = []
     if purchases:
-        customer_homes = {c: h for c, h in zip(purchases.customer_ids, purchases.home)
-                          if h in table.index}
+        customer_homes = _placed(zip(purchases.customer_ids, purchases.home), table)
         if customer_homes:
             results.append(metrics.neighborhood_diversity(
                 metrics.purchase_profiles(purchases), customer_homes, "purchase", table))
+    homes = _placed(homes.items(), table)
     if mentions and homes:
         results.append(metrics.neighborhood_diversity(
             metrics.mention_profiles(mentions), homes, "mention", table))
@@ -232,6 +238,8 @@ def cmd_mixing(cfg, out: Path) -> list[str]:
 
 
 def cmd_sweep(cfg, out: Path) -> list[str]:
+    if cfg["jackknife_replicates"] < 0:  # 0 means no intervals
+        raise ValueError(f"jackknife_replicates must be >= 0, got {cfg['jackknife_replicates']}")
     table, nets = _both_networks(cfg)
     groups = _groups(table, cfg)
     dist = network.centroid_distances(table)
@@ -289,11 +297,10 @@ def cmd_gravity(cfg, out: Path) -> list[str]:
 
 def cmd_null(cfg, out: Path) -> list[str]:
     table, nets = _both_networks(cfg)
+    groups = _groups(table, cfg)
     outputs = []
     for channel, _, weighted in nets:
-        dist = models.null_shuffle_ses(
-            weighted, table, replicates=cfg["replicates"], seed=cfg["seed"],
-            k=cfg["k"], ses_ascending=not cfg["ses_descending"])
+        dist = models.null_shuffle_ses(weighted, groups, cfg["replicates"], cfg["seed"])
         name = f"null_{channel}.csv"
         with open(out / name, "w") as fh:
             fh.write("replicate,statistic,value\n")
@@ -331,7 +338,7 @@ def cmd_gini_report(cfg, out: Path) -> list[str]:
         raise ValidationError("the inequality report needs purchase events")
     fractions = tuple(float(f) for f in cfg["fractions"].split(","))
     rows = stats.segregation_inequality_report(
-        purchases, table, k=cfg["k"], ses_ascending=not cfg["ses_descending"],
+        purchases, table, _groups(table, cfg),
         fractions=fractions, replicates=cfg["replicates"], seed=cfg["seed"])
     stats.write_report_csv(rows, out / "report.csv")
     stats.write_report_details(rows, out / "report_details.json")

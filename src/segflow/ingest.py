@@ -404,7 +404,9 @@ def load_neighborhoods(path) -> NeighborhoodTable:
             _missing(cols, "neighborhood_id"),
             (repeated, "duplicate neighborhood_id {neighborhood_id!r}"),
             *_number_faults(cols, "lat", lat), *_number_faults(cols, "lon", lon),
+            ((np.abs(lat) > 90) | (np.abs(lon) > 180), "centroid out of range: {lat}, {lon}"),
             _missing(cols, "population"), (bad_pop, "population is not an integer: {population!r}"),
+            (np.array(pop, dtype=float) < 0, "population must be non-negative: {population}"),
             *_number_faults(cols, "ses", s)])
         lats.append(lat)
         lons.append(lon)
@@ -412,6 +414,8 @@ def load_neighborhoods(path) -> NeighborhoodTable:
         ses.append(s)
     if not index:
         raise ValidationError(f"{path}: no neighborhoods")
+    if max(pops) <= 0:
+        raise ValidationError(f"{path}: at least one neighborhood needs population > 0")
     table = NeighborhoodTable(list(index), np.concatenate(lats), np.concatenate(lons),
                               np.array(pops), np.concatenate(ses))
     log.info("loaded %d neighborhoods from %s", table.n, path)

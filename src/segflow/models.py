@@ -17,8 +17,7 @@ import numpy as np
 from .ingest import NeighborhoodTable, PurchaseLog
 from .network import InteractionNetwork
 from .segregation import (DegenerateMatrixError, GroupAssignment, MixingMatrix,
-                          assign_groups, asymmetry_bias, assortativity,
-                          group_flows)
+                          asymmetry_bias, assortativity, group_flows)
 
 DEFAULT_EPS_GRID = np.round(np.arange(0.0, 2.0 + 1e-9, 0.01), 10)
 
@@ -174,7 +173,6 @@ class NullDistribution:
 
     r_values: np.ndarray
     bias_values: np.ndarray
-    seed: int
     discarded: int = 0
 
     @property
@@ -196,14 +194,11 @@ class NullDistribution:
 
 def null_shuffle_ses(
     net: InteractionNetwork,
-    table: NeighborhoodTable,
+    groups: GroupAssignment,
     replicates: int = 100,
     seed: int = 0,
-    k: int = 10,
-    ses_ascending: bool = True,
-    groups: GroupAssignment | None = None,
 ) -> NullDistribution:
-    """Recompute r and bias after randomly permuting neighborhood status.
+    """Recompute r and bias after randomly permuting the status groups.
 
     Edge weights stay exactly as observed; only the node attribute moves.
     Replicate i draws its permutation from a stream derived from (seed, i),
@@ -211,8 +206,6 @@ def null_shuffle_ses(
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
-    if groups is None:
-        groups = assign_groups(table, k=k, ses_ascending=ses_ascending)
     if net.nodes != groups.nodes:
         raise ValueError("network and group assignment cover different node sets")
     o, d = np.nonzero(net.W)
@@ -222,7 +215,7 @@ def null_shuffle_ses(
         rng = np.random.default_rng((seed, rep))
         labels = groups.labels[rng.permutation(net.n)]
         try:
-            mix = MixingMatrix.from_flows(group_flows(o, d, w, labels, groups.k), net.channel)
+            mix = MixingMatrix.from_flows(group_flows(o, d, w, labels, groups.k))
             r_vals.append(assortativity(mix))
             bias_vals.append(asymmetry_bias(mix))
         except DegenerateMatrixError:
@@ -230,7 +223,7 @@ def null_shuffle_ses(
     if not r_vals:
         raise ValueError("every null replicate was degenerate")
     return NullDistribution(r_values=np.array(r_vals), bias_values=np.array(bias_vals),
-                            seed=seed, discarded=replicates - len(r_vals))
+                            discarded=replicates - len(r_vals))
 
 
 @dataclass

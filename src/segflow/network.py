@@ -83,12 +83,8 @@ def build_mention_network(
     )
 
 
-def population_weight(
-    net: InteractionNetwork,
-    table: NeighborhoodTable | None = None,
-    user_counts: np.ndarray | None = None,
-) -> InteractionNetwork:
-    """Rescale flows by census population over sampled-user counts.
+def population_weight(net: InteractionNetwork) -> InteractionNetwork:
+    """Rescale flows by the network's census population over its sampled-user counts.
 
     Purchase flows from i are divided by m_i/p_i; mention flows from i to j
     are divided by (m_i*m_j)/(p_i*p_j).  A neighborhood with zero sampled
@@ -97,12 +93,9 @@ def population_weight(
     """
     if net.weighting != "raw":
         raise ValueError("network is already population-weighted")
-    m = user_counts if user_counts is not None else net.user_counts
-    p = table.population if table is not None else net.population
+    m, p = net.user_counts, net.population
     if m is None or p is None:
         raise ValueError("population weighting needs user counts and population")
-    m = np.asarray(m, dtype=float)
-    p = np.asarray(p, dtype=float)
     if np.any((p == 0) & (m > 0)):
         raise ValueError("inconsistent census: zero population with sampled users")
     W = net.W

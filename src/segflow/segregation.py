@@ -64,7 +64,6 @@ class MixingMatrix:
     S: np.ndarray
     e: np.ndarray
     group_values: np.ndarray
-    channel: str
     zero_rows: list[int] = field(default_factory=list)
 
     @property
@@ -72,7 +71,7 @@ class MixingMatrix:
         return self.M.shape[0]
 
     @classmethod
-    def from_flows(cls, M: np.ndarray, channel: str = "purchase") -> "MixingMatrix":
+    def from_flows(cls, M: np.ndarray) -> "MixingMatrix":
         """Stochastic and normalized views of a k x k group flow matrix.
         Non-finite flows are a plain ValueError, which no replicate loop skips."""
         if not np.isfinite(M).all():
@@ -85,7 +84,7 @@ class MixingMatrix:
         zero_rows = [int(i) for i in np.nonzero(row_sums[:, 0] == 0)[0]]
         return cls(M=M, S=S, e=M / total,
                    group_values=np.arange(1, M.shape[0] + 1, dtype=float),
-                   channel=channel, zero_rows=zero_rows)
+                   zero_rows=zero_rows)
 
 
 def group_cells(o: np.ndarray, d: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
@@ -99,33 +98,33 @@ def group_flows(o: np.ndarray, d: np.ndarray, w: np.ndarray | None,
     return np.bincount(group_cells(o, d, labels, k), weights=w, minlength=k * k).reshape(k, k)
 
 
-def mixing_from_matrix(W: np.ndarray, groups: GroupAssignment, channel: str = "purchase") -> MixingMatrix:
-    """Aggregate an n x n weight matrix into group space."""
+def mixing_from_matrix(W: np.ndarray, groups: GroupAssignment) -> MixingMatrix:
+    """Aggregate an n x n weight matrix, raw or weighted, into group space."""
     o, d = np.nonzero(W)
-    return MixingMatrix.from_flows(group_flows(o, d, W[o, d], groups.labels, groups.k), channel)
+    return MixingMatrix.from_flows(group_flows(o, d, W[o, d], groups.labels, groups.k))
 
 
-def mixing_matrix(net: InteractionNetwork, groups: GroupAssignment, allow_raw: bool = False) -> MixingMatrix:
-    """Aggregate a network's flows by the endpoints' status groups."""
-    if net.weighting != "population_weighted" and not allow_raw:
-        raise ValueError("expected a population-weighted network (pass allow_raw=True to override)")
+def mixing_matrix(net: InteractionNetwork, groups: GroupAssignment) -> MixingMatrix:
+    """Aggregate a population-weighted network's flows by status group."""
+    if net.weighting != "population_weighted":
+        raise ValueError("expected a population-weighted network")
     if net.nodes != groups.nodes:
         raise ValueError("network and group assignment cover different node sets")
-    return mixing_from_matrix(net.W, groups, net.channel)
+    return mixing_from_matrix(net.W, groups)
 
 
-def _assortativity_e(e: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
+def _assortativity_e(e: np.ndarray, x: np.ndarray) -> float:
     a = e.sum(axis=1)
     b = e.sum(axis=0)
-    mean_x = float(x @ a)
-    mean_y = float(y @ b)
-    var_x = float((x ** 2) @ a - mean_x ** 2)
-    var_y = float((y ** 2) @ b - mean_y ** 2)
+    mean_a = float(x @ a)
+    mean_b = float(x @ b)
+    var_a = float((x ** 2) @ a - mean_a ** 2)
+    var_b = float((x ** 2) @ b - mean_b ** 2)
     # mass on a single group has zero variance, whatever rounding leaves
-    if var_x <= 0 or var_y <= 0 or np.count_nonzero(a) < 2 or np.count_nonzero(b) < 2:
+    if var_a <= 0 or var_b <= 0 or np.count_nonzero(a) < 2 or np.count_nonzero(b) < 2:
         raise DegenerateMatrixError("degenerate attribute distribution")
-    cov = float(x @ e @ y - mean_x * mean_y)
-    return min(1.0, max(-1.0, cov / float(np.sqrt(var_x * var_y))))
+    cov = float(x @ e @ x - mean_a * mean_b)
+    return min(1.0, max(-1.0, cov / float(np.sqrt(var_a * var_b))))
 
 
 def assortativity(mix: MixingMatrix) -> float:
@@ -136,7 +135,7 @@ def assortativity(mix: MixingMatrix) -> float:
     b_y (in) of e, r = sum_xy x*y*(e_xy - a_x*b_y) / (sigma_a * sigma_b).
     1 is perfectly assortative, 0 is random mixing.
     """
-    return _assortativity_e(mix.e, mix.group_values, mix.group_values)
+    return _assortativity_e(mix.e, mix.group_values)
 
 
 def asymmetry_bias(mix: MixingMatrix) -> float:
@@ -163,26 +162,22 @@ class SweepStep:
     replicates: int | None = None
 
 
-def extremes_value(M: np.ndarray, t: int, relabel: bool = False,
-                   statistic: str = "assortativity") -> float:
+def extremes_value(M: np.ndarray, t: int, statistic: str = "assortativity") -> float:
     """Assortativity (or ``"bias"``) of k x k flows restricted to the t lowest
     and t highest status groups and renormalized; attribute values are the
-    original group labels, or 1..2t with ``relabel=True``.
+    original group labels.
     """
     k = M.shape[0]
     keep = np.r_[0:t, k - t:k]
     mix = MixingMatrix.from_flows(M[np.ix_(keep, keep)])
     if statistic != "assortativity":
         return asymmetry_bias(mix)
-    vals = mix.group_values if relabel else keep + 1.0
-    return _assortativity_e(mix.e, vals, vals)
+    return _assortativity_e(mix.e, keep + 1.0)
 
 
 def extremes_sweep(
     net: InteractionNetwork,
     groups: GroupAssignment,
-    relabel: bool = False,
-    allow_raw: bool = False,
     statistic: str = "assortativity",
 ) -> list[SweepStep]:
     """Assortativity over nested extreme-group submatrices.
@@ -193,22 +188,22 @@ def extremes_sweep(
     """
     if groups.k % 2 != 0:
         raise ValueError("extremes sweep needs an even number of groups")
-    mix = mixing_matrix(net, groups, allow_raw=allow_raw)
+    mix = mixing_matrix(net, groups)
     k = groups.k
     steps = []
     for t in range(1, k // 2 + 1):
         desc = f"groups=1..{t},{k - t + 1}..{k}" if t > 1 else f"groups=1,{k}"
         try:
-            value = extremes_value(mix.M, t, relabel, statistic)
+            value = extremes_value(mix.M, t, statistic)
             steps.append(SweepStep(descriptor=desc, param=float(t), value=value))
         except DegenerateMatrixError:
             steps.append(SweepStep(descriptor=desc, param=float(t), value=float("nan"), valid=False))
     return steps
 
 
-def asymmetry_sweep(net: InteractionNetwork, groups: GroupAssignment, allow_raw: bool = False) -> list[SweepStep]:
+def asymmetry_sweep(net: InteractionNetwork, groups: GroupAssignment) -> list[SweepStep]:
     """Poor-to-rich bias over the same nested extreme-group submatrices."""
-    return extremes_sweep(net, groups, allow_raw=allow_raw, statistic="bias")
+    return extremes_sweep(net, groups, statistic="bias")
 
 
 def pairwise_distance_vector(dist: np.ndarray) -> np.ndarray:
@@ -222,22 +217,20 @@ def distance_sweep(
     groups: GroupAssignment,
     dist: np.ndarray,
     thresholds: Sequence[float] | None = None,
-    percentiles: Sequence[float] = (20, 40, 60, 80, 100),
-    allow_raw: bool = False,
 ) -> list[SweepStep]:
     """Assortativity of short- versus long-distance interactions.
 
     For each threshold d the network is split into a "within" part
     (pairs at distance <= d, which always includes the diagonal) and a
     "beyond" part (pairs at distance > d); each part is aggregated,
-    renormalized, and scored separately.  Thresholds default to
-    percentiles of the vector of all pairwise centroid distances.
+    renormalized, and scored separately.  Thresholds default to the
+    quintiles of the vector of all pairwise centroid distances.
     A side with no remaining mass or no variance is flagged invalid.
     """
-    if net.weighting != "population_weighted" and not allow_raw:
-        raise ValueError("expected a population-weighted network (pass allow_raw=True to override)")
+    if net.weighting != "population_weighted":
+        raise ValueError("expected a population-weighted network")
     if thresholds is None:
-        thresholds = [float(np.percentile(pairwise_distance_vector(dist), q)) for q in percentiles]
+        thresholds = [float(np.percentile(pairwise_distance_vector(dist), q)) for q in (20, 40, 60, 80, 100)]
     thresholds = [float(d) for d in thresholds]
     if any(d <= 0 for d in thresholds) or any(b <= a for a, b in zip(thresholds, thresholds[1:])):
         raise ValueError("thresholds must be positive and ascending")
@@ -250,7 +243,7 @@ def distance_sweep(
             desc = f"{side}:{d:.6g}km"
             try:
                 mix = MixingMatrix.from_flows(
-                    group_flows(i[mask], j[mask], w[mask], groups.labels, groups.k), net.channel)
+                    group_flows(i[mask], j[mask], w[mask], groups.labels, groups.k))
                 steps.append(SweepStep(descriptor=desc, param=d, value=assortativity(mix)))
             except DegenerateMatrixError:
                 steps.append(SweepStep(descriptor=desc, param=d, value=float("nan"), valid=False))

@@ -13,8 +13,8 @@ from .ingest import NeighborhoodTable, PurchaseLog
 from .network import (InteractionNetwork, build_purchase_network, centroid_distances,
                       population_weight, sampling_rate)
 from .segregation import (DegenerateMatrixError, GroupAssignment, MixingMatrix,
-                          SweepStep, assign_groups, assortativity, extremes_value,
-                          group_cells, group_flows)
+                          SweepStep, assortativity, extremes_value, group_cells,
+                          group_flows)
 from . import models
 
 
@@ -185,8 +185,7 @@ class InequalityRow:
 def segregation_inequality_report(
     events: PurchaseLog,
     table: NeighborhoodTable,
-    k: int = 10,
-    ses_ascending: bool = True,
+    groups: GroupAssignment,
     gravity_params: models.GravityParams | None = None,
     fractions: Sequence[float] = (0.2, 0.4, 0.6, 0.8, 1.0),
     replicates: int = 50,
@@ -201,8 +200,8 @@ def segregation_inequality_report(
     location reshuffles at each fraction (mean and std over replicates).
     Revenue per neighborhood is the total transaction amount at its stores;
     store-less neighborhoods enter the GINI as zeros, with the variant that
-    excludes them reported in the row details.  All networks are
-    population-weighted before assortativity.
+    excludes them reported in the row details.  Every network is
+    population-weighted and scored over ``groups``, a grouping of ``table``.
 
     For the gravity row, scaling each transaction by observed/simulated
     flow cancels at the pair level, so its default revenues reproduce the
@@ -213,8 +212,9 @@ def segregation_inequality_report(
         # the simulated network must evaluate the zero-distance diagonal,
         # so the fitted offset has to stay strictly positive
         eps_grid = np.round(np.arange(0.01, 2.0 + 1e-9, 0.01), 10)
+    if groups.nodes != table.ids:
+        raise ValueError("table and group assignment cover different node sets")
     arrays = models.purchase_arrays(events, table)
-    groups = assign_groups(table, k=k, ses_ascending=ses_ascending)
     emp_net = build_purchase_network(events, table)
     user_counts, store_counts = emp_net.user_counts, emp_net.store_counts
     has_store = store_counts > 0

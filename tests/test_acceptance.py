@@ -10,6 +10,7 @@ recovery.
 import hashlib
 import math
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +59,7 @@ def groups_for_k(k):
 
 
 def r_of_e(e):
-    mix = mixing_from_matrix(np.asarray(e, float), groups_for_k(e.shape[0]), "purchase")
+    mix = mixing_from_matrix(np.asarray(e, float), groups_for_k(e.shape[0]))
     return assortativity(mix)
 
 
@@ -67,7 +68,7 @@ def homophilous():
     city = synth.generate_city(synth.preset("homophilous", seed=7))
     events = filter_active_customers(city.purchases, 10)
     net = build_purchase_network(events, city.table)
-    weighted = population_weight(net, city.table)
+    weighted = population_weight(net)
     groups = assign_groups(city.table, k=10)
     return city, events, net, weighted, groups
 
@@ -76,7 +77,7 @@ def homophilous():
 def neutral():
     city = synth.generate_city(synth.preset("neutral", seed=5))
     events = filter_active_customers(city.purchases, 10)
-    weighted = population_weight(build_purchase_network(events, city.table), city.table)
+    weighted = population_weight(build_purchase_network(events, city.table))
     groups = assign_groups(city.table, k=10)
     return city, weighted, groups
 
@@ -85,7 +86,7 @@ def neutral():
 def tilted():
     city = synth.generate_city(synth.preset("tilted", seed=11))
     events = filter_active_customers(city.purchases, 10)
-    weighted = population_weight(build_purchase_network(events, city.table), city.table)
+    weighted = population_weight(build_purchase_network(events, city.table))
     groups = assign_groups(city.table, k=10)
     return city, weighted, groups
 
@@ -159,10 +160,9 @@ def test_criterion_03_gravity_round_trip():
 
 
 def test_criterion_04_null_model_centering(homophilous):
-    _, _, _, weighted, _ = homophilous
-    city = homophilous[0]
+    _, _, _, weighted, groups = homophilous
     start = time.perf_counter()
-    null = null_shuffle_ses(weighted, city.table, replicates=200, seed=1)
+    null = null_shuffle_ses(weighted, groups, replicates=200, seed=1)
     elapsed = time.perf_counter() - start
     r_band = 3.0 * null.r_std / math.sqrt(200)
     b_band = 3.0 * null.bias_std / math.sqrt(200)
@@ -212,9 +212,9 @@ def test_criterion_07_asymmetry_sign(tilted, neutral):
     steps = asymmetry_sweep(weighted_t, groups_t)
     all_positive = all(s.valid and s.value > 0 for s in steps)
 
-    city_n, weighted_n, groups_n = neutral
+    _, weighted_n, groups_n = neutral
     bias_n = asymmetry_bias(mixing_matrix(weighted_n, groups_n))
-    null_n = null_shuffle_ses(weighted_n, city_n.table, replicates=100, seed=2)
+    null_n = null_shuffle_ses(weighted_n, groups_n, replicates=100, seed=2)
     in_band = abs(bias_n - null_n.bias_mean) <= 3.0 * null_n.bias_std
     report(7, all_positive and in_band,
            f"tilted bias positive at every step (min {min(s.value for s in steps):.3f}); "
@@ -238,8 +238,8 @@ def test_criterion_08_gini_properties():
 
 
 def test_criterion_09_reshuffle_inequality_report(homophilous):
-    city, events, _, _, _ = homophilous
-    rows = segregation_inequality_report(events, city.table, k=10,
+    city, events, _, _, groups = homophilous
+    rows = segregation_inequality_report(events, city.table, groups,
                                          fractions=(0.2, 0.4, 0.6, 0.8, 1.0),
                                          replicates=50, seed=9,
                                          jackknife_replicates=50)
@@ -320,9 +320,9 @@ def test_criterion_12_population_weighting_invariance():
         events.append(purchase(f"C{k % 60}-N{h}", f"S{s}-N{loc}", f"N{h:02d}", f"N{loc:02d}"))
     net = build_purchase_network(purchase_log(events), table)
     groups = assign_groups(table, k=10)
-    r_raw = assortativity(mixing_matrix(net, groups, allow_raw=True))
+    r_raw = assortativity(mixing_from_matrix(net.W, groups))
     uniform_users = np.full(30, 25)  # m_i / p_i identical everywhere
-    weighted = population_weight(net, table, uniform_users)
+    weighted = population_weight(replace(net, user_counts=uniform_users))
     r_weighted = assortativity(mixing_matrix(weighted, groups))
     diff = abs(r_raw - r_weighted)
     report(12, diff <= 1e-12,

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -326,6 +327,46 @@ class TestPurchasePlaces:
             assert "no usable event data" in capsys.readouterr().err
 
 
+class TestHomes:
+    def test_home_outside_table_is_skipped_in_both_channels(self, city_dir, tmp_path):
+        # a polygon missing from neighborhoods.csv gives its users a home
+        # that, like an unplaced customer's, no command may report
+        lines = (city_dir / "purchases.csv").read_text().splitlines(keepends=True)
+        data = copy_city(city_dir, tmp_path / "city", lines)
+        assert main(["ingest", "--data", str(data), "--out", str(tmp_path / "ingest")]) == 0
+        with open(tmp_path / "ingest" / "homes.csv", newline="") as fh:
+            homes = [row[1] for row in csv.reader(fh)][1:]
+        renamed = max(set(homes), key=homes.count)
+        geometry = json.loads((data / "geometry.json").read_text())
+        geometry["X" + renamed] = geometry.pop(renamed)
+        (data / "geometry.json").write_text(json.dumps(geometry))
+        assert main(["diversity", "--data", str(data), "--out", str(tmp_path / "div")]) == 0
+        with open(tmp_path / "div" / "diversity.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert {row["channel"] for row in rows} == {"purchase", "mention"}
+        with open(data / "neighborhoods.csv", newline="") as fh:
+            known = {row["neighborhood_id"] for row in csv.DictReader(fh)}
+        assert {row["neighborhood_id"] for row in rows} <= known
+
+    def test_homes_csv_round_trips_quoted_ids(self, city_dir, tmp_path):
+        lines = (city_dir / "purchases.csv").read_text().splitlines(keepends=True)
+        data = copy_city(city_dir, tmp_path / "city", lines)
+        assert main(["ingest", "--data", str(data), "--out", str(tmp_path / "before")]) == 0
+        before = (tmp_path / "before" / "homes.csv").read_text().splitlines(keepends=True)
+        user, home = before[1].rstrip("\n").split(",")
+        odd = 'odd,"user'
+        with open(data / "geoposts.csv", newline="") as fh:
+            posts = [[odd if cell == user else cell for cell in row] for row in csv.reader(fh)]
+        with open(data / "geoposts.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows(posts)
+        assert main(["ingest", "--data", str(data), "--out", str(tmp_path / "after")]) == 0
+        with open(tmp_path / "after" / "homes.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [odd, home] in rows and [user, home] not in rows
+        after = (tmp_path / "after" / "homes.csv").read_text().splitlines(keepends=True)
+        assert sorted(set(after) - set(before)) == ['"odd,""user",' + home + "\n"]
+
+
 class TestBadParameters:
     """Out-of-range parameters exit 1 with a plain message, not 2, and
     never write NaN into an artifact."""
@@ -357,6 +398,14 @@ class TestBadParameters:
                      "--night-start", start, "--night-end", end])
         assert code == 1
         assert f"night window {start}-{end}" in capsys.readouterr().err
+
+    def test_negative_jackknife_replicates(self, city_dir, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--data", str(city_dir), "--out", str(out),
+                     "--jackknife-replicates", "-5"])
+        assert code == 1
+        assert "jackknife_replicates must be >= 0, got -5" in capsys.readouterr().err
+        assert not out.exists() or not list(out.iterdir())
 
     @pytest.mark.parametrize("flags, message", [
         (["--eps-step", "0"], "eps_step must be positive"),

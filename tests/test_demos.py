@@ -1,5 +1,7 @@
-"""Every narrative script in demos/ runs to completion."""
+"""Every narrative script in demos/ and every Python block of README.md runs
+to completion."""
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,13 +10,29 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(),
+                           flags=re.MULTILINE | re.DOTALL)
+
+
+def run_python(args, tmp_path):
+    env = dict(os.environ, TMPDIR=str(tmp_path),
+               PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                        os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
-    env = dict(os.environ, TMPDIR=str(tmp_path),
-               PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                                        os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True,
-                          text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
+    run_python([str(demo)], tmp_path)
+
+
+def test_readme_has_python_blocks():
+    assert README_BLOCKS
+
+
+@pytest.mark.parametrize("code", README_BLOCKS,
+                         ids=[f"block{i}" for i in range(1, len(README_BLOCKS) + 1)])
+def test_readme_block_runs(code, tmp_path):
+    run_python(["-c", code], tmp_path)

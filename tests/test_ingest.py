@@ -60,6 +60,13 @@ class TestLoadNeighborhoods:
         with pytest.raises(ValidationError, match="ses"):
             load_neighborhoods(path)
 
+    def test_no_positive_population_names_file(self, tmp_path):
+        path = write(tmp_path, "n.csv", "neighborhood_id,lat,lon,population,ses\n"
+                     "N1,40.0,-3.0,0,20\nN2,40.1,-3.1,0,30\n")
+        with pytest.raises(ValidationError, match=r"^[^:]*n\.csv: at least one neighborhood "
+                                                  r"needs population > 0$"):
+            load_neighborhoods(path)
+
     def test_coordinate_range(self, tmp_path):
         path = write(tmp_path, "n.csv",
                      "neighborhood_id,lat,lon,population,ses\nN1,95.0,-3.0,500,20\n")
@@ -231,8 +238,11 @@ LOADER_FAULTS = {
                            ("lat", "inf", "lat is not a finite number: 'inf'"),
                            ("lon", "abc", "lon is not a finite number: 'abc'"),
                            ("lon", "", "missing field 'lon'"),
+                           ("lat", "95", "centroid out of range: 95, -3.0"),
+                           ("lon", "-180.5", "centroid out of range: 40.0, -180.5"),
                            ("population", "1.5", "population is not an integer: '1.5'"),
                            ("population", "", "missing field 'population'"),
+                           ("population", "-5", "population must be non-negative: -5"),
                            ("ses", "nan", "ses is not a finite number: 'nan'")]),
 }
 
@@ -274,6 +284,9 @@ ROWS = {"purchases.csv": (load_purchases, PURCHASE_HEADER,
     ("neighborhoods.csv", {"population": "1.5", "lon": ""}, "missing field 'lon'"),
     ("neighborhoods.csv", {"ses": "nan", "population": "x"},
      "population is not an integer: 'x'"),
+    ("neighborhoods.csv", {"population": "-1", "lat": "-91"}, "centroid out of range: -91, -3.0"),
+    ("neighborhoods.csv", {"ses": "nan", "population": "-1"},
+     "population must be non-negative: -1"),
 ])
 def test_first_rule_a_row_breaks_is_named(tmp_path, name, cells, message):
     load, header, row = ROWS[name]

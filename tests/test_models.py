@@ -6,7 +6,8 @@ from segflow.models import (GravityParams, adjust_gravity_amounts,
                             reshuffle_locations, simulate_gravity)
 from segflow.network import (InteractionNetwork, build_purchase_network,
                              centroid_distances, population_weight)
-from segflow.segregation import assign_groups, assortativity, mixing_matrix
+from segflow.segregation import (assign_groups, assortativity, mixing_from_matrix,
+                                 mixing_matrix)
 from segflow import synth
 
 from conftest import make_table, purchase, purchase_log
@@ -105,8 +106,8 @@ class TestSimulateGravity:
         sim2 = simulate_gravity(double, dist, n_o, n_d, table)
         assert np.allclose(sim2.W, 2.0 * sim1.W)
         groups = assign_groups(table, k=7)
-        r1 = assortativity(mixing_matrix(sim1, groups, allow_raw=True))
-        r2 = assortativity(mixing_matrix(sim2, groups, allow_raw=True))
+        r1 = assortativity(mixing_from_matrix(sim1.W, groups))
+        r2 = assortativity(mixing_from_matrix(sim2.W, groups))
         assert abs(r1 - r2) <= 1e-12
 
     def test_everywhere_positive(self, geometry):
@@ -141,10 +142,10 @@ class TestSimulateGravity:
         dist = centroid_distances(table)
         params = GravityParams(c=1.0, beta1=0.7, beta2=0.6, epsilon=0.5, alpha=0.0)
         sim = simulate_gravity(params, dist, n_o, n_d, table)
-        weighted = population_weight(sim, table, user_counts=n_o)
+        weighted = population_weight(sim)  # sim carries n_o as its user counts
         groups = assign_groups(table, k=10)
         r = assortativity(mixing_matrix(weighted, groups))
-        null = null_shuffle_ses(weighted, table, replicates=100, seed=2)
+        null = null_shuffle_ses(weighted, groups, replicates=100, seed=2)
         assert abs(r - null.r_mean) <= 3.0 * null.r_std
 
     def test_params_validation(self):
@@ -160,17 +161,18 @@ class TestNullShuffle:
         table = make_table(40, ses=rng.uniform(0, 100, 40))
         W = rng.poisson(2.0, (40, 40)).astype(float)
         np.fill_diagonal(W, 0.0)
-        return InteractionNetwork(nodes=list(table.ids), W=W, channel="purchase",
-                                  weighting="population_weighted",
-                                  population=table.population, ses=table.ses), table
+        net = InteractionNetwork(nodes=list(table.ids), W=W, channel="purchase",
+                                 weighting="population_weighted",
+                                 population=table.population, ses=table.ses)
+        return net, assign_groups(table, k=4)
 
     def test_seed_determinism(self):
-        net, table = self._weighted_city()
-        d1 = null_shuffle_ses(net, table, replicates=30, seed=5, k=4)
-        d2 = null_shuffle_ses(net, table, replicates=30, seed=5, k=4)
+        net, groups = self._weighted_city()
+        d1 = null_shuffle_ses(net, groups, replicates=30, seed=5)
+        d2 = null_shuffle_ses(net, groups, replicates=30, seed=5)
         assert np.array_equal(d1.r_values, d2.r_values)
         assert np.array_equal(d1.bias_values, d2.bias_values)
-        d3 = null_shuffle_ses(net, table, replicates=30, seed=6, k=4)
+        d3 = null_shuffle_ses(net, groups, replicates=30, seed=6)
         assert not np.array_equal(d1.r_values, d3.r_values)
 
     def test_mean_r_and_bias_near_zero(self):
@@ -189,16 +191,16 @@ class TestNullShuffle:
         net = InteractionNetwork(nodes=list(table.ids), W=W, channel="purchase",
                                  weighting="population_weighted",
                                  population=table.population, ses=table.ses)
-        dist = null_shuffle_ses(net, table, replicates=200, seed=1, k=10)
+        dist = null_shuffle_ses(net, assign_groups(table, k=10), replicates=200, seed=1)
         assert abs(dist.r_mean) <= 3.0 * dist.r_std / np.sqrt(200)
         assert abs(dist.bias_mean) <= 3.0 * dist.bias_std / np.sqrt(200)
 
     def test_replicate_count_and_validation(self):
-        net, table = self._weighted_city()
-        dist = null_shuffle_ses(net, table, replicates=17, seed=0, k=4)
+        net, groups = self._weighted_city()
+        dist = null_shuffle_ses(net, groups, replicates=17, seed=0)
         assert len(dist.r_values) == 17
         with pytest.raises(ValueError):
-            null_shuffle_ses(net, table, replicates=0)
+            null_shuffle_ses(net, groups, replicates=0)
 
 
 class TestReshuffle:

@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from segflow.network import (InteractionNetwork, build_mention_network,
                              build_purchase_network, centroid_distances,
                              haversine_km, population_weight, read_network,
                              write_network)
-from segflow.segregation import assign_groups, assortativity, mixing_matrix
+from segflow.segregation import (assign_groups, assortativity, mixing_from_matrix,
+                                 mixing_matrix)
 from segflow.ingest import NeighborhoodTable
 
 from conftest import make_table, mention, mention_log, purchase, purchase_log
@@ -100,7 +102,7 @@ class TestPopulationWeight:
         net = build_purchase_network(
             purchase_log([purchase(f"C{c}", "S1", "N00", "N01") for c in range(5)] * 2), table)
         assert net.W[0, 1] == 10 and net.user_counts[0] == 5
-        weighted = population_weight(net, table)
+        weighted = population_weight(net)
         assert weighted.W[0, 1] == pytest.approx(100.0)
         assert weighted.weighting == "population_weighted"
 
@@ -111,7 +113,7 @@ class TestPopulationWeight:
         for _ in range(6):
             events.append(mention("a1", "b1"))
         net = build_mention_network(mention_log(events), homes, table)
-        weighted = population_weight(net, table)
+        weighted = population_weight(net)
         # 6 / ((2*3)/(20*30)) = 600
         assert weighted.W[0, 1] == pytest.approx(600.0)
 
@@ -120,7 +122,7 @@ class TestPopulationWeight:
         events = ([purchase(f"C{i}", "S1", "N00", "N01") for i in range(3)]
                   + [purchase(f"D{i}", "S2", "N01", "N00") for i in range(2)])
         net = build_purchase_network(purchase_log(events), table)
-        weighted = population_weight(net, table)
+        weighted = population_weight(net)
         assert np.allclose(weighted.W, net.W)
 
     def test_zero_users_with_flow_errors(self, table4):
@@ -128,17 +130,17 @@ class TestPopulationWeight:
         counts = net.user_counts.copy()
         counts[0] = 0
         with pytest.raises(ValueError, match="zero sampled users"):
-            population_weight(net, table4, counts)
+            population_weight(replace(net, user_counts=counts))
 
     def test_zero_population_with_users_errors(self):
         table = make_table(2, population=[0, 100])
         net = build_purchase_network(purchase_log([purchase("C1", "S1", "N00", "N01")]), table)
         with pytest.raises(ValueError, match="inconsistent census"):
-            population_weight(net, table)
+            population_weight(net)
 
     def test_zero_user_zero_flow_row_stays_zero(self, table4):
         net = build_purchase_network(purchase_log([purchase("C1", "S1", "N01", "N02")]), table4)
-        weighted = population_weight(net, table4)
+        weighted = population_weight(net)
         assert not weighted.W[0].any()
 
     @pytest.mark.parametrize("channel", ["purchase", "mention"])
@@ -147,13 +149,13 @@ class TestPopulationWeight:
         W[1, 2] = 1.0
         net = InteractionNetwork(nodes=list(table4.ids), W=W, channel=channel)
         with pytest.raises(ValueError, match="needs user counts and population"):
-            population_weight(net, table4)
+            population_weight(net)
 
     def test_double_weighting_rejected(self, table4):
         net = build_purchase_network(purchase_log([purchase("C1", "S1", "N01", "N02")]), table4)
-        weighted = population_weight(net, table4)
+        weighted = population_weight(net)
         with pytest.raises(ValueError, match="already"):
-            population_weight(weighted, table4)
+            population_weight(weighted)
 
     def test_uniform_sampling_ratio_is_global_scaling(self):
         # identical m_i/p_i everywhere multiplies W by one constant, so
@@ -167,10 +169,10 @@ class TestPopulationWeight:
                                    f"N{i:02d}", f"N{j:02d}"))
         net = build_purchase_network(purchase_log(events), table)
         m_uniform = np.full(8, 10)  # m_i/p_i = 0.01 for everyone
-        weighted = population_weight(net, table, m_uniform)
+        weighted = population_weight(replace(net, user_counts=m_uniform))
         assert np.allclose(weighted.W, net.W * 100.0)
         groups = assign_groups(table, k=4)
-        r_raw = assortativity(mixing_matrix(net, groups, allow_raw=True))
+        r_raw = assortativity(mixing_from_matrix(net.W, groups))
         r_weighted = assortativity(mixing_matrix(weighted, groups))
         assert abs(r_raw - r_weighted) <= 1e-12
 

@@ -119,7 +119,7 @@ class TestMixingMatrix:
         net = build_purchase_network(purchase_log([purchase("C1", "S1", "N00", "N01")]), table4)
         with pytest.raises(ValueError, match="population-weighted"):
             mixing_matrix(net, assign_groups(table4, k=2))
-        mixing_matrix(net, assign_groups(table4, k=2), allow_raw=True)
+        mixing_from_matrix(net.W, assign_groups(table4, k=2))
 
     def test_zero_network_errors(self, table4):
         with pytest.raises(DegenerateMatrixError, match="no interaction mass"):
@@ -144,7 +144,7 @@ class TestAssortativity:
     def test_diagonal_is_one(self):
         for k in range(2, 11):
             e = np.diag(np.full(k, 1.0 / k))
-            mix = mixing_from_matrix(e, _groups_for(k), "purchase")
+            mix = mixing_from_matrix(e, _groups_for(k))
             assert abs(assortativity(mix) - 1.0) <= 1e-12
 
     def test_product_form_is_zero(self):
@@ -203,12 +203,12 @@ def _groups_for(k):
 
 def _r_of_e(e):
     k = e.shape[0]
-    return assortativity(mixing_from_matrix(np.asarray(e, float), _groups_for(k), "purchase"))
+    return assortativity(mixing_from_matrix(np.asarray(e, float), _groups_for(k)))
 
 
 def _bias_of_e(e):
     k = e.shape[0]
-    return asymmetry_bias(mixing_from_matrix(np.asarray(e, float), _groups_for(k), "purchase"))
+    return asymmetry_bias(mixing_from_matrix(np.asarray(e, float), _groups_for(k)))
 
 
 class TestAsymmetryBias:
@@ -302,17 +302,6 @@ class TestExtremesSweep:
         groups = assign_groups(table, k=3)
         with pytest.raises(ValueError, match="even"):
             extremes_sweep(weighted_net(np.ones((9, 9)), table), groups)
-
-    def test_relabel_option_changes_attribute_values(self):
-        net, groups = _extremes_fixture()
-        plain = extremes_sweep(net, groups)
-        relabeled = extremes_sweep(net, groups, relabel=True)
-        assert plain[-1].value == pytest.approx(relabeled[-1].value, abs=1e-12)
-        # 2x2 correlation is affine-invariant in the labels, so only the
-        # middle steps can differ
-        mid = slice(1, -1)
-        assert not np.allclose([s.value for s in plain[mid]],
-                               [s.value for s in relabeled[mid]])
 
 
 class TestAsymmetrySweep:

@@ -192,7 +192,8 @@ class TestInequalityReport:
     def test_structure_and_conservation(self, small_city, tmp_path):
         city, events = small_city
         rows = segregation_inequality_report(
-            events, city.table, k=8, fractions=(0.5, 1.0), replicates=8,
+            events, city.table, assign_groups(city.table, k=8),
+            fractions=(0.5, 1.0), replicates=8,
             seed=0, jackknife_replicates=10,
             eps_grid=np.round(np.arange(0.3, 0.8, 0.01), 10))
         labels = [r.label for r in rows]
@@ -214,7 +215,8 @@ class TestInequalityReport:
     def test_full_reshuffle_kills_segregation(self, small_city):
         city, events = small_city
         rows = segregation_inequality_report(
-            events, city.table, k=8, fractions=(1.0,), replicates=12,
+            events, city.table, assign_groups(city.table, k=8),
+            fractions=(1.0,), replicates=12,
             seed=1, jackknife_replicates=10,
             eps_grid=np.round(np.arange(0.3, 0.8, 0.01), 10))
         emp = rows[0]
@@ -228,10 +230,17 @@ class TestInequalityReport:
         # more than one standard deviation
         city, events = small_city
         rows = segregation_inequality_report(
-            events, city.table, k=8, fractions=(0.2, 0.6, 1.0), replicates=10,
+            events, city.table, assign_groups(city.table, k=8),
+            fractions=(0.2, 0.6, 1.0), replicates=10,
             seed=2, jackknife_replicates=10,
             eps_grid=np.round(np.arange(0.3, 0.8, 0.01), 10))
         shuffle_rows = [r for r in rows if r.label == "reshuffle"]
         for earlier, later in zip(shuffle_rows, shuffle_rows[1:]):
             assert later.assortativity_mean <= (earlier.assortativity_mean
                                                 + earlier.assortativity_std)
+
+    def test_groups_of_another_table_rejected(self, small_city):
+        city, events = small_city
+        other = make_table(64, ses=np.arange(64, dtype=float))
+        with pytest.raises(ValueError, match="different node sets"):
+            segregation_inequality_report(events, city.table, assign_groups(other, k=8))

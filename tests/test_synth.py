@@ -58,7 +58,7 @@ class TestPlantedStructure:
                 city = generate_city(tiny_cfg(seed=seed, homophily=h,
                                               self_flow_scale=0.0))
                 net = build_purchase_network(city.purchases, city.table)
-                weighted = population_weight(net, city.table)
+                weighted = population_weight(net)
                 groups = assign_groups(city.table, k=6)
                 vals.append(assortativity(mixing_matrix(weighted, groups)))
             means[h] = np.mean(vals)
@@ -67,8 +67,7 @@ class TestPlantedStructure:
     def test_tilt_produces_positive_bias(self):
         from segflow import asymmetry_bias
         city = generate_city(tiny_cfg(seed=5, tilt=1.5, self_flow_scale=0.0))
-        net = population_weight(build_purchase_network(city.purchases, city.table),
-                                city.table)
+        net = population_weight(build_purchase_network(city.purchases, city.table))
         mix = mixing_matrix(net, assign_groups(city.table, k=6))
         assert asymmetry_bias(mix) > 0
 
