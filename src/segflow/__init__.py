@@ -23,7 +23,7 @@ from .segregation import (DegenerateMatrixError, GroupAssignment,
                           MixingMatrix, SweepStep, assign_groups,
                           assortativity, asymmetry_bias, asymmetry_sweep,
                           distance_sweep, extremes_sweep, mixing_from_matrix,
-                          mixing_matrix, pairwise_distance_vector)
+                          mixing_matrix)
 from .models import (GravityParams, NullDistribution, PurchaseArrays,
                      ReshuffleReplicate, adjust_gravity_amounts, fit_gravity,
                      null_shuffle_ses, purchase_arrays, reshuffle_locations,

@@ -400,13 +400,15 @@ def load_neighborhoods(path) -> NeighborhoodTable:
         repeated[first] = codes[first] < before
         lat, lon, s = (_numbers(cols[c]) for c in ("lat", "lon", "ses"))
         pop, bad_pop = _parsed(int, cols["population"])
+        exact = np.array([0 if v is None else v for v in pop], dtype=object)  # exact: no float cast
         _reject(path, start, cols, [
             _missing(cols, "neighborhood_id"),
             (repeated, "duplicate neighborhood_id {neighborhood_id!r}"),
             *_number_faults(cols, "lat", lat), *_number_faults(cols, "lon", lon),
             ((np.abs(lat) > 90) | (np.abs(lon) > 180), "centroid out of range: {lat}, {lon}"),
             _missing(cols, "population"), (bad_pop, "population is not an integer: {population!r}"),
-            (np.array(pop, dtype=float) < 0, "population must be non-negative: {population}"),
+            (exact < 0, "population must be non-negative: {population}"),
+            (exact > np.iinfo(np.int64).max, "population is out of range: {population}"),
             *_number_faults(cols, "ses", s)])
         lats.append(lat)
         lons.append(lon)

@@ -9,15 +9,18 @@ by its own flow value.
 """
 from __future__ import annotations
 
+import logging
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .ingest import NeighborhoodTable, PurchaseLog
-from .network import InteractionNetwork
-from .segregation import (DegenerateMatrixError, GroupAssignment, MixingMatrix,
+from .network import InteractionNetwork, _edges
+from .segregation import (DegenerateMatrixError, GroupAssignment, MixingMatrix, _scored,
                           asymmetry_bias, assortativity, group_flows)
+
+log = logging.getLogger(__name__)
 
 DEFAULT_EPS_GRID = np.round(np.arange(0.0, 2.0 + 1e-9, 0.01), 10)
 
@@ -204,12 +207,9 @@ def null_shuffle_ses(
     Replicate i draws its permutation from a stream derived from (seed, i),
     so results are reproducible and order-independent.
     """
+    o, d, w = _edges(_scored(net, groups))
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
-    if net.nodes != groups.nodes:
-        raise ValueError("network and group assignment cover different node sets")
-    o, d = np.nonzero(net.W)
-    w = net.W[o, d]
     r_vals, bias_vals = [], []
     for rep in range(replicates):
         rng = np.random.default_rng((seed, rep))
@@ -222,8 +222,10 @@ def null_shuffle_ses(
             pass
     if not r_vals:
         raise ValueError("every null replicate was degenerate")
+    discarded = replicates - len(r_vals)
+    log.info("SES-shuffle null: discarded %d of %d replicates as degenerate", discarded, replicates)
     return NullDistribution(r_values=np.array(r_vals), bias_values=np.array(bias_vals),
-                            discarded=replicates - len(r_vals))
+                            discarded=discarded)
 
 
 @dataclass

@@ -120,22 +120,25 @@ def sampling_rate(user_counts, population) -> np.ndarray:
 
 def centroid_distances(table: NeighborhoodTable) -> np.ndarray:
     """Great-circle distances (km) between neighborhood centroids."""
-    lat = np.radians(table.lat)
-    lon = np.radians(table.lon)
-    dlat = lat[:, None] - lat[None, :]
-    dlon = lon[:, None] - lon[None, :]
-    a = np.sin(dlat / 2.0) ** 2 + np.cos(lat)[:, None] * np.cos(lat)[None, :] * np.sin(dlon / 2.0) ** 2
-    d = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
+    lat, lon = table.lat[:, None], table.lon[:, None]
+    d = haversine_km(lat, lon, lat.T, lon.T)
     d = (d + d.T) / 2.0
     np.fill_diagonal(d, 0.0)
     return d
 
 
-def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
-    """Great-circle distance between two points, km."""
+def haversine_km(lat1, lon1, lat2, lon2) -> np.ndarray:
+    """Great-circle distance (km) between points in degrees, broadcast."""
     p1, l1, p2, l2 = map(np.radians, (lat1, lon1, lat2, lon2))
     a = np.sin((p2 - p1) / 2.0) ** 2 + np.cos(p1) * np.cos(p2) * np.sin((l2 - l1) / 2.0) ** 2
-    return float(2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(min(1.0, a))))
+    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
+
+
+def _edges(W: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Origin, destination and weight of every nonzero entry of W, row-major.
+    NaN and negative entries are edges too, for the scoring to refuse."""
+    o, d = np.nonzero(W)
+    return o, d, W[o, d]
 
 
 def write_network(net: InteractionNetwork, edges_path, header_path) -> None:
@@ -143,7 +146,7 @@ def write_network(net: InteractionNetwork, edges_path, header_path) -> None:
     with open(edges_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["origin_id", "dest_id", "weight"])
-        for i, j, w in zip(*np.nonzero(net.W), net.W[net.W != 0]):
+        for i, j, w in zip(*_edges(net.W)):
             writer.writerow([net.nodes[i], net.nodes[j], repr(float(w))])
     header = {
         "nodes": net.nodes,

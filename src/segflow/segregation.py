@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .ingest import NeighborhoodTable
-from .network import InteractionNetwork
+from .network import InteractionNetwork, _edges
 
 
 class DegenerateMatrixError(ValueError):
@@ -87,30 +87,33 @@ class MixingMatrix:
                    zero_rows=zero_rows)
 
 
-def group_cells(o: np.ndarray, d: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
-    """Row-major k x k cell of each edge's (origin, destination) group 1..k."""
-    return (labels[o] - 1) * k + (labels[d] - 1)
-
-
 def group_flows(o: np.ndarray, d: np.ndarray, w: np.ndarray | None,
                 labels: np.ndarray, k: int) -> np.ndarray:
     """k x k edge weight sums by (origin, destination) group 1..k; ``w=None`` counts."""
-    return np.bincount(group_cells(o, d, labels, k), weights=w, minlength=k * k).reshape(k, k)
+    cells = (labels[o] - 1) * k + (labels[d] - 1)
+    return np.bincount(cells, weights=w, minlength=k * k).reshape(k, k)
 
 
-def mixing_from_matrix(W: np.ndarray, groups: GroupAssignment) -> MixingMatrix:
-    """Aggregate an n x n weight matrix, raw or weighted, into group space."""
-    o, d = np.nonzero(W)
-    return MixingMatrix.from_flows(group_flows(o, d, W[o, d], groups.labels, groups.k))
-
-
-def mixing_matrix(net: InteractionNetwork, groups: GroupAssignment) -> MixingMatrix:
-    """Aggregate a population-weighted network's flows by status group."""
+def _scored(net: InteractionNetwork, groups: GroupAssignment) -> np.ndarray:
+    """The flows of ``net``, once it is shown fit to score over ``groups``:
+    population-weighted and over the same nodes.  Every analysis of a
+    network calls this first."""
     if net.weighting != "population_weighted":
         raise ValueError("expected a population-weighted network")
     if net.nodes != groups.nodes:
         raise ValueError("network and group assignment cover different node sets")
-    return mixing_from_matrix(net.W, groups)
+    return net.W
+
+
+def mixing_from_matrix(W: np.ndarray, groups: GroupAssignment) -> MixingMatrix:
+    """Aggregate an n x n weight matrix, raw or weighted, into group space."""
+    o, d, w = _edges(W)
+    return MixingMatrix.from_flows(group_flows(o, d, w, groups.labels, groups.k))
+
+
+def mixing_matrix(net: InteractionNetwork, groups: GroupAssignment) -> MixingMatrix:
+    """Aggregate a population-weighted network's flows by status group."""
+    return mixing_from_matrix(_scored(net, groups), groups)
 
 
 def _assortativity_e(e: np.ndarray, x: np.ndarray) -> float:
@@ -206,12 +209,6 @@ def asymmetry_sweep(net: InteractionNetwork, groups: GroupAssignment) -> list[Sw
     return extremes_sweep(net, groups, statistic="bias")
 
 
-def pairwise_distance_vector(dist: np.ndarray) -> np.ndarray:
-    """The n*(n-1)/2 distinct pairwise distances (diagonal excluded)."""
-    iu = np.triu_indices(dist.shape[0], k=1)
-    return dist[iu]
-
-
 def distance_sweep(
     net: InteractionNetwork,
     groups: GroupAssignment,
@@ -227,15 +224,14 @@ def distance_sweep(
     quintiles of the vector of all pairwise centroid distances.
     A side with no remaining mass or no variance is flagged invalid.
     """
-    if net.weighting != "population_weighted":
-        raise ValueError("expected a population-weighted network")
+    i, j, w = _edges(_scored(net, groups))
     if thresholds is None:
-        thresholds = [float(np.percentile(pairwise_distance_vector(dist), q)) for q in (20, 40, 60, 80, 100)]
+        pairs = dist[np.triu_indices(len(dist), k=1)]
+        thresholds = [float(np.percentile(pairs, q)) for q in (20, 40, 60, 80, 100)]
     thresholds = [float(d) for d in thresholds]
     if any(d <= 0 for d in thresholds) or any(b <= a for a, b in zip(thresholds, thresholds[1:])):
         raise ValueError("thresholds must be positive and ascending")
-    i, j = np.nonzero(net.W)
-    w, edge_dist = net.W[i, j], dist[i, j]
+    edge_dist = dist[i, j]
     steps = []
     for d in thresholds:
         within = edge_dist <= d

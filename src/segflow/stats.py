@@ -10,11 +10,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .ingest import NeighborhoodTable, PurchaseLog
-from .network import (InteractionNetwork, build_purchase_network, centroid_distances,
-                      population_weight, sampling_rate)
-from .segregation import (DegenerateMatrixError, GroupAssignment, MixingMatrix,
-                          SweepStep, assortativity, extremes_value, group_cells,
-                          group_flows)
+from .network import (InteractionNetwork, _edges, build_purchase_network,
+                      centroid_distances, population_weight, sampling_rate)
+from .segregation import (DegenerateMatrixError, GroupAssignment, MixingMatrix, SweepStep,
+                          _scored, assortativity, extremes_value, group_flows)
 from . import models
 
 
@@ -41,31 +40,27 @@ def _jackknife_flows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """k x k group flows of W and of each delete-a-fraction replicate.
 
-    Replicate i drops floor(removal_fraction * E) of the E positive entries
-    of W, drawn from the stream (seed, i) in row-major order, by subtracting
-    their flows; a cell that lost all its edges is exactly 0.
+    Replicate i drops floor(removal_fraction * E) of the E nonzero entries
+    of W (the edges the mixing matrix sums), drawn from the stream (seed, i)
+    in row-major order, by subtracting their flows; a cell that lost all its
+    edges is exactly 0.
     """
     if not 0.0 <= removal_fraction < 1.0:
         raise ValueError("removal_fraction must be in [0, 1)")
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
-    o, d = np.nonzero(W > 0)
-    w = W[o, d]
-    k = groups.k
-    cell = group_cells(o, d, groups.labels, k)
-
-    def flows(cells, weights=None):
-        return np.bincount(cells, weights=weights, minlength=k * k).reshape(k, k)
-
-    M, counts = flows(cell, w), flows(cell)
+    o, d, w = _edges(W)
+    labels, k = groups.labels, groups.k
+    M, counts = group_flows(o, d, w, labels, k), group_flows(o, d, None, labels, k)
     n_remove = int(removal_fraction * len(w))
     reps = np.repeat(M[None], replicates, axis=0)
     if n_remove == 0:
         return M, reps
     for rep in range(replicates):
         drop = np.random.default_rng((seed, rep)).choice(len(w), size=n_remove, replace=False)
-        reps[rep] -= flows(cell[drop], w[drop])
-        reps[rep][counts == flows(cell[drop])] = 0.0
+        lost = o[drop], d[drop]
+        reps[rep] -= group_flows(*lost, w[drop], labels, k)
+        reps[rep][counts == group_flows(*lost, None, labels, k)] = 0.0
     return M, reps
 
 
@@ -126,9 +121,10 @@ def jackknife_assortativity(
     seed: int = 0,
 ) -> ResampleEstimate:
     """Sampling variability of assortativity under random edge removal."""
-    if int((net.W > 0).sum()) < 20:
+    W = _scored(net, groups)
+    if np.count_nonzero(W) < 20:
         raise ValueError("network has fewer than 20 nonzero edges")
-    return jackknife_statistic(net.W, flows_assortativity, groups,
+    return jackknife_statistic(W, flows_assortativity, groups,
                                removal_fraction=removal_fraction,
                                replicates=replicates, seed=seed)
 
@@ -143,7 +139,7 @@ def jackknife_extremes_sweep(
 ) -> None:
     """Attach edge-removal intervals to the valid steps of ``extremes_sweep``,
     scoring one shared set of replicates with ``extremes_value``."""
-    M, reps = _jackknife_flows(net.W, groups, removal_fraction, replicates, seed)
+    M, reps = _jackknife_flows(_scored(net, groups), groups, removal_fraction, replicates, seed)
     for t, step in enumerate(steps, start=1):
         if step.valid:
             est = _estimate(partial(extremes_value, t=t), M, reps, removal_fraction)
@@ -212,8 +208,6 @@ def segregation_inequality_report(
         # the simulated network must evaluate the zero-distance diagonal,
         # so the fitted offset has to stay strictly positive
         eps_grid = np.round(np.arange(0.01, 2.0 + 1e-9, 0.01), 10)
-    if groups.nodes != table.ids:
-        raise ValueError("table and group assignment cover different node sets")
     arrays = models.purchase_arrays(events, table)
     emp_net = build_purchase_network(events, table)
     user_counts, store_counts = emp_net.user_counts, emp_net.store_counts
@@ -222,7 +216,8 @@ def segregation_inequality_report(
 
     rev_emp = arrays.revenue()
     total_emp = float(rev_emp.sum())
-    jk_emp = jackknife_statistic(population_weight(emp_net).W, flows_assortativity, groups,
+    jk_emp = jackknife_statistic(_scored(population_weight(emp_net), groups),
+                                 flows_assortativity, groups,
                                  removal_fraction, jackknife_replicates, seed)
     gini_emp = gini(rev_emp)
     rows.append(InequalityRow(

@@ -243,6 +243,9 @@ LOADER_FAULTS = {
                            ("population", "1.5", "population is not an integer: '1.5'"),
                            ("population", "", "missing field 'population'"),
                            ("population", "-5", "population must be non-negative: -5"),
+                           ("population", "99999999999999999999",
+                            "population is out of range: 99999999999999999999"),
+                           ("population", "9" * 400, "population is out of range: " + "9" * 400),
                            ("ses", "nan", "ses is not a finite number: 'nan'")]),
 }
 
@@ -287,6 +290,11 @@ ROWS = {"purchases.csv": (load_purchases, PURCHASE_HEADER,
     ("neighborhoods.csv", {"population": "-1", "lat": "-91"}, "centroid out of range: -91, -3.0"),
     ("neighborhoods.csv", {"ses": "nan", "population": "-1"},
      "population must be non-negative: -1"),
+    ("neighborhoods.csv", {"population": "99999999999999999999"},
+     "population is out of range: 99999999999999999999"),
+    ("neighborhoods.csv", {"population": "9" * 400}, "population is out of range: " + "9" * 400),
+    ("neighborhoods.csv", {"population": "-" + "9" * 400},
+     "population must be non-negative: -" + "9" * 400),
 ])
 def test_first_rule_a_row_breaks_is_named(tmp_path, name, cells, message):
     load, header, row = ROWS[name]

@@ -202,6 +202,19 @@ class TestNullShuffle:
         with pytest.raises(ValueError):
             null_shuffle_ses(net, groups, replicates=0)
 
+    def test_discarded_replicates_logged(self, caplog):
+        # flow only between N00 and N01: a permutation that gives both the
+        # same group leaves one group on each side, a degenerate replicate
+        table = make_table(4)
+        W = np.zeros((4, 4))
+        W[0, 1] = W[1, 0] = 1.0
+        net = InteractionNetwork(nodes=list(table.ids), W=W, channel="purchase",
+                                 weighting="population_weighted")
+        with caplog.at_level("INFO", logger="segflow.models"):
+            dist = null_shuffle_ses(net, assign_groups(table, k=2), replicates=30, seed=0)
+        assert 0 < dist.discarded < 30
+        assert f"discarded {dist.discarded} of 30 replicates" in caplog.text
+
 
 class TestReshuffle:
     def _events(self):

@@ -4,7 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from segflow.network import (InteractionNetwork, build_mention_network,
+from segflow import synth
+from segflow.network import (EARTH_RADIUS_KM, InteractionNetwork, build_mention_network,
                              build_purchase_network, centroid_distances,
                              haversine_km, population_weight, read_network,
                              write_network)
@@ -187,6 +188,29 @@ class TestDistances:
         assert haversine_km(0.0, 0.0, 0.0, 1.0) == pytest.approx(111.19492664455873, abs=1e-9)
         table = NeighborhoodTable(["A", "B"], [0.0, 0.0], [0.0, 1.0], [10, 10], [1.0, 2.0])
         assert centroid_distances(table)[0, 1] == pytest.approx(111.19492664455873, abs=1e-6)
+
+    def test_haversine_broadcasts(self):
+        lat, lon = np.array([0.0, 10.0, -20.0]), np.array([0.0, 1.0, 30.0])
+        d = haversine_km(lat[:, None], lon[:, None], lat[None, :], lon[None, :])
+        assert d.shape == (3, 3)
+        assert d[1, 2] == haversine_km(10.0, 1.0, -20.0, 30.0)
+
+    @pytest.mark.parametrize("n", [1600, 400], ids=["preset", "coarse"])
+    def test_matches_former_centroid_formula_bitwise(self, n):
+        """``centroid_distances`` through ``haversine_km`` equals the
+        centroid-only formula it replaced, bit for bit, on the geometry of
+        the homophilous preset (seed 7) at 1600 and 400 neighborhoods."""
+        cfg = synth.preset("homophilous", seed=7, n_neighborhoods=n)
+        table = synth._grid_layout(cfg, np.random.default_rng(cfg.seed))[0]
+        lat, lon = np.radians(table.lat), np.radians(table.lon)
+        dlat = lat[:, None] - lat[None, :]
+        dlon = lon[:, None] - lon[None, :]
+        a = (np.sin(dlat / 2.0) ** 2
+             + np.cos(lat)[:, None] * np.cos(lat)[None, :] * np.sin(dlon / 2.0) ** 2)
+        d = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
+        d = (d + d.T) / 2.0
+        np.fill_diagonal(d, 0.0)
+        assert np.array_equal(centroid_distances(table), d)
 
     def test_symmetry_and_zero_diagonal(self):
         rng = np.random.default_rng(9)

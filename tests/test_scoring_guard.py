@@ -1,0 +1,81 @@
+"""Every analysis scores a network through one guard.
+
+A network that is not population-weighted, or a grouping over other
+nodes, is refused with the same message by every public analysis that
+takes a network and the ``GroupAssignment`` it scores.
+"""
+import inspect
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from segflow import models, segregation, stats
+from segflow.network import InteractionNetwork, centroid_distances
+from segflow.segregation import GroupAssignment, assign_groups
+
+from conftest import make_table, purchase, purchase_log
+
+TABLE = make_table(12, ses=np.arange(12.0), spacing_deg=0.03)
+GROUPS = assign_groups(TABLE, k=4)
+WEIGHTED = InteractionNetwork(
+    nodes=list(TABLE.ids), W=np.random.default_rng(5).uniform(0.2, 1.5, (12, 12)),
+    channel="purchase", weighting="population_weighted",
+    population=TABLE.population, ses=TABLE.ses)
+DIST = centroid_distances(TABLE)
+STEPS = segregation.extremes_sweep(WEIGHTED, GROUPS)
+
+# Every public analysis of (net, groups), with its other arguments filled in.
+ANALYSES = {
+    "segregation.mixing_matrix": segregation.mixing_matrix,
+    "segregation.extremes_sweep": segregation.extremes_sweep,
+    "segregation.asymmetry_sweep": segregation.asymmetry_sweep,
+    "segregation.distance_sweep": lambda net, groups: segregation.distance_sweep(
+        net, groups, DIST),
+    "models.null_shuffle_ses": lambda net, groups: models.null_shuffle_ses(net, groups, 5),
+    "stats.jackknife_assortativity": lambda net, groups: stats.jackknife_assortativity(
+        net, groups, replicates=5),
+    "stats.jackknife_extremes_sweep": lambda net, groups: stats.jackknife_extremes_sweep(
+        net, groups, STEPS, replicates=5),
+}
+# The report builds its own network from events, so only its grouping can
+# be wrong.
+REPORT = {"stats.segregation_inequality_report": lambda net, groups: (
+    stats.segregation_inequality_report(
+        purchase_log([purchase("C1", "S1", "N00", "N01")]), TABLE, groups))}
+
+OTHER_IDS = GroupAssignment(nodes=[f"M{i:02d}" for i in range(12)],
+                            labels=GROUPS.labels[::-1].copy(), k=4)
+CASES = {
+    "raw": (replace(WEIGHTED, weighting="raw"), GROUPS,
+            "expected a population-weighted network"),
+    "other ids": (WEIGHTED, OTHER_IDS,
+                  "network and group assignment cover different node sets"),
+}
+
+
+@pytest.mark.parametrize("name, case", [(name, case) for name in sorted(ANALYSES)
+                                        for case in CASES] + [(*REPORT, "other ids")])
+def test_refuses_what_it_cannot_score(name, case):
+    net, groups, message = CASES[case]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        {**ANALYSES, **REPORT}[name](net, groups)
+
+
+def test_every_network_analysis_is_listed():
+    """A new public function of ``net`` and ``groups`` joins ANALYSES, so it
+    cannot skip the guard unnoticed."""
+    found = {f"{module.__name__.rsplit('.', 1)[1]}.{name}"
+             for module in (segregation, models, stats)
+             for name, fn in inspect.getmembers(module, inspect.isfunction)
+             if fn.__module__ == module.__name__ and not name.startswith("_")
+             and {"net", "groups"} <= set(inspect.signature(fn).parameters)}
+    assert found == set(ANALYSES)
+
+
+@pytest.mark.parametrize("name", ["segregation.mixing_matrix", "stats.jackknife_assortativity"])
+def test_nan_edge_refused(name):
+    W = WEIGHTED.W.copy()
+    W[0, 1] = np.nan
+    with pytest.raises(ValueError, match="group flows must be finite"):
+        ANALYSES[name](replace(WEIGHTED, W=W), GROUPS)

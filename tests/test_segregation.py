@@ -8,7 +8,7 @@ from segflow.segregation import (DegenerateMatrixError, MixingMatrix, assign_gro
                                  assortativity, asymmetry_bias,
                                  asymmetry_sweep, distance_sweep,
                                  extremes_sweep, mixing_from_matrix,
-                                 mixing_matrix, pairwise_distance_vector)
+                                 mixing_matrix)
 
 from conftest import make_table, purchase, purchase_log
 
@@ -341,7 +341,7 @@ class TestDistanceSweep:
 
     def test_tiny_threshold_keeps_only_diagonal(self):
         net, groups, dist = self._city()
-        d_min = float(pairwise_distance_vector(dist).min())
+        d_min = float(dist[np.triu_indices(len(dist), k=1)].min())
         steps = distance_sweep(net, groups, dist, thresholds=[d_min / 2])
         within = [s for s in steps if s.descriptor.startswith("within")][0]
         # only self-flows remain and they span several groups: perfectly assortative
@@ -351,7 +351,7 @@ class TestDistanceSweep:
         net, groups, dist = self._city()
         steps = distance_sweep(net, groups, dist)
         params = sorted({s.param for s in steps})
-        vec = np.sort(pairwise_distance_vector(dist))
+        vec = np.sort(dist[np.triu_indices(len(dist), k=1)])
 
         def percentile(q):
             # linear interpolation on the sorted vector
@@ -364,7 +364,7 @@ class TestDistanceSweep:
 
     def test_mass_partition(self):
         net, groups, dist = self._city()
-        for d in np.percentile(pairwise_distance_vector(dist), [30, 70]):
+        for d in np.percentile(dist[np.triu_indices(len(dist), k=1)], [30, 70]):
             within = net.W * (dist <= d)
             beyond = net.W * (dist > d)
             assert np.allclose(within + beyond, net.W)
