@@ -136,7 +136,7 @@ def haversine_km(lat1, lon1, lat2, lon2) -> np.ndarray:
 
 def _edges(W: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Origin, destination and weight of every nonzero entry of W, row-major.
-    NaN and negative entries are edges too, for the scoring to refuse."""
+    A NaN entry is an edge too, so scoring refuses it rather than drop it."""
     o, d = np.nonzero(W)
     return o, d, W[o, d]
 
