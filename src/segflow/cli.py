@@ -283,9 +283,7 @@ def cmd_gravity(cfg, out: Path) -> list[str]:
     dist = network.centroid_distances(table)
     outputs = []
     for channel, raw, _ in nets:
-        dest = raw.store_counts if channel == "purchase" else raw.user_counts
-        params = models.fit_gravity(raw, dist, raw.user_counts, dest,
-                                    eps_grid=eps_grid,
+        params = models.fit_gravity(raw, dist, eps_grid=eps_grid,
                                     linear_distance=cfg["linear_distance"])
         name = f"gravity_{channel}.json"
         with open(out / name, "w") as fh:

@@ -10,13 +10,13 @@ by its own flow value.
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
 from .ingest import NeighborhoodTable, PurchaseLog
-from .network import InteractionNetwork, _edges
+from .network import InteractionNetwork, _edges, _square
 from .segregation import (DegenerateMatrixError, GroupAssignment, MixingMatrix, _scored,
                           asymmetry_bias, assortativity, group_flows)
 
@@ -51,34 +51,42 @@ class GravityParams:
         return asdict(self)
 
 
+def _masses(net: InteractionNetwork) -> tuple[np.ndarray, np.ndarray]:
+    """Origin and destination mass of the gravity law on ``net``: users at
+    the origin, and stores (purchases) or users (mentions) at the destination."""
+    dest = net.store_counts if net.channel == "purchase" else net.user_counts
+    if net.user_counts is None or dest is None:
+        raise ValueError("the gravity model needs the network's user counts "
+                         "and, for purchases, its store counts")
+    return np.asarray(net.user_counts, dtype=float), np.asarray(dest, dtype=float)
+
+
 def fit_gravity(
     net: InteractionNetwork,
     dist: np.ndarray,
-    origin_counts: Sequence[float],
-    dest_counts: Sequence[float],
     eps_grid: Sequence[float] | None = None,
     linear_distance: bool = False,
 ) -> GravityParams:
-    """Weighted least-squares fit of the gravity law to observed flows.
+    """Weighted least-squares fit of the gravity law to the flows of ``net``,
+    with the masses it carries (see ``_masses``).
 
     Zero flows are excluded (their log is undefined) and each remaining
-    observation is weighted by its own raw flow value.  ``linear_distance``
-    switches the distance regressor from -log(T+eps) to -T, in which case
-    eps is not separately identifiable and is reported as 0.
+    observation is weighted by its own raw flow value; a negative or
+    non-finite flow is refused.  ``linear_distance`` switches the distance
+    regressor from -log(T+eps) to -T, in which case eps is not separately
+    identifiable and is reported as 0.
     """
-    W = net.W
-    n_o = np.asarray(origin_counts, dtype=float)
-    n_d = np.asarray(dest_counts, dtype=float)
-    mask = W > 0
-    n_pos = int(mask.sum())
+    n_o, n_d = _masses(net)
+    rows, cols, w = _edges(net.W, net.n)
+    if not np.all(np.isfinite(w) & (w > 0)):
+        raise ValueError("flows must be finite and non-negative")
+    n_pos = len(w)
     if n_pos < 20:
         raise ValueError(f"too few positive flow entries to fit: {n_pos} < 20")
-    rows, cols = np.nonzero(mask)
     if np.any(n_o[rows] <= 0) or np.any(n_d[cols] <= 0):
         raise ValueError("positive flow from/to a neighborhood with zero mass count")
-    y = np.log(W[mask])
-    w = W[mask].astype(float)
-    T = dist[mask]
+    y = np.log(w)
+    T = _square(dist, net.n, "distance")[rows, cols]
     A = np.column_stack([np.ones(n_pos), np.log(n_o[rows]), np.log(n_d[cols])])
 
     # eps-independent blocks of the weighted normal equations
@@ -134,26 +142,22 @@ def fit_gravity(
         epsilon=eps_hat, alpha=float(beta[3]), channel=net.channel,
         r2_weighted=(1.0 - rss / tss) if tss > 0 else None,
         residual_norm=float(np.sqrt(rss)), n_pairs=n_pos,
-        zero_pairs_excluded=int(W.size - n_pos), linear_distance=linear_distance,
+        zero_pairs_excluded=int(net.W.size - n_pos), linear_distance=linear_distance,
     )
 
 
-def simulate_gravity(
-    params: GravityParams,
-    dist: np.ndarray,
-    origin_counts: Sequence[float],
-    dest_counts: Sequence[float],
-    table: NeighborhoodTable,
-) -> InteractionNetwork:
-    """Evaluate the gravity law on a geometry, giving a simulated network.
+def simulate_gravity(params: GravityParams, net: InteractionNetwork,
+                     dist: np.ndarray) -> InteractionNetwork:
+    """Evaluate the gravity law on the masses of ``net`` and a geometry.
 
-    The result is real-valued and strictly positive wherever both masses
-    are positive.  eps = 0 is rejected when any pair sits at distance 0.
+    The result is ``net`` with real-valued raw flows, strictly positive
+    wherever both masses are positive; nodes, census and counts are kept.
+    eps = 0 is rejected when any pair sits at distance 0.
     """
+    _square(dist, net.n, "distance")
     if params.epsilon == 0 and not params.linear_distance and np.any(dist == 0):
         raise ValueError("distance singularity: eps = 0 with zero distances")
-    n_o = np.asarray(origin_counts, dtype=float)
-    n_d = np.asarray(dest_counts, dtype=float)
+    n_o, n_d = _masses(net)
     if np.any(n_o < 0) or np.any(n_d < 0):
         raise ValueError("mass counts must be non-negative")
     if params.linear_distance:
@@ -161,13 +165,7 @@ def simulate_gravity(
     else:
         kernel = (dist + params.epsilon) ** (-params.alpha)
     W = params.c * np.outer(n_o ** params.beta1, n_d ** params.beta2) * kernel
-    return InteractionNetwork(
-        nodes=list(table.ids), W=W, channel=params.channel, weighting="raw",
-        population=table.population.copy(), ses=table.ses.copy(),
-        user_counts=np.asarray(origin_counts, dtype=np.int64),
-        store_counts=np.asarray(dest_counts, dtype=np.int64),
-        simulated=True,
-    )
+    return replace(net, W=W, weighting="raw", dropped_events=0, simulated=True)
 
 
 @dataclass
@@ -207,7 +205,7 @@ def null_shuffle_ses(
     Replicate i draws its permutation from a stream derived from (seed, i),
     so results are reproducible and order-independent.
     """
-    o, d, w = _edges(_scored(net, groups))
+    o, d, w = _edges(_scored(net, groups), net.n)
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
     r_vals, bias_vals = [], []

@@ -134,10 +134,17 @@ def haversine_km(lat1, lon1, lat2, lon2) -> np.ndarray:
     return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
 
 
-def _edges(W: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Origin, destination and weight of every nonzero entry of W, row-major.
-    A NaN entry is an edge too, so scoring refuses it rather than drop it."""
-    o, d = np.nonzero(W)
+def _square(M: np.ndarray, n: int, what: str) -> np.ndarray:
+    """``M``, once it is shown to be n x n: one entry per pair of the n nodes."""
+    if np.shape(M) != (n, n):
+        raise ValueError(f"{what} matrix is {'x'.join(map(str, np.shape(M)))}, not {n}x{n}")
+    return M
+
+
+def _edges(W: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Origin, destination and weight of every nonzero entry of the n x n W,
+    row-major.  A NaN entry is an edge too, so scoring refuses it, not drops it."""
+    o, d = np.nonzero(_square(W, n, "flow"))
     return o, d, W[o, d]
 
 
@@ -146,7 +153,7 @@ def write_network(net: InteractionNetwork, edges_path, header_path) -> None:
     with open(edges_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["origin_id", "dest_id", "weight"])
-        for i, j, w in zip(*_edges(net.W)):
+        for i, j, w in zip(*_edges(net.W, net.n)):
             writer.writerow([net.nodes[i], net.nodes[j], repr(float(w))])
     header = {
         "nodes": net.nodes,

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .ingest import NeighborhoodTable
-from .network import InteractionNetwork, _edges
+from .network import InteractionNetwork, _edges, _square
 
 
 class DegenerateMatrixError(ValueError):
@@ -107,7 +107,7 @@ def _scored(net: InteractionNetwork, groups: GroupAssignment) -> np.ndarray:
 
 def mixing_from_matrix(W: np.ndarray, groups: GroupAssignment) -> MixingMatrix:
     """Aggregate an n x n weight matrix, raw or weighted, into group space."""
-    o, d, w = _edges(W)
+    o, d, w = _edges(W, len(groups.nodes))
     return MixingMatrix.from_flows(group_flows(o, d, w, groups.labels, groups.k))
 
 
@@ -224,7 +224,8 @@ def distance_sweep(
     quintiles of the vector of all pairwise centroid distances.
     A side with no remaining mass or no variance is flagged invalid.
     """
-    i, j, w = _edges(_scored(net, groups))
+    i, j, w = _edges(_scored(net, groups), net.n)
+    _square(dist, net.n, "distance")
     if thresholds is None:
         pairs = dist[np.triu_indices(len(dist), k=1)]
         thresholds = [float(np.percentile(pairs, q)) for q in (20, 40, 60, 80, 100)]

@@ -49,7 +49,7 @@ def _jackknife_flows(
         raise ValueError("removal_fraction must be in [0, 1)")
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
-    o, d, w = _edges(W)
+    o, d, w = _edges(W, len(groups.nodes))
     labels, k = groups.labels, groups.k
     M, counts = group_flows(o, d, w, labels, k), group_flows(o, d, None, labels, k)
     n_remove = int(removal_fraction * len(w))
@@ -207,11 +207,10 @@ def segregation_inequality_report(
     if eps_grid is None:
         # the simulated network must evaluate the zero-distance diagonal,
         # so the fitted offset has to stay strictly positive
-        eps_grid = np.round(np.arange(0.01, 2.0 + 1e-9, 0.01), 10)
+        eps_grid = models.DEFAULT_EPS_GRID[1:]
     arrays = models.purchase_arrays(events, table)
     emp_net = build_purchase_network(events, table)
-    user_counts, store_counts = emp_net.user_counts, emp_net.store_counts
-    has_store = store_counts > 0
+    has_store = emp_net.store_counts > 0
     rows: list[InequalityRow] = []
 
     rev_emp = arrays.revenue()
@@ -228,9 +227,8 @@ def segregation_inequality_report(
     ))
 
     dist = centroid_distances(table)
-    params = gravity_params or models.fit_gravity(emp_net, dist, user_counts,
-                                                  store_counts, eps_grid=eps_grid)
-    sim_net = models.simulate_gravity(params, dist, user_counts, store_counts, table)
+    params = gravity_params or models.fit_gravity(emp_net, dist, eps_grid=eps_grid)
+    sim_net = models.simulate_gravity(params, emp_net, dist)
     jk_sim = jackknife_statistic(population_weight(sim_net).W, flows_assortativity, groups,
                                  removal_fraction, jackknife_replicates, seed)
     rev_imposed = models.adjust_gravity_amounts(arrays, emp_net, sim_net,
@@ -249,7 +247,7 @@ def segregation_inequality_report(
 
     # reshuffles keep every neighborhood's customer count, so each event
     # carries its home's population weight whatever home it moves to
-    inv_rate = 1.0 / sampling_rate(user_counts, table.population)
+    inv_rate = 1.0 / sampling_rate(emp_net.user_counts, table.population)
     for fraction in fractions:
         reps = models.reshuffle_locations(arrays, fraction, replicates=replicates, seed=seed)
         r_vals, g_vals, g_excl, totals = [], [], [], []

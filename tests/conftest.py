@@ -5,6 +5,7 @@ import pytest
 
 from segflow.ingest import (GeoPostLog, MentionLog, NeighborhoodTable, PurchaseLog,
                             assign_points_to_neighborhoods, infer_home)
+from segflow.network import InteractionNetwork
 
 
 def make_table(n=4, ses=None, population=None, spacing_deg=0.05):
@@ -15,6 +16,16 @@ def make_table(n=4, ses=None, population=None, spacing_deg=0.05):
     pop = np.asarray(population if population is not None else [1000] * n)
     s = np.asarray(ses if ses is not None else np.linspace(10.0, 90.0, n))
     return NeighborhoodTable(ids, lat, lon, pop, s)
+
+
+def gravity_net(table, user_counts, store_counts, W=None, channel="purchase"):
+    """A raw network over ``table`` carrying the gravity masses it models:
+    ``user_counts`` at origins, ``store_counts`` at purchase destinations.
+    Its flows are ``W``, or zero."""
+    W = np.zeros((table.n, table.n)) if W is None else np.asarray(W, float)
+    return InteractionNetwork(nodes=list(table.ids), W=W, channel=channel,
+                              population=table.population, ses=table.ses,
+                              user_counts=user_counts, store_counts=store_counts)
 
 
 class Purchase(NamedTuple):

@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from segflow import (GravityParams, InteractionNetwork, assign_groups,
-                     assortativity, asymmetry_bias, asymmetry_sweep,
+from segflow import (GravityParams, assign_groups, assortativity,
+                     asymmetry_bias, asymmetry_sweep,
                      build_purchase_network, centroid_distances,
                      distance_sweep, extremes_sweep, filter_active_customers,
                      fit_gravity, gini, individual_diversity, mixing_matrix,
@@ -26,7 +26,7 @@ from segflow import (GravityParams, InteractionNetwork, assign_groups,
 from segflow.cli import main as cli_main
 from segflow.segregation import mixing_from_matrix
 
-from conftest import make_table, purchase, purchase_log
+from conftest import gravity_net, make_table, purchase, purchase_log
 
 REFERENCE_FITS = {
     "european_purchase": (0.249, 0.762, 0.598, 0.233, 0.918),
@@ -134,8 +134,8 @@ def test_criterion_03_gravity_round_trip():
     worst_noiseless = 0.0
     for c, b1, b2, eps, alpha in REFERENCE_FITS.values():
         planted = GravityParams(c=c, beta1=b1, beta2=b2, epsilon=eps, alpha=alpha)
-        sim = simulate_gravity(planted, dist, n_o, n_d, table)
-        fit = fit_gravity(sim, dist, n_o, n_d, eps_grid=fine_grid)
+        sim = simulate_gravity(planted, gravity_net(table, n_o, n_d), dist)
+        fit = fit_gravity(sim, dist, eps_grid=fine_grid)
         worst_noiseless = max(
             worst_noiseless,
             abs(fit.c / c - 1), abs(fit.beta1 / b1 - 1), abs(fit.beta2 / b2 - 1),
@@ -146,11 +146,11 @@ def test_criterion_03_gravity_round_trip():
     for name in noisy_sets:
         c, b1, b2, eps, alpha = REFERENCE_FITS[name]
         planted = GravityParams(c=c, beta1=b1, beta2=b2, epsilon=eps, alpha=alpha)
-        sim = simulate_gravity(planted, dist, n_o, n_d, table)
+        sim = simulate_gravity(planted, gravity_net(table, n_o, n_d), dist)
         for seed in range(20):
             noise = np.exp(0.1 * np.random.default_rng((103, seed)).standard_normal(sim.W.shape))
-            noisy = InteractionNetwork(nodes=sim.nodes, W=sim.W * noise, channel="purchase")
-            fit = fit_gravity(noisy, dist, n_o, n_d)
+            noisy = replace(sim, W=sim.W * noise)
+            fit = fit_gravity(noisy, dist)
             worst_noisy = max(worst_noisy, abs(fit.beta1 / b1 - 1),
                               abs(fit.beta2 / b2 - 1), abs(fit.alpha / alpha - 1))
     elapsed = time.perf_counter() - start

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from segflow.segregation import (assign_groups, assortativity, mixing_from_matri
                                  mixing_matrix)
 from segflow import synth
 
-from conftest import make_table, purchase, purchase_log
+from conftest import gravity_net, make_table, purchase, purchase_log
 
 
 @pytest.fixture(scope="module")
@@ -20,18 +22,12 @@ def geometry():
     return table, centroid_distances(table), rng.integers(20, 200, 49), rng.integers(10, 120, 49)
 
 
-def raw_net(W, table, channel="purchase"):
-    return InteractionNetwork(nodes=list(table.ids), W=np.asarray(W, float),
-                              channel=channel, weighting="raw",
-                              population=table.population, ses=table.ses)
-
-
 class TestFitGravity:
     def test_noiseless_round_trip(self, geometry):
         table, dist, n_o, n_d = geometry
         planted = GravityParams(c=0.25, beta1=0.76, beta2=0.6, epsilon=0.233, alpha=0.92)
-        sim = simulate_gravity(planted, dist, n_o, n_d, table)
-        fit = fit_gravity(sim, dist, n_o, n_d,
+        sim = simulate_gravity(planted, gravity_net(table, n_o, n_d), dist)
+        fit = fit_gravity(sim, dist,
                           eps_grid=np.round(np.arange(0.0, 0.5, 0.001), 10))
         assert fit.c == pytest.approx(planted.c, rel=1e-6)
         assert fit.beta1 == pytest.approx(planted.beta1, rel=1e-6)
@@ -43,9 +39,9 @@ class TestFitGravity:
     def test_constant_model(self, geometry):
         table, dist, n_o, n_d = geometry
         planted = GravityParams(c=3.5, beta1=0.0, beta2=0.0, epsilon=0.1, alpha=0.0)
-        sim = simulate_gravity(planted, dist, n_o, n_d, table)
+        sim = simulate_gravity(planted, gravity_net(table, n_o, n_d), dist)
         assert np.allclose(sim.W, 3.5)
-        fit = fit_gravity(sim, dist, n_o, n_d)
+        fit = fit_gravity(sim, dist)
         assert fit.beta1 == pytest.approx(0.0, abs=1e-8)
         assert fit.beta2 == pytest.approx(0.0, abs=1e-8)
         assert fit.alpha == pytest.approx(0.0, abs=1e-8)
@@ -54,10 +50,10 @@ class TestFitGravity:
     def test_noisy_round_trip_exponents(self, geometry):
         table, dist, n_o, n_d = geometry
         planted = GravityParams(c=0.5, beta1=0.7, beta2=0.8, epsilon=0.3, alpha=0.9)
-        sim = simulate_gravity(planted, dist, n_o, n_d, table)
+        sim = simulate_gravity(planted, gravity_net(table, n_o, n_d), dist)
         rng = np.random.default_rng(8)
-        noisy = raw_net(sim.W * np.exp(0.1 * rng.standard_normal(sim.W.shape)), table)
-        fit = fit_gravity(noisy, dist, n_o, n_d)
+        noisy = replace(sim, W=sim.W * np.exp(0.1 * rng.standard_normal(sim.W.shape)))
+        fit = fit_gravity(noisy, dist)
         for got, want in ((fit.beta1, 0.7), (fit.beta2, 0.8), (fit.alpha, 0.9)):
             assert abs(got / want - 1.0) < 0.05
 
@@ -66,23 +62,23 @@ class TestFitGravity:
         W = np.zeros((49, 49))
         W[0, :10] = 1.0
         with pytest.raises(ValueError, match="too few"):
-            fit_gravity(raw_net(W, table), dist, n_o, n_d)
+            fit_gravity(gravity_net(table, n_o, n_d, W), dist)
 
     def test_collinear_regressors_report_condition(self, geometry):
         table, dist, _, n_d = geometry
         uniform = np.full(49, 50)  # log origin mass constant -> collinear with intercept
         planted = GravityParams(c=1.0, beta1=0.5, beta2=0.5, epsilon=0.2, alpha=0.5)
-        sim = simulate_gravity(planted, dist, uniform, n_d, table)
+        sim = simulate_gravity(planted, gravity_net(table, uniform, n_d), dist)
         with pytest.raises(ValueError, match="collinear"):
-            fit_gravity(sim, dist, uniform, n_d)
+            fit_gravity(sim, dist)
 
     def test_zero_flow_pairs_excluded(self, geometry):
         table, dist, n_o, n_d = geometry
         planted = GravityParams(c=0.3, beta1=0.6, beta2=0.7, epsilon=0.25, alpha=0.8)
-        sim = simulate_gravity(planted, dist, n_o, n_d, table)
+        sim = simulate_gravity(planted, gravity_net(table, n_o, n_d), dist)
         W = sim.W.copy()
         W[2, :] = 0.0  # knocked-out row must not break the log
-        fit = fit_gravity(raw_net(W, table), dist, n_o, n_d,
+        fit = fit_gravity(gravity_net(table, n_o, n_d, W), dist,
                           eps_grid=np.round(np.arange(0.2, 0.3, 0.001), 10))
         assert fit.zero_pairs_excluded == 49
         assert fit.beta1 == pytest.approx(planted.beta1, rel=1e-6)
@@ -91,10 +87,60 @@ class TestFitGravity:
         table, dist, n_o, n_d = geometry
         # plant the exponential-distance form the flag reproduces
         W = 0.8 * np.outer(n_o ** 0.5, n_d ** 0.4) * np.exp(-0.07 * dist)
-        fit = fit_gravity(raw_net(W, table), dist, n_o, n_d, linear_distance=True)
+        fit = fit_gravity(gravity_net(table, n_o, n_d, W), dist, linear_distance=True)
         assert fit.alpha == pytest.approx(0.07, rel=1e-6)
         assert fit.epsilon == 0.0
         assert fit.linear_distance
+
+    def test_nan_and_negative_flows_refused(self, geometry):
+        table, dist, n_o, n_d = geometry
+        planted = GravityParams(c=0.3, beta1=0.6, beta2=0.7, epsilon=0.25, alpha=0.8)
+        W = simulate_gravity(planted, gravity_net(table, n_o, n_d), dist).W.copy()
+        W[3, 4], W[5, 6] = np.nan, -5.0
+        with pytest.raises(ValueError, match="^flows must be finite and non-negative$"):
+            fit_gravity(gravity_net(table, n_o, n_d, W), dist)
+
+
+class TestGravityMasses:
+    """The fit and the simulation read their masses from the network: users
+    at the origin, stores (purchases) or users (mentions) at the destination."""
+
+    PLANTED = GravityParams(c=0.4, beta1=0.7, beta2=0.5, epsilon=0.2, alpha=0.9)
+    GRID = np.round(np.arange(0.1, 0.3, 0.01), 10)
+
+    def test_mention_network_uses_user_counts_at_both_ends(self, geometry):
+        table, dist, n_o, _ = geometry
+        mention = gravity_net(table, n_o, None, channel="mention")
+        sim = simulate_gravity(self.PLANTED, mention, dist)
+        assert np.allclose(sim.W, 0.4 * np.outer(n_o ** 0.7, n_o ** 0.5) * (dist + 0.2) ** -0.9)
+        fit = fit_gravity(sim, dist, eps_grid=self.GRID)
+        same = fit_gravity(replace(sim, channel="purchase", store_counts=n_o), dist,
+                           eps_grid=self.GRID)
+        assert fit.channel == "mention"
+        assert (fit.c, fit.beta1, fit.beta2, fit.epsilon, fit.alpha) == (
+            same.c, same.beta1, same.beta2, same.epsilon, same.alpha)
+        assert fit.beta2 == pytest.approx(0.5, rel=1e-6)
+
+    @pytest.mark.parametrize("missing", ["user_counts", "store_counts"])
+    def test_purchase_network_without_counts_refused(self, geometry, missing):
+        table, dist, n_o, n_d = geometry
+        sim = simulate_gravity(self.PLANTED, gravity_net(table, n_o, n_d), dist)
+        net = replace(sim, **{missing: None})
+        message = ("^the gravity model needs the network's user counts "
+                   "and, for purchases, its store counts$")
+        with pytest.raises(ValueError, match=message):
+            fit_gravity(net, dist)
+        with pytest.raises(ValueError, match=message):
+            simulate_gravity(self.PLANTED, net, dist)
+
+    def test_simulation_keeps_the_modelled_network(self, geometry):
+        table, dist, n_o, n_d = geometry
+        net = replace(gravity_net(table, n_o, n_d), dropped_events=7)
+        sim = simulate_gravity(self.PLANTED, net, dist)
+        assert sim.user_counts is net.user_counts
+        assert sim.store_counts is net.store_counts
+        assert sim.population is net.population and sim.nodes is net.nodes
+        assert sim.simulated and sim.weighting == "raw" and sim.dropped_events == 0
 
 
 class TestSimulateGravity:
@@ -102,8 +148,8 @@ class TestSimulateGravity:
         table, dist, n_o, n_d = geometry
         base = GravityParams(c=0.5, beta1=0.7, beta2=0.8, epsilon=0.3, alpha=0.9)
         double = GravityParams(c=1.0, beta1=0.7, beta2=0.8, epsilon=0.3, alpha=0.9)
-        sim1 = simulate_gravity(base, dist, n_o, n_d, table)
-        sim2 = simulate_gravity(double, dist, n_o, n_d, table)
+        sim1 = simulate_gravity(base, gravity_net(table, n_o, n_d), dist)
+        sim2 = simulate_gravity(double, gravity_net(table, n_o, n_d), dist)
         assert np.allclose(sim2.W, 2.0 * sim1.W)
         groups = assign_groups(table, k=7)
         r1 = assortativity(mixing_from_matrix(sim1.W, groups))
@@ -113,7 +159,7 @@ class TestSimulateGravity:
     def test_everywhere_positive(self, geometry):
         table, dist, n_o, n_d = geometry
         params = GravityParams(c=0.249, beta1=0.762, beta2=0.598, epsilon=0.233, alpha=0.918)
-        sim = simulate_gravity(params, dist, n_o, n_d, table)
+        sim = simulate_gravity(params, gravity_net(table, n_o, n_d), dist)
         assert np.all(np.isfinite(sim.W))
         assert np.all(sim.W > 0)
         assert sim.simulated and sim.weighting == "raw"
@@ -122,12 +168,12 @@ class TestSimulateGravity:
         table, dist, n_o, n_d = geometry
         params = GravityParams(c=1.0, beta1=0.5, beta2=0.5, epsilon=0.0, alpha=0.5)
         with pytest.raises(ValueError, match="distance singularity"):
-            simulate_gravity(params, dist, n_o, n_d, table)
+            simulate_gravity(params, gravity_net(table, n_o, n_d), dist)
 
     def test_alpha_zero_distance_free(self, geometry):
         table, dist, n_o, n_d = geometry
         params = GravityParams(c=1.0, beta1=0.5, beta2=0.5, epsilon=0.5, alpha=0.0)
-        sim = simulate_gravity(params, dist, n_o, n_d, table)
+        sim = simulate_gravity(params, gravity_net(table, n_o, n_d), dist)
         expected = np.outer(n_o ** 0.5, n_d ** 0.5)
         assert np.allclose(sim.W, expected)
 
@@ -141,7 +187,7 @@ class TestSimulateGravity:
         n_d = rng.integers(10, 120, 100)
         dist = centroid_distances(table)
         params = GravityParams(c=1.0, beta1=0.7, beta2=0.6, epsilon=0.5, alpha=0.0)
-        sim = simulate_gravity(params, dist, n_o, n_d, table)
+        sim = simulate_gravity(params, gravity_net(table, n_o, n_d), dist)
         weighted = population_weight(sim)  # sim carries n_o as its user counts
         groups = assign_groups(table, k=10)
         r = assortativity(mixing_matrix(weighted, groups))
@@ -345,8 +391,8 @@ def test_reference_parameter_sets_round_trip():
     grid = np.round(np.arange(0.0, 1.2, 0.001), 10)
     for c, b1, b2, eps, alpha in sets:
         planted = GravityParams(c=c, beta1=b1, beta2=b2, epsilon=eps, alpha=alpha)
-        sim = simulate_gravity(planted, dist, n_o, n_d, table)
-        fit = fit_gravity(sim, dist, n_o, n_d, eps_grid=grid)
+        sim = simulate_gravity(planted, gravity_net(table, n_o, n_d), dist)
+        fit = fit_gravity(sim, dist, eps_grid=grid)
         for got, want in ((fit.c, c), (fit.beta1, b1), (fit.beta2, b2),
                           (fit.epsilon, eps), (fit.alpha, alpha)):
             assert abs(got / want - 1.0) < 0.01

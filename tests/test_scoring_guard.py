@@ -2,7 +2,9 @@
 
 A network that is not population-weighted, or a grouping over other
 nodes, is refused with the same message by every public analysis that
-takes a network and the ``GroupAssignment`` it scores.
+takes a network and the ``GroupAssignment`` it scores.  A flow or
+distance matrix that is not n x n for the n nodes scored is refused too,
+and the gravity model reads its masses from the network it models.
 """
 import inspect
 from dataclasses import replace
@@ -24,6 +26,8 @@ WEIGHTED = InteractionNetwork(
     population=TABLE.population, ses=TABLE.ses)
 DIST = centroid_distances(TABLE)
 STEPS = segregation.extremes_sweep(WEIGHTED, GROUPS)
+GRAVITY = replace(WEIGHTED, weighting="raw", user_counts=np.full(12, 30),
+                  store_counts=np.arange(1, 13))
 
 # Every public analysis of (net, groups), with its other arguments filled in.
 ANALYSES = {
@@ -71,6 +75,42 @@ def test_every_network_analysis_is_listed():
              if fn.__module__ == module.__name__ and not name.startswith("_")
              and {"net", "groups"} <= set(inspect.signature(fn).parameters)}
     assert found == set(ANALYSES)
+
+
+def test_no_analysis_takes_what_its_network_carries():
+    """Masses and the census come from the network: no public function takes
+    counts beside it, or a ``table`` beside a ``net``."""
+    for module in (segregation, models, stats):
+        for name, fn in inspect.getmembers(module, inspect.isfunction):
+            if fn.__module__ != module.__name__ or name.startswith("_"):
+                continue
+            params = set(inspect.signature(fn).parameters)
+            assert not params & {"origin_counts", "dest_counts"}, name
+            assert not {"net", "table"} <= params, name
+
+
+SLICE = WEIGHTED.W[:8, :8]
+OFF_SIZE = {
+    "segregation.mixing_from_matrix": (lambda: segregation.mixing_from_matrix(SLICE, GROUPS),
+                                       "flow matrix is 8x8, not 12x12"),
+    "stats.jackknife_statistic": (lambda: stats.jackknife_statistic(
+        SLICE, stats.flows_assortativity, GROUPS, replicates=5), "flow matrix is 8x8, not 12x12"),
+    "segregation.distance_sweep": (lambda: segregation.distance_sweep(
+        WEIGHTED, GROUPS, centroid_distances(make_table(16, spacing_deg=0.03))),
+        "distance matrix is 16x16, not 12x12"),
+    "models.fit_gravity": (lambda: models.fit_gravity(GRAVITY, DIST[:8, :8]),
+                           "distance matrix is 8x8, not 12x12"),
+    "models.simulate_gravity": (lambda: models.simulate_gravity(
+        models.GravityParams(c=1.0, beta1=0.5, beta2=0.5, epsilon=0.1, alpha=1.0),
+        GRAVITY, DIST[:8, :8]), "distance matrix is 8x8, not 12x12"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OFF_SIZE))
+def test_matrix_of_other_size_refused(name):
+    call, message = OFF_SIZE[name]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 @pytest.mark.parametrize("name", ["segregation.mixing_matrix", "stats.jackknife_assortativity"])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -83,10 +85,9 @@ class TestPlantedStructure:
         city = generate_city(cfg)
         net = build_purchase_network(city.purchases, city.table)
         dist = centroid_distances(city.table)
-        fit = fit_gravity(net, dist,
-                          np.array(city.truth["customer_counts"]),
-                          np.array(city.truth["store_counts"]),
-                          eps_grid=np.round(np.arange(0.3, 0.8, 0.01), 10))
+        net = replace(net, user_counts=np.array(city.truth["customer_counts"]),
+                      store_counts=np.array(city.truth["store_counts"]))
+        fit = fit_gravity(net, dist, eps_grid=np.round(np.arange(0.3, 0.8, 0.01), 10))
         g = cfg.purchase_gravity
         assert abs(fit.beta1 / g.beta1 - 1) < 0.05
         assert abs(fit.beta2 / g.beta2 - 1) < 0.05
