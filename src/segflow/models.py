@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .ingest import NeighborhoodTable, PurchaseLog
-from .network import InteractionNetwork, _edges, _square
+from .network import InteractionNetwork, _distances, _edges
 from .segregation import (DegenerateMatrixError, GroupAssignment, MixingMatrix, _scored,
                           asymmetry_bias, assortativity, group_flows)
 
@@ -86,7 +86,7 @@ def fit_gravity(
     if np.any(n_o[rows] <= 0) or np.any(n_d[cols] <= 0):
         raise ValueError("positive flow from/to a neighborhood with zero mass count")
     y = np.log(w)
-    T = _square(dist, net.n, "distance")[rows, cols]
+    T = _distances(dist, net.n)[rows, cols]
     A = np.column_stack([np.ones(n_pos), np.log(n_o[rows]), np.log(n_d[cols])])
 
     # eps-independent blocks of the weighted normal equations
@@ -154,7 +154,7 @@ def simulate_gravity(params: GravityParams, net: InteractionNetwork,
     wherever both masses are positive; nodes, census and counts are kept.
     eps = 0 is rejected when any pair sits at distance 0.
     """
-    _square(dist, net.n, "distance")
+    _distances(dist, net.n)
     if params.epsilon == 0 and not params.linear_distance and np.any(dist == 0):
         raise ValueError("distance singularity: eps = 0 with zero distances")
     n_o, n_d = _masses(net)

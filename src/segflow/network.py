@@ -3,7 +3,9 @@
 Networks are dense n x n matrices (rows = origin) over the canonical
 sorted neighborhood order.  Raw edge weights are event counts; the
 population weighting divides out each neighborhood's sampling rate so
-that under-sampled areas are not under-represented.
+that under-sampled areas are not under-represented.  Each n x n matrix is
+built once into its own buffer, with no full-size temporaries: centroid
+distances in blocks of rows, mention weights divided into their scale.
 """
 from __future__ import annotations
 
@@ -17,6 +19,7 @@ import numpy as np
 from .ingest import MentionLog, NeighborhoodTable, PurchaseLog
 
 EARTH_RADIUS_KM = 6371.0
+_BLOCK_ROWS = 128     # rows of the distance matrix computed at a time
 
 
 @dataclass
@@ -101,14 +104,15 @@ def population_weight(net: InteractionNetwork) -> InteractionNetwork:
     W = net.W
     rate = sampling_rate(m, p)
     if net.channel == "purchase":
-        involved, scale = W.sum(axis=1) > 0, rate[:, None]
+        involved, scale, out = W.sum(axis=1) > 0, rate[:, None], None
     elif net.channel == "mention":
-        involved, scale = (W.sum(axis=1) > 0) | (W.sum(axis=0) > 0), np.outer(rate, rate)
+        involved = (W.sum(axis=1) > 0) | (W.sum(axis=0) > 0)
+        scale = out = np.outer(rate, rate)   # a fresh n x n buffer: divide into it
     else:
         raise ValueError(f"unknown channel {net.channel!r}")
     if np.any((m == 0) & involved):
         raise ValueError(f"zero sampled users in a neighborhood with {net.channel} flow")
-    return replace(net, W=W / scale, weighting="population_weighted")
+    return replace(net, W=np.divide(W, scale, out=out), weighting="population_weighted")
 
 
 def sampling_rate(user_counts, population) -> np.ndarray:
@@ -119,10 +123,18 @@ def sampling_rate(user_counts, population) -> np.ndarray:
 
 
 def centroid_distances(table: NeighborhoodTable) -> np.ndarray:
-    """Great-circle distances (km) between neighborhood centroids."""
-    lat, lon = table.lat[:, None], table.lon[:, None]
-    d = haversine_km(lat, lon, lat.T, lon.T)
-    d = (d + d.T) / 2.0
+    """Great-circle distances (km) between neighborhood centroids: the mean of
+    i -> j and j -> i, 0 on the diagonal.  Filled a block of rows at a time and
+    averaged in place block pair by block pair, with no n x n temporary."""
+    lat, lon, n = table.lat, table.lon, table.n
+    d = np.empty((n, n))
+    for a in range(0, n, _BLOCK_ROWS):
+        rows = slice(a, a + _BLOCK_ROWS)
+        d[rows] = haversine_km(lat[rows, None], lon[rows, None], lat, lon)
+        for b in range(0, a + 1, _BLOCK_ROWS):
+            cols = slice(b, b + _BLOCK_ROWS)
+            avg = (d[rows, cols] + d[cols, rows].T) / 2.0
+            d[rows, cols], d[cols, rows] = avg, avg.T
     np.fill_diagonal(d, 0.0)
     return d
 
@@ -141,6 +153,15 @@ def _square(M: np.ndarray, n: int, what: str) -> np.ndarray:
     return M
 
 
+def _distances(dist: np.ndarray, n: int) -> np.ndarray:
+    """``dist``, once it is shown to be an n x n matrix of finite, non-negative
+    distances.  min and max propagate NaN, so neither needs an n x n mask."""
+    _square(dist, n, "distance")
+    if dist.size and not (dist.min() >= 0.0 and np.isfinite(dist.max())):
+        raise ValueError("distances must be finite and non-negative")
+    return dist
+
+
 def _edges(W: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Origin, destination and weight of every nonzero entry of the n x n W,
     row-major.  A NaN entry is an edge too, so scoring refuses it, not drops it."""
@@ -148,24 +169,32 @@ def _edges(W: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return o, d, W[o, d]
 
 
+def _whole(values, field: str) -> list[int] | None:
+    """``values`` as ints; one that ``int`` would truncate is refused."""
+    if values is not None and not all(float(v).is_integer() for v in values):
+        raise ValueError(f"{field} must be whole numbers")
+    return None if values is None else [int(v) for v in values]
+
+
 def write_network(net: InteractionNetwork, edges_path, header_path) -> None:
-    """Export as an edge list (zero entries omitted) plus a JSON header."""
+    """Export as an edge list (zero entries omitted) plus a JSON header.
+    Population and counts are written as integers; a fractional one is refused."""
+    header = {
+        "nodes": net.nodes,
+        "channel": net.channel,
+        "weighting": net.weighting,
+        "population": _whole(net.population, "population"),
+        "ses": None if net.ses is None else [float(v) for v in net.ses],
+        "user_counts": _whole(net.user_counts, "user_counts"),
+        "store_counts": _whole(net.store_counts, "store_counts"),
+        "dropped_events": net.dropped_events,
+        "simulated": net.simulated,
+    }
     with open(edges_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["origin_id", "dest_id", "weight"])
         for i, j, w in zip(*_edges(net.W, net.n)):
             writer.writerow([net.nodes[i], net.nodes[j], repr(float(w))])
-    header = {
-        "nodes": net.nodes,
-        "channel": net.channel,
-        "weighting": net.weighting,
-        "population": None if net.population is None else [int(v) for v in net.population],
-        "ses": None if net.ses is None else [float(v) for v in net.ses],
-        "user_counts": None if net.user_counts is None else [int(v) for v in net.user_counts],
-        "store_counts": None if net.store_counts is None else [int(v) for v in net.store_counts],
-        "dropped_events": net.dropped_events,
-        "simulated": net.simulated,
-    }
     with open(header_path, "w") as fh:
         json.dump(header, fh, indent=1, sort_keys=True)
         fh.write("\n")

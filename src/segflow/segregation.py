@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .ingest import NeighborhoodTable
-from .network import InteractionNetwork, _edges, _square
+from .network import InteractionNetwork, _distances, _edges
 
 
 class DegenerateMatrixError(ValueError):
@@ -225,13 +225,16 @@ def distance_sweep(
     A side with no remaining mass or no variance is flagged invalid.
     """
     i, j, w = _edges(_scored(net, groups), net.n)
-    _square(dist, net.n, "distance")
+    _distances(dist, net.n)
     if thresholds is None:
-        pairs = dist[np.triu_indices(len(dist), k=1)]
-        thresholds = [float(np.percentile(pairs, q)) for q in (20, 40, 60, 80, 100)]
+        # the upper triangle, row by row (the order of triu_indices), in a
+        # private copy that the percentile may partition in place
+        pairs = np.concatenate([dist[r, r + 1:] for r in range(net.n)])
+        thresholds = np.percentile(pairs, (20, 40, 60, 80, 100), overwrite_input=True)
     thresholds = [float(d) for d in thresholds]
-    if any(d <= 0 for d in thresholds) or any(b <= a for a, b in zip(thresholds, thresholds[1:])):
-        raise ValueError("thresholds must be positive and ascending")
+    if (not all(0 < d < np.inf for d in thresholds)
+            or any(b <= a for a, b in zip(thresholds, thresholds[1:]))):
+        raise ValueError("thresholds must be finite, positive and ascending")
     edge_dist = dist[i, j]
     steps = []
     for d in thresholds:

@@ -229,6 +229,7 @@ def segregation_inequality_report(
     dist = centroid_distances(table)
     params = gravity_params or models.fit_gravity(emp_net, dist, eps_grid=eps_grid)
     sim_net = models.simulate_gravity(params, emp_net, dist)
+    del dist   # free the n x n distances before the simulated flows are weighted
     jk_sim = jackknife_statistic(population_weight(sim_net).W, flows_assortativity, groups,
                                  removal_fraction, jackknife_replicates, seed)
     rev_imposed = models.adjust_gravity_amounts(arrays, emp_net, sim_net,

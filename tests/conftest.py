@@ -5,6 +5,7 @@ import pytest
 
 from segflow.ingest import (GeoPostLog, MentionLog, NeighborhoodTable, PurchaseLog,
                             assign_points_to_neighborhoods, infer_home)
+from segflow import synth
 from segflow.network import InteractionNetwork
 
 
@@ -16,6 +17,24 @@ def make_table(n=4, ses=None, population=None, spacing_deg=0.05):
     pop = np.asarray(population if population is not None else [1000] * n)
     s = np.asarray(ses if ses is not None else np.linspace(10.0, 90.0, n))
     return NeighborhoodTable(ids, lat, lon, pop, s)
+
+
+def preset_table(n):
+    """The centroid table of the homophilous preset city, seed 7, with n
+    neighborhoods: the geometry the benchmark runs on."""
+    cfg = synth.preset("homophilous", seed=7, n_neighborhoods=n)
+    return synth._grid_layout(cfg, np.random.default_rng(cfg.seed))[0]
+
+
+def sparse_net(table, nnz, channel="purchase", weighting="population_weighted"):
+    """A network over ``table`` with ``nnz`` random unit flows (repeats
+    collapse), sampled users in every neighborhood, and the census."""
+    rng = np.random.default_rng(0)
+    W = np.zeros((table.n, table.n))
+    W[rng.integers(table.n, size=nnz), rng.integers(table.n, size=nnz)] = 1.0
+    return InteractionNetwork(nodes=list(table.ids), W=W, channel=channel, weighting=weighting,
+                              population=table.population, ses=table.ses,
+                              user_counts=np.maximum(table.population // 50, 1))
 
 
 def gravity_net(table, user_counts, store_counts, W=None, channel="purchase"):

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from segflow import synth
+from segflow import network, synth
 from segflow.network import (EARTH_RADIUS_KM, InteractionNetwork, build_mention_network,
                              build_purchase_network, centroid_distances,
                              haversine_km, population_weight, read_network,
@@ -13,7 +13,8 @@ from segflow.segregation import (assign_groups, assortativity, mixing_from_matri
                                  mixing_matrix)
 from segflow.ingest import NeighborhoodTable
 
-from conftest import make_table, mention, mention_log, purchase, purchase_log
+from conftest import (make_table, mention, mention_log, preset_table, purchase, purchase_log,
+                      sparse_net)
 
 
 class TestBuildPurchaseNetwork:
@@ -158,6 +159,14 @@ class TestPopulationWeight:
         with pytest.raises(ValueError, match="already"):
             population_weight(weighted)
 
+    @pytest.mark.parametrize("channel", ["purchase", "mention"])
+    def test_raw_flows_left_unchanged(self, channel):
+        raw = sparse_net(make_table(12), 40, channel=channel, weighting="raw")
+        before = raw.W.copy()
+        weighted = population_weight(raw)
+        assert np.array_equal(raw.W, before)
+        assert not np.shares_memory(weighted.W, raw.W)
+
     def test_uniform_sampling_ratio_is_global_scaling(self):
         # identical m_i/p_i everywhere multiplies W by one constant, so
         # downstream assortativity is unchanged to 1e-12
@@ -212,6 +221,22 @@ class TestDistances:
         np.fill_diagonal(d, 0.0)
         assert np.array_equal(centroid_distances(table), d)
 
+    @pytest.mark.parametrize("n", [1, network._BLOCK_ROWS - 1, network._BLOCK_ROWS,
+                                   network._BLOCK_ROWS + 1, 1600])
+    def test_blocks_match_whole_matrix_formula_bitwise(self, n):
+        """The row blocks and the in-place block-pair averaging give, bit for
+        bit, the one-shot ``(d + d.T) / 2`` over the whole matrix, also when
+        n is one block or falls one row either side of a block edge."""
+        table = preset_table(1600)
+        if n < 1600:
+            table = NeighborhoodTable(table.ids[:n], table.lat[:n], table.lon[:n],
+                                      table.population[:n] + 1, table.ses[:n])
+        lat, lon = table.lat[:, None], table.lon[:, None]
+        d = haversine_km(lat, lon, lat.T, lon.T)
+        d = (d + d.T) / 2.0
+        np.fill_diagonal(d, 0.0)
+        assert np.array_equal(centroid_distances(table), d)
+
     def test_symmetry_and_zero_diagonal(self):
         rng = np.random.default_rng(9)
         table = make_table(12)
@@ -242,6 +267,29 @@ class TestExport:
         assert np.array_equal(back.W, net.W)
         assert back.nodes == net.nodes
         assert back.channel == net.channel
+
+
+    def test_fractional_counts_refused(self, tmp_path, table4):
+        """``int`` would truncate them: [2.7, 1.5] used to read back as [2, 1]."""
+        events = [purchase("C1", "S1", "N00", "N01"), purchase("C2", "S2", "N03", "N02")]
+        net = build_purchase_network(purchase_log(events), table4)
+        for field, counts in (("user_counts", [2.7, 1.5, 0.0, 1.0]),
+                              ("store_counts", [0.4, 3.0, 1.0, 0.0]),
+                              ("population", [1000.5, 1000, 1000, 1000])):
+            with pytest.raises(ValueError, match=f"^{field} must be whole numbers$"):
+                write_network(replace(net, **{field: np.array(counts)}),
+                              tmp_path / "edges.csv", tmp_path / "header.json")
+        assert not (tmp_path / "edges.csv").exists()
+
+    def test_whole_float_counts_written_as_integers(self, tmp_path, table4):
+        events = [purchase("C1", "S1", "N00", "N01"), purchase("C2", "S2", "N03", "N02")]
+        net = build_purchase_network(purchase_log(events), table4)
+        paths = [tmp_path / "edges.csv", tmp_path / "header.json"]
+        write_network(net, *paths)
+        expected = [p.read_bytes() for p in paths]
+        write_network(replace(net, user_counts=net.user_counts.astype(float),
+                              store_counts=net.store_counts.astype(float)), *paths)
+        assert [p.read_bytes() for p in paths] == expected
 
 
 def test_mass_conservation_sums_to_event_count(table4):

@@ -3,11 +3,15 @@
 `perfbench/run.py` reports per-layer times for the functions named in its
 SELF_TIMES and CALL_COUNTS tables, and `perfbench/spans.py` observes some
 of them through their parameter names.  A renamed function or parameter
-makes the traced run fail; these tests catch it in tier-1 instead.
+makes the traced run fail; these tests catch it in tier-1 instead.  So
+does a function the pipeline stops calling: the last test runs synth and
+the ten commands in-process under the benchmark's own tracer.
 """
 import ast
 import importlib
+import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
@@ -56,3 +60,33 @@ def test_observed_parameters_exist():
         dotted = ast.literal_eval(key)
         params = inspect.signature(traced_function(dotted)).parameters
         assert args_read[observer.id] <= set(params), dotted
+
+
+def perfbench_module(name: str):
+    """``perfbench/<name>.py``, imported under a name of its own."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_pipeline_calls_every_reported_function(tmp_path):
+    """Every function the benchmark reports is called, and every observer
+    runs: an observer that raises makes its command exit non-zero."""
+    import segflow.cli as cli
+    spans, pipeline = perfbench_module("spans"), perfbench_module("pipeline")
+    city = tmp_path / "city"
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        tracer.command = "synth"
+        assert cli.main(pipeline.synth_args("smoke", 7, city)) == 0
+        for command, flags in pipeline.PIPELINE:
+            tracer.command = command
+            argv = [command, *flags, "--data", str(city), "--out", str(tmp_path / command)]
+            assert cli.main(argv) == 0, command
+    finally:
+        tracer.uninstall()
+    assert set(spans.OBSERVERS) <= set(TRACED)
+    assert [name for name in TRACED if tracer.calls(name) == 0] == []

@@ -4,7 +4,8 @@ A network that is not population-weighted, or a grouping over other
 nodes, is refused with the same message by every public analysis that
 takes a network and the ``GroupAssignment`` it scores.  A flow or
 distance matrix that is not n x n for the n nodes scored is refused too,
-and the gravity model reads its masses from the network it models.
+as is a distance matrix that is not finite and non-negative, and the
+gravity model reads its masses from the network it models.
 """
 import inspect
 from dataclasses import replace
@@ -119,3 +120,39 @@ def test_nan_edge_refused(name):
     W[0, 1] = np.nan
     with pytest.raises(ValueError, match="group flows must be finite"):
         ANALYSES[name](replace(WEIGHTED, W=W), GROUPS)
+
+
+PARAMS = models.GravityParams(c=1.0, beta1=0.5, beta2=0.5, epsilon=0.1, alpha=1.0)
+# Every public function that takes a distance matrix, with it as the one argument.
+DIST_TAKERS = {
+    "segregation.distance_sweep": lambda dist: segregation.distance_sweep(
+        WEIGHTED, GROUPS, dist),
+    "models.fit_gravity": lambda dist: models.fit_gravity(GRAVITY, dist),
+    "models.simulate_gravity": lambda dist: models.simulate_gravity(PARAMS, GRAVITY, dist),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -1.0], ids=["nan", "inf", "negative"])
+@pytest.mark.parametrize("name", sorted(DIST_TAKERS))
+def test_distance_not_finite_and_non_negative_refused(name, value):
+    """One bad pair refuses the whole matrix.  A NaN pair used to turn every
+    default sweep threshold into NaN and return a valid ``beyond:nankm``."""
+    dist = DIST.copy()
+    dist[2, 5] = dist[5, 2] = value
+    with pytest.raises(ValueError, match="^distances must be finite and non-negative$"):
+        DIST_TAKERS[name](dist)
+
+
+def test_every_distance_taker_is_listed():
+    found = {f"{module.__name__.rsplit('.', 1)[1]}.{name}"
+             for module in (segregation, models, stats)
+             for name, fn in inspect.getmembers(module, inspect.isfunction)
+             if fn.__module__ == module.__name__ and not name.startswith("_")
+             and "dist" in inspect.signature(fn).parameters}
+    assert found == set(DIST_TAKERS)
+
+
+@pytest.mark.parametrize("thresholds", [[np.nan], [1.0, np.inf]], ids=["nan", "inf"])
+def test_non_finite_threshold_refused(thresholds):
+    with pytest.raises(ValueError, match="^thresholds must be finite, positive and ascending$"):
+        segregation.distance_sweep(WEIGHTED, GROUPS, DIST, thresholds=thresholds)

@@ -10,7 +10,7 @@ from segflow.segregation import (DegenerateMatrixError, MixingMatrix, assign_gro
                                  extremes_sweep, mixing_from_matrix,
                                  mixing_matrix)
 
-from conftest import make_table, purchase, purchase_log
+from conftest import make_table, preset_table, purchase, purchase_log, sparse_net
 
 
 def weighted_net(W, table, channel="purchase"):
@@ -361,6 +361,20 @@ class TestDistanceSweep:
 
         oracle = [percentile(q) for q in (20, 40, 60, 80, 100)]
         assert np.allclose(params, oracle, atol=1e-9)
+
+    @pytest.mark.parametrize("n", [1600, 400], ids=["preset", "coarse"])
+    def test_default_thresholds_match_triu_percentiles_bitwise(self, n):
+        """Thresholds from the row slices of ``dist`` equal, bit for bit, one
+        percentile per quintile of the ``triu_indices`` vector, on the preset
+        geometries; ``dist`` is left as it was."""
+        table = preset_table(n)
+        dist = centroid_distances(table)
+        before = dist.copy()
+        steps = distance_sweep(sparse_net(table, 5 * n), assign_groups(table), dist)
+        pairs = dist[np.triu_indices(n, k=1)]
+        assert [s.param for s in steps[::2]] == [
+            float(np.percentile(pairs, q)) for q in (20, 40, 60, 80, 100)]
+        assert np.array_equal(dist, before)
 
     def test_mass_partition(self):
         net, groups, dist = self._city()
