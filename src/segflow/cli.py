@@ -41,8 +41,10 @@ class _Parser(argparse.ArgumentParser):
 def read_config_file(path) -> dict[str, str]:
     """Flat key = value lines; '#' starts a comment; keys match flag names
     with dashes replaced by underscores.  A key that is an option of no
-    command (``--out`` and ``--config`` included) is a ValidationError."""
-    known = {key for _, _, defaults in COMMANDS.values() for key in defaults}
+    command (``--out`` and ``--config`` included), or a value that its
+    key's type rejects, is a ValidationError."""
+    casters = {key: _caster_for(default)
+               for _, _, defaults in COMMANDS.values() for key, default in defaults.items()}
     values = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -52,22 +54,34 @@ def read_config_file(path) -> dict[str, str]:
             if "=" not in line:
                 raise ValidationError(f"{path}: line {lineno}: expected key = value")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key.replace("-", "_") not in known:
+            name = key.replace("-", "_")
+            if name not in casters:
                 raise ValidationError(f"{path}: line {lineno}: unknown key {key!r}")
-            values[key.replace("-", "_")] = value
+            try:
+                casters[name](value)
+            except ValueError as exc:
+                raise ValidationError(f"{path}: line {lineno}: {key} = {value!r}: {exc}") from None
+            values[name] = value
     return values
 
 
-# types for options whose default is None (absent unless given)
-OPTIONAL_INT_KEYS = ("seed", "n_neighborhoods", "n_purchase_events",
-                     "n_mention_events", "n_customers", "n_stores",
-                     "n_twitter_users")
+_TRUTH = {"true": True, "false": False, "yes": True, "no": False,
+          "on": True, "off": False, "1": True, "0": False}
 
 
-def _caster_for(key: str, default):
+def _boolean(text: str) -> bool:
+    try:
+        return _TRUTH[text.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean; use one of {'/'.join(_TRUTH)}") from None
+
+
+def _caster_for(default):
+    """The type of an option's values.  The options whose default is None,
+    absent unless given, are the seed and synth's counts: whole numbers."""
     if default is None:
-        return int if key in OPTIONAL_INT_KEYS else str
-    return type(default) if isinstance(default, (bool, int, float)) else str
+        return int
+    return {bool: _boolean, int: int, float: float}.get(type(default), str)
 
 
 def _resolve(args: argparse.Namespace, file_cfg: dict, defaults: dict) -> dict:
@@ -78,16 +92,15 @@ def _resolve(args: argparse.Namespace, file_cfg: dict, defaults: dict) -> dict:
         if flag_value is not None:
             merged[key] = flag_value
         elif key in file_cfg:
-            raw = file_cfg[key]
-            caster = _caster_for(key, default)
-            if caster is bool:
-                merged[key] = raw.lower() in ("1", "true", "yes", "on")
-            else:
-                merged[key] = caster(raw)
+            merged[key] = _caster_for(default)(file_cfg[key])
         else:
             merged[key] = default
     if "seed" in merged and merged["seed"] is None:
-        merged["seed"] = int(os.environ.get("SEGFLOW_SEED", "0"))
+        raw = os.environ.get("SEGFLOW_SEED", "0")
+        try:
+            merged["seed"] = int(raw)
+        except ValueError as exc:
+            raise ValidationError(f"SEGFLOW_SEED = {raw!r}: {exc}") from None
     return merged
 
 
@@ -159,12 +172,9 @@ def _groups(table, cfg):
 # ---------------------------------------------------------------- commands
 
 def cmd_synth(cfg, out: Path) -> list[str]:
-    config = synth.preset(cfg["preset"], seed=cfg["seed"])
-    for field in ("n_neighborhoods", "n_purchase_events", "n_mention_events",
-                  "n_customers", "n_stores", "n_twitter_users"):
-        if cfg.get(field) is not None:
-            setattr(config, field, cfg[field])
-    city = synth.generate_city(config)
+    overrides = {key: value for key, value in cfg.items()
+                 if key not in ("preset", "seed") and value is not None}
+    city = synth.generate_city(synth.preset(cfg["preset"], seed=cfg["seed"], **overrides))
     paths = synth.write_city(city, out)
     return [Path(p).name for p in paths.values()]
 
@@ -384,8 +394,8 @@ def build_parser() -> _Parser:
         p.add_argument("--config", default=None, help="flat key=value config file")
         for key, default in defaults.items():
             flag = "--" + key.replace("_", "-")
-            caster = _caster_for(key, default)
-            if caster is bool:
+            caster = _caster_for(default)
+            if caster is _boolean:
                 p.add_argument(flag, action="store_const", const=True, default=None)
             else:
                 p.add_argument(flag, type=caster, default=None)

@@ -5,7 +5,7 @@ sorted neighborhood order.  Raw edge weights are event counts; the
 population weighting divides out each neighborhood's sampling rate so
 that under-sampled areas are not under-represented.  Each n x n matrix is
 built once into its own buffer, with no full-size temporaries: centroid
-distances in blocks of rows, mention weights divided into their scale.
+distances a block of rows at a time, mention weights divided into their scale.
 """
 from __future__ import annotations
 
@@ -123,18 +123,15 @@ def sampling_rate(user_counts, population) -> np.ndarray:
 
 
 def centroid_distances(table: NeighborhoodTable) -> np.ndarray:
-    """Great-circle distances (km) between neighborhood centroids: the mean of
-    i -> j and j -> i, 0 on the diagonal.  Filled a block of rows at a time and
-    averaged in place block pair by block pair, with no n x n temporary."""
+    """Great-circle distances (km) between neighborhood centroids, 0 on the
+    diagonal.  Filled a block of rows at a time, with no n x n temporary.
+    ``haversine_km`` is symmetric bit for bit (each difference is squared and
+    the cosine product commutes), so the matrix is too."""
     lat, lon, n = table.lat, table.lon, table.n
     d = np.empty((n, n))
     for a in range(0, n, _BLOCK_ROWS):
         rows = slice(a, a + _BLOCK_ROWS)
         d[rows] = haversine_km(lat[rows, None], lon[rows, None], lat, lon)
-        for b in range(0, a + 1, _BLOCK_ROWS):
-            cols = slice(b, b + _BLOCK_ROWS)
-            avg = (d[rows, cols] + d[cols, rows].T) / 2.0
-            d[rows, cols], d[cols, rows] = avg, avg.T
     np.fill_diagonal(d, 0.0)
     return d
 

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
-from datetime import datetime, timedelta
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -25,8 +24,11 @@ from .network import EARTH_RADIUS_KM
 KM_PER_DEG_LAT = math.pi * EARTH_RADIUS_KM / 180.0
 BASE_LAT = 40.0
 BASE_LON = -3.0
+KM_PER_DEG_LON = KM_PER_DEG_LAT * math.cos(math.radians(BASE_LAT))
 
 NIGHT_HOURS = (20, 21, 22, 23, 0, 1, 2, 3, 4, 5)
+START = np.datetime64("2013-04-01T00:00:00", "s")    # events fall on the N_DAYS days
+N_DAYS = 90                                            # from START on
 
 
 def _default_purchase_gravity() -> GravityParams:
@@ -44,14 +46,8 @@ class SynthConfig:
     n_neighborhoods: int = 100
     extent_km: float = 30.0
     ses_field: str = "linear"          # linear | radial | random
-    ses_noise: float = 3.0
-    population_range: tuple[int, int] = (800, 1200)
     n_stores: int = 400
-    store_law: str = "uniform"         # uniform | ses_power
-    store_exponent: float = 1.0
     n_customers: int = 1500
-    customer_law: str = "uniform"
-    customer_exponent: float = 1.0
     n_twitter_users: int = 800
     purchase_gravity: GravityParams = field(default_factory=_default_purchase_gravity)
     mention_gravity: GravityParams = field(default_factory=_default_mention_gravity)
@@ -61,8 +57,6 @@ class SynthConfig:
     self_flow_scale: float = 1.0       # multiplier on within-neighborhood intensity
     n_purchase_events: int = 40000
     n_mention_events: int = 25000
-    start_day: str = "2013-04-01"
-    n_days: int = 90
     seed: int = 0
 
     def validate(self) -> None:
@@ -72,8 +66,7 @@ class SynthConfig:
             raise ValueError("need at least one store/customer/user per neighborhood")
         if self.homophily < 0 or self.self_flow_scale < 0:
             raise ValueError("homophily and self_flow_scale must be non-negative")
-        for value in (self.homophily, self.tilt, self.store_exponent,
-                      self.customer_exponent, self.exploration):
+        for value in (self.homophily, self.tilt, self.exploration):
             if not np.isfinite(value):
                 raise ValueError("config parameters must be finite")
         if self.ses_field not in ("linear", "radial", "random"):
@@ -86,11 +79,11 @@ class SynthCity:
     table: NeighborhoodTable
     geometry: dict[str, list[np.ndarray]]
     purchases: PurchaseLog
-    purchase_times: list[datetime]
+    purchase_times: np.ndarray         # datetime64[s], one per event
     mentions: MentionLog
-    mention_times: list[datetime]
+    mention_times: np.ndarray
     geoposts: GeoPostLog
-    geopost_times: list[datetime]
+    geopost_times: np.ndarray
     truth: dict
     customer_homes: dict[str, str]
     user_homes: dict[str, str]
@@ -103,9 +96,8 @@ def _grid_layout(cfg: SynthConfig, rng: np.random.Generator):
     rows, cols = np.divmod(np.arange(n), side)
     x_km = (cols + 0.5) * spacing
     y_km = (rows + 0.5) * spacing
-    km_per_deg_lon = KM_PER_DEG_LAT * math.cos(math.radians(BASE_LAT))
     lat = BASE_LAT + y_km / KM_PER_DEG_LAT
-    lon = BASE_LON + x_km / km_per_deg_lon
+    lon = BASE_LON + x_km / KM_PER_DEG_LON
 
     if cfg.ses_field == "linear":
         raw = x_km + y_km
@@ -116,10 +108,10 @@ def _grid_layout(cfg: SynthConfig, rng: np.random.Generator):
         raw = rng.uniform(0.0, 1.0, n)
     span = raw.max() - raw.min()
     ses = 5.0 + 90.0 * (raw - raw.min()) / (span if span > 0 else 1.0)
-    ses = np.clip(ses + cfg.ses_noise * rng.standard_normal(n), 0.0, 100.0)
+    ses = np.clip(ses + 3.0 * rng.standard_normal(n), 0.0, 100.0)
 
     ids = [f"N{i:04d}" for i in range(n)]
-    population = rng.integers(cfg.population_range[0], cfg.population_range[1] + 1, n)
+    population = rng.integers(800, 1201, n)
     table = NeighborhoodTable(ids, lat, lon, population, ses)
 
     geometry = {}
@@ -127,7 +119,7 @@ def _grid_layout(cfg: SynthConfig, rng: np.random.Generator):
         x0, y0 = cols[i] * spacing, rows[i] * spacing
         corners_km = [(x0, y0), (x0 + spacing, y0), (x0 + spacing, y0 + spacing),
                       (x0, y0 + spacing), (x0, y0)]
-        ring = np.array([[BASE_LON + cx / km_per_deg_lon, BASE_LAT + cy / KM_PER_DEG_LAT]
+        ring = np.array([[BASE_LON + cx / KM_PER_DEG_LON, BASE_LAT + cy / KM_PER_DEG_LAT]
                          for cx, cy in corners_km])
         geometry[nid] = [ring]
     cell_origin_km = np.column_stack([cols * spacing, rows * spacing])
@@ -144,32 +136,17 @@ def synthetic_geometry(n: int = 100, extent_km: float = 30.0,
     return table, geometry
 
 
-def _allocate(total: int, weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Spread `total` units over weights, guaranteeing at least one each."""
-    n = weights.size
+def _allocate(total: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Spread `total` units uniformly over n neighborhoods, at least one each."""
     if total < n:
         raise ValueError(f"cannot allocate {total} units over {n} neighborhoods")
-    probs = weights / weights.sum()
-    return 1 + rng.multinomial(total - n, probs)
+    return 1 + rng.multinomial(total - n, np.full(n, 1.0 / n))
 
 
-def _law_weights(law: str, exponent: float, u: np.ndarray) -> np.ndarray:
-    if law == "uniform":
-        return np.ones_like(u)
-    if law == "ses_power":
-        return (0.05 + u) ** exponent
-    raise ValueError(f"unknown allocation law {law!r}")
-
-
-def _intensity(cfg: SynthConfig, grav: GravityParams, origin_mass, dest_mass,
-               dist, u, target_events: int):
-    lam = grav.c * np.outer(origin_mass ** grav.beta1, dest_mass ** grav.beta2)
-    lam = lam / (dist + grav.epsilon) ** grav.alpha
-    dses = u[None, :] - u[:, None]
-    lam = lam * np.exp(-cfg.homophily * np.abs(dses)) * np.exp(cfg.tilt * dses)
-    lam[np.diag_indices_from(lam)] *= cfg.self_flow_scale
-    scale = target_events / lam.sum()
-    return lam * scale, scale
+def _first(counts: np.ndarray) -> np.ndarray:
+    """The number of each neighborhood's first individual, when individuals
+    are numbered across the city, neighborhood by neighborhood."""
+    return np.cumsum(counts) - counts
 
 
 def _truncated_geometric(rng, rho: np.ndarray, size: np.ndarray) -> np.ndarray:
@@ -185,13 +162,37 @@ def _truncated_geometric(rng, rho: np.ndarray, size: np.ndarray) -> np.ndarray:
     return np.clip(out, 0, size - 1)
 
 
-def _event_times(rng, n: int, cfg: SynthConfig, hours: np.ndarray) -> list[datetime]:
-    base = datetime.fromisoformat(cfg.start_day)
-    days = rng.integers(0, cfg.n_days, n)
-    minutes = rng.integers(0, 60, n)
-    seconds = rng.integers(0, 60, n)
-    return [base + timedelta(days=int(d), hours=int(h), minutes=int(m), seconds=int(s))
-            for d, h, m, s in zip(days, hours, minutes, seconds)]
+def _event_times(rng, hours: np.ndarray) -> np.ndarray:
+    """A random day, minute and second for events at the given hours."""
+    days = rng.integers(0, N_DAYS, hours.size)
+    minutes = rng.integers(0, 60, hours.size)
+    seconds = rng.integers(0, 60, hours.size)
+    return START + (((days * 24 + hours) * 60 + minutes) * 60 + seconds).astype("timedelta64[s]")
+
+
+def _draw_events(rng, cfg: SynthConfig, grav: GravityParams, origin_counts, dest_counts,
+                 dist, u, target_events: int):
+    """Poisson event counts around the planted intensity for every pair of
+    neighborhoods, then for each event an origin individual drawn uniformly
+    in its neighborhood and a destination individual drawn geometrically in
+    its own, richer origins spreading further.  Returns each event's origin
+    and destination neighborhood, its origin and destination individual, and
+    the scale that brings the intensity to ``target_events``."""
+    lam = grav.c * np.outer(origin_counts ** grav.beta1, dest_counts ** grav.beta2)
+    lam = lam / (dist + grav.epsilon) ** grav.alpha
+    dses = u[None, :] - u[:, None]
+    lam = lam * np.exp(-cfg.homophily * np.abs(dses)) * np.exp(cfg.tilt * dses)
+    lam[np.diag_indices_from(lam)] *= cfg.self_flow_scale
+    scale = target_events / lam.sum()
+    counts = rng.poisson(lam * scale)
+    pair_i, pair_j = np.nonzero(counts)
+    reps = counts[pair_i, pair_j]
+    ev_i, ev_j = np.repeat(pair_i, reps), np.repeat(pair_j, reps)
+    origin = _first(origin_counts)[ev_i] + np.floor(
+        rng.random(ev_i.size) * origin_counts[ev_i]).astype(np.int64)
+    rho = np.exp(-cfg.exploration * (1.0 - u[ev_i]))
+    dest = _first(dest_counts)[ev_j] + _truncated_geometric(rng, rho, dest_counts[ev_j])
+    return ev_i, ev_j, origin, dest, scale
 
 
 def generate_city(cfg: SynthConfig) -> SynthCity:
@@ -205,68 +206,39 @@ def generate_city(cfg: SynthConfig) -> SynthCity:
     from .network import centroid_distances
     dist = centroid_distances(table)
 
-    store_counts = _allocate(cfg.n_stores,
-                             _law_weights(cfg.store_law, cfg.store_exponent, u), rng)
-    customer_counts = _allocate(cfg.n_customers,
-                                _law_weights(cfg.customer_law, cfg.customer_exponent, u), rng)
-    twitter_counts = _allocate(cfg.n_twitter_users,
-                               _law_weights(cfg.customer_law, cfg.customer_exponent, u), rng)
-    store_offset = np.concatenate([[0], np.cumsum(store_counts)[:-1]])
-    customer_offset = np.concatenate([[0], np.cumsum(customer_counts)[:-1]])
-    twitter_offset = np.concatenate([[0], np.cumsum(twitter_counts)[:-1]])
-
+    store_counts = _allocate(cfg.n_stores, n, rng)
+    customer_counts = _allocate(cfg.n_customers, n, rng)
+    twitter_counts = _allocate(cfg.n_twitter_users, n, rng)
     store_ids = [f"S{i:05d}" for i in range(cfg.n_stores)]
     customer_ids = [f"C{i:05d}" for i in range(cfg.n_customers)]
     user_ids = [f"U{i:05d}" for i in range(cfg.n_twitter_users)]
     customer_nbhd = np.repeat(np.arange(n), customer_counts)
     user_nbhd = np.repeat(np.arange(n), twitter_counts)
 
-    # purchases
-    lam_p, scale_p = _intensity(cfg, cfg.purchase_gravity, customer_counts,
-                                store_counts, dist, u, cfg.n_purchase_events)
-    counts = rng.poisson(lam_p)
-    pair_i, pair_j = np.nonzero(counts)
-    reps = counts[pair_i, pair_j]
-    ev_i = np.repeat(pair_i, reps)
-    ev_j = np.repeat(pair_j, reps)
-    n_ev = ev_i.size
-    cust = customer_offset[ev_i] + np.floor(rng.random(n_ev) * customer_counts[ev_i]).astype(np.int64)
-    rho = np.exp(-cfg.exploration * (1.0 - u[ev_i]))
-    store = store_offset[ev_j] + _truncated_geometric(rng, rho, store_counts[ev_j])
-    amounts = np.round(rng.lognormal(3.0, 0.6, n_ev), 2)
-    hours = rng.integers(9, 22, n_ev)
-    purchase_times = _event_times(rng, n_ev, cfg, hours)
+    ev_i, ev_j, cust, store, scale_p = _draw_events(
+        rng, cfg, cfg.purchase_gravity, customer_counts, store_counts, dist, u,
+        cfg.n_purchase_events)
+    amounts = np.round(rng.lognormal(3.0, 0.6, ev_i.size), 2)
+    purchase_times = _event_times(rng, rng.integers(9, 22, ev_i.size))
     purchases = PurchaseLog.from_rows(
         (customer_ids[c], store_ids[s], a, table.ids[i], table.ids[j])
         for c, s, a, i, j in zip(cust.tolist(), store.tolist(), amounts.tolist(),
                                  ev_i.tolist(), ev_j.tolist()))
 
-    # mentions
-    lam_t, scale_t = _intensity(cfg, cfg.mention_gravity, twitter_counts,
-                                twitter_counts, dist, u, cfg.n_mention_events)
-    counts_t = rng.poisson(lam_t)
-    pair_i, pair_j = np.nonzero(counts_t)
-    reps = counts_t[pair_i, pair_j]
-    ev_i = np.repeat(pair_i, reps)
-    ev_j = np.repeat(pair_j, reps)
-    n_ev = ev_i.size
-    src = twitter_offset[ev_i] + np.floor(rng.random(n_ev) * twitter_counts[ev_i]).astype(np.int64)
-    rho = np.exp(-cfg.exploration * (1.0 - u[ev_i]))
-    dst = twitter_offset[ev_j] + _truncated_geometric(rng, rho, twitter_counts[ev_j])
-    collide = src == dst
-    movable = collide & (twitter_counts[ev_j] > 1)
-    dst[movable] = twitter_offset[ev_j[movable]] + (
-        (dst[movable] - twitter_offset[ev_j[movable]] + 1) % twitter_counts[ev_j[movable]])
+    ev_i, ev_j, src, dst, scale_t = _draw_events(
+        rng, cfg, cfg.mention_gravity, twitter_counts, twitter_counts, dist, u,
+        cfg.n_mention_events)
+    # a self-mention moves on to the next user of the neighborhood, if it has one
+    first, size = _first(twitter_counts)[ev_j], twitter_counts[ev_j]
+    move = (src == dst) & (size > 1)
+    dst[move] = first[move] + (dst[move] - first[move] + 1) % size[move]
     keep = src != dst
-    hours = rng.integers(8, 24, n_ev)
-    mention_times = [t for t, ok in zip(_event_times(rng, n_ev, cfg, hours), keep) if ok]
+    mention_times = _event_times(rng, rng.integers(8, 24, ev_i.size))[keep]
     mentions = MentionLog.from_rows((user_ids[a], user_ids[b])
                                     for a, b in zip(src[keep].tolist(), dst[keep].tolist()))
 
     # geo posts: a handful of night posts at home plus daytime posts elsewhere
-    km_per_deg_lon = KM_PER_DEG_LAT * math.cos(math.radians(BASE_LAT))
-    base = datetime.fromisoformat(cfg.start_day)
-    post_rows, geopost_times = [], []
+    post_rows, post_minutes = [], []
     for uid_idx, uid in enumerate(user_ids):
         home = user_nbhd[uid_idx]
         n_night = int(rng.integers(2, 6))
@@ -278,11 +250,10 @@ def generate_city(cfg: SynthConfig) -> SynthCity:
             fx, fy = 0.15 + 0.7 * rng.random(), 0.15 + 0.7 * rng.random()
             x_km = cell_origin_km[cell, 0] + fx * spacing
             y_km = cell_origin_km[cell, 1] + fy * spacing
-            ts = base + timedelta(days=int(rng.integers(0, cfg.n_days)), hours=hour,
-                                  minutes=int(rng.integers(0, 60)))
+            day, minute = int(rng.integers(0, N_DAYS)), int(rng.integers(0, 60))
             post_rows.append((uid, float(BASE_LAT + y_km / KM_PER_DEG_LAT),
-                              float(BASE_LON + x_km / km_per_deg_lon), ts.hour))
-            geopost_times.append(ts)
+                              float(BASE_LON + x_km / KM_PER_DEG_LON), hour))
+            post_minutes.append((day * 24 + hour) * 60 + minute)
 
     truth = planted_truth(cfg)
     truth["effective_c_purchase"] = cfg.purchase_gravity.c * scale_p
@@ -295,7 +266,7 @@ def generate_city(cfg: SynthConfig) -> SynthCity:
         config=cfg, table=table, geometry=geometry,
         purchases=purchases, purchase_times=purchase_times, mentions=mentions,
         mention_times=mention_times, geoposts=GeoPostLog.from_rows(post_rows),
-        geopost_times=geopost_times, truth=truth,
+        geopost_times=START + np.array(post_minutes, dtype="timedelta64[m]"), truth=truth,
         customer_homes={customer_ids[i]: table.ids[customer_nbhd[i]]
                         for i in range(cfg.n_customers)},
         user_homes={user_ids[i]: table.ids[user_nbhd[i]]
@@ -332,7 +303,7 @@ def planted_truth(cfg: SynthConfig) -> dict:
 
 
 _PRESET_BASE = dict(
-    n_neighborhoods=1600, extent_km=40.0, ses_field="linear", ses_noise=3.0,
+    n_neighborhoods=1600, extent_km=40.0, ses_field="linear",
     n_stores=2000, n_customers=2500, n_twitter_users=2000,
     n_purchase_events=20000, n_mention_events=30000,
     exploration=1.5, self_flow_scale=0.0,
@@ -355,12 +326,9 @@ def preset(name: str, seed: int = 0, **overrides) -> SynthConfig:
     return SynthConfig(seed=seed, **{**PRESETS[name], **overrides})
 
 
-def config_as_dict(cfg: SynthConfig) -> dict:
-    data = asdict(cfg)
-    data["purchase_gravity"] = cfg.purchase_gravity.as_dict()
-    data["mention_gravity"] = cfg.mention_gravity.as_dict()
-    data["population_range"] = list(cfg.population_range)
-    return data
+def _iso(times: np.ndarray) -> list[str]:
+    """datetime64[s] values as ISO 8601 text, as ``datetime.isoformat`` prints them."""
+    return np.datetime_as_string(times, unit="s").tolist()
 
 
 def write_city(city: SynthCity, outdir) -> dict[str, str]:
@@ -383,8 +351,8 @@ def write_city(city: SynthCity, outdir) -> dict[str, str]:
         fh.write("customer_id,store_id,timestamp,amount,customer_home,store_neighborhood\n")
         log = city.purchases
         for c, s, t, a in zip(log.customer.tolist(), log.store.tolist(),
-                              city.purchase_times, log.amount.tolist()):
-            fh.write(f"{log.customer_ids[c]},{log.store_ids[s]},{t.isoformat()},"
+                              _iso(city.purchase_times), log.amount.tolist()):
+            fh.write(f"{log.customer_ids[c]},{log.store_ids[s]},{t},"
                      f"{a:.2f},{log.home[c]},{log.location[s]}\n")
 
     paths["mentions"] = str(outdir / "mentions.csv")
@@ -392,20 +360,20 @@ def write_city(city: SynthCity, outdir) -> dict[str, str]:
         fh.write("source_user,target_user,timestamp\n")
         users = city.mentions.user_ids
         for a, b, ts in zip(city.mentions.source.tolist(), city.mentions.target.tolist(),
-                            city.mention_times):
-            fh.write(f"{users[a]},{users[b]},{ts.isoformat()}\n")
+                            _iso(city.mention_times)):
+            fh.write(f"{users[a]},{users[b]},{ts}\n")
 
     paths["geoposts"] = str(outdir / "geoposts.csv")
     with open(paths["geoposts"], "w") as fh:
         fh.write("user_id,lat,lon,timestamp\n")
         posts = city.geoposts
         for u, lat, lon, ts in zip(posts.user.tolist(), posts.lat.tolist(), posts.lon.tolist(),
-                                   city.geopost_times):
-            fh.write(f"{posts.user_ids[u]},{lat!r},{lon!r},{ts.isoformat()}\n")
+                                   _iso(city.geopost_times)):
+            fh.write(f"{posts.user_ids[u]},{lat!r},{lon!r},{ts}\n")
 
     paths["truth"] = str(outdir / "truth.json")
     with open(paths["truth"], "w") as fh:
-        json.dump({"config": config_as_dict(city.config), "truth": city.truth},
+        json.dump({"config": asdict(city.config), "truth": city.truth},
                   fh, indent=1, sort_keys=True)
         fh.write("\n")
     return paths

@@ -233,6 +233,49 @@ class TestConfigResolution:
         assert f"{config}: line {line}: unknown key {key!r}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("mixing", "k", "ten"),
+        ("null", "replicates", "2.5"),
+        ("jackknife", "fraction", "half"),
+        ("mixing", "ses_descending", "flase"),     # would run as false
+        ("gravity", "linear_distance", "nope"),    # would run as false
+    ])
+    def test_value_of_wrong_type_rejected(self, city_dir, tmp_path, capsys,
+                                          command, key, value):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"# settings\n{key} = {value}\n")
+        out = tmp_path / command
+        assert main([command, "--data", str(city_dir), "--out", str(out),
+                     "--config", str(config)]) == 1
+        assert f"{config}: line 2: {key} = {value!r}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value, expected", [
+        ("YES", True), ("On", True), ("1", True), ("no", False), ("OFF", False), ("0", False)])
+    def test_boolean_spellings(self, city_dir, tmp_path, value, expected):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"ses_descending = {value}\n")
+        out = tmp_path / "mix"
+        assert main(["mixing", "--data", str(city_dir), "--out", str(out),
+                     "--config", str(config)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["ses_descending"] is expected
+
+    def test_every_key_has_one_type(self):
+        types = {}
+        for _, _, defaults in COMMANDS.values():
+            for key, default in defaults.items():
+                types.setdefault(key, set()).add(type(default))
+        assert {key: t for key, t in types.items() if len(t) > 1} == {}
+
+    def test_bad_env_seed_named(self, city_dir, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SEGFLOW_SEED", "abc")
+        out = tmp_path / "envseed"
+        assert main(["null", "--data", str(city_dir), "--out", str(out),
+                     "--replicates", "5"]) == 1
+        assert "SEGFLOW_SEED = 'abc': " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_other_commands_keys_allowed(self, city_dir, tmp_path):
         # one file can serve a whole pipeline; null reads only its own keys
         config = tmp_path / "pipeline.cfg"

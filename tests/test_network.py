@@ -238,12 +238,21 @@ class TestDistances:
         assert np.array_equal(centroid_distances(table), d)
 
     def test_symmetry_and_zero_diagonal(self):
+        """Nothing averages i -> j with j -> i, so the symmetry is
+        haversine_km's own, bit for bit, also on 2000 random points within
+        0.5, 20 and 89 degrees of the equator."""
         rng = np.random.default_rng(9)
         table = make_table(12)
         table.lat += rng.uniform(-0.5, 0.5, 12)
-        d = centroid_distances(table)
-        assert np.array_equal(d, d.T)
-        assert np.all(np.diag(d) == 0.0)
+        tables = [table]
+        for spread in (0.5, 20.0, 89.0):
+            tables.append(NeighborhoodTable(
+                [f"P{i:04d}" for i in range(2000)], rng.uniform(-spread, spread, 2000),
+                rng.uniform(-180.0, 180.0, 2000), np.ones(2000), np.zeros(2000)))
+        for table in tables:
+            d = centroid_distances(table)
+            assert np.array_equal(d, d.T)
+            assert np.all(np.diag(d) == 0.0)
 
     def test_triangle_inequality_on_random_triples(self):
         rng = np.random.default_rng(13)

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,10 @@ from segflow import (assign_groups, assign_points_to_neighborhoods,
                      mention_profiles, mixing_matrix, neighborhood_diversity,
                      pearson, population_weight, purchase_profiles)
 from segflow import synth
+from segflow.cli import main
 from segflow.synth import SynthConfig, generate_city, preset, write_city
+
+from test_golden import SYNTH_ARGS
 
 
 def tiny_cfg(seed=0, **overrides):
@@ -162,3 +166,50 @@ class TestIngestLoop:
         city = generate_city(tiny_cfg(seed=3))
         kept = filter_active_customers(city.purchases, 10)
         assert len(kept) > 0.5 * len(city.purchases)
+
+
+SMALL_PRESET = ["--seed", "3", "--n-neighborhoods", "49", "--n-purchase-events", "3000",
+                "--n-mention-events", "2000", "--n-customers", "150",
+                "--n-stores", "100", "--n-twitter-users", "120"]
+
+# sha256 of the five data files, recorded with the generator that the
+# golden outputs and the benchmark reference were measured on; truth.json
+# is left out, since its config block lists SynthConfig's fields
+RECORDED = {
+    "smoke": {
+        "neighborhoods.csv": "3ac59f8a016966b04d0c820dc84808465cf7b75f66ae6a594dfc73f812c5cd55",
+        "geometry.json": "1c03c73fb953536d8aaddd7a05653e89f1af5f18970407338d1b0ef1d4d4163b",
+        "purchases.csv": "6f0ed61eec96b04da322ea5b6f4782ec087b1f17b813e014088b7ca1f2df4c9b",
+        "mentions.csv": "c7ad0c7eb78e612f88e3d06e30e785509c764d847b87be49c38833016407b6b9",
+        "geoposts.csv": "b4ffb8cd71e512c5eda429390867b61d1baa3ff54365cb0a5fa3a5f4309570fe",
+    },
+    "neutral": {
+        "neighborhoods.csv": "a2877720c5337ddf074e580d7f9a39d159a3ae9a3fba293bd9d800cf35740fa2",
+        "geometry.json": "d53cfdfacceb3e52b8da257cba802fcab7fa06791dbb3820d252747f1b72bd48",
+        "purchases.csv": "3b3bb14f6dcce5c49c1ba52a3be95fd3bd1c4b9b2486194c8ea15a75d01bb470",
+        "mentions.csv": "3d9d3e1c53a12f692017ef5101c396f2f6ecc605e4ae1fdbd767be808a01edbf",
+        "geoposts.csv": "c7fa484430dc783179b9186253d758bcaebca3c9ff1e0e09dcf5703e0db3b0f7",
+    },
+    "tilted": {
+        "neighborhoods.csv": "63908e5a5c8d51e5440c6a23b81c3c21ebf3c520da9aa5d231d325ad0e5d8260",
+        "geometry.json": "d53cfdfacceb3e52b8da257cba802fcab7fa06791dbb3820d252747f1b72bd48",
+        "purchases.csv": "8a3ac419bd40fd952aa3c42b33be89c1ac6fdfbacd4a62dfd686f8ebbfdd9154",
+        "mentions.csv": "3ecd033ba94370f54cf07eb261d3f826a8119e9139aac997982f34bfad0004b8",
+        "geoposts.csv": "9c6552b496c098c4200b5c4da7d55a310ef6fdbd062ab3297adffbc1165a8854",
+    },
+}
+
+
+@pytest.mark.parametrize("name, args", [
+    ("smoke", SYNTH_ARGS),
+    ("neutral", ["--preset", "neutral", *SMALL_PRESET]),
+    ("tilted", ["--preset", "tilted", *SMALL_PRESET]),
+])
+def test_data_files_match_recorded_digests(tmp_path, name, args):
+    """The generator still writes the cities that the golden outputs and
+    perfbench/reference.json were recorded on: the golden smoke city and a
+    small neutral and tilted city keep their bytes."""
+    assert main(["synth", "--out", str(tmp_path)] + args) == 0
+    digests = {file: hashlib.sha256((tmp_path / file).read_bytes()).hexdigest()
+               for file in RECORDED[name]}
+    assert digests == RECORDED[name]
