@@ -8,7 +8,7 @@ coefficient would do by chance and how stable it is.
 import math
 
 from segflow import (assign_groups, assortativity, asymmetry_sweep,
-                     build_purchase_network, centroid_distances,
+                     build_purchase_network,
                      distance_sweep, extremes_sweep, filter_active_customers,
                      jackknife_assortativity, mixing_matrix, null_shuffle_ses,
                      population_weight, synth)
@@ -25,8 +25,8 @@ for step in extremes_sweep(weighted, groups):
 
 print()
 print("=== distance sweep: short-range vs long-range interactions ===")
-dist = centroid_distances(city.table)
-steps = distance_sweep(weighted, groups, dist)
+# distances run between the centroids of the table the network holds
+steps = distance_sweep(weighted, groups)
 for step in steps:
     value = f"{step.value:.3f}" if step.valid else "  (no mass)"
     print(f"  {step.descriptor:22s}  r = {value}")

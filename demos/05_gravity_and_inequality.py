@@ -7,7 +7,7 @@ each network with the GINI inequality of neighborhood sales revenue.
 """
 import numpy as np
 
-from segflow import (assign_groups, build_purchase_network, centroid_distances,
+from segflow import (assign_groups, build_purchase_network,
                      filter_active_customers, fit_gravity,
                      segregation_inequality_report, synth)
 
@@ -16,10 +16,10 @@ events = filter_active_customers(city.purchases, 10)
 
 print("=== fit the gravity law to observed flows ===")
 net = build_purchase_network(events, city.table)
-dist = centroid_distances(city.table)
 # the masses come from the network: users at each origin, stores at each
-# destination; other masses go in through dataclasses.replace(net, ...)
-fit = fit_gravity(net, dist, eps_grid=np.round(np.arange(0.01, 1.0, 0.01), 10))
+# destination; other masses go in through dataclasses.replace(net, ...).
+# Distances run between the centroids of the table the network holds.
+fit = fit_gravity(net, eps_grid=np.round(np.arange(0.01, 1.0, 0.01), 10))
 print(f"flow ~ c * n_i^b1 * m_j^b2 / (T_ij + eps)^alpha")
 print(f"c = {fit.c:.3f}  b1 = {fit.beta1:.3f}  b2 = {fit.beta2:.3f}  "
       f"eps = {fit.epsilon:.2f} km  alpha = {fit.alpha:.3f}")

@@ -252,7 +252,6 @@ def cmd_sweep(cfg, out: Path) -> list[str]:
         raise ValueError(f"jackknife_replicates must be >= 0, got {cfg['jackknife_replicates']}")
     table, nets = _both_networks(cfg)
     groups = _groups(table, cfg)
-    dist = network.centroid_distances(table)
     outputs = []
     for channel, _, weighted in nets:
         steps = segregation.extremes_sweep(weighted, groups)
@@ -263,7 +262,7 @@ def cmd_sweep(cfg, out: Path) -> list[str]:
         segregation.write_sweep_csv(steps, out / name)
         outputs.append(name)
 
-        dist_steps = segregation.distance_sweep(weighted, groups, dist)
+        dist_steps = segregation.distance_sweep(weighted, groups)
         name = f"sweep_distance_{channel}.csv"
         segregation.write_sweep_csv(dist_steps, out / name)
         outputs.append(name)
@@ -283,17 +282,19 @@ def cmd_asymmetry(cfg, out: Path) -> list[str]:
 
 
 def cmd_gravity(cfg, out: Path) -> list[str]:
+    for key in ("eps_start", "eps_stop"):
+        if not (np.isfinite(cfg[key]) and cfg[key] >= 0):
+            raise ValueError(f"{key} must be finite and non-negative, got {cfg[key]}")
     if not cfg["eps_step"] > 0:
         raise ValueError(f"eps_step must be positive, got {cfg['eps_step']}")
     eps_grid = np.round(np.arange(cfg["eps_start"], cfg["eps_stop"] + 1e-9,
                                   cfg["eps_step"]), 10)
     if not eps_grid.size:
         raise ValueError(f"empty eps grid from {cfg['eps_start']} to {cfg['eps_stop']}")
-    table, nets = _both_networks(cfg)
-    dist = network.centroid_distances(table)
+    _, nets = _both_networks(cfg)
     outputs = []
     for channel, raw, _ in nets:
-        params = models.fit_gravity(raw, dist, eps_grid=eps_grid,
+        params = models.fit_gravity(raw, eps_grid=eps_grid,
                                     linear_distance=cfg["linear_distance"])
         name = f"gravity_{channel}.json"
         with open(out / name, "w") as fh:
@@ -344,7 +345,11 @@ def cmd_gini_report(cfg, out: Path) -> list[str]:
     table, purchases, _ = _load_purchases(cfg)
     if not purchases:
         raise ValidationError("the inequality report needs purchase events")
-    fractions = tuple(float(f) for f in cfg["fractions"].split(","))
+    try:
+        fractions = tuple(float(f) for f in cfg["fractions"].split(","))
+    except ValueError:
+        raise ValueError(f"fractions must be comma-separated numbers, "
+                         f"got {cfg['fractions']!r}") from None
     rows = stats.segregation_inequality_report(
         purchases, table, _groups(table, cfg),
         fractions=fractions, replicates=cfg["replicates"], seed=cfg["seed"])

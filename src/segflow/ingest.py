@@ -75,8 +75,13 @@ class NeighborhoodTable:
         self.ids = [self.ids[i] for i in order]
         self.lat = np.asarray(self.lat, dtype=float)[order]
         self.lon = np.asarray(self.lon, dtype=float)[order]
-        self.population = np.asarray(self.population, dtype=np.int64)[order]
         self.ses = np.asarray(self.ses, dtype=float)[order]
+        if not all(np.isfinite(v).all() for v in (self.lat, self.lon, self.ses)):
+            raise ValidationError("lat, lon and ses must be finite")
+        pop = np.asarray(self.population)
+        if pop.dtype.kind == "f" and not np.all(np.isfinite(pop) & (np.floor(pop) == pop)):
+            raise ValidationError("population must be whole numbers")
+        self.population = pop.astype(np.int64)[order]
         if np.any(self.population < 0):
             raise ValidationError("population must be non-negative")
         if not np.any(self.population > 0):

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .ingest import NeighborhoodTable, PurchaseLog
-from .network import InteractionNetwork, _distances, _edges
+from .network import InteractionNetwork, _distance_blocks, _edges, haversine_km
 from .segregation import (DegenerateMatrixError, GroupAssignment, MixingMatrix, _scored,
                           asymmetry_bias, assortativity, group_flows)
 
@@ -63,7 +63,6 @@ def _masses(net: InteractionNetwork) -> tuple[np.ndarray, np.ndarray]:
 
 def fit_gravity(
     net: InteractionNetwork,
-    dist: np.ndarray,
     eps_grid: Sequence[float] | None = None,
     linear_distance: bool = False,
 ) -> GravityParams:
@@ -72,10 +71,13 @@ def fit_gravity(
 
     Zero flows are excluded (their log is undefined) and each remaining
     observation is weighted by its own raw flow value; a negative or
-    non-finite flow is refused.  ``linear_distance`` switches the distance
-    regressor from -log(T+eps) to -T, in which case eps is not separately
-    identifiable and is reported as 0.
+    non-finite flow or eps is refused.  ``linear_distance`` switches the
+    distance regressor from -log(T+eps) to -T, in which case eps is not
+    separately identifiable and is reported as 0.
     """
+    grid = DEFAULT_EPS_GRID if eps_grid is None else np.asarray(eps_grid, dtype=float)
+    if not np.all(np.isfinite(grid) & (grid >= 0)):
+        raise ValueError("eps_grid values must be finite and non-negative")
     n_o, n_d = _masses(net)
     rows, cols, w = _edges(net.W, net.n)
     if not np.all(np.isfinite(w) & (w > 0)):
@@ -86,7 +88,8 @@ def fit_gravity(
     if np.any(n_o[rows] <= 0) or np.any(n_d[cols] <= 0):
         raise ValueError("positive flow from/to a neighborhood with zero mass count")
     y = np.log(w)
-    T = _distances(dist, net.n)[rows, cols]
+    lat, lon = net.table.lat, net.table.lon
+    T = haversine_km(lat[rows], lon[rows], lat[cols], lon[cols])
     A = np.column_stack([np.ones(n_pos), np.log(n_o[rows]), np.log(n_d[cols])])
 
     # eps-independent blocks of the weighted normal equations
@@ -119,7 +122,6 @@ def fit_gravity(
             raise ValueError(f"collinear regressors: {exc}") from exc
         best = (0.0, beta, rss)
     else:
-        grid = DEFAULT_EPS_GRID if eps_grid is None else np.asarray(eps_grid, dtype=float)
         best = None
         last_err = None
         for eps in grid:
@@ -135,6 +137,9 @@ def fit_gravity(
                 best = (float(eps), beta, rss)
         if best is None:
             raise ValueError(f"collinear regressors at every eps: {last_err}")
+        if best[0] in (grid[0], grid[-1]):
+            log.info("gravity fit of %s flows: eps %g is at an end of its grid %g..%g",
+                     net.channel, best[0], grid[0], grid[-1])
 
     eps_hat, beta, rss = best
     return GravityParams(
@@ -146,25 +151,24 @@ def fit_gravity(
     )
 
 
-def simulate_gravity(params: GravityParams, net: InteractionNetwork,
-                     dist: np.ndarray) -> InteractionNetwork:
-    """Evaluate the gravity law on the masses of ``net`` and a geometry.
+def simulate_gravity(params: GravityParams, net: InteractionNetwork) -> InteractionNetwork:
+    """Evaluate the gravity law on the masses and centroids of ``net``.
 
     The result is ``net`` with real-valued raw flows, strictly positive
-    wherever both masses are positive; nodes, census and counts are kept.
-    eps = 0 is rejected when any pair sits at distance 0.
+    wherever both masses are positive; table and counts are kept.  eps = 0
+    is rejected unless the distance is linear: each node is 0 km from itself.
     """
-    _distances(dist, net.n)
-    if params.epsilon == 0 and not params.linear_distance and np.any(dist == 0):
+    if params.epsilon == 0 and not params.linear_distance:
         raise ValueError("distance singularity: eps = 0 with zero distances")
     n_o, n_d = _masses(net)
     if np.any(n_o < 0) or np.any(n_d < 0):
         raise ValueError("mass counts must be non-negative")
-    if params.linear_distance:
-        kernel = np.exp(-params.alpha * (dist + params.epsilon))
-    else:
-        kernel = (dist + params.epsilon) ** (-params.alpha)
-    W = params.c * np.outer(n_o ** params.beta1, n_d ** params.beta2) * kernel
+    a, b = n_o ** params.beta1, n_d ** params.beta2
+    W = np.empty((net.n, net.n))
+    for rows, dist in _distance_blocks(net.table):
+        t = dist + params.epsilon
+        kernel = np.exp(-params.alpha * t) if params.linear_distance else t ** (-params.alpha)
+        W[rows] = params.c * np.outer(a[rows], b) * kernel
     return replace(net, W=W, weighting="raw", dropped_events=0, simulated=True)
 
 

@@ -1,11 +1,12 @@
 """Directed neighborhood interaction networks and population weighting.
 
-Networks are dense n x n matrices (rows = origin) over the canonical
-sorted neighborhood order.  Raw edge weights are event counts; the
-population weighting divides out each neighborhood's sampling rate so
-that under-sampled areas are not under-represented.  Each n x n matrix is
-built once into its own buffer, with no full-size temporaries: centroid
-distances a block of rows at a time, mention weights divided into their scale.
+Networks are dense n x n matrices (rows = origin) over the sorted rows of
+the neighborhood table each holds, which gives their census and centroids.
+Raw edge weights are event counts; the population weighting divides out
+each neighborhood's sampling rate so that under-sampled areas are not
+under-represented.  Each n x n matrix is built once into its own buffer,
+with no full-size temporaries: distances a block of rows at a time, mention
+weights divided into their scale.
 """
 from __future__ import annotations
 
@@ -24,20 +25,22 @@ _BLOCK_ROWS = 128     # rows of the distance matrix computed at a time
 
 @dataclass
 class InteractionNetwork:
-    nodes: list[str]
+    table: NeighborhoodTable          # node ids, census and centroids, shared
     W: np.ndarray
     channel: str                      # "purchase" | "mention"
     weighting: str = "raw"            # "raw" | "population_weighted"
-    population: np.ndarray | None = None
-    ses: np.ndarray | None = None
     user_counts: np.ndarray | None = None   # sampled individuals per home neighborhood
     store_counts: np.ndarray | None = None  # purchase channel only: stores per neighborhood
     dropped_events: int = 0
     simulated: bool = False
 
     @property
+    def nodes(self) -> list[str]:
+        return self.table.ids
+
+    @property
     def n(self) -> int:
-        return len(self.nodes)
+        return self.table.n
 
     def total_weight(self) -> float:
         return float(self.W.sum())
@@ -53,9 +56,8 @@ def build_purchase_network(events: PurchaseLog, table: NeighborhoodTable) -> Int
     n = table.n
     cells = home[log.customer] * n + loc[log.store]
     return InteractionNetwork(
-        nodes=list(table.ids), W=np.bincount(cells, minlength=n * n).reshape(n, n).astype(float),
-        channel="purchase", weighting="raw",
-        population=table.population.copy(), ses=table.ses.copy(),
+        table=table, W=np.bincount(cells, minlength=n * n).reshape(n, n).astype(float),
+        channel="purchase",
         user_counts=np.bincount(home, minlength=n), store_counts=np.bincount(loc, minlength=n),
         dropped_events=len(events) - len(log),
     )
@@ -78,10 +80,8 @@ def build_mention_network(
     kept = (source >= 0) & (target >= 0)
     cells, homed = source[kept] * n + target[kept], table.rows(homes.values())
     return InteractionNetwork(
-        nodes=list(table.ids), W=np.bincount(cells, minlength=n * n).reshape(n, n).astype(float),
-        channel="mention", weighting="raw",
-        population=table.population.copy(), ses=table.ses.copy(),
-        user_counts=np.bincount(homed[homed >= 0], minlength=n),
+        table=table, W=np.bincount(cells, minlength=n * n).reshape(n, n).astype(float),
+        channel="mention", user_counts=np.bincount(homed[homed >= 0], minlength=n),
         dropped_events=len(mentions) - int(kept.sum()),
     )
 
@@ -96,9 +96,9 @@ def population_weight(net: InteractionNetwork) -> InteractionNetwork:
     """
     if net.weighting != "raw":
         raise ValueError("network is already population-weighted")
-    m, p = net.user_counts, net.population
-    if m is None or p is None:
-        raise ValueError("population weighting needs user counts and population")
+    m, p = net.user_counts, net.table.population
+    if m is None:
+        raise ValueError("population weighting needs the network's user counts")
     if np.any((p == 0) & (m > 0)):
         raise ValueError("inconsistent census: zero population with sampled users")
     W = net.W
@@ -122,17 +122,22 @@ def sampling_rate(user_counts, population) -> np.ndarray:
     return np.divide(m, p, out=np.ones_like(p), where=m > 0)
 
 
+def _distance_blocks(table: NeighborhoodTable):
+    """(row slice, its rows of the centroid distance matrix in km) for each
+    block of rows.  ``haversine_km`` is symmetric bit for bit (each difference
+    is squared and the cosine product commutes), and 0 from a point to itself."""
+    lat, lon = table.lat, table.lon
+    for a in range(0, table.n, _BLOCK_ROWS):
+        rows = slice(a, a + _BLOCK_ROWS)
+        yield rows, haversine_km(lat[rows, None], lon[rows, None], lat, lon)
+
+
 def centroid_distances(table: NeighborhoodTable) -> np.ndarray:
     """Great-circle distances (km) between neighborhood centroids, 0 on the
-    diagonal.  Filled a block of rows at a time, with no n x n temporary.
-    ``haversine_km`` is symmetric bit for bit (each difference is squared and
-    the cosine product commutes), so the matrix is too."""
-    lat, lon, n = table.lat, table.lon, table.n
-    d = np.empty((n, n))
-    for a in range(0, n, _BLOCK_ROWS):
-        rows = slice(a, a + _BLOCK_ROWS)
-        d[rows] = haversine_km(lat[rows, None], lon[rows, None], lat, lon)
-    np.fill_diagonal(d, 0.0)
+    diagonal.  Filled a block of rows at a time, with no n x n temporary."""
+    d = np.empty((table.n, table.n))
+    for rows, block in _distance_blocks(table):
+        d[rows] = block
     return d
 
 
@@ -143,26 +148,13 @@ def haversine_km(lat1, lon1, lat2, lon2) -> np.ndarray:
     return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
 
 
-def _square(M: np.ndarray, n: int, what: str) -> np.ndarray:
-    """``M``, once it is shown to be n x n: one entry per pair of the n nodes."""
-    if np.shape(M) != (n, n):
-        raise ValueError(f"{what} matrix is {'x'.join(map(str, np.shape(M)))}, not {n}x{n}")
-    return M
-
-
-def _distances(dist: np.ndarray, n: int) -> np.ndarray:
-    """``dist``, once it is shown to be an n x n matrix of finite, non-negative
-    distances.  min and max propagate NaN, so neither needs an n x n mask."""
-    _square(dist, n, "distance")
-    if dist.size and not (dist.min() >= 0.0 and np.isfinite(dist.max())):
-        raise ValueError("distances must be finite and non-negative")
-    return dist
-
-
 def _edges(W: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Origin, destination and weight of every nonzero entry of the n x n W,
-    row-major.  A NaN entry is an edge too, so scoring refuses it, not drops it."""
-    o, d = np.nonzero(_square(W, n, "flow"))
+    """Origin, destination and weight of every nonzero entry of W, row-major,
+    once W is shown to be n x n.  A NaN entry is an edge too, so scoring
+    refuses it, not drops it."""
+    if np.shape(W) != (n, n):
+        raise ValueError(f"flow matrix is {'x'.join(map(str, np.shape(W)))}, not {n}x{n}")
+    o, d = np.nonzero(W)
     return o, d, W[o, d]
 
 
@@ -175,13 +167,13 @@ def _whole(values, field: str) -> list[int] | None:
 
 def write_network(net: InteractionNetwork, edges_path, header_path) -> None:
     """Export as an edge list (zero entries omitted) plus a JSON header.
-    Population and counts are written as integers; a fractional one is refused."""
+    Counts are written as integers; a fractional one is refused."""
     header = {
         "nodes": net.nodes,
         "channel": net.channel,
         "weighting": net.weighting,
-        "population": _whole(net.population, "population"),
-        "ses": None if net.ses is None else [float(v) for v in net.ses],
+        "population": net.table.population.tolist(),
+        "ses": net.table.ses.tolist(),
         "user_counts": _whole(net.user_counts, "user_counts"),
         "store_counts": _whole(net.store_counts, "store_counts"),
         "dropped_events": net.dropped_events,
@@ -197,22 +189,25 @@ def write_network(net: InteractionNetwork, edges_path, header_path) -> None:
         fh.write("\n")
 
 
-def read_network(edges_path, header_path) -> InteractionNetwork:
+def read_network(edges_path, header_path, table: NeighborhoodTable) -> InteractionNetwork:
+    """A network written by ``write_network`` over ``table``; a header whose
+    nodes, population or SES differ from the table's is refused."""
     with open(header_path) as fh:
         header = json.load(fh)
-    nodes = header["nodes"]
-    index = {nid: i for i, nid in enumerate(nodes)}
-    W = np.zeros((len(nodes), len(nodes)))
+    for key, ours in (("nodes", table.ids), ("population", table.population.tolist()),
+                      ("ses", table.ses.tolist())):
+        if header[key] != ours:
+            raise ValueError(f"{header_path}: {key} differ from the neighborhood table's")
+    W = np.zeros((table.n, table.n))
     with open(edges_path, newline="") as fh:
         for row in csv.DictReader(fh):
-            W[index[row["origin_id"]], index[row["dest_id"]]] = float(row["weight"])
+            W[table.index[row["origin_id"]], table.index[row["dest_id"]]] = float(row["weight"])
 
     def arr(key, dtype):
         return None if header.get(key) is None else np.asarray(header[key], dtype=dtype)
 
     return InteractionNetwork(
-        nodes=nodes, W=W, channel=header["channel"], weighting=header["weighting"],
-        population=arr("population", np.int64), ses=arr("ses", float),
+        table=table, W=W, channel=header["channel"], weighting=header["weighting"],
         user_counts=arr("user_counts", np.int64), store_counts=arr("store_counts", np.int64),
         dropped_events=header.get("dropped_events", 0),
         simulated=header.get("simulated", False),

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .ingest import NeighborhoodTable
-from .network import InteractionNetwork, _distances, _edges
+from .network import InteractionNetwork, _distance_blocks, _edges, haversine_km
 
 
 class DegenerateMatrixError(ValueError):
@@ -212,7 +212,6 @@ def asymmetry_sweep(net: InteractionNetwork, groups: GroupAssignment) -> list[Sw
 def distance_sweep(
     net: InteractionNetwork,
     groups: GroupAssignment,
-    dist: np.ndarray,
     thresholds: Sequence[float] | None = None,
 ) -> list[SweepStep]:
     """Assortativity of short- versus long-distance interactions.
@@ -225,17 +224,22 @@ def distance_sweep(
     A side with no remaining mass or no variance is flagged invalid.
     """
     i, j, w = _edges(_scored(net, groups), net.n)
-    _distances(dist, net.n)
     if thresholds is None:
-        # the upper triangle, row by row (the order of triu_indices), in a
-        # private copy that the percentile may partition in place
-        pairs = np.concatenate([dist[r, r + 1:] for r in range(net.n)])
+        # the upper triangle, row by row (the order of triu_indices), filled
+        # from row blocks into one vector that the percentile may partition
+        n = net.n
+        pairs, end = np.empty(n * (n - 1) // 2), 0
+        for rows, block in _distance_blocks(net.table):
+            for r, row in enumerate(block, start=rows.start):
+                pairs[end:end + n - r - 1] = row[r + 1:]
+                end += n - r - 1
         thresholds = np.percentile(pairs, (20, 40, 60, 80, 100), overwrite_input=True)
     thresholds = [float(d) for d in thresholds]
     if (not all(0 < d < np.inf for d in thresholds)
             or any(b <= a for a, b in zip(thresholds, thresholds[1:]))):
         raise ValueError("thresholds must be finite, positive and ascending")
-    edge_dist = dist[i, j]
+    lat, lon = net.table.lat, net.table.lon
+    edge_dist = haversine_km(lat[i], lon[i], lat[j], lon[j])
     steps = []
     for d in thresholds:
         within = edge_dist <= d

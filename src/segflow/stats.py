@@ -11,7 +11,7 @@ import numpy as np
 
 from .ingest import NeighborhoodTable, PurchaseLog
 from .network import (InteractionNetwork, _edges, build_purchase_network,
-                      centroid_distances, population_weight, sampling_rate)
+                      population_weight, sampling_rate)
 from .segregation import (DegenerateMatrixError, GroupAssignment, MixingMatrix, SweepStep,
                           _scored, assortativity, extremes_value, group_flows)
 from . import models
@@ -226,10 +226,8 @@ def segregation_inequality_report(
         details={"gini_excluding_storeless": gini(rev_emp[has_store])},
     ))
 
-    dist = centroid_distances(table)
-    params = gravity_params or models.fit_gravity(emp_net, dist, eps_grid=eps_grid)
-    sim_net = models.simulate_gravity(params, emp_net, dist)
-    del dist   # free the n x n distances before the simulated flows are weighted
+    params = gravity_params or models.fit_gravity(emp_net, eps_grid=eps_grid)
+    sim_net = models.simulate_gravity(params, emp_net)
     jk_sim = jackknife_statistic(population_weight(sim_net).W, flows_assortativity, groups,
                                  removal_fraction, jackknife_replicates, seed)
     rev_imposed = models.adjust_gravity_amounts(arrays, emp_net, sim_net,

@@ -32,8 +32,7 @@ def sparse_net(table, nnz, channel="purchase", weighting="population_weighted"):
     rng = np.random.default_rng(0)
     W = np.zeros((table.n, table.n))
     W[rng.integers(table.n, size=nnz), rng.integers(table.n, size=nnz)] = 1.0
-    return InteractionNetwork(nodes=list(table.ids), W=W, channel=channel, weighting=weighting,
-                              population=table.population, ses=table.ses,
+    return InteractionNetwork(table=table, W=W, channel=channel, weighting=weighting,
                               user_counts=np.maximum(table.population // 50, 1))
 
 
@@ -42,8 +41,7 @@ def gravity_net(table, user_counts, store_counts, W=None, channel="purchase"):
     ``user_counts`` at origins, ``store_counts`` at purchase destinations.
     Its flows are ``W``, or zero."""
     W = np.zeros((table.n, table.n)) if W is None else np.asarray(W, float)
-    return InteractionNetwork(nodes=list(table.ids), W=W, channel=channel,
-                              population=table.population, ses=table.ses,
+    return InteractionNetwork(table=table, W=W, channel=channel,
                               user_counts=user_counts, store_counts=store_counts)
 
 

@@ -18,7 +18,7 @@ import pytest
 
 from segflow import (GravityParams, assign_groups, assortativity,
                      asymmetry_bias, asymmetry_sweep,
-                     build_purchase_network, centroid_distances,
+                     build_purchase_network,
                      distance_sweep, extremes_sweep, filter_active_customers,
                      fit_gravity, gini, individual_diversity, mixing_matrix,
                      null_shuffle_ses, population_weight,
@@ -124,7 +124,6 @@ def test_criterion_02_assortativity_edge_cases():
 
 def test_criterion_03_gravity_round_trip():
     table, _ = synth.synthetic_geometry(100, extent_km=30.0, seed=0)
-    dist = centroid_distances(table)
     rng = np.random.default_rng(42)
     n_o = rng.integers(20, 200, 100)
     n_d = rng.integers(10, 120, 100)
@@ -134,8 +133,8 @@ def test_criterion_03_gravity_round_trip():
     worst_noiseless = 0.0
     for c, b1, b2, eps, alpha in REFERENCE_FITS.values():
         planted = GravityParams(c=c, beta1=b1, beta2=b2, epsilon=eps, alpha=alpha)
-        sim = simulate_gravity(planted, gravity_net(table, n_o, n_d), dist)
-        fit = fit_gravity(sim, dist, eps_grid=fine_grid)
+        sim = simulate_gravity(planted, gravity_net(table, n_o, n_d))
+        fit = fit_gravity(sim, eps_grid=fine_grid)
         worst_noiseless = max(
             worst_noiseless,
             abs(fit.c / c - 1), abs(fit.beta1 / b1 - 1), abs(fit.beta2 / b2 - 1),
@@ -146,11 +145,11 @@ def test_criterion_03_gravity_round_trip():
     for name in noisy_sets:
         c, b1, b2, eps, alpha = REFERENCE_FITS[name]
         planted = GravityParams(c=c, beta1=b1, beta2=b2, epsilon=eps, alpha=alpha)
-        sim = simulate_gravity(planted, gravity_net(table, n_o, n_d), dist)
+        sim = simulate_gravity(planted, gravity_net(table, n_o, n_d))
         for seed in range(20):
             noise = np.exp(0.1 * np.random.default_rng((103, seed)).standard_normal(sim.W.shape))
             noisy = replace(sim, W=sim.W * noise)
-            fit = fit_gravity(noisy, dist)
+            fit = fit_gravity(noisy)
             worst_noisy = max(worst_noisy, abs(fit.beta1 / b1 - 1),
                               abs(fit.beta2 / b2 - 1), abs(fit.alpha / alpha - 1))
     elapsed = time.perf_counter() - start
@@ -187,8 +186,7 @@ def test_criterion_05_extremes_sweep_shape(homophilous):
 
 def test_criterion_06_distance_sweep_shape(homophilous):
     city, _, _, weighted, groups = homophilous
-    dist = centroid_distances(city.table)
-    steps = distance_sweep(weighted, groups, dist)
+    steps = distance_sweep(weighted, groups)
     within = {s.param: s for s in steps if s.descriptor.startswith("within")}
     beyond = {s.param: s for s in steps if s.descriptor.startswith("beyond")}
     thresholds = sorted(within)

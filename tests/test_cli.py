@@ -461,3 +461,29 @@ class TestBadParameters:
         assert code == 1
         err = capsys.readouterr().err
         assert message in err and "collinear" not in err
+
+    @pytest.mark.parametrize("flags, key, value", [
+        (["--eps-start", "-0.5", "--eps-stop", "0.5", "--eps-step", "0.5"], "eps_start", "-0.5"),
+        (["--eps-start", "nan"], "eps_start", "nan"),
+        (["--eps-stop", "inf"], "eps_stop", "inf"),
+        (["--eps-start=-inf"], "eps_start", "-inf"),
+    ])
+    def test_bad_eps_bound_named(self, city_dir, tmp_path, capsys, flags, key, value):
+        """A grid that held -0.5 used to fit it, and then fail in
+        ``GravityParams`` with ``epsilon must be non-negative``; a NaN bound
+        failed in numpy's ``arange``."""
+        out = tmp_path / "g"
+        assert main(["gravity", "--data", str(city_dir), "--out", str(out), *flags]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {key} must be finite and non-negative, got {value}\n" in err
+        assert not out.exists() or not list(out.iterdir())
+
+    @pytest.mark.parametrize("fractions", [",0.5", "0.5,half", ""])
+    def test_bad_fractions_named(self, city_dir, tmp_path, capsys, fractions):
+        """``float('')`` used to surface as ``could not convert string to
+        float: ''``, which names no flag."""
+        code = main(["gini-report", "--data", str(city_dir), "--out", str(tmp_path / "rep"),
+                     "--fractions", fractions])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: fractions must be comma-separated numbers, got {fractions!r}" in err

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from segflow.ingest import (CHUNK_ROWS, GEOPOST_COLUMNS, MENTION_COLUMNS,
-                            NEIGHBORHOOD_COLUMNS, GeoPostLog, ValidationError,
+                            NEIGHBORHOOD_COLUMNS, GeoPostLog, NeighborhoodTable,
+                            ValidationError,
                             assign_points_to_neighborhoods,
                             filter_active_customers, infer_home, load_geometry,
                             load_geoposts, load_mentions, load_neighborhoods,
@@ -84,6 +85,31 @@ class TestLoadNeighborhoods:
         out2 = tmp_path / "norm2.csv"
         t2.write_csv(out2)
         assert out1.read_bytes() == out2.read_bytes()
+
+
+class TestNeighborhoodTable:
+    """Coordinates and census enter through the table, so it refuses what
+    no loader would pass: a NaN centroid gave NaN distances, and a NaN SES
+    was ranked into the top status group."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", ["lat", "lon", "ses"])
+    def test_non_finite_refused(self, column, value):
+        cols = dict(lat=[40.0, 40.1], lon=[-3.0, -3.1], population=[10, 20], ses=[1.0, 2.0])
+        cols[column] = [cols[column][0], value]
+        with pytest.raises(ValidationError, match="^lat, lon and ses must be finite$"):
+            NeighborhoodTable(["A", "B"], **cols)
+
+    @pytest.mark.parametrize("population", [[1000.5, 2.9], [1000.0, np.nan], [1000.0, np.inf]])
+    def test_fractional_population_refused(self, population):
+        """``[1000.5, 2.9]`` used to be truncated to ``[1000, 2]``."""
+        with pytest.raises(ValidationError, match="^population must be whole numbers$"):
+            NeighborhoodTable(["A", "B"], [40.0, 40.1], [-3.0, -3.1], population, [1.0, 2.0])
+
+    def test_whole_float_population_kept(self):
+        table = NeighborhoodTable(["B", "A"], [40.0, 40.1], [-3.0, -3.1], [1000.0, 2.0], [1.0, 2.0])
+        assert table.population.dtype == np.int64
+        assert table.population.tolist() == [2, 1000]
 
 
 class TestLoadPurchases:

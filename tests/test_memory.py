@@ -39,9 +39,8 @@ def test_centroid_distances_peak_near_its_result():
 def test_default_sweep_thresholds_hold_less_than_one_matrix():
     """The condensed pair vector is half a matrix; indexing it out through
     ``triu_indices`` held 30.9 MB."""
-    dist = centroid_distances(TABLE)
     net, groups = sparse_net(TABLE, 9000), assign_groups(TABLE)
-    steps, peak = peak_bytes(lambda: distance_sweep(net, groups, dist))
+    steps, peak = peak_bytes(lambda: distance_sweep(net, groups))
     assert len(steps) == 10
     assert peak < MATRIX_BYTES
 

@@ -149,8 +149,8 @@ class TestPopulationWeight:
     def test_missing_user_counts_named(self, table4, channel):
         W = np.zeros((4, 4))
         W[1, 2] = 1.0
-        net = InteractionNetwork(nodes=list(table4.ids), W=W, channel=channel)
-        with pytest.raises(ValueError, match="needs user counts and population"):
+        net = InteractionNetwork(table=table4, W=W, channel=channel)
+        with pytest.raises(ValueError, match="^population weighting needs the network's user counts$"):
             population_weight(net)
 
     def test_double_weighting_rejected(self, table4):
@@ -224,9 +224,9 @@ class TestDistances:
     @pytest.mark.parametrize("n", [1, network._BLOCK_ROWS - 1, network._BLOCK_ROWS,
                                    network._BLOCK_ROWS + 1, 1600])
     def test_blocks_match_whole_matrix_formula_bitwise(self, n):
-        """The row blocks and the in-place block-pair averaging give, bit for
-        bit, the one-shot ``(d + d.T) / 2`` over the whole matrix, also when
-        n is one block or falls one row either side of a block edge."""
+        """The row blocks give, bit for bit, the one-shot ``(d + d.T) / 2``
+        over the whole matrix with a zeroed diagonal, also when n is one block
+        or falls one row either side of a block edge."""
         table = preset_table(1600)
         if n < 1600:
             table = NeighborhoodTable(table.ids[:n], table.lat[:n], table.lon[:n],
@@ -236,6 +236,15 @@ class TestDistances:
         d = (d + d.T) / 2.0
         np.fill_diagonal(d, 0.0)
         assert np.array_equal(centroid_distances(table), d)
+
+    def test_edge_distances_match_matrix_bitwise(self):
+        """The distance of an edge, from ``haversine_km`` over its two
+        centroids, equals its entry of ``centroid_distances`` bit for bit."""
+        table = preset_table(1600)
+        o, d = np.random.default_rng(3).integers(table.n, size=(2, 50000))
+        lat, lon = table.lat, table.lon
+        assert np.array_equal(haversine_km(lat[o], lon[o], lat[d], lon[d]),
+                              centroid_distances(table)[o, d])
 
     def test_symmetry_and_zero_diagonal(self):
         """Nothing averages i -> j with j -> i, so the symmetry is
@@ -272,19 +281,28 @@ class TestExport:
         write_network(net, tmp_path / "edges.csv", tmp_path / "header.json")
         text = (tmp_path / "edges.csv").read_text()
         assert "0.0" not in text.splitlines()[0]  # zero entries omitted
-        back = read_network(tmp_path / "edges.csv", tmp_path / "header.json")
+        back = read_network(tmp_path / "edges.csv", tmp_path / "header.json", table4)
         assert np.array_equal(back.W, net.W)
-        assert back.nodes == net.nodes
+        assert back.table is table4
         assert back.channel == net.channel
 
+    @pytest.mark.parametrize("key, other", [
+        ("nodes", make_table(5)),
+        ("population", make_table(4, population=[1000, 1000, 1000, 999])),
+        ("ses", make_table(4, ses=[10.0, 20.0, 30.0, 40.0]))])
+    def test_header_of_other_table_refused(self, tmp_path, table4, key, other):
+        """A network read back needs the table it was written over."""
+        net = build_purchase_network(purchase_log([purchase("C1", "S1", "N00", "N01")]), table4)
+        write_network(net, tmp_path / "edges.csv", tmp_path / "header.json")
+        with pytest.raises(ValueError, match=f"{key} differ from the neighborhood table's$"):
+            read_network(tmp_path / "edges.csv", tmp_path / "header.json", other)
 
     def test_fractional_counts_refused(self, tmp_path, table4):
         """``int`` would truncate them: [2.7, 1.5] used to read back as [2, 1]."""
         events = [purchase("C1", "S1", "N00", "N01"), purchase("C2", "S2", "N03", "N02")]
         net = build_purchase_network(purchase_log(events), table4)
         for field, counts in (("user_counts", [2.7, 1.5, 0.0, 1.0]),
-                              ("store_counts", [0.4, 3.0, 1.0, 0.0]),
-                              ("population", [1000.5, 1000, 1000, 1000])):
+                              ("store_counts", [0.4, 3.0, 1.0, 0.0])):
             with pytest.raises(ValueError, match=f"^{field} must be whole numbers$"):
                 write_network(replace(net, **{field: np.array(counts)}),
                               tmp_path / "edges.csv", tmp_path / "header.json")

@@ -2,10 +2,10 @@
 
 A network that is not population-weighted, or a grouping over other
 nodes, is refused with the same message by every public analysis that
-takes a network and the ``GroupAssignment`` it scores.  A flow or
-distance matrix that is not n x n for the n nodes scored is refused too,
-as is a distance matrix that is not finite and non-negative, and the
-gravity model reads its masses from the network it models.
+takes a network and the ``GroupAssignment`` it scores.  A flow matrix
+that is not n x n for the n nodes scored is refused too.  The gravity
+model reads its masses, and every analysis its distances, from the
+network it models.
 """
 import inspect
 from dataclasses import replace
@@ -13,8 +13,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from segflow import models, segregation, stats
-from segflow.network import InteractionNetwork, centroid_distances
+from segflow import models, network, segregation, stats
+from segflow.network import InteractionNetwork
 from segflow.segregation import GroupAssignment, assign_groups
 
 from conftest import make_table, purchase, purchase_log
@@ -22,10 +22,8 @@ from conftest import make_table, purchase, purchase_log
 TABLE = make_table(12, ses=np.arange(12.0), spacing_deg=0.03)
 GROUPS = assign_groups(TABLE, k=4)
 WEIGHTED = InteractionNetwork(
-    nodes=list(TABLE.ids), W=np.random.default_rng(5).uniform(0.2, 1.5, (12, 12)),
-    channel="purchase", weighting="population_weighted",
-    population=TABLE.population, ses=TABLE.ses)
-DIST = centroid_distances(TABLE)
+    table=TABLE, W=np.random.default_rng(5).uniform(0.2, 1.5, (12, 12)),
+    channel="purchase", weighting="population_weighted")
 STEPS = segregation.extremes_sweep(WEIGHTED, GROUPS)
 GRAVITY = replace(WEIGHTED, weighting="raw", user_counts=np.full(12, 30),
                   store_counts=np.arange(1, 13))
@@ -35,8 +33,7 @@ ANALYSES = {
     "segregation.mixing_matrix": segregation.mixing_matrix,
     "segregation.extremes_sweep": segregation.extremes_sweep,
     "segregation.asymmetry_sweep": segregation.asymmetry_sweep,
-    "segregation.distance_sweep": lambda net, groups: segregation.distance_sweep(
-        net, groups, DIST),
+    "segregation.distance_sweep": segregation.distance_sweep,
     "models.null_shuffle_ses": lambda net, groups: models.null_shuffle_ses(net, groups, 5),
     "stats.jackknife_assortativity": lambda net, groups: stats.jackknife_assortativity(
         net, groups, replicates=5),
@@ -97,13 +94,9 @@ OFF_SIZE = {
     "stats.jackknife_statistic": (lambda: stats.jackknife_statistic(
         SLICE, stats.flows_assortativity, GROUPS, replicates=5), "flow matrix is 8x8, not 12x12"),
     "segregation.distance_sweep": (lambda: segregation.distance_sweep(
-        WEIGHTED, GROUPS, centroid_distances(make_table(16, spacing_deg=0.03))),
-        "distance matrix is 16x16, not 12x12"),
-    "models.fit_gravity": (lambda: models.fit_gravity(GRAVITY, DIST[:8, :8]),
-                           "distance matrix is 8x8, not 12x12"),
-    "models.simulate_gravity": (lambda: models.simulate_gravity(
-        models.GravityParams(c=1.0, beta1=0.5, beta2=0.5, epsilon=0.1, alpha=1.0),
-        GRAVITY, DIST[:8, :8]), "distance matrix is 8x8, not 12x12"),
+        replace(WEIGHTED, W=SLICE), GROUPS), "flow matrix is 8x8, not 12x12"),
+    "models.fit_gravity": (lambda: models.fit_gravity(replace(GRAVITY, W=SLICE)),
+                           "flow matrix is 8x8, not 12x12"),
 }
 
 
@@ -122,37 +115,18 @@ def test_nan_edge_refused(name):
         ANALYSES[name](replace(WEIGHTED, W=W), GROUPS)
 
 
-PARAMS = models.GravityParams(c=1.0, beta1=0.5, beta2=0.5, epsilon=0.1, alpha=1.0)
-# Every public function that takes a distance matrix, with it as the one argument.
-DIST_TAKERS = {
-    "segregation.distance_sweep": lambda dist: segregation.distance_sweep(
-        WEIGHTED, GROUPS, dist),
-    "models.fit_gravity": lambda dist: models.fit_gravity(GRAVITY, dist),
-    "models.simulate_gravity": lambda dist: models.simulate_gravity(PARAMS, GRAVITY, dist),
-}
-
-
-@pytest.mark.parametrize("value", [np.nan, np.inf, -1.0], ids=["nan", "inf", "negative"])
-@pytest.mark.parametrize("name", sorted(DIST_TAKERS))
-def test_distance_not_finite_and_non_negative_refused(name, value):
-    """One bad pair refuses the whole matrix.  A NaN pair used to turn every
-    default sweep threshold into NaN and return a valid ``beyond:nankm``."""
-    dist = DIST.copy()
-    dist[2, 5] = dist[5, 2] = value
-    with pytest.raises(ValueError, match="^distances must be finite and non-negative$"):
-        DIST_TAKERS[name](dist)
-
-
-def test_every_distance_taker_is_listed():
-    found = {f"{module.__name__.rsplit('.', 1)[1]}.{name}"
-             for module in (segregation, models, stats)
-             for name, fn in inspect.getmembers(module, inspect.isfunction)
-             if fn.__module__ == module.__name__ and not name.startswith("_")
-             and "dist" in inspect.signature(fn).parameters}
-    assert found == set(DIST_TAKERS)
+def test_no_function_takes_a_distance_matrix():
+    """Distances come from the centroids of the network's table, so no
+    caller builds an n x n matrix to pass beside the network."""
+    takers = [f"{module.__name__}.{name}"
+              for module in (network, segregation, models, stats)
+              for name, fn in inspect.getmembers(module, inspect.isfunction)
+              if fn.__module__ == module.__name__ and not name.startswith("_")
+              and "dist" in inspect.signature(fn).parameters]
+    assert takers == []
 
 
 @pytest.mark.parametrize("thresholds", [[np.nan], [1.0, np.inf]], ids=["nan", "inf"])
 def test_non_finite_threshold_refused(thresholds):
     with pytest.raises(ValueError, match="^thresholds must be finite, positive and ascending$"):
-        segregation.distance_sweep(WEIGHTED, GROUPS, DIST, thresholds=thresholds)
+        segregation.distance_sweep(WEIGHTED, GROUPS, thresholds=thresholds)

@@ -14,9 +14,8 @@ from conftest import make_table, preset_table, purchase, purchase_log, sparse_ne
 
 
 def weighted_net(W, table, channel="purchase"):
-    return InteractionNetwork(nodes=list(table.ids), W=np.asarray(W, float),
-                              channel=channel, weighting="population_weighted",
-                              population=table.population, ses=table.ses)
+    return InteractionNetwork(table=table, W=np.asarray(W, float),
+                              channel=channel, weighting="population_weighted")
 
 
 def expansion_pearson(e, x_vals):
@@ -332,7 +331,7 @@ class TestDistanceSweep:
     def test_max_threshold_within_equals_full(self):
         net, groups, dist = self._city()
         d_max = float(dist.max())
-        steps = distance_sweep(net, groups, dist, thresholds=[d_max])
+        steps = distance_sweep(net, groups, thresholds=[d_max])
         full = assortativity(mixing_matrix(net, groups))
         within = [s for s in steps if s.descriptor.startswith("within")][0]
         beyond = [s for s in steps if s.descriptor.startswith("beyond")][0]
@@ -342,14 +341,14 @@ class TestDistanceSweep:
     def test_tiny_threshold_keeps_only_diagonal(self):
         net, groups, dist = self._city()
         d_min = float(dist[np.triu_indices(len(dist), k=1)].min())
-        steps = distance_sweep(net, groups, dist, thresholds=[d_min / 2])
+        steps = distance_sweep(net, groups, thresholds=[d_min / 2])
         within = [s for s in steps if s.descriptor.startswith("within")][0]
         # only self-flows remain and they span several groups: perfectly assortative
         assert within.value == pytest.approx(1.0, abs=1e-12)
 
     def test_percentile_thresholds_match_sort_oracle(self):
         net, groups, dist = self._city()
-        steps = distance_sweep(net, groups, dist)
+        steps = distance_sweep(net, groups)
         params = sorted({s.param for s in steps})
         vec = np.sort(dist[np.triu_indices(len(dist), k=1)])
 
@@ -364,17 +363,14 @@ class TestDistanceSweep:
 
     @pytest.mark.parametrize("n", [1600, 400], ids=["preset", "coarse"])
     def test_default_thresholds_match_triu_percentiles_bitwise(self, n):
-        """Thresholds from the row slices of ``dist`` equal, bit for bit, one
-        percentile per quintile of the ``triu_indices`` vector, on the preset
-        geometries; ``dist`` is left as it was."""
+        """Thresholds from row blocks of distances equal, bit for bit, one
+        percentile per quintile of the ``triu_indices`` vector of
+        ``centroid_distances``, on the preset geometries."""
         table = preset_table(n)
-        dist = centroid_distances(table)
-        before = dist.copy()
-        steps = distance_sweep(sparse_net(table, 5 * n), assign_groups(table), dist)
-        pairs = dist[np.triu_indices(n, k=1)]
+        steps = distance_sweep(sparse_net(table, 5 * n), assign_groups(table))
+        pairs = centroid_distances(table)[np.triu_indices(n, k=1)]
         assert [s.param for s in steps[::2]] == [
             float(np.percentile(pairs, q)) for q in (20, 40, 60, 80, 100)]
-        assert np.array_equal(dist, before)
 
     def test_mass_partition(self):
         net, groups, dist = self._city()
@@ -386,9 +382,9 @@ class TestDistanceSweep:
     def test_threshold_validation(self):
         net, groups, dist = self._city()
         with pytest.raises(ValueError, match="ascending"):
-            distance_sweep(net, groups, dist, thresholds=[5.0, 3.0])
+            distance_sweep(net, groups, thresholds=[5.0, 3.0])
         with pytest.raises(ValueError):
-            distance_sweep(net, groups, dist, thresholds=[-1.0])
+            distance_sweep(net, groups, thresholds=[-1.0])
 
 
 def test_documented_reference_values():

@@ -81,17 +81,15 @@ class TestPlantedStructure:
         # h = 0, tau = 0: fitting the generated flows recovers the planted
         # law within 5% at 1e5 events, using the generator's mass counts
         from segflow import fit_gravity
-        from segflow.network import centroid_distances
         cfg = tiny_cfg(seed=9, n_neighborhoods=36, extent_km=15.0,
                        n_stores=200, n_customers=900, n_twitter_users=40,
                        n_purchase_events=100000, n_mention_events=100,
                        exploration=0.0, self_flow_scale=1.0)
         city = generate_city(cfg)
         net = build_purchase_network(city.purchases, city.table)
-        dist = centroid_distances(city.table)
         net = replace(net, user_counts=np.array(city.truth["customer_counts"]),
                       store_counts=np.array(city.truth["store_counts"]))
-        fit = fit_gravity(net, dist, eps_grid=np.round(np.arange(0.3, 0.8, 0.01), 10))
+        fit = fit_gravity(net, eps_grid=np.round(np.arange(0.3, 0.8, 0.01), 10))
         g = cfg.purchase_gravity
         assert abs(fit.beta1 / g.beta1 - 1) < 0.05
         assert abs(fit.beta2 / g.beta2 - 1) < 0.05
