@@ -16,8 +16,8 @@ events = filter_active_customers(city.purchases, 10)
 
 print("=== build and weight the purchase network ===")
 net = build_purchase_network(events, city.table)
-print(f"{net.n} nodes, {int((net.W > 0).sum())} nonzero flows, "
-      f"{net.dropped_events} events dropped")
+print(f"{net.n} nodes, {net.flows.size} nonzero flows (edges held, not a "
+      f"{net.n}x{net.n} matrix), {net.dropped_events} events dropped")
 weighted = population_weight(net)
 print(f"raw total {net.total_weight():.0f} -> weighted total "
       f"{weighted.total_weight():.0f}")

@@ -15,7 +15,7 @@ from .ingest import (GeoPostLog, MentionLog, NeighborhoodTable, PurchaseLog,
 from .metrics import (NeighborhoodDiversity, individual_diversity,
                       mention_profiles, neighborhood_diversity, pearson,
                       purchase_profiles)
-from .network import (InteractionNetwork, build_mention_network,
+from .network import (Flows, InteractionNetwork, build_mention_network,
                       build_purchase_network, centroid_distances,
                       haversine_km, population_weight, read_network,
                       write_network)

@@ -158,7 +158,7 @@ def _both_networks(cfg: dict):
     if mentions and homes:
         raws.append(network.build_mention_network(mentions, homes, table))
     out = [(raw.channel, raw, network.population_weight(raw))
-           for raw in raws if raw.W.any()]
+           for raw in raws if raw.flows.size]
     if not out:
         raise ValidationError("no usable event data found in the data directory")
     return table, out

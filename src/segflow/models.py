@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .ingest import NeighborhoodTable, PurchaseLog
-from .network import InteractionNetwork, _distance_blocks, _edges, haversine_km
+from .network import _BLOCK_ROWS, Flows, InteractionNetwork, _edges, haversine_km
 from .segregation import (DegenerateMatrixError, GroupAssignment, MixingMatrix, _scored,
                           asymmetry_bias, assortativity, group_flows)
 
@@ -79,7 +79,7 @@ def fit_gravity(
     if not np.all(np.isfinite(grid) & (grid >= 0)):
         raise ValueError("eps_grid values must be finite and non-negative")
     n_o, n_d = _masses(net)
-    rows, cols, w = _edges(net.W, net.n)
+    rows, cols, w = _edges(net.flows, net.n)
     if not np.all(np.isfinite(w) & (w > 0)):
         raise ValueError("flows must be finite and non-negative")
     n_pos = len(w)
@@ -147,7 +147,7 @@ def fit_gravity(
         epsilon=eps_hat, alpha=float(beta[3]), channel=net.channel,
         r2_weighted=(1.0 - rss / tss) if tss > 0 else None,
         residual_norm=float(np.sqrt(rss)), n_pairs=n_pos,
-        zero_pairs_excluded=int(net.W.size - n_pos), linear_distance=linear_distance,
+        zero_pairs_excluded=net.n ** 2 - n_pos, linear_distance=linear_distance,
     )
 
 
@@ -155,8 +155,11 @@ def simulate_gravity(params: GravityParams, net: InteractionNetwork) -> Interact
     """Evaluate the gravity law on the masses and centroids of ``net``.
 
     The result is ``net`` with real-valued raw flows, strictly positive
-    wherever both masses are positive; table and counts are kept.  eps = 0
-    is rejected unless the distance is linear: each node is 0 km from itself.
+    wherever both masses are positive and zero elsewhere; table and counts
+    are kept.  The law is evaluated only on pairs with both masses nonzero,
+    a block of origins at a time, into edge arrays sized for those pairs.
+    eps = 0 is rejected unless the distance is linear: each node is 0 km
+    from itself.
     """
     if params.epsilon == 0 and not params.linear_distance:
         raise ValueError("distance singularity: eps = 0 with zero distances")
@@ -164,12 +167,23 @@ def simulate_gravity(params: GravityParams, net: InteractionNetwork) -> Interact
     if np.any(n_o < 0) or np.any(n_d < 0):
         raise ValueError("mass counts must be non-negative")
     a, b = n_o ** params.beta1, n_d ** params.beta2
-    W = np.empty((net.n, net.n))
-    for rows, dist in _distance_blocks(net.table):
-        t = dist + params.epsilon
+    origins, dests = np.flatnonzero(a), np.flatnonzero(b)
+    size = len(origins) * len(dests)
+    o_out, d_out, w_out = np.empty(size, np.int64), np.empty(size, np.int64), np.empty(size)
+    lat, lon, end = net.table.lat, net.table.lon, 0
+    for start in range(0, len(origins), _BLOCK_ROWS):
+        o = origins[start:start + _BLOCK_ROWS]
+        t = haversine_km(lat[o, None], lon[o, None], lat[dests], lon[dests]) + params.epsilon
         kernel = np.exp(-params.alpha * t) if params.linear_distance else t ** (-params.alpha)
-        W[rows] = params.c * np.outer(a[rows], b) * kernel
-    return replace(net, W=W, weighting="raw", dropped_events=0, simulated=True)
+        flow = params.c * np.outer(a[o], b[dests]) * kernel
+        keep = flow != 0          # row-major, as np.nonzero; NaN is kept
+        stop = end + np.count_nonzero(keep)
+        w_out[end:stop] = flow[keep]
+        o_out[end:stop] = np.repeat(o, np.count_nonzero(keep, axis=1))
+        d_out[end:stop] = np.broadcast_to(dests, flow.shape)[keep]
+        end = stop
+    flows = Flows(o_out[:end], d_out[:end], w_out[:end], net.n)
+    return replace(net, flows=flows, weighting="raw", dropped_events=0, simulated=True)
 
 
 @dataclass
@@ -333,13 +347,26 @@ def adjust_gravity_amounts(
     """
     if direction not in ("actual_over_simulated", "simulated_over_actual"):
         raise ValueError(f"unknown direction {direction!r}")
-    W_emp = empirical_net.W
-    W_sim = simulated_net.W
-    if np.any(W_sim[W_emp > 0] <= 0):
+    n = arrays.n_neighborhoods
+    emp, sim = _edges(empirical_net.flows, n), _edges(simulated_net.flows, n)
+    emp_cells = emp.origin * n + emp.dest
+    sim_w = np.append(sim.weight, 0.0)[_positions(sim.origin * n + sim.dest, emp_cells)]
+    if np.any(sim_w[emp.weight > 0] <= 0):
         raise ValueError("simulated flow is zero on a pair with observed flow")
-    i, j = arrays.event_cells()
-    emp, sim = W_emp[i, j], W_sim[i, j]
-    if np.any(emp <= 0):
+    cells, j = arrays.event_cells()
+    cells *= n
+    cells += j                 # each event's cell, origin * n + dest, in place
+    edge = _positions(emp_cells, cells)
+    del cells
+    if np.any(np.append(emp.weight, 0.0)[edge] <= 0):
         raise ValueError("event on a pair with zero empirical flow")
-    ratio = emp / sim if direction == "actual_over_simulated" else sim / emp
-    return np.bincount(j, weights=arrays.ev_amount * ratio, minlength=arrays.n_neighborhoods)
+    ratio = emp.weight / sim_w if direction == "actual_over_simulated" else sim_w / emp.weight
+    return np.bincount(j, weights=ratio[edge] * arrays.ev_amount, minlength=n)
+
+
+def _positions(cells: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Position of each query cell among the sorted ``cells``, or
+    ``len(cells)`` for one that is not among them."""
+    at = np.searchsorted(cells, query)
+    at[np.append(cells, -1)[at] != query] = len(cells)
+    return at

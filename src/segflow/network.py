@@ -1,12 +1,14 @@
 """Directed neighborhood interaction networks and population weighting.
 
-Networks are dense n x n matrices (rows = origin) over the sorted rows of
-the neighborhood table each holds, which gives their census and centroids.
-Raw edge weights are event counts; the population weighting divides out
-each neighborhood's sampling rate so that under-sampled areas are not
-under-represented.  Each n x n matrix is built once into its own buffer,
-with no full-size temporaries: distances a block of rows at a time, mention
-weights divided into their scale.
+A network holds its flows as an edge list, ``Flows``: the nonzero entries
+of its n x n flow matrix (rows = origin) in row-major order, over the
+sorted rows of the neighborhood table it shares, which gives its census
+and centroids.  Raw edge weights are event counts; the population
+weighting divides out each neighborhood's sampling rate, edge by edge, so
+that under-sampled areas are not under-represented.  No analysis builds an
+n x n matrix: ``net.W`` is a dense view made on each read, and the
+centroid distance matrix is filled a block of rows at a time, for the
+synthetic-city generator only.
 """
 from __future__ import annotations
 
@@ -20,13 +22,46 @@ import numpy as np
 from .ingest import MentionLog, NeighborhoodTable, PurchaseLog
 
 EARTH_RADIUS_KM = 6371.0
-_BLOCK_ROWS = 128     # rows of the distance matrix computed at a time
+_BLOCK_ROWS = 128     # rows (origins) of a block of distances computed at a time
+
+
+@dataclass
+class Flows:
+    """The nonzero entries of an n x n flow matrix (rows = origin) in
+    row-major order, the order of ``np.nonzero``; ``size`` counts them, and
+    a ``Flows`` unpacks as ``origin, dest, weight``."""
+
+    origin: np.ndarray
+    dest: np.ndarray
+    weight: np.ndarray
+    n: int
+
+    @property
+    def size(self) -> int:
+        return len(self.weight)
+
+    def __iter__(self):
+        return iter((self.origin, self.dest, self.weight))
+
+    @classmethod
+    def from_matrix(cls, W) -> "Flows":
+        """The nonzero entries of a square matrix.  A NaN entry is an edge
+        too, so scoring refuses it, not drops it."""
+        W = np.asarray(W)
+        o, d = np.nonzero(W)
+        return cls(o, d, W[o, d], len(W))
+
+    @classmethod
+    def counted(cls, cells: np.ndarray, n: int) -> "Flows":
+        """How many times each cell ``origin * n + dest`` occurs."""
+        cells, counts = np.unique(cells, return_counts=True)
+        return cls(cells // n, cells % n, counts.astype(float), n)
 
 
 @dataclass
 class InteractionNetwork:
     table: NeighborhoodTable          # node ids, census and centroids, shared
-    W: np.ndarray
+    flows: Flows
     channel: str                      # "purchase" | "mention"
     weighting: str = "raw"            # "raw" | "population_weighted"
     user_counts: np.ndarray | None = None   # sampled individuals per home neighborhood
@@ -42,8 +77,16 @@ class InteractionNetwork:
     def n(self) -> int:
         return self.table.n
 
+    @property
+    def W(self) -> np.ndarray:
+        """The flows as a dense matrix, built on each read; no analysis reads it."""
+        f = self.flows
+        W = np.zeros((f.n, f.n))
+        W[f.origin, f.dest] = f.weight
+        return W
+
     def total_weight(self) -> float:
-        return float(self.W.sum())
+        return float(self.flows.weight.sum())
 
 
 def build_purchase_network(events: PurchaseLog, table: NeighborhoodTable) -> InteractionNetwork:
@@ -54,9 +97,8 @@ def build_purchase_network(events: PurchaseLog, table: NeighborhoodTable) -> Int
     """
     log, home, loc = events.resolved(table)
     n = table.n
-    cells = home[log.customer] * n + loc[log.store]
     return InteractionNetwork(
-        table=table, W=np.bincount(cells, minlength=n * n).reshape(n, n).astype(float),
+        table=table, flows=Flows.counted(home[log.customer] * n + loc[log.store], n),
         channel="purchase",
         user_counts=np.bincount(home, minlength=n), store_counts=np.bincount(loc, minlength=n),
         dropped_events=len(events) - len(log),
@@ -78,9 +120,9 @@ def build_mention_network(
     row = table.rows(map(homes.get, mentions.user_ids))
     source, target = row[mentions.source], row[mentions.target]
     kept = (source >= 0) & (target >= 0)
-    cells, homed = source[kept] * n + target[kept], table.rows(homes.values())
+    homed = table.rows(homes.values())
     return InteractionNetwork(
-        table=table, W=np.bincount(cells, minlength=n * n).reshape(n, n).astype(float),
+        table=table, flows=Flows.counted(source[kept] * n + target[kept], n),
         channel="mention", user_counts=np.bincount(homed[homed >= 0], minlength=n),
         dropped_events=len(mentions) - int(kept.sum()),
     )
@@ -101,18 +143,17 @@ def population_weight(net: InteractionNetwork) -> InteractionNetwork:
         raise ValueError("population weighting needs the network's user counts")
     if np.any((p == 0) & (m > 0)):
         raise ValueError("inconsistent census: zero population with sampled users")
-    W = net.W
-    rate = sampling_rate(m, p)
+    f, rate = net.flows, sampling_rate(m, p)
     if net.channel == "purchase":
-        involved, scale, out = W.sum(axis=1) > 0, rate[:, None], None
+        involved, scale = f.origin, rate[f.origin]
     elif net.channel == "mention":
-        involved = (W.sum(axis=1) > 0) | (W.sum(axis=0) > 0)
-        scale = out = np.outer(rate, rate)   # a fresh n x n buffer: divide into it
+        involved, scale = np.r_[f.origin, f.dest], rate[f.origin] * rate[f.dest]
     else:
         raise ValueError(f"unknown channel {net.channel!r}")
-    if np.any((m == 0) & involved):
+    if np.any(m[involved] == 0):
         raise ValueError(f"zero sampled users in a neighborhood with {net.channel} flow")
-    return replace(net, W=np.divide(W, scale, out=out), weighting="population_weighted")
+    return replace(net, flows=replace(f, weight=f.weight / scale),
+                   weighting="population_weighted")
 
 
 def sampling_rate(user_counts, population) -> np.ndarray:
@@ -148,14 +189,13 @@ def haversine_km(lat1, lon1, lat2, lon2) -> np.ndarray:
     return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
 
 
-def _edges(W: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Origin, destination and weight of every nonzero entry of W, row-major,
-    once W is shown to be n x n.  A NaN entry is an edge too, so scoring
-    refuses it, not drops it."""
-    if np.shape(W) != (n, n):
-        raise ValueError(f"flow matrix is {'x'.join(map(str, np.shape(W)))}, not {n}x{n}")
-    o, d = np.nonzero(W)
-    return o, d, W[o, d]
+def _edges(W: Flows | np.ndarray, n: int) -> Flows:
+    """The edges of W once W is shown to be n x n: a ``Flows`` as it is, a
+    dense matrix through ``Flows.from_matrix``."""
+    shape = (W.n, W.n) if isinstance(W, Flows) else np.shape(W)
+    if shape != (n, n):
+        raise ValueError(f"flow matrix is {'x'.join(map(str, shape))}, not {n}x{n}")
+    return W if isinstance(W, Flows) else Flows.from_matrix(W)
 
 
 def _whole(values, field: str) -> list[int] | None:
@@ -182,7 +222,7 @@ def write_network(net: InteractionNetwork, edges_path, header_path) -> None:
     with open(edges_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["origin_id", "dest_id", "weight"])
-        for i, j, w in zip(*_edges(net.W, net.n)):
+        for i, j, w in zip(*(a.tolist() for a in _edges(net.flows, net.n))):
             writer.writerow([net.nodes[i], net.nodes[j], repr(float(w))])
     with open(header_path, "w") as fh:
         json.dump(header, fh, indent=1, sort_keys=True)
@@ -191,23 +231,38 @@ def write_network(net: InteractionNetwork, edges_path, header_path) -> None:
 
 def read_network(edges_path, header_path, table: NeighborhoodTable) -> InteractionNetwork:
     """A network written by ``write_network`` over ``table``; a header whose
-    nodes, population or SES differ from the table's is refused."""
+    nodes, population or SES differ from the table's is refused, and so is
+    an edge row with an unknown node or a pair already given.  Rows may come
+    in any order; a zero weight is no edge."""
     with open(header_path) as fh:
         header = json.load(fh)
     for key, ours in (("nodes", table.ids), ("population", table.population.tolist()),
                       ("ses", table.ses.tolist())):
         if header[key] != ours:
             raise ValueError(f"{header_path}: {key} differ from the neighborhood table's")
-    W = np.zeros((table.n, table.n))
+    seen, weights = {}, {}
     with open(edges_path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            W[table.index[row["origin_id"]], table.index[row["dest_id"]]] = float(row["weight"])
+        reader = csv.DictReader(fh)
+        for row in reader:
+            where = f"{edges_path}: line {reader.line_num}"
+            try:
+                pair = table.index[row["origin_id"]], table.index[row["dest_id"]]
+            except KeyError as exc:
+                raise ValueError(f"{where}: unknown neighborhood {exc.args[0]!r}") from None
+            if pair in seen:
+                raise ValueError(f"{where}: repeats the pair of line {seen[pair]}")
+            seen[pair], weight = reader.line_num, float(row["weight"])
+            if weight != 0:
+                weights[pair] = weight
+    pairs = sorted(weights)
+    o, d = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    flows = Flows(o, d, np.array([weights[p] for p in pairs], dtype=float), table.n)
 
     def arr(key, dtype):
         return None if header.get(key) is None else np.asarray(header[key], dtype=dtype)
 
     return InteractionNetwork(
-        table=table, W=W, channel=header["channel"], weighting=header["weighting"],
+        table=table, flows=flows, channel=header["channel"], weighting=header["weighting"],
         user_counts=arr("user_counts", np.int64), store_counts=arr("store_counts", np.int64),
         dropped_events=header.get("dropped_events", 0),
         simulated=header.get("simulated", False),

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .ingest import NeighborhoodTable
-from .network import InteractionNetwork, _distance_blocks, _edges, haversine_km
+from .network import Flows, InteractionNetwork, _distance_blocks, _edges, haversine_km
 
 
 class DegenerateMatrixError(ValueError):
@@ -94,7 +94,7 @@ def group_flows(o: np.ndarray, d: np.ndarray, w: np.ndarray | None,
     return np.bincount(cells, weights=w, minlength=k * k).reshape(k, k)
 
 
-def _scored(net: InteractionNetwork, groups: GroupAssignment) -> np.ndarray:
+def _scored(net: InteractionNetwork, groups: GroupAssignment) -> Flows:
     """The flows of ``net``, once it is shown fit to score over ``groups``:
     population-weighted and over the same nodes.  Every analysis of a
     network calls this first."""
@@ -102,11 +102,12 @@ def _scored(net: InteractionNetwork, groups: GroupAssignment) -> np.ndarray:
         raise ValueError("expected a population-weighted network")
     if net.nodes != groups.nodes:
         raise ValueError("network and group assignment cover different node sets")
-    return net.W
+    return net.flows
 
 
-def mixing_from_matrix(W: np.ndarray, groups: GroupAssignment) -> MixingMatrix:
-    """Aggregate an n x n weight matrix, raw or weighted, into group space."""
+def mixing_from_matrix(W: Flows | np.ndarray, groups: GroupAssignment) -> MixingMatrix:
+    """Aggregate n x n flows, raw or weighted, edges or a dense matrix, into
+    group space."""
     o, d, w = _edges(W, len(groups.nodes))
     return MixingMatrix.from_flows(group_flows(o, d, w, groups.labels, groups.k))
 
@@ -187,17 +188,21 @@ def extremes_sweep(
 
     Step t keeps the t lowest and t highest status groups (see
     ``extremes_value``).  The final step equals the full-matrix
-    statistic.  Degenerate steps are flagged invalid, not raised.
+    statistic.  Degenerate steps are flagged invalid, not raised: on a
+    network with no flow, every step.
     """
     if groups.k % 2 != 0:
         raise ValueError("extremes sweep needs an even number of groups")
-    mix = mixing_matrix(net, groups)
     k = groups.k
+    try:
+        M = mixing_matrix(net, groups).M
+    except DegenerateMatrixError:
+        M = np.zeros((k, k))
     steps = []
     for t in range(1, k // 2 + 1):
         desc = f"groups=1..{t},{k - t + 1}..{k}" if t > 1 else f"groups=1,{k}"
         try:
-            value = extremes_value(mix.M, t, statistic)
+            value = extremes_value(M, t, statistic)
             steps.append(SweepStep(descriptor=desc, param=float(t), value=value))
         except DegenerateMatrixError:
             steps.append(SweepStep(descriptor=desc, param=float(t), value=float("nan"), valid=False))

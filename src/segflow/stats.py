@@ -10,7 +10,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .ingest import NeighborhoodTable, PurchaseLog
-from .network import (InteractionNetwork, _edges, build_purchase_network,
+from .network import (Flows, InteractionNetwork, _edges, build_purchase_network,
                       population_weight, sampling_rate)
 from .segregation import (DegenerateMatrixError, GroupAssignment, MixingMatrix, SweepStep,
                           _scored, assortativity, extremes_value, group_flows)
@@ -32,7 +32,7 @@ class ResampleEstimate:
 
 
 def _jackknife_flows(
-    W: np.ndarray,
+    W: Flows | np.ndarray,
     groups: GroupAssignment,
     removal_fraction: float = 0.05,
     replicates: int = 100,
@@ -91,7 +91,7 @@ def _estimate(statistic: Callable[[np.ndarray], float], M: np.ndarray,
 
 
 def jackknife_statistic(
-    W: np.ndarray,
+    W: Flows | np.ndarray,
     statistic: Callable[[np.ndarray], float],
     groups: GroupAssignment,
     removal_fraction: float = 0.05,
@@ -121,10 +121,10 @@ def jackknife_assortativity(
     seed: int = 0,
 ) -> ResampleEstimate:
     """Sampling variability of assortativity under random edge removal."""
-    W = _scored(net, groups)
-    if np.count_nonzero(W) < 20:
+    flows = _scored(net, groups)
+    if flows.size < 20:
         raise ValueError("network has fewer than 20 nonzero edges")
-    return jackknife_statistic(W, flows_assortativity, groups,
+    return jackknife_statistic(flows, flows_assortativity, groups,
                                removal_fraction=removal_fraction,
                                replicates=replicates, seed=seed)
 
@@ -228,10 +228,11 @@ def segregation_inequality_report(
 
     params = gravity_params or models.fit_gravity(emp_net, eps_grid=eps_grid)
     sim_net = models.simulate_gravity(params, emp_net)
-    jk_sim = jackknife_statistic(population_weight(sim_net).W, flows_assortativity, groups,
+    jk_sim = jackknife_statistic(population_weight(sim_net).flows, flows_assortativity, groups,
                                  removal_fraction, jackknife_replicates, seed)
     rev_imposed = models.adjust_gravity_amounts(arrays, emp_net, sim_net,
                                                 direction="simulated_over_actual")
+    del sim_net   # the reshuffle rows below do not read the simulated flows
     rows.append(InequalityRow(
         label="gravity", fraction=None,
         assortativity_mean=jk_sim.point, assortativity_std=jk_sim.std,

@@ -6,7 +6,7 @@ import pytest
 from segflow.ingest import (GeoPostLog, MentionLog, NeighborhoodTable, PurchaseLog,
                             assign_points_to_neighborhoods, infer_home)
 from segflow import synth
-from segflow.network import InteractionNetwork
+from segflow.network import Flows, InteractionNetwork
 
 
 def make_table(n=4, ses=None, population=None, spacing_deg=0.05):
@@ -32,7 +32,8 @@ def sparse_net(table, nnz, channel="purchase", weighting="population_weighted"):
     rng = np.random.default_rng(0)
     W = np.zeros((table.n, table.n))
     W[rng.integers(table.n, size=nnz), rng.integers(table.n, size=nnz)] = 1.0
-    return InteractionNetwork(table=table, W=W, channel=channel, weighting=weighting,
+    return InteractionNetwork(table=table, flows=Flows.from_matrix(W), channel=channel,
+                              weighting=weighting,
                               user_counts=np.maximum(table.population // 50, 1))
 
 
@@ -41,7 +42,7 @@ def gravity_net(table, user_counts, store_counts, W=None, channel="purchase"):
     ``user_counts`` at origins, ``store_counts`` at purchase destinations.
     Its flows are ``W``, or zero."""
     W = np.zeros((table.n, table.n)) if W is None else np.asarray(W, float)
-    return InteractionNetwork(table=table, W=W, channel=channel,
+    return InteractionNetwork(table=table, flows=Flows.from_matrix(W), channel=channel,
                               user_counts=user_counts, store_counts=store_counts)
 
 

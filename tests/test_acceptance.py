@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from segflow import (GravityParams, assign_groups, assortativity,
+from segflow import (Flows, GravityParams, assign_groups, assortativity,
                      asymmetry_bias, asymmetry_sweep,
                      build_purchase_network,
                      distance_sweep, extremes_sweep, filter_active_customers,
@@ -148,7 +148,7 @@ def test_criterion_03_gravity_round_trip():
         sim = simulate_gravity(planted, gravity_net(table, n_o, n_d))
         for seed in range(20):
             noise = np.exp(0.1 * np.random.default_rng((103, seed)).standard_normal(sim.W.shape))
-            noisy = replace(sim, W=sim.W * noise)
+            noisy = replace(sim, flows=Flows.from_matrix(sim.W * noise))
             fit = fit_gravity(noisy)
             worst_noisy = max(worst_noisy, abs(fit.beta1 / b1 - 1),
                               abs(fit.beta2 / b2 - 1), abs(fit.alpha / alpha - 1))

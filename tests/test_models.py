@@ -7,7 +7,7 @@ from segflow.ingest import filter_active_customers
 from segflow.models import (GravityParams, adjust_gravity_amounts,
                             fit_gravity, null_shuffle_ses, purchase_arrays,
                             reshuffle_locations, simulate_gravity)
-from segflow.network import (InteractionNetwork, build_purchase_network,
+from segflow.network import (Flows, InteractionNetwork, build_purchase_network,
                              centroid_distances, population_weight)
 from segflow.segregation import (assign_groups, assortativity, mixing_from_matrix,
                                  mixing_matrix)
@@ -53,7 +53,8 @@ class TestFitGravity:
         planted = GravityParams(c=0.5, beta1=0.7, beta2=0.8, epsilon=0.3, alpha=0.9)
         sim = simulate_gravity(planted, gravity_net(table, n_o, n_d))
         rng = np.random.default_rng(8)
-        noisy = replace(sim, W=sim.W * np.exp(0.1 * rng.standard_normal(sim.W.shape)))
+        noisy = replace(sim, flows=Flows.from_matrix(
+            sim.W * np.exp(0.1 * rng.standard_normal(sim.W.shape))))
         fit = fit_gravity(noisy)
         for got, want in ((fit.beta1, 0.7), (fit.beta2, 0.8), (fit.alpha, 0.9)):
             assert abs(got / want - 1.0) < 0.05
@@ -234,7 +235,7 @@ class TestNullShuffle:
         table = make_table(40, ses=rng.uniform(0, 100, 40))
         W = rng.poisson(2.0, (40, 40)).astype(float)
         np.fill_diagonal(W, 0.0)
-        net = InteractionNetwork(table=table, W=W, channel="purchase",
+        net = InteractionNetwork(table=table, flows=Flows.from_matrix(W), channel="purchase",
                                  weighting="population_weighted")
         return net, assign_groups(table, k=4)
 
@@ -260,7 +261,7 @@ class TestNullShuffle:
         cols = rng.integers(0, n, 1500)
         offdiag = rows != cols
         W[rows[offdiag], cols[offdiag]] += rng.integers(1, 4, offdiag.sum())
-        net = InteractionNetwork(table=table, W=W, channel="purchase",
+        net = InteractionNetwork(table=table, flows=Flows.from_matrix(W), channel="purchase",
                                  weighting="population_weighted")
         dist = null_shuffle_ses(net, assign_groups(table, k=10), replicates=200, seed=1)
         assert abs(dist.r_mean) <= 3.0 * dist.r_std / np.sqrt(200)
@@ -279,7 +280,7 @@ class TestNullShuffle:
         table = make_table(4)
         W = np.zeros((4, 4))
         W[0, 1] = W[1, 0] = 1.0
-        net = InteractionNetwork(table=table, W=W, channel="purchase",
+        net = InteractionNetwork(table=table, flows=Flows.from_matrix(W), channel="purchase",
                                  weighting="population_weighted")
         with caplog.at_level("INFO", logger="segflow.models"):
             dist = null_shuffle_ses(net, assign_groups(table, k=2), replicates=30, seed=0)
@@ -359,7 +360,7 @@ class TestAdjustAmounts:
         table = make_table(2)
         log = purchase_log([purchase("C1", "S1", "N00", "N01", amount=10.0)] * 4)
         emp = build_purchase_network(log, table)
-        sim = InteractionNetwork(table=table, W=emp.W / 2.0,
+        sim = InteractionNetwork(table=table, flows=Flows.from_matrix(emp.W / 2.0),
                                  channel="purchase", weighting="raw")
         revenue = adjust_gravity_amounts(purchase_arrays(log, table), emp, sim)
         # each of the four 10-unit amounts is doubled (w=4, w_hat=2)
@@ -369,7 +370,7 @@ class TestAdjustAmounts:
         events, table, net, arrays = self._setup()
         rng = np.random.default_rng(31)
         sim_W = net.W * rng.uniform(0.5, 2.0, net.W.shape)
-        sim = InteractionNetwork(table=table, W=sim_W,
+        sim = InteractionNetwork(table=table, flows=Flows.from_matrix(sim_W),
                                  channel="purchase", weighting="raw")
         revenue = adjust_gravity_amounts(arrays, net, sim)
         oracle = 0.0
@@ -380,7 +381,7 @@ class TestAdjustAmounts:
 
     def test_inverse_direction(self):
         _, table, net, arrays = self._setup()
-        sim = InteractionNetwork(table=table, W=net.W * 2.0,
+        sim = InteractionNetwork(table=table, flows=Flows.from_matrix(net.W * 2.0),
                                  channel="purchase", weighting="raw")
         default = adjust_gravity_amounts(arrays, net, sim)
         inverse = adjust_gravity_amounts(arrays, net, sim, direction="simulated_over_actual")
@@ -388,7 +389,7 @@ class TestAdjustAmounts:
 
     def test_zero_simulated_flow_errors(self):
         _, table, net, arrays = self._setup()
-        sim = InteractionNetwork(table=table, W=np.zeros_like(net.W),
+        sim = InteractionNetwork(table=table, flows=Flows.from_matrix(np.zeros_like(net.W)),
                                  channel="purchase", weighting="raw")
         with pytest.raises(ValueError, match="zero on a pair"):
             adjust_gravity_amounts(arrays, net, sim)

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -5,8 +6,8 @@ import numpy as np
 import pytest
 
 from segflow import network, synth
-from segflow.network import (EARTH_RADIUS_KM, InteractionNetwork, build_mention_network,
-                             build_purchase_network, centroid_distances,
+from segflow.network import (EARTH_RADIUS_KM, Flows, InteractionNetwork,
+                             build_mention_network, build_purchase_network, centroid_distances,
                              haversine_km, population_weight, read_network,
                              write_network)
 from segflow.segregation import (assign_groups, assortativity, mixing_from_matrix,
@@ -149,7 +150,7 @@ class TestPopulationWeight:
     def test_missing_user_counts_named(self, table4, channel):
         W = np.zeros((4, 4))
         W[1, 2] = 1.0
-        net = InteractionNetwork(table=table4, W=W, channel=channel)
+        net = InteractionNetwork(table=table4, flows=Flows.from_matrix(W), channel=channel)
         with pytest.raises(ValueError, match="^population weighting needs the network's user counts$"):
             population_weight(net)
 
@@ -285,6 +286,33 @@ class TestExport:
         assert np.array_equal(back.W, net.W)
         assert back.table is table4
         assert back.channel == net.channel
+
+    def test_rows_read_in_row_major_order(self, tmp_path, table4):
+        """Rows may come in any order; a zero weight is no edge."""
+        events = [purchase("C1", "S1", "N00", "N01")] * 3 + [purchase("C2", "S2", "N03", "N02"),
+                                                            purchase("C3", "S1", "N02", "N01")]
+        net = build_purchase_network(purchase_log(events), table4)
+        edges, header = tmp_path / "edges.csv", tmp_path / "header.json"
+        write_network(net, edges, header)
+        first, *rows = edges.read_text().splitlines()
+        edges.write_text("\n".join([first, *reversed(rows), "N01,N03,0.0"]) + "\n")
+        back = read_network(edges, header, table4)
+        for field in ("origin", "dest", "weight"):
+            assert np.array_equal(getattr(back.flows, field), getattr(net.flows, field))
+
+    @pytest.mark.parametrize("row, message", [
+        ("N00,NXX,1.0", "line 4: unknown neighborhood 'NXX'"),
+        ("N00,N01,2.0", "line 4: repeats the pair of line 2"),
+    ], ids=["unknown node", "repeated pair"])
+    def test_bad_edge_row_named(self, tmp_path, table4, row, message):
+        events = [purchase("C1", "S1", "N00", "N01"), purchase("C2", "S2", "N03", "N02")]
+        net = build_purchase_network(purchase_log(events), table4)
+        edges, header = tmp_path / "edges.csv", tmp_path / "header.json"
+        write_network(net, edges, header)
+        with open(edges, "a") as fh:
+            fh.write(row + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{edges}: {message}')}$"):
+            read_network(edges, header, table4)
 
     @pytest.mark.parametrize("key, other", [
         ("nodes", make_table(5)),

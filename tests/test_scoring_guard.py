@@ -7,14 +7,17 @@ that is not n x n for the n nodes scored is refused too.  The gravity
 model reads its masses, and every analysis its distances, from the
 network it models.
 """
+import ast
 import inspect
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import segflow
 from segflow import models, network, segregation, stats
-from segflow.network import InteractionNetwork
+from segflow.network import Flows, InteractionNetwork
 from segflow.segregation import GroupAssignment, assign_groups
 
 from conftest import make_table, purchase, purchase_log
@@ -22,7 +25,7 @@ from conftest import make_table, purchase, purchase_log
 TABLE = make_table(12, ses=np.arange(12.0), spacing_deg=0.03)
 GROUPS = assign_groups(TABLE, k=4)
 WEIGHTED = InteractionNetwork(
-    table=TABLE, W=np.random.default_rng(5).uniform(0.2, 1.5, (12, 12)),
+    table=TABLE, flows=Flows.from_matrix(np.random.default_rng(5).uniform(0.2, 1.5, (12, 12))),
     channel="purchase", weighting="population_weighted")
 STEPS = segregation.extremes_sweep(WEIGHTED, GROUPS)
 GRAVITY = replace(WEIGHTED, weighting="raw", user_counts=np.full(12, 30),
@@ -94,9 +97,10 @@ OFF_SIZE = {
     "stats.jackknife_statistic": (lambda: stats.jackknife_statistic(
         SLICE, stats.flows_assortativity, GROUPS, replicates=5), "flow matrix is 8x8, not 12x12"),
     "segregation.distance_sweep": (lambda: segregation.distance_sweep(
-        replace(WEIGHTED, W=SLICE), GROUPS), "flow matrix is 8x8, not 12x12"),
-    "models.fit_gravity": (lambda: models.fit_gravity(replace(GRAVITY, W=SLICE)),
-                           "flow matrix is 8x8, not 12x12"),
+        replace(WEIGHTED, flows=Flows.from_matrix(SLICE)), GROUPS),
+        "flow matrix is 8x8, not 12x12"),
+    "models.fit_gravity": (lambda: models.fit_gravity(
+        replace(GRAVITY, flows=Flows.from_matrix(SLICE))), "flow matrix is 8x8, not 12x12"),
 }
 
 
@@ -112,7 +116,7 @@ def test_nan_edge_refused(name):
     W = WEIGHTED.W.copy()
     W[0, 1] = np.nan
     with pytest.raises(ValueError, match="group flows must be finite"):
-        ANALYSES[name](replace(WEIGHTED, W=W), GROUPS)
+        ANALYSES[name](replace(WEIGHTED, flows=Flows.from_matrix(W)), GROUPS)
 
 
 def test_no_function_takes_a_distance_matrix():
@@ -130,3 +134,13 @@ def test_no_function_takes_a_distance_matrix():
 def test_non_finite_threshold_refused(thresholds):
     with pytest.raises(ValueError, match="^thresholds must be finite, positive and ascending$"):
         segregation.distance_sweep(WEIGHTED, GROUPS, thresholds=thresholds)
+
+
+def test_no_module_reads_the_dense_view():
+    """A network holds its flows as edges; ``net.W`` builds the n x n matrix
+    on each read, for inspection and tests, so no module of the package
+    reads it."""
+    for path in sorted(Path(segflow.__file__).parent.glob("*.py")):
+        lines = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Attribute) and node.attr == "W"]
+        assert lines == [], f"{path.name} reads .W on lines {lines}"

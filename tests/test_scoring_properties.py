@@ -13,11 +13,12 @@ from hypothesis import given, settings, strategies as st
 
 from segflow.ingest import NeighborhoodTable
 from segflow.models import null_shuffle_ses
-from segflow.network import InteractionNetwork, haversine_km, population_weight
+from segflow.network import Flows, InteractionNetwork, haversine_km, population_weight
 from segflow.segregation import (DegenerateMatrixError, GroupAssignment, assign_groups,
                                  assortativity, asymmetry_bias, distance_sweep,
                                  extremes_sweep, mixing_matrix)
-from segflow.stats import jackknife_assortativity
+from segflow.segregation import group_flows
+from segflow.stats import _jackknife_flows, jackknife_assortativity
 
 TOL = 1e-12
 EXAMPLES = settings(max_examples=100, deadline=None)
@@ -26,7 +27,7 @@ EXAMPLES = settings(max_examples=100, deadline=None)
 def weighted(table, W):
     """The population-weighted purchase network of flows ``W`` over ``table``:
     the one place these properties build a network."""
-    return InteractionNetwork(table=table, W=W, channel="purchase",
+    return InteractionNetwork(table=table, flows=Flows.from_matrix(W), channel="purchase",
                               weighting="population_weighted")
 
 
@@ -132,8 +133,8 @@ def test_scaling_every_weight_leaves_r_unchanged(city, c):
 @given(cities(), st.sampled_from(["purchase", "mention"]))
 def test_weighting_with_users_equal_to_population_is_identity(city, channel):
     net, _, _ = city
-    raw = InteractionNetwork(table=net.table, W=net.W.copy(), channel=channel,
-                             user_counts=net.table.population.copy())
+    raw = InteractionNetwork(table=net.table, flows=Flows.from_matrix(net.W.copy()),
+                             channel=channel, user_counts=net.table.population.copy())
     assert np.array_equal(population_weight(raw).W, net.W)
 
 
@@ -149,6 +150,28 @@ def test_jackknife_without_removal_repeats_the_point(city, replicates, seed):
         return
     assert est.replicates == replicates and est.discarded == 0
     assert np.all(est.values == est.point)
+
+
+@EXAMPLES
+@given(cities(), st.floats(0.0, 0.9), st.integers(0, 1000))
+def test_jackknife_replicates_recount_their_kept_edges(city, fraction, seed):
+    """Replicate i of ``_jackknife_flows`` equals ``group_flows`` summed over
+    the row-major edges that the stream (seed, i) does not drop, to 1e-12
+    of the total flow, and is exactly 0 in a cell that kept no edge."""
+    net, groups, _ = city
+    W = net.W
+    o, d = np.nonzero(W)
+    w, labels, k = W[o, d], groups.labels, groups.k
+    M, reps = _jackknife_flows(W, groups, fraction, replicates=4, seed=seed)
+    n_remove = int(fraction * len(w))
+    for rep, replicate in enumerate(reps):
+        kept = np.ones(len(w), dtype=bool)
+        if n_remove:
+            rng = np.random.default_rng((seed, rep))
+            kept[rng.choice(len(w), size=n_remove, replace=False)] = False
+        recount = group_flows(o[kept], d[kept], w[kept], labels, k)
+        np.testing.assert_allclose(replicate, recount, rtol=0.0, atol=TOL * M.sum())
+        assert np.all(replicate[group_flows(o[kept], d[kept], None, labels, k) == 0] == 0.0)
 
 
 @EXAMPLES

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from segflow.ingest import NeighborhoodTable
-from segflow.network import (InteractionNetwork, build_purchase_network,
+from segflow.network import (Flows, InteractionNetwork, build_purchase_network,
                              centroid_distances, population_weight)
 from segflow.segregation import (DegenerateMatrixError, MixingMatrix, assign_groups,
                                  assortativity, asymmetry_bias,
@@ -14,7 +14,7 @@ from conftest import make_table, preset_table, purchase, purchase_log, sparse_ne
 
 
 def weighted_net(W, table, channel="purchase"):
-    return InteractionNetwork(table=table, W=np.asarray(W, float),
+    return InteractionNetwork(table=table, flows=Flows.from_matrix(np.asarray(W, float)),
                               channel=channel, weighting="population_weighted")
 
 
@@ -295,6 +295,20 @@ class TestExtremesSweep:
         assert not steps[0].valid
         assert np.isnan(steps[0].value)
         assert steps[-1].valid
+
+    @pytest.mark.parametrize("sweep", [extremes_sweep, asymmetry_sweep])
+    def test_network_without_flow_flags_every_step(self, sweep):
+        """A network with no edges is scorable: every step is degenerate,
+        so flagged invalid; a non-finite flow is still refused."""
+        table = make_table(8, ses=np.arange(8, dtype=float))
+        groups = assign_groups(table, k=4)
+        steps = sweep(weighted_net(np.zeros((8, 8)), table), groups)
+        assert len(steps) == 2 and not any(step.valid for step in steps)
+        assert all(np.isnan(step.value) for step in steps)
+        W = np.zeros((8, 8))
+        W[0, 7] = np.nan
+        with pytest.raises(ValueError, match="group flows must be finite"):
+            sweep(weighted_net(W, table), groups)
 
     def test_odd_k_rejected(self):
         table = make_table(9, ses=np.arange(9, dtype=float))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from segflow.network import InteractionNetwork
+from segflow.network import Flows, InteractionNetwork
 from segflow.segregation import (DegenerateMatrixError, assign_groups,
                                  extremes_sweep, extremes_value, mixing_from_matrix)
 from segflow.stats import (flows_assortativity, gini, jackknife_assortativity,
@@ -73,7 +73,7 @@ def dense_weighted_net(n=30, seed=2):
     table = make_table(n, ses=rng.uniform(0, 100, n))
     W = rng.uniform(0.0, 3.0, (n, n))
     W[W < 0.8] = 0.0
-    net = InteractionNetwork(table=table, W=W, channel="purchase",
+    net = InteractionNetwork(table=table, flows=Flows.from_matrix(W), channel="purchase",
                              weighting="population_weighted")
     return net, table
 
@@ -108,7 +108,7 @@ class TestJackknife:
         table = make_table(6)
         W = np.zeros((6, 6))
         W[0, 1] = 1.0
-        net = InteractionNetwork(table=table, W=W, channel="purchase",
+        net = InteractionNetwork(table=table, flows=Flows.from_matrix(W), channel="purchase",
                                  weighting="population_weighted")
         with pytest.raises(ValueError, match="20"):
             jackknife_assortativity(net, assign_groups(table, k=2))
@@ -150,7 +150,7 @@ class TestSweepReplicates:
         W[np.ix_([0, 1], [0, 1, 6, 7])] = rng.uniform(0.5, 2.0, (2, 4))
         W[np.ix_([2, 4], [3, 5])] = 1.0
         W[6, 6], W[6, 7], W[7, 6] = 0.1, 0.2, 0.7
-        net = InteractionNetwork(table=table, W=W, channel="purchase",
+        net = InteractionNetwork(table=table, flows=Flows.from_matrix(W), channel="purchase",
                                  weighting="population_weighted")
         fraction, replicates, seed = 0.5, 60, 3
 
