@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__, metrics, models, network, segregation, stats, synth
 from .ingest import (ValidationError, assign_points_to_neighborhoods, file_sha256,
-                     filter_active_customers, infer_home, load_geometry,
+                     filter_active_customers, hash_once, infer_home, load_geometry,
                      load_geoposts, load_mentions, load_neighborhoods,
                      load_purchases)
 
@@ -424,13 +424,14 @@ def main(argv=None) -> int:
         cfg = _resolve(args, file_cfg, defaults)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        outputs = runner(cfg, out)
         inputs = []
         if "data" in cfg:
             inputs = [Path(cfg["data"]) / name for name in DATA_FILES]
         if args.config:
             inputs.append(Path(args.config))
-        _write_manifest(out, args.command, cfg, inputs, outputs)
+        with hash_once():  # the manifest reuses the digests that keyed the snapshots
+            outputs = runner(cfg, out)
+            _write_manifest(out, args.command, cfg, inputs, outputs)
         return 0
     except (ValidationError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,8 +6,10 @@ chunks of ``CHUNK_ROWS`` rows, each validated and converted by whole
 columns.  Social-media users get a home neighborhood inferred from where
 their night-time posts land.
 
-``load_purchases`` keeps each file's parsed log in ``.segflow-cache/``
-beside it, so a later call on the same bytes skips the parse.
+``load_purchases``, ``load_mentions``, ``load_geoposts`` and
+``load_geometry`` each keep a snapshot of their parsed file in
+``.segflow-cache/`` beside it, so a later call on the same bytes skips the
+parse.  Placing posts in polygons and inferring homes run on every call.
 """
 from __future__ import annotations
 
@@ -19,14 +21,15 @@ import os
 import stat
 import tempfile
 from collections import Counter, defaultdict
-from contextlib import suppress
+from contextlib import contextmanager, suppress
+from contextvars import ContextVar
 from dataclasses import dataclass
 from datetime import datetime
 from functools import partial
 from itertools import chain, compress, islice
 from operator import attrgetter, ne, not_
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -38,7 +41,7 @@ CHUNK_ROWS = 1024
 # (point, ring edge) rows that point-in-polygon evaluates at once, which
 # bounds its memory.
 ROW_BLOCK = 1 << 16
-# Directory beside a purchases file that holds its parsed snapshot.
+# Directory beside an input file that holds its parsed snapshot.
 SNAPSHOT_DIR = ".segflow-cache"
 
 NEIGHBORHOOD_COLUMNS = ("neighborhood_id", "lat", "lon", "population", "ses")
@@ -227,8 +230,11 @@ class _PurchaseBuilder:
 
 def _renumber(codes: np.ndarray, ids: list[str], places: list):
     """Codes renumbered in first-seen order, with the ids and places kept."""
-    used, first = np.unique(codes, return_index=True)
-    order = used[np.argsort(first)]
+    first = np.full(len(ids), len(codes), dtype=np.int64)
+    np.minimum.at(first, codes, np.arange(len(codes)))
+    used = np.flatnonzero(first < len(codes))
+    # only the used codes are sorted, by their first position
+    order = used[np.argsort(first[used])]
     new = np.empty(len(ids), dtype=np.int64)
     new[order] = np.arange(order.size)
     return new[codes], [ids[i] for i in order], [places[i] for i in order]
@@ -429,8 +435,34 @@ def load_neighborhoods(path) -> NeighborhoodTable:
     return table
 
 
+# Digests taken inside ``hash_once``, by real path; None outside it.
+_digests: ContextVar[dict[str, str] | None] = ContextVar("segflow_digests", default=None)
+
+
+@contextmanager
+def hash_once() -> Iterator[None]:
+    """Within the block, ``file_sha256`` reads each file once and then
+    returns the digest of that read, so one command hashes each input once
+    however many steps ask for its digest."""
+    token = _digests.set({})
+    try:
+        yield
+    finally:
+        _digests.reset(token)
+
+
 def file_sha256(path) -> str:
-    """Hex sha256 of a file's bytes."""
+    """Hex sha256 of a file's bytes (inside ``hash_once``, as first read)."""
+    digests = _digests.get()
+    if digests is None:
+        return _sha256(path)
+    real = os.path.realpath(path)
+    if real not in digests:
+        digests[real] = _sha256(path)
+    return digests[real]
+
+
+def _sha256(path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
@@ -438,64 +470,72 @@ def file_sha256(path) -> str:
     return digest.hexdigest()
 
 
-def load_purchases(path) -> PurchaseLog:
-    """Parse purchase events; home/store neighborhood columns are optional.
-    Timestamps are validated, not kept.
+T = TypeVar("T")
 
-    A valid file's log is kept in ``SNAPSHOT_DIR`` beside it, keyed by the
-    sha256 of the file and of this module; a later call on the same bytes
-    reads the snapshot back instead of parsing.  A directory that cannot be
-    written gets no snapshot.
-    """
+
+class _Layout(NamedTuple):
+    """How one loader's value is kept in a snapshot: ``strings`` name its
+    columns of ids, stored as UTF-8 blobs with end offsets, and ``arrays``
+    its numpy columns; ``columns`` gives a value's columns by name, and
+    ``build`` makes the value from them, passed by keyword."""
+
+    what: str  # names the value in log lines
+    strings: tuple[str, ...]
+    arrays: tuple[str, ...]
+    build: Callable[..., object]
+    columns: Callable[[object], Mapping[str, object]] = vars
+
+
+def _snapshotted(path, layout: _Layout, parse: Callable[[object], T]) -> T:
+    """``parse(path)``, kept in ``SNAPSHOT_DIR`` beside the file and keyed
+    by the sha256 of the file and of this module; a later call on the same
+    bytes reads the snapshot back instead of parsing.  A file that changes
+    while it is parsed, or a directory that cannot be written, gets no
+    snapshot."""
     before = os.stat(path)
     key = file_sha256(path) + file_sha256(__file__)
     snapshot = Path(path).parent / SNAPSHOT_DIR / (Path(path).name + ".npz")
-    purchases, miss = _read_snapshot(snapshot, key)
-    if purchases is None:
-        log.info("purchase snapshot miss (%s): %s", miss, snapshot)
-        purchases = _parse_purchases(path)
-        after = os.stat(path)
-        if (after.st_size, after.st_mtime_ns) != (before.st_size, before.st_mtime_ns):
-            log.info("purchase snapshot not written: %s changed while it was parsed", path)
-        else:
-            _write_snapshot(snapshot, key, purchases, before.st_mode)
+    columns, miss = _read_snapshot(snapshot, key, layout)
+    if columns is not None:
+        log.info("%s snapshot hit: %s", layout.what, snapshot)
+        return layout.build(**columns)
+    log.info("%s snapshot miss (%s): %s", layout.what, miss, snapshot)
+    value = parse(path)
+    after = os.stat(path)
+    if (after.st_size, after.st_mtime_ns) != (before.st_size, before.st_mtime_ns):
+        log.info("%s snapshot not written: %s changed while it was parsed", layout.what, path)
     else:
-        log.info("purchase snapshot hit: %s", snapshot)
-    log.info("loaded %d purchase events from %s", len(purchases), path)
-    return purchases
+        _write_snapshot(snapshot, key, layout, layout.columns(value), before.st_mode)
+    return value
 
 
-_STRING_FIELDS = ("customer_ids", "store_ids", "home", "location")
-_ARRAY_FIELDS = ("customer", "store", "amount")
-
-
-def _read_snapshot(snapshot: Path, key: str) -> tuple[PurchaseLog | None, str]:
-    """The log stored in ``snapshot`` under ``key``, or None and why not."""
+def _read_snapshot(snapshot: Path, key: str, layout: _Layout) -> tuple[dict | None, str]:
+    """The columns stored in ``snapshot`` under ``key``, or None and why not."""
     try:
         # np.load leaves a file it opened unclosed when the zip is truncated
         with open(snapshot, "rb") as fh, np.load(fh, allow_pickle=False) as stored:
             if stored["key"].item() != key:
                 return None, "stale key"
-            strings = [_decoded(stored[name], stored[name + "_ends"]) for name in _STRING_FIELDS]
-            arrays = [stored[name] for name in _ARRAY_FIELDS]
+            columns = {name: _decoded(stored[name], stored[name + "_ends"])
+                       for name in layout.strings}
+            columns.update((name, stored[name]) for name in layout.arrays)
     except FileNotFoundError:
         return None, "none"
     except Exception as exc:  # truncated, foreign or partial: parse and overwrite
         return None, f"unreadable: {exc!r}"
-    customer_ids, store_ids, home, location = strings
-    return PurchaseLog(customer_ids, store_ids, [place or None for place in home],
-                       [place or None for place in location], *arrays), "hit"
+    return columns, "hit"
 
 
-def _write_snapshot(snapshot: Path, key: str, purchases: PurchaseLog, mode: int) -> None:
-    """Store ``purchases`` under ``key``: write a temporary file, then
-    rename it over ``snapshot``, so readers never see a partial one.  The
-    snapshot gets the permission bits ``mode`` of its CSV, so whoever can
-    read the CSV can read the snapshot."""
+def _write_snapshot(snapshot: Path, key: str, layout: _Layout, columns: Mapping,
+                    mode: int) -> None:
+    """Store ``columns`` under ``key``: write a temporary file, then rename
+    it over ``snapshot``, so readers never see a partial one.  The snapshot
+    gets the permission bits ``mode`` of its input, so whoever can read the
+    input can read the snapshot."""
     arrays = {"key": np.array(key)}
-    arrays.update((name, getattr(purchases, name)) for name in _ARRAY_FIELDS)
-    for name in _STRING_FIELDS:
-        arrays[name], arrays[name + "_ends"] = _encoded(getattr(purchases, name))
+    arrays.update((name, columns[name]) for name in layout.arrays)
+    for name in layout.strings:
+        arrays[name], arrays[name + "_ends"] = _encoded(columns[name])
     try:
         snapshot.parent.mkdir(exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=snapshot.parent, suffix=".tmp")
@@ -508,7 +548,7 @@ def _write_snapshot(snapshot: Path, key: str, purchases: PurchaseLog, mode: int)
             with suppress(FileNotFoundError):
                 os.unlink(tmp)
     except OSError as exc:
-        log.info("purchase snapshot not written: %s", exc)
+        log.info("%s snapshot not written: %s", layout.what, exc)
 
 
 def _encoded(strings: Sequence[str | None]) -> tuple[np.ndarray, np.ndarray]:
@@ -522,6 +562,45 @@ def _encoded(strings: Sequence[str | None]) -> tuple[np.ndarray, np.ndarray]:
 def _decoded(data: np.ndarray, ends: np.ndarray) -> list[str]:
     blob, ends = data.tobytes(), ends.tolist()
     return [blob[start:end].decode() for start, end in zip([0, *ends], ends)]
+
+
+def _purchase_log(home: list[str], location: list[str], **columns) -> PurchaseLog:
+    """A PurchaseLog from snapshot columns, where an unknown place is ""."""
+    return PurchaseLog(home=[place or None for place in home],
+                       location=[place or None for place in location], **columns)
+
+
+def _geometry_columns(geometry: Mapping[str, list[np.ndarray]]) -> dict:
+    """Polygon ids, rings per id, vertices per ring and every vertex, in order."""
+    rings = [ring for polygon in geometry.values() for ring in polygon]
+    return {"ids": list(geometry),
+            "rings": np.array([len(polygon) for polygon in geometry.values()], dtype=np.int64),
+            "sizes": np.array([len(ring) for ring in rings], dtype=np.int64),
+            "vertices": np.concatenate([np.zeros((0, 2)), *rings])}
+
+
+def _geometry(ids: list[str], rings: np.ndarray, sizes: np.ndarray,
+              vertices: np.ndarray) -> dict[str, list[np.ndarray]]:
+    each = np.split(vertices, np.cumsum(sizes)[:-1])
+    ends = np.cumsum(rings).tolist()
+    return {nid: each[start:end] for nid, start, end in zip(ids, [0, *ends], ends)}
+
+
+_PURCHASES = _Layout("purchase", ("customer_ids", "store_ids", "home", "location"),
+                     ("customer", "store", "amount"), _purchase_log)
+_MENTIONS = _Layout("mention", ("user_ids",), ("source", "target"), MentionLog)
+_GEOPOSTS = _Layout("geopost", ("user_ids",), ("user", "lat", "lon", "hour"), GeoPostLog)
+_GEOMETRY = _Layout("geometry", ("ids",), ("rings", "sizes", "vertices"), _geometry,
+                    _geometry_columns)
+
+
+def load_purchases(path) -> PurchaseLog:
+    """Parse purchase events; home/store neighborhood columns are optional.
+    Timestamps are validated, not kept.  A valid file's log is snapshotted
+    (see ``_snapshotted``)."""
+    purchases = _snapshotted(path, _PURCHASES, _parse_purchases)
+    log.info("loaded %d purchase events from %s", len(purchases), path)
+    return purchases
 
 
 def _parse_purchases(path) -> PurchaseLog:
@@ -544,7 +623,12 @@ def _parse_purchases(path) -> PurchaseLog:
 
 def load_mentions(path) -> MentionLog:
     """Parse mention events; timestamps are validated, not kept.
-    Self-mentions carry no interaction signal and are dropped here."""
+    Self-mentions carry no interaction signal and are dropped here.  A
+    valid file's log is snapshotted (see ``_snapshotted``)."""
+    return _snapshotted(path, _MENTIONS, _parse_mentions)
+
+
+def _parse_mentions(path) -> MentionLog:
     rows = 0
 
     def other_user_chunks():
@@ -569,7 +653,12 @@ def load_mentions(path) -> MentionLog:
 
 
 def load_geoposts(path) -> GeoPostLog:
-    """Parse geo-tagged posts; of each timestamp only the local hour is kept."""
+    """Parse geo-tagged posts; of each timestamp only the local hour is
+    kept.  A valid file's posts are snapshotted (see ``_snapshotted``)."""
+    return _snapshotted(path, _GEOPOSTS, _parse_geoposts)
+
+
+def _parse_geoposts(path) -> GeoPostLog:
     def chunks():
         for start, cols in _read_chunks(path, GEOPOST_COLUMNS):
             lat, lon = _numbers(cols["lat"]), _numbers(cols["lon"])
@@ -587,8 +676,13 @@ def load_geometry(path) -> dict[str, list[np.ndarray]]:
     """Load neighborhood polygons: id -> list of closed rings in (lon, lat).
 
     A ring must repeat its first vertex at the end, contain at least
-    three distinct vertices and have only finite coordinates.
+    three distinct vertices and have only finite coordinates.  A valid
+    file's polygons are snapshotted (see ``_snapshotted``).
     """
+    return _snapshotted(path, _GEOMETRY, _parse_geometry)
+
+
+def _parse_geometry(path) -> dict[str, list[np.ndarray]]:
     with open(path) as fh:
         raw = json.load(fh)
     geometry = {}

@@ -1,6 +1,7 @@
 """The chunked loaders, the vectorized point-in-polygon and the array home
 inference, mention network and mention profiles against the row-at-a-time
-references in ``ingest_reference``."""
+references in ``ingest_reference``, and event selection against the
+sort-based renumbering it replaced."""
 import csv
 import io
 import json
@@ -14,8 +15,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from segflow import ingest
-from segflow.ingest import (GeoPostLog, load_geometry, load_geoposts, load_mentions,
-                            load_purchases)
+from segflow.ingest import (GeoPostLog, PurchaseLog, load_geometry, load_geoposts,
+                            load_mentions, load_purchases)
 from segflow.metrics import mention_profiles
 from segflow.network import build_mention_network
 
@@ -262,3 +263,47 @@ def test_unclosed_ring_names_its_polygon(tmp_path, geometry, message):
     with pytest.raises(ingest.ValidationError) as err:
         load_geometry(path)
     assert str(err.value) == message
+
+
+def renumbered_by_sort(codes: np.ndarray, ids: list, places: list):
+    """The renumbering ``PurchaseLog.select`` did with one ``np.unique`` sort
+    of every kept code."""
+    used, first = np.unique(codes, return_index=True)
+    order = used[np.argsort(first)]
+    new = np.empty(len(ids), dtype=np.int64)
+    new[order] = np.arange(order.size)
+    return new[codes], [ids[i] for i in order], [places[i] for i in order]
+
+
+@st.composite
+def coded_log(draw):
+    """A log whose codes may leave ids unused, and a keep mask that is all
+    True, all False or drawn row by row."""
+    n_customers, n_stores = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    rows = draw(st.integers(0, 40))
+    customer = draw(st.lists(st.integers(0, n_customers - 1), min_size=rows, max_size=rows))
+    store = draw(st.lists(st.integers(0, n_stores - 1), min_size=rows, max_size=rows))
+    places = st.sampled_from([None, "N1", "N2"])
+    log = PurchaseLog([f"C{i}" for i in range(n_customers)], [f"S{i}" for i in range(n_stores)],
+                      draw(st.lists(places, min_size=n_customers, max_size=n_customers)),
+                      draw(st.lists(places, min_size=n_stores, max_size=n_stores)),
+                      np.array(customer, dtype=np.int64), np.array(store, dtype=np.int64),
+                      np.arange(rows, dtype=float))
+    keep = draw(st.one_of(st.just([True] * rows), st.just([False] * rows),
+                          st.lists(st.booleans(), min_size=rows, max_size=rows)))
+    return log, np.array(keep, dtype=bool)
+
+
+@given(coded_log())
+@settings(max_examples=200, deadline=None)
+def test_select_renumbers_as_the_sort_reference(case):
+    log, keep = case
+    selected = log.select(keep)
+    customer, customer_ids, home = renumbered_by_sort(log.customer[keep], log.customer_ids,
+                                                      log.home)
+    store, store_ids, location = renumbered_by_sort(log.store[keep], log.store_ids, log.location)
+    assert (selected.customer_ids, selected.home) == (customer_ids, home)
+    assert (selected.store_ids, selected.location) == (store_ids, location)
+    for got, want in ((selected.customer, customer), (selected.store, store),
+                      (selected.amount, log.amount[keep])):
+        assert got.dtype == want.dtype and np.array_equal(got, want)

@@ -1,24 +1,32 @@
-"""The parsed-purchases snapshot that ``load_purchases`` keeps beside its CSV.
+"""The parsed snapshots that ``load_purchases``, ``load_mentions``,
+``load_geoposts`` and ``load_geometry`` keep beside their input files.
 
-A hit must return the log a parse returns, field by field with dtypes; any
-change to the file, and any snapshot that cannot be read, must fall back to
-a parse; a directory that cannot be written must still load.
+A hit must return the value a parse returns, field by field with dtypes;
+any change to the file, and any snapshot that cannot be read, must fall
+back to a parse; a directory that cannot be written must still load.  Each
+test below runs on all four inputs.
 """
+import dataclasses
 import errno
 import hashlib
+import json
 import os
 import shutil
 import subprocess
 import sys
+from collections import Counter
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
+from typing import Callable, NamedTuple
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from segflow import ingest
+from segflow import cli, ingest
 from segflow.cli import main
-from segflow.ingest import SNAPSHOT_DIR, ValidationError, load_purchases
+from segflow.ingest import (SNAPSHOT_DIR, ValidationError, load_geometry, load_geoposts,
+                            load_mentions, load_purchases)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -45,45 +53,115 @@ PURCHASES = ("customer_id,store_id,timestamp,amount,customer_home,store_neighbor
              "C1,S1,2013-05-01T10:00:00,12.5,N1,N2\n"
              '"C,2",S1,2013-05-01T11:00:00,3.0,,N2\n'
              '"C\n3",S2,2013-05-01T12:00:00,7.25,N2,\n')
+MENTIONS = ("source_user,target_user,timestamp\n"
+            "u1,u2,2013-05-01T10:00:00\n"
+            '"u,2",u1,2013-05-01T11:00:00\n'
+            "u3,u3,2013-05-01T12:00:00\n")
+GEOPOSTS = ("user_id,lat,lon,timestamp\n"
+            "u1,0.5,0.5,2013-05-01T23:00:00\n"
+            '"u\n2",1.5,0.25,2013-05-01T10:00:00+02:00\n')
+SQUARE = [[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]]
+HOLE = [[0.25, 0.25], [0.75, 0.25], [0.75, 0.75], [0.25, 0.25]]
+# ids out of sorted order: a hit must keep the file's order
+GEOMETRY = json.dumps({"N2": [SQUARE], "N\x001": [SQUARE, HOLE]})
 
 
-def snapshot_of(csv: Path) -> Path:
-    return csv.parent / SNAPSHOT_DIR / (csv.name + ".npz")
+class Input(NamedTuple):
+    """One snapshotted input: its file name and contents, the contents with
+    one value changed (and a different length), contents that fail
+    validation and the end of their message, its loader and the name of
+    the ingest function that parses it."""
+
+    name: str
+    text: str
+    edited: str
+    corrupt: str
+    message: str
+    load: Callable
+    parse: str
 
 
-def assert_same_log(got, want):
-    for name in ("customer_ids", "store_ids", "home", "location"):
-        assert getattr(got, name) == getattr(want, name), name
-    for name in ("customer", "store", "amount"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype and np.array_equal(a, b), name
+INPUTS = [
+    Input("purchases.csv", PURCHASES, PURCHASES.replace("12.5", "99.75"),
+          PURCHASES + "C5,S5,2013-05-01T14:00:00,abc,N1,N2\n",
+          "purchases.csv: line 6: amount is not a finite number: 'abc'",
+          load_purchases, "_parse_purchases"),
+    Input("mentions.csv", MENTIONS, MENTIONS.replace("u1,u2", "u1,u22"),
+          MENTIONS + "u4,u1,noon\n", "mentions.csv: line 5: bad timestamp 'noon'",
+          load_mentions, "_parse_mentions"),
+    Input("geoposts.csv", GEOPOSTS, GEOPOSTS.replace("u1,0.5", "u1,0.75"),
+          GEOPOSTS + "u3,95,0.5,2013-05-01T10:00:00\n",
+          "geoposts.csv: line 5: coordinates out of range", load_geoposts, "_parse_geoposts"),
+    Input("geometry.json", GEOMETRY, GEOMETRY.replace("[0.75, 0.75]", "[0.5, 0.875]"),
+          json.dumps({"N2": [SQUARE], "N3": [SQUARE[:-1] + [[0, 0.5]]]}),
+          "malformed polygon for 'N3': ring not closed", load_geometry, "_parse_geometry"),
+]
 
 
-def load_from_snapshot(path: Path):
-    """``load_purchases`` with parsing forbidden: only a hit can return."""
-    with mock.patch.object(ingest, "_parse_purchases", side_effect=AssertionError("parsed")):
-        return load_purchases(path)
+def snapshot_of(path: Path) -> Path:
+    return path.parent / SNAPSHOT_DIR / (path.name + ".npz")
+
+
+def assert_same(got, want):
+    """Equal field by field, dtypes included; polygons in the same order."""
+    if isinstance(want, dict):
+        assert list(got) == list(want)
+        for nid, rings in want.items():
+            assert len(got[nid]) == len(rings), nid
+            for a, b in zip(got[nid], rings):
+                assert a.dtype == b.dtype and np.array_equal(a, b), nid
+        return
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), field.name
+        else:
+            assert a == b, field.name
+
+
+def parsed(source: Input, path: Path):
+    return getattr(ingest, source.parse)(path)
+
+
+def load_from_snapshot(source: Input, path: Path):
+    """The loader with parsing forbidden: only a hit can return."""
+    with mock.patch.object(ingest, source.parse, side_effect=AssertionError("parsed")):
+        return source.load(path)
 
 
 @pytest.fixture
-def csv_file(tmp_path):
-    path = tmp_path / "purchases.csv"
-    path.write_text(PURCHASES)
-    return path
+def inputs(tmp_path):
+    """Each input and its file, all in one directory."""
+    files = []
+    for source in INPUTS:
+        path = tmp_path / source.name
+        path.write_text(source.text)
+        files.append((source, path))
+    return files
 
 
-def test_hit_returns_the_parsed_log(csv_file):
-    parsed = load_purchases(csv_file)
-    assert snapshot_of(csv_file).is_file()
-    assert_same_log(load_from_snapshot(csv_file), parsed)
-    assert parsed.customer_ids == ["C1", "C,2", "C\n3"]
-    assert parsed.home == ["N1", None, "N2"] and parsed.location == ["N2", None]
+def test_hit_returns_the_parsed_log(inputs):
+    for source, path in inputs:
+        first = source.load(path)
+        assert snapshot_of(path).is_file(), source.name
+        assert_same(first, parsed(source, path))
+        assert_same(load_from_snapshot(source, path), first)
 
 
-def test_snapshot_has_the_csv_permissions(csv_file):
-    csv_file.chmod(0o640)
-    load_purchases(csv_file)
-    assert snapshot_of(csv_file).stat().st_mode & 0o777 == 0o640
+def test_purchase_hit_keeps_unknown_places(tmp_path):
+    csv_file = tmp_path / "purchases.csv"
+    csv_file.write_text(PURCHASES)
+    purchases = load_purchases(csv_file)
+    assert purchases.customer_ids == ["C1", "C,2", "C\n3"]
+    assert purchases.home == ["N1", None, "N2"] and purchases.location == ["N2", None]
+    assert_same(load_from_snapshot(INPUTS[0], csv_file), purchases)
+
+
+def test_snapshot_has_the_csv_permissions(inputs):
+    for source, path in inputs:
+        path.chmod(0o640)
+        source.load(path)
+        assert snapshot_of(path).stat().st_mode & 0o777 == 0o640, source.name
 
 
 def test_id_ending_in_nul_round_trips(tmp_path):
@@ -91,18 +169,21 @@ def test_id_ending_in_nul_round_trips(tmp_path):
     path.write_text("customer_id,store_id,timestamp,amount,customer_home\n"
                     "C\x00,S\x00\x00,2013-05-01T10:00:00,1.0,N1\x00\n"
                     "C,S,2013-05-01T10:00:00,2.0,N1\n")
-    parsed = load_purchases(path)
-    assert parsed.customer_ids == ["C\x00", "C"] and parsed.store_ids == ["S\x00\x00", "S"]
-    assert parsed.home == ["N1\x00", "N1"]
-    assert_same_log(load_from_snapshot(path), parsed)
+    purchases = load_purchases(path)
+    assert purchases.customer_ids == ["C\x00", "C"] and purchases.store_ids == ["S\x00\x00", "S"]
+    assert purchases.home == ["N1\x00", "N1"]
+    assert_same(load_from_snapshot(INPUTS[0], path), purchases)
 
 
-def test_edited_cell_misses_and_returns_new_values(csv_file):
-    load_purchases(csv_file)
-    csv_file.write_text(PURCHASES.replace("12.5", "99.5"))
-    edited = load_purchases(csv_file)
-    assert edited.amount.tolist() == [99.5, 3.0, 7.25]
-    assert_same_log(load_from_snapshot(csv_file), edited)
+def test_edited_cell_misses_and_returns_new_values(inputs):
+    for source, path in inputs:
+        original = source.load(path)
+        path.write_text(source.edited)
+        edited = source.load(path)
+        assert_same(edited, parsed(source, path))
+        with pytest.raises(AssertionError):
+            assert_same(edited, original)
+        assert_same(load_from_snapshot(source, path), edited)
 
 
 def garbage(valid: bytes) -> bytes:
@@ -114,26 +195,31 @@ def truncated(valid: bytes) -> bytes:
 
 
 def foreign(valid: bytes) -> bytes:
-    return valid.replace(b"customer_ids_ends", b"customer_ids_gone")
+    """Every id column's end offsets renamed away."""
+    assert b"ids_ends" in valid
+    return valid.replace(b"ids_ends", b"ids_gone")
 
 
 @pytest.mark.parametrize("damage", [garbage, truncated, foreign])
-def test_unreadable_snapshot_misses_and_is_overwritten(csv_file, damage):
-    parsed = load_purchases(csv_file)
-    snapshot = snapshot_of(csv_file)
-    snapshot.write_bytes(damage(snapshot.read_bytes()))
-    assert_same_log(load_purchases(csv_file), parsed)
-    assert_same_log(load_from_snapshot(csv_file), parsed)
+def test_unreadable_snapshot_misses_and_is_overwritten(inputs, damage):
+    for source, path in inputs:
+        first = source.load(path)
+        snapshot = snapshot_of(path)
+        snapshot.write_bytes(damage(snapshot.read_bytes()))
+        assert_same(source.load(path), first)
+        assert_same(load_from_snapshot(source, path), first)
 
 
-def test_snapshot_with_another_key_misses(csv_file, tmp_path):
-    other = tmp_path / "other" / "purchases.csv"
-    other.parent.mkdir()
-    other.write_text(PURCHASES.replace("C1", "D1"))
-    load_purchases(other)
-    csv_file.parent.joinpath(SNAPSHOT_DIR).mkdir()
-    shutil.copy(snapshot_of(other), snapshot_of(csv_file))
-    assert load_purchases(csv_file).customer_ids[0] == "C1"
+def test_snapshot_with_another_key_misses(inputs, tmp_path):
+    other = tmp_path / "other"
+    other.mkdir()
+    for source, path in inputs:
+        elsewhere = other / source.name
+        elsewhere.write_text(source.edited)
+        source.load(elsewhere)
+        snapshot_of(path).parent.mkdir(exist_ok=True)
+        shutil.copy(snapshot_of(elsewhere), snapshot_of(path))
+        assert_same(source.load(path), parsed(source, path))
 
 
 def refuse(*args, **kwargs):
@@ -141,45 +227,51 @@ def refuse(*args, **kwargs):
 
 
 @pytest.mark.parametrize("blocked", ["read-only", "cache-is-a-file"])
-def test_unwritable_directory_still_loads(csv_file, blocked, monkeypatch):
+def test_unwritable_directory_still_loads(inputs, tmp_path, blocked, monkeypatch):
     """A read-only directory (simulated: the superuser ignores file modes)
     or a file in the snapshot directory's place."""
     if blocked == "read-only":
         monkeypatch.setattr(ingest.tempfile, "mkstemp", refuse)
     else:
-        (csv_file.parent / SNAPSHOT_DIR).write_text("")
-    expected = ingest._parse_purchases(csv_file)
-    for _ in range(2):
-        assert_same_log(load_purchases(csv_file), expected)
-    assert not list(csv_file.parent.rglob("*.npz"))
-    assert not list(csv_file.parent.rglob("*.tmp"))
+        (tmp_path / SNAPSHOT_DIR).write_text("")
+    for source, path in inputs:
+        expected = parsed(source, path)
+        for _ in range(2):
+            assert_same(source.load(path), expected)
+    assert not list(tmp_path.rglob("*.npz"))
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
-def test_file_changed_during_parse_is_not_snapshotted(csv_file):
-    parse = ingest._parse_purchases
+def test_file_changed_during_parse_is_not_snapshotted(inputs):
+    for source, path in inputs:
+        parse = getattr(ingest, source.parse)
 
-    def parse_then_append(path):
-        log = parse(path)
-        with open(path, "a") as fh:
-            fh.write("C4,S4,2013-05-01T13:00:00,1.0,N3,N4\n")
-        return log
+        def parse_then_edit(path, parse=parse, source=source):
+            value = parse(path)
+            path.write_text(source.edited)
+            return value
 
-    with mock.patch.object(ingest, "_parse_purchases", parse_then_append):
-        assert len(load_purchases(csv_file)) == 3
-    assert not snapshot_of(csv_file).exists()
-    assert len(load_purchases(csv_file)) == 4
+        with mock.patch.object(ingest, source.parse, parse_then_edit):
+            old = source.load(path)
+        assert not snapshot_of(path).exists(), source.name
+        path.write_text(source.text)
+        assert_same(old, parsed(source, path))
+        path.write_text(source.edited)
+        assert_same(source.load(path), parsed(source, path))
 
 
-def test_corrupt_csv_raises_same_message_every_call(csv_file):
-    csv_file.write_text(PURCHASES + "C5,S5,2013-05-01T14:00:00,abc,N1,N2\n")
-    messages = []
-    for _ in range(2):
-        with pytest.raises(ValidationError) as info:
-            load_purchases(csv_file)
-        messages.append(str(info.value))
-    assert messages[0] == messages[1]
-    assert messages[0].endswith("purchases.csv: line 6: amount is not a finite number: 'abc'")
-    assert not list(csv_file.parent.rglob("*.npz"))
+def test_corrupt_csv_raises_same_message_every_call(inputs, tmp_path):
+    """Also a corrupt geometry.json."""
+    for source, path in inputs:
+        path.write_text(source.corrupt)
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ValidationError) as info:
+                source.load(path)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert messages[0].endswith(source.message)
+    assert not list(tmp_path.rglob("*.npz"))
 
 
 @pytest.fixture(scope="module")
@@ -202,13 +294,64 @@ def test_cold_and_warm_runs_write_identical_trees(smoke_city, tmp_path):
         out = tmp_path / "cold" / command
         assert main([command, *flags, "--data", str(smoke_city), "--out", str(out)]) == 0
         cold[command] = tree_hashes(out)
-    with mock.patch.object(ingest, "_parse_purchases", side_effect=AssertionError("parsed")):
+    warm_city(smoke_city, tmp_path)
+    with parsing_forbidden():
         for command, flags in COMMANDS:
             out = tmp_path / "warm" / command
             assert main([command, *flags, "--data", str(smoke_city), "--out", str(out)]) == 0
             warm[command] = tree_hashes(out)
+        # homes are inferred on every call: another night window, other homes
+        night = tmp_path / "warm" / "night-22"
+        assert main(["ingest", "--night-start", "22", "--data", str(smoke_city),
+                     "--out", str(night)]) == 0
     assert warm == cold
     assert all("manifest.json" in hashes for hashes in cold.values())
+    assert tree_hashes(night)["homes.csv"] != warm["ingest"]["homes.csv"]
+
+
+@contextmanager
+def parsing_forbidden():
+    """Every snapshotted loader with its parse forbidden."""
+    with ExitStack() as stack:
+        for source in INPUTS:
+            stack.enter_context(mock.patch.object(ingest, source.parse,
+                                                  side_effect=AssertionError("parsed")))
+        yield
+
+
+def warm_city(smoke_city: Path, tmp_path: Path) -> Path:
+    """The smoke city after one ``ingest`` wrote its snapshots."""
+    assert main(["ingest", "--data", str(smoke_city), "--out", str(tmp_path / "warm-up")]) == 0
+    return smoke_city
+
+
+def test_one_command_places_posts_and_infers_homes_once(smoke_city, tmp_path):
+    """The benchmark's traced run records a span for each of these
+    functions; a cache above them would leave it none."""
+    city = warm_city(smoke_city, tmp_path)
+    names = ("load_mentions", "load_geoposts", "load_geometry",
+             "assign_points_to_neighborhoods", "infer_home")
+    with ExitStack() as stack:
+        calls = {name: stack.enter_context(mock.patch.object(
+            cli, name, wraps=getattr(ingest, name))) for name in names}
+        assert main(["mixing", "--data", str(city), "--out", str(tmp_path / "mixing")]) == 0
+    assert {name: spy.call_count for name, spy in calls.items()} == dict.fromkeys(names, 1)
+
+
+@pytest.mark.parametrize("cache", ["cold", "warm"])
+def test_each_input_is_hashed_once_per_command(smoke_city, tmp_path, cache):
+    """The manifest reuses the digests that keyed the snapshots."""
+    if cache == "warm":
+        warm_city(smoke_city, tmp_path)
+    else:
+        shutil.rmtree(smoke_city / SNAPSHOT_DIR, ignore_errors=True)
+    with mock.patch.object(ingest, "_sha256", wraps=ingest._sha256) as sha256:
+        assert main(["network", "--data", str(smoke_city), "--out", str(tmp_path / "net")]) == 0
+    hashed = Counter(Path(call.args[0]).name for call in sha256.call_args_list)
+    assert hashed == Counter({name: 1 for name in (*cli.DATA_FILES, "ingest.py")})
+    manifest = json.loads((tmp_path / "net" / "manifest.json").read_text())
+    assert manifest["inputs"] == {name: ingest._sha256(smoke_city / name)
+                                  for name in cli.DATA_FILES}
 
 
 def segflow(args: list[str], **env) -> subprocess.CompletedProcess:
@@ -218,17 +361,23 @@ def segflow(args: list[str], **env) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=120)
 
 
+# how each loader names its snapshot in log lines
+SNAPSHOTTED = ("purchase", "mention", "geopost", "geometry")
+
+
 def test_second_command_logs_a_hit(smoke_city, tmp_path):
     city = tmp_path / "city"
     shutil.copytree(smoke_city, city, ignore=shutil.ignore_patterns(SNAPSHOT_DIR))
     first = segflow(["ingest", "--data", str(city), "--out", str(tmp_path / "i")],
                     SEGFLOW_LOG="INFO")
     assert first.returncode == 0, first.stderr
-    assert "purchase snapshot miss (none)" in first.stderr
+    for what in SNAPSHOTTED:
+        assert f"{what} snapshot miss (none)" in first.stderr
     logged = segflow(["mixing", "--data", str(city), "--out", str(tmp_path / "logged")],
                      SEGFLOW_LOG="INFO")
     assert logged.returncode == 0, logged.stderr
-    assert "INFO segflow.ingest: purchase snapshot hit" in logged.stderr
+    for what in SNAPSHOTTED:
+        assert f"INFO segflow.ingest: {what} snapshot hit" in logged.stderr
     quiet = segflow(["mixing", "--data", str(city), "--out", str(tmp_path / "quiet")])
     assert quiet.returncode == 0 and quiet.stderr == ""
     assert tree_hashes(tmp_path / "logged") == tree_hashes(tmp_path / "quiet")
