@@ -123,9 +123,19 @@ def parsed(source: Input, path: Path):
     return getattr(ingest, source.parse)(path)
 
 
+@contextmanager
+def parsing_forbidden():
+    """Every snapshotted loader with its parse forbidden."""
+    with ExitStack() as stack:
+        for source in INPUTS:
+            stack.enter_context(mock.patch.object(ingest, source.parse,
+                                                  side_effect=AssertionError("parsed")))
+        yield
+
+
 def load_from_snapshot(source: Input, path: Path):
     """The loader with parsing forbidden: only a hit can return."""
-    with mock.patch.object(ingest, source.parse, side_effect=AssertionError("parsed")):
+    with parsing_forbidden():
         return source.load(path)
 
 
@@ -307,16 +317,6 @@ def test_cold_and_warm_runs_write_identical_trees(smoke_city, tmp_path):
     assert warm == cold
     assert all("manifest.json" in hashes for hashes in cold.values())
     assert tree_hashes(night)["homes.csv"] != warm["ingest"]["homes.csv"]
-
-
-@contextmanager
-def parsing_forbidden():
-    """Every snapshotted loader with its parse forbidden."""
-    with ExitStack() as stack:
-        for source in INPUTS:
-            stack.enter_context(mock.patch.object(ingest, source.parse,
-                                                  side_effect=AssertionError("parsed")))
-        yield
 
 
 def warm_city(smoke_city: Path, tmp_path: Path) -> Path:
