@@ -252,6 +252,7 @@ def cmd_sweep(cfg, out: Path) -> list[str]:
         raise ValueError(f"jackknife_replicates must be >= 0, got {cfg['jackknife_replicates']}")
     table, nets = _both_networks(cfg)
     groups = _groups(table, cfg)
+    thresholds = segregation.default_thresholds(table)
     outputs = []
     for channel, _, weighted in nets:
         steps = segregation.extremes_sweep(weighted, groups)
@@ -262,7 +263,7 @@ def cmd_sweep(cfg, out: Path) -> list[str]:
         segregation.write_sweep_csv(steps, out / name)
         outputs.append(name)
 
-        dist_steps = segregation.distance_sweep(weighted, groups)
+        dist_steps = segregation.distance_sweep(weighted, groups, thresholds=thresholds)
         name = f"sweep_distance_{channel}.csv"
         segregation.write_sweep_csv(dist_steps, out / name)
         outputs.append(name)

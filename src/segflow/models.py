@@ -255,6 +255,7 @@ class PurchaseArrays:
     ev_store: np.ndarray
     ev_amount: np.ndarray
     n_neighborhoods: int
+    store_amount: np.ndarray    # each store's total amount, summed once
 
     def event_cells(self, home=None, loc=None) -> tuple[np.ndarray, np.ndarray]:
         """Home and store neighborhood index of every event."""
@@ -263,9 +264,10 @@ class PurchaseArrays:
         return home[self.ev_customer], loc[self.ev_store]
 
     def revenue(self, loc=None) -> np.ndarray:
+        """Total amount at the stores of each neighborhood, stores placed by
+        ``loc``: a sum over stores, not events."""
         loc = self.loc_of_store if loc is None else loc
-        return np.bincount(loc[self.ev_store], weights=self.ev_amount,
-                           minlength=self.n_neighborhoods)
+        return np.bincount(loc, weights=self.store_amount, minlength=self.n_neighborhoods)
 
 
 def purchase_arrays(events: PurchaseLog, table: NeighborhoodTable) -> PurchaseArrays:
@@ -278,7 +280,9 @@ def purchase_arrays(events: PurchaseLog, table: NeighborhoodTable) -> PurchaseAr
     if not len(log):
         raise ValueError("no resolvable purchase events")
     return PurchaseArrays(home_of_customer=home, loc_of_store=loc, ev_customer=log.customer,
-                          ev_store=log.store, ev_amount=log.amount, n_neighborhoods=table.n)
+                          ev_store=log.store, ev_amount=log.amount, n_neighborhoods=table.n,
+                          store_amount=np.bincount(log.store, weights=log.amount,
+                                                   minlength=loc.size))
 
 
 @dataclass

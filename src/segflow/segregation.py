@@ -31,6 +31,11 @@ class GroupAssignment:
     labels: np.ndarray
     k: int
 
+    def __post_init__(self):
+        if len(self.labels) != len(self.nodes):
+            raise ValueError(f"{len(self.labels)} group labels for {len(self.nodes)} nodes")
+        _compact_labels(self.labels, self.k)
+
     def label_of(self, neighborhood_id: str) -> int:
         return int(self.labels[self.nodes.index(neighborhood_id)])
 
@@ -87,11 +92,38 @@ class MixingMatrix:
                    zero_rows=zero_rows)
 
 
+def _compact_labels(labels: np.ndarray, k: int) -> np.ndarray:
+    """Group labels 1..k as 0..k-1, in the smallest unsigned type that holds
+    every cell index up to k*k - 1 (uint8 for k <= 16).  A label outside
+    1..k is refused: its cell would wrap, not fail."""
+    labels = np.asarray(labels)
+    if labels.dtype.kind not in "iu":
+        raise ValueError(f"group labels must be integers, not {labels.dtype}")
+    bad = np.flatnonzero((labels < 1) | (labels > k))
+    if bad.size:
+        raise ValueError(f"group label {labels[bad[0]]} at position {bad[0]} is outside 1..{k}")
+    return (labels - 1).astype(np.min_scalar_type(k * k - 1))
+
+
+def _cells(lab_o: np.ndarray, o: np.ndarray, lab_d: np.ndarray, d: np.ndarray,
+           k: int) -> np.ndarray:
+    """The k x k cell, ``lab_o[o] * k + lab_d[d]``, of each edge or event,
+    from compact labels (``_compact_labels``) of its two ends, in their type."""
+    cells = (lab_o * k)[o]
+    cells += lab_d[d]
+    return cells
+
+
+def _cell_sums(cells: np.ndarray, w: np.ndarray | None, k: int) -> np.ndarray:
+    """k x k sums of ``w`` over ``cells``; ``w=None`` counts."""
+    return np.bincount(cells, weights=w, minlength=k * k).reshape(k, k)
+
+
 def group_flows(o: np.ndarray, d: np.ndarray, w: np.ndarray | None,
                 labels: np.ndarray, k: int) -> np.ndarray:
     """k x k edge weight sums by (origin, destination) group 1..k; ``w=None`` counts."""
-    cells = (labels[o] - 1) * k + (labels[d] - 1)
-    return np.bincount(cells, weights=w, minlength=k * k).reshape(k, k)
+    lab = _compact_labels(labels, k)
+    return _cell_sums(_cells(lab, o, lab, d, k), w, k)
 
 
 def _scored(net: InteractionNetwork, groups: GroupAssignment) -> Flows:
@@ -214,6 +246,20 @@ def asymmetry_sweep(net: InteractionNetwork, groups: GroupAssignment) -> list[Sw
     return extremes_sweep(net, groups, statistic="bias")
 
 
+def default_thresholds(table: NeighborhoodTable) -> np.ndarray:
+    """The quintiles of all pairwise centroid distances of ``table``: the
+    thresholds ``distance_sweep`` uses when given none."""
+    # the upper triangle, row by row (the order of triu_indices), filled
+    # from row blocks into one vector that the percentile may partition
+    n = table.n
+    pairs, end = np.empty(n * (n - 1) // 2), 0
+    for rows, block in _distance_blocks(table):
+        for r, row in enumerate(block, start=rows.start):
+            pairs[end:end + n - r - 1] = row[r + 1:]
+            end += n - r - 1
+    return np.percentile(pairs, (20, 40, 60, 80, 100), overwrite_input=True)
+
+
 def distance_sweep(
     net: InteractionNetwork,
     groups: GroupAssignment,
@@ -224,21 +270,13 @@ def distance_sweep(
     For each threshold d the network is split into a "within" part
     (pairs at distance <= d, which always includes the diagonal) and a
     "beyond" part (pairs at distance > d); each part is aggregated,
-    renormalized, and scored separately.  Thresholds default to the
-    quintiles of the vector of all pairwise centroid distances.
+    renormalized, and scored separately.  Thresholds default to
+    ``default_thresholds(net.table)``.
     A side with no remaining mass or no variance is flagged invalid.
     """
     i, j, w = _edges(_scored(net, groups), net.n)
     if thresholds is None:
-        # the upper triangle, row by row (the order of triu_indices), filled
-        # from row blocks into one vector that the percentile may partition
-        n = net.n
-        pairs, end = np.empty(n * (n - 1) // 2), 0
-        for rows, block in _distance_blocks(net.table):
-            for r, row in enumerate(block, start=rows.start):
-                pairs[end:end + n - r - 1] = row[r + 1:]
-                end += n - r - 1
-        thresholds = np.percentile(pairs, (20, 40, 60, 80, 100), overwrite_input=True)
+        thresholds = default_thresholds(net.table)
     thresholds = [float(d) for d in thresholds]
     if (not all(0 < d < np.inf for d in thresholds)
             or any(b <= a for a, b in zip(thresholds, thresholds[1:]))):

@@ -13,7 +13,8 @@ from .ingest import NeighborhoodTable, PurchaseLog
 from .network import (Flows, InteractionNetwork, _edges, build_purchase_network,
                       population_weight, sampling_rate)
 from .segregation import (DegenerateMatrixError, GroupAssignment, MixingMatrix, SweepStep,
-                          _scored, assortativity, extremes_value, group_flows)
+                          _cell_sums, _cells, _compact_labels, _scored, assortativity,
+                          extremes_value)
 from . import models
 
 
@@ -50,17 +51,19 @@ def _jackknife_flows(
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
     o, d, w = _edges(W, len(groups.nodes))
-    labels, k = groups.labels, groups.k
-    M, counts = group_flows(o, d, w, labels, k), group_flows(o, d, None, labels, k)
+    k = groups.k
+    lab = _compact_labels(groups.labels, k)
+    cells = _cells(lab, o, lab, d, k)    # each edge's cell, formed once
+    M, counts = _cell_sums(cells, w, k), _cell_sums(cells, None, k)
     n_remove = int(removal_fraction * len(w))
     reps = np.repeat(M[None], replicates, axis=0)
     if n_remove == 0:
         return M, reps
     for rep in range(replicates):
         drop = np.random.default_rng((seed, rep)).choice(len(w), size=n_remove, replace=False)
-        lost = o[drop], d[drop]
-        reps[rep] -= group_flows(*lost, w[drop], labels, k)
-        reps[rep][counts == group_flows(*lost, None, labels, k)] = 0.0
+        lost = cells[drop]
+        reps[rep] -= _cell_sums(lost, w[drop], k)
+        reps[rep][counts == _cell_sums(lost, None, k)] = 0.0
     return M, reps
 
 
@@ -165,6 +168,15 @@ def gini(values) -> float:
     return float(2.0 * (ranks @ vs) / (n * total) - (n + 1) / n)
 
 
+def _reshuffle_flows(arrays: models.PurchaseArrays, rep: models.ReshuffleReplicate,
+                     groups: GroupAssignment, inv_rate: np.ndarray) -> np.ndarray:
+    """k x k flows of a reshuffle replicate, each event weighted by the
+    ``inv_rate`` of its customer's home, from the groups of homes and stores."""
+    k, lab = groups.k, _compact_labels(groups.labels, groups.k)
+    cells = _cells(lab[rep.home], arrays.ev_customer, lab[rep.loc], arrays.ev_store, k)
+    return _cell_sums(cells, inv_rate[rep.home][arrays.ev_customer], k)
+
+
 @dataclass
 class InequalityRow:
     label: str
@@ -252,9 +264,7 @@ def segregation_inequality_report(
         reps = models.reshuffle_locations(arrays, fraction, replicates=replicates, seed=seed)
         r_vals, g_vals, g_excl, totals = [], [], [], []
         for rep in reps:
-            i, j = arrays.event_cells(rep.home, rep.loc)
-            r_vals.append(flows_assortativity(
-                group_flows(i, j, inv_rate[i], groups.labels, groups.k)))
+            r_vals.append(flows_assortativity(_reshuffle_flows(arrays, rep, groups, inv_rate)))
             g_vals.append(gini(rep.revenue))
             g_excl.append(gini(rep.revenue[has_store]))
             totals.append(float(rep.revenue.sum()))

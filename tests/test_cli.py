@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from segflow import segregation
 from segflow.cli import COMMANDS, main, read_config_file
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -69,6 +70,18 @@ class TestSmoke:
         for channel in ("purchase", "mention"):
             lines = (out / f"sweep_extremes_{channel}.csv").read_text().splitlines()
             assert len(lines) == 1 + 5  # header + k/2 steps at k=10
+
+    def test_sweep_walks_distance_blocks_once(self, city_dir, tmp_path, monkeypatch):
+        """The default distance thresholds depend only on the table, so one
+        sweep computes them once for both channels."""
+        walks, blocks = [], segregation._distance_blocks
+        monkeypatch.setattr(segregation, "_distance_blocks",
+                            lambda table: walks.append(table) or blocks(table))
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--data", str(city_dir), "--out", str(out),
+                     "--jackknife-replicates", "0"]) == 0
+        assert (out / "sweep_distance_mention.csv").exists()
+        assert len(walks) == 1
 
     def test_null_jackknife_gravity_report(self, city_dir, tmp_path):
         assert main(["null", "--data", str(city_dir), "--out", str(tmp_path / "null"),

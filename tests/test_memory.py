@@ -15,6 +15,7 @@ from segflow.models import GravityParams, simulate_gravity
 from segflow.network import (build_mention_network, build_purchase_network,
                              centroid_distances, population_weight)
 from segflow.segregation import assign_groups, distance_sweep, mixing_matrix
+from segflow.stats import flows_assortativity, jackknife_statistic
 
 from conftest import gravity_net, preset_table, sparse_net
 
@@ -89,15 +90,35 @@ def test_sparse_network_allocates_its_edges_only(channel):
     assert peak < 1_000_000
 
 
+def simulated_args():
+    """A law and a network carrying its masses over the preset table; the
+    simulated flows have about 1.2M edges."""
+    rng = np.random.default_rng(6)
+    users, stores = rng.integers(0, 3, size=(2, TABLE.n))
+    params = GravityParams(c=0.5, beta1=0.8, beta2=0.7, epsilon=0.5, alpha=0.6)
+    return params, gravity_net(TABLE, users, stores)
+
+
 def test_simulated_gravity_peak_near_its_flows():
     """The law is filled into edge arrays a block of origins at a time; the
     dense result was 20.5 MB whatever the masses."""
-    rng = np.random.default_rng(6)
-    users, stores = rng.integers(0, 3, size=(2, TABLE.n))
-    net = gravity_net(TABLE, users, stores)
-    params = GravityParams(c=0.5, beta1=0.8, beta2=0.7, epsilon=0.5, alpha=0.6)
+    params, net = simulated_args()
+    users, stores = net.user_counts, net.store_counts
     sim, peak = peak_bytes(lambda: simulate_gravity(params, net))
     f = sim.flows
     held = f.origin.nbytes + f.dest.nbytes + f.weight.nbytes
     assert f.size == np.count_nonzero(users) * np.count_nonzero(stores)
     assert peak < 1.75 * held
+
+
+def test_jackknife_holds_one_byte_cells():
+    """The jackknife forms each edge's group cell once and keeps it for every
+    replicate.  Over the simulated flows it peaked at 11.98 MB, 1.24 times
+    8 bytes an edge: uint8 cells plus the intp copy ``np.bincount`` makes of
+    them.  Holding the cells as int64 peaked at 20.86 MB, 2.16 times."""
+    flows = simulate_gravity(*simulated_args()).flows
+    groups = assign_groups(TABLE)
+    est, peak = peak_bytes(lambda: jackknife_statistic(flows, flows_assortativity, groups,
+                                                       replicates=100, seed=0))
+    assert est.replicates + est.discarded == 100
+    assert peak < 1.6 * flows.size * 8

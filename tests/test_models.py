@@ -307,6 +307,19 @@ class TestReshuffle:
             assert np.array_equal(rep.W, build_purchase_network(events, table).W)
             assert np.allclose(rep.revenue, arrays.revenue())
 
+    def test_store_revenue_matches_event_sum(self):
+        """Revenue sums each store's total once; summing every event gives
+        the same to rounding, as placed and after relocation."""
+        events, table = self._events()
+        arrays = purchase_arrays(events, table)
+        for rep in [None] + reshuffle_locations(arrays, 0.6, replicates=4, seed=5):
+            loc = arrays.loc_of_store if rep is None else rep.loc
+            by_event = np.bincount(loc[arrays.ev_store], weights=arrays.ev_amount,
+                                   minlength=table.n)
+            np.testing.assert_allclose(arrays.revenue(loc), by_event, rtol=1e-12, atol=0)
+            if rep is not None:
+                assert np.array_equal(rep.revenue, arrays.revenue(loc))
+
     def test_amount_and_count_conservation(self):
         events, table = self._events()
         arrays = purchase_arrays(events, table)

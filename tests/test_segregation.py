@@ -4,10 +4,10 @@ import pytest
 from segflow.ingest import NeighborhoodTable
 from segflow.network import (Flows, InteractionNetwork, build_purchase_network,
                              centroid_distances, population_weight)
-from segflow.segregation import (DegenerateMatrixError, MixingMatrix, assign_groups,
-                                 assortativity, asymmetry_bias,
+from segflow.segregation import (DegenerateMatrixError, GroupAssignment, MixingMatrix,
+                                 assign_groups, assortativity, asymmetry_bias,
                                  asymmetry_sweep, distance_sweep,
-                                 extremes_sweep, mixing_from_matrix,
+                                 extremes_sweep, group_flows, mixing_from_matrix,
                                  mixing_matrix)
 
 from conftest import make_table, preset_table, purchase, purchase_log, sparse_net
@@ -79,6 +79,47 @@ class TestAssignGroups:
     def test_too_few_neighborhoods(self):
         with pytest.raises(ValueError):
             assign_groups(make_table(4), k=10)
+
+
+class TestGroupLabels:
+    """A label outside 1..k names no group.  Once cells are formed in a
+    small unsigned type it would wrap into another group's cell, so it is
+    refused where a grouping is made and where flows are grouped."""
+
+    @pytest.mark.parametrize("labels, bad", [([1, 0], "0"), ([2, 3], "3"), ([-1, 1], "-1")])
+    def test_assignment_names_first_label_outside_range(self, labels, bad):
+        with pytest.raises(ValueError, match=f"group label {bad} at position .* outside 1..2"):
+            GroupAssignment(nodes=["A", "B"], labels=np.array(labels), k=2)
+
+    def test_assignment_refuses_label_count_other_than_node_count(self):
+        with pytest.raises(ValueError, match="3 group labels for 2 nodes"):
+            GroupAssignment(nodes=["A", "B"], labels=np.array([1, 2, 1]), k=2)
+
+    def test_assignment_refuses_fractional_labels(self):
+        with pytest.raises(ValueError, match="integers"):
+            GroupAssignment(nodes=["A", "B"], labels=np.array([1.0, 2.5]), k=2)
+
+    def test_group_flows_refuses_label_outside_range(self):
+        o, d, w = np.array([0, 1]), np.array([1, 0]), np.array([1.0, 2.0])
+        with pytest.raises(ValueError, match="group label 0 at position 0"):
+            group_flows(o, d, w, np.array([0, 3]), 2)
+
+    @pytest.mark.parametrize("k", [2, 10, 16, 17, 256, 257])
+    def test_compact_cells_equal_int64_formula_bitwise(self, k):
+        """k = 16, 256 and 257 are the last uint8, the last uint16 and the
+        first uint32 cell type; every group occurs at both ends."""
+        rng = np.random.default_rng(k)
+        n, edges = 3 * k, 20 * k
+        labels = np.concatenate([np.arange(1, k + 1), rng.integers(1, k + 1, size=n - k)])
+        o, d = rng.integers(n, size=(2, edges))
+        o[:n], d[:n] = np.arange(n), np.arange(n)[::-1]
+        w = rng.uniform(0.1, 5.0, size=edges)
+        cells = (labels[o] - 1) * k + (labels[d] - 1)
+        for weights in (w, None):
+            expected = np.bincount(cells, weights=weights, minlength=k * k).reshape(k, k)
+            got = group_flows(o, d, weights, labels, k)
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
 
 
 class TestMixingMatrix:

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from segflow.network import Flows, InteractionNetwork
+from segflow.models import purchase_arrays, reshuffle_locations
+from segflow.network import Flows, InteractionNetwork, build_purchase_network, sampling_rate
 from segflow.segregation import (DegenerateMatrixError, assign_groups,
-                                 extremes_sweep, extremes_value, mixing_from_matrix)
-from segflow.stats import (flows_assortativity, gini, jackknife_assortativity,
+                                 extremes_sweep, extremes_value, group_flows,
+                                 mixing_from_matrix)
+from segflow.stats import (_reshuffle_flows, flows_assortativity, gini, jackknife_assortativity,
                            jackknife_extremes_sweep, jackknife_statistic,
                            segregation_inequality_report, write_report_csv)
 from segflow import filter_active_customers, synth
@@ -237,6 +239,21 @@ class TestInequalityReport:
         for earlier, later in zip(shuffle_rows, shuffle_rows[1:]):
             assert later.assortativity_mean <= (earlier.assortativity_mean
                                                 + earlier.assortativity_std)
+
+    def test_reshuffle_flows_equal_event_cell_oracle_bitwise(self, small_city):
+        """A replicate's k x k flows, formed from the groups of customers'
+        homes and stores' neighborhoods, equal bit for bit the flows grouped
+        from every event's home and store neighborhood."""
+        city, events = small_city
+        table, groups = city.table, assign_groups(city.table, k=8)
+        arrays = purchase_arrays(events, table)
+        net = build_purchase_network(events, table)
+        inv_rate = 1.0 / sampling_rate(net.user_counts, table.population)
+        for fraction in (0.2, 1.0):
+            for rep in reshuffle_locations(arrays, fraction, replicates=5, seed=3):
+                i, j = arrays.event_cells(rep.home, rep.loc)
+                oracle = group_flows(i, j, inv_rate[i], groups.labels, groups.k)
+                assert np.array_equal(_reshuffle_flows(arrays, rep, groups, inv_rate), oracle)
 
     def test_groups_of_another_table_rejected(self, small_city):
         city, events = small_city
