@@ -16,13 +16,14 @@ from typing import Sequence
 import numpy as np
 
 from .ingest import NeighborhoodTable, PurchaseLog
-from .network import _BLOCK_ROWS, Flows, InteractionNetwork, _edges, haversine_km
+from .network import Flows, InteractionNetwork, _edges, haversine_km
 from .segregation import (DegenerateMatrixError, GroupAssignment, MixingMatrix, _scored,
                           asymmetry_bias, assortativity, group_flows)
 
 log = logging.getLogger(__name__)
 
 DEFAULT_EPS_GRID = np.round(np.arange(0.0, 2.0 + 1e-9, 0.01), 10)
+_BLOCK_PAIRS = 1 << 15   # (origin, destination) pairs of the law evaluated at a time
 
 
 @dataclass
@@ -157,7 +158,8 @@ def simulate_gravity(params: GravityParams, net: InteractionNetwork) -> Interact
     The result is ``net`` with real-valued raw flows, strictly positive
     wherever both masses are positive and zero elsewhere; table and counts
     are kept.  The law is evaluated only on pairs with both masses nonzero,
-    a block of origins at a time, into edge arrays sized for those pairs.
+    a block of origins of at most ``_BLOCK_PAIRS`` pairs at a time, into
+    edge arrays sized for those pairs.
     eps = 0 is rejected unless the distance is linear: each node is 0 km
     from itself.
     """
@@ -169,10 +171,11 @@ def simulate_gravity(params: GravityParams, net: InteractionNetwork) -> Interact
     a, b = n_o ** params.beta1, n_d ** params.beta2
     origins, dests = np.flatnonzero(a), np.flatnonzero(b)
     size = len(origins) * len(dests)
-    o_out, d_out, w_out = np.empty(size, np.int64), np.empty(size, np.int64), np.empty(size)
+    o_out, d_out, w_out = np.empty(size, np.int32), np.empty(size, np.int32), np.empty(size)
     lat, lon, end = net.table.lat, net.table.lon, 0
-    for start in range(0, len(origins), _BLOCK_ROWS):
-        o = origins[start:start + _BLOCK_ROWS]
+    rows = max(1, _BLOCK_PAIRS // max(len(dests), 1))
+    for start in range(0, len(origins), rows):
+        o = origins[start:start + rows]
         t = haversine_km(lat[o, None], lon[o, None], lat[dests], lon[dests]) + params.epsilon
         kernel = np.exp(-params.alpha * t) if params.linear_distance else t ** (-params.alpha)
         flow = params.c * np.outer(a[o], b[dests]) * kernel
@@ -353,8 +356,10 @@ def adjust_gravity_amounts(
         raise ValueError(f"unknown direction {direction!r}")
     n = arrays.n_neighborhoods
     emp, sim = _edges(empirical_net.flows, n), _edges(simulated_net.flows, n)
-    emp_cells = emp.origin * n + emp.dest
-    sim_w = np.append(sim.weight, 0.0)[_positions(sim.origin * n + sim.dest, emp_cells)]
+    emp_cells = _keys(emp)
+    at = _positions(_keys(sim), emp_cells)    # the simulated keys live for this call only
+    sim_w, hit = np.zeros(emp.size), at < sim.size
+    sim_w[hit] = sim.weight[at[hit]]
     if np.any(sim_w[emp.weight > 0] <= 0):
         raise ValueError("simulated flow is zero on a pair with observed flow")
     cells, j = arrays.event_cells()
@@ -368,9 +373,20 @@ def adjust_gravity_amounts(
     return np.bincount(j, weights=ratio[edge] * arrays.ev_amount, minlength=n)
 
 
+def _keys(f: Flows) -> np.ndarray:
+    """Each edge's cell ``origin * n + dest``, ascending for row-major
+    edges, in int64: in the int32 of the edge indices it overflows once n
+    exceeds 46,340."""
+    keys = f.origin.astype(np.int64)
+    keys *= f.n
+    keys += f.dest
+    return keys
+
+
 def _positions(cells: np.ndarray, query: np.ndarray) -> np.ndarray:
     """Position of each query cell among the sorted ``cells``, or
-    ``len(cells)`` for one that is not among them."""
+    ``len(cells)`` for one that is not among them; ``cells`` is not copied."""
     at = np.searchsorted(cells, query)
-    at[np.append(cells, -1)[at] != query] = len(cells)
+    if len(cells):
+        at[cells.take(at, mode="clip") != query] = len(cells)
     return at

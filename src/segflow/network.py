@@ -29,12 +29,18 @@ _BLOCK_ROWS = 128     # rows (origins) of a block of distances computed at a tim
 class Flows:
     """The nonzero entries of an n x n flow matrix (rows = origin) in
     row-major order, the order of ``np.nonzero``; ``size`` counts them, and
-    a ``Flows`` unpacks as ``origin, dest, weight``."""
+    a ``Flows`` unpacks as ``origin, dest, weight``.  ``origin`` and
+    ``dest`` are int32 and ``weight`` float64: 16 bytes an edge.  A cell
+    key ``origin * n + dest`` needs int64 (see ``models._keys``)."""
 
     origin: np.ndarray
     dest: np.ndarray
     weight: np.ndarray
     n: int
+
+    def __post_init__(self):
+        self.origin = np.asarray(self.origin, dtype=np.int32)
+        self.dest = np.asarray(self.dest, dtype=np.int32)
 
     @property
     def size(self) -> int:
@@ -55,7 +61,9 @@ class Flows:
     def counted(cls, cells: np.ndarray, n: int) -> "Flows":
         """How many times each cell ``origin * n + dest`` occurs."""
         cells, counts = np.unique(cells, return_counts=True)
-        return cls(cells // n, cells % n, counts.astype(float), n)
+        origin, dest = np.empty((2, len(cells)), np.int32)
+        np.divmod(cells, n, out=(origin, dest), casting="unsafe")   # no int64 quotient
+        return cls(origin, dest, counts.astype(float), n)
 
 
 @dataclass
@@ -143,16 +151,16 @@ def population_weight(net: InteractionNetwork) -> InteractionNetwork:
         raise ValueError("population weighting needs the network's user counts")
     if np.any((p == 0) & (m > 0)):
         raise ValueError("inconsistent census: zero population with sampled users")
-    f, rate = net.flows, sampling_rate(m, p)
-    if net.channel == "purchase":
-        involved, scale = f.origin, rate[f.origin]
-    elif net.channel == "mention":
-        involved, scale = np.r_[f.origin, f.dest], rate[f.origin] * rate[f.dest]
-    else:
+    if net.channel not in ("purchase", "mention"):
         raise ValueError(f"unknown channel {net.channel!r}")
-    if np.any(m[involved] == 0):
+    f, rate, unsampled = net.flows, sampling_rate(m, p), m == 0
+    ends = (f.origin,) if net.channel == "purchase" else (f.origin, f.dest)
+    if any(np.any(unsampled[end]) for end in ends):
         raise ValueError(f"zero sampled users in a neighborhood with {net.channel} flow")
-    return replace(net, flows=replace(f, weight=f.weight / scale),
+    scale = rate[f.origin]     # gathered once; the new weights are divided into it
+    if net.channel == "mention":
+        scale *= rate[f.dest]
+    return replace(net, flows=replace(f, weight=np.divide(f.weight, scale, out=scale)),
                    weighting="population_weighted")
 
 
@@ -255,7 +263,7 @@ def read_network(edges_path, header_path, table: NeighborhoodTable) -> Interacti
             if weight != 0:
                 weights[pair] = weight
     pairs = sorted(weights)
-    o, d = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    o, d = np.array(pairs, dtype=np.int32).reshape(-1, 2).T
     flows = Flows(o, d, np.array([weights[p] for p in pairs], dtype=float), table.n)
 
     def arr(key, dtype):

@@ -240,11 +240,15 @@ def segregation_inequality_report(
 
     params = gravity_params or models.fit_gravity(emp_net, eps_grid=eps_grid)
     sim_net = models.simulate_gravity(params, emp_net)
-    jk_sim = jackknife_statistic(population_weight(sim_net).flows, flows_assortativity, groups,
-                                 removal_fraction, jackknife_replicates, seed)
     rev_imposed = models.adjust_gravity_amounts(arrays, emp_net, sim_net,
                                                 direction="simulated_over_actual")
-    del sim_net   # the reshuffle rows below do not read the simulated flows
+    # the weighted flows share the raw edge indices; the raw weights go
+    # before the jackknife, and the flows after it
+    sim_flows = population_weight(sim_net).flows
+    del sim_net
+    jk_sim = jackknife_statistic(sim_flows, flows_assortativity, groups,
+                                 removal_fraction, jackknife_replicates, seed)
+    del sim_flows
     rows.append(InequalityRow(
         label="gravity", fraction=None,
         assortativity_mean=jk_sim.point, assortativity_std=jk_sim.std,

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from segflow.ingest import MentionLog, PurchaseLog
-from segflow.models import GravityParams, simulate_gravity
+from segflow.models import GravityParams, adjust_gravity_amounts, purchase_arrays, simulate_gravity
 from segflow.network import (build_mention_network, build_purchase_network,
                              centroid_distances, population_weight)
 from segflow.segregation import assign_groups, distance_sweep, mixing_matrix
@@ -111,11 +111,39 @@ def test_simulated_gravity_peak_near_its_flows():
     assert peak < 1.75 * held
 
 
+def test_simulated_gravity_holds_16_bytes_an_edge():
+    """Edges index nodes in int32: 4 + 4 + 8 bytes an edge, not 24."""
+    f = simulate_gravity(*simulated_args()).flows
+    assert f.origin.dtype == f.dest.dtype == np.int32
+    assert f.weight.dtype == np.float64
+
+
+def test_gravity_adjustment_holds_one_key_an_edge():
+    """Looking 20,000 purchases up among the ~1.2M simulated edges holds one
+    int64 cell key an edge and no copy of the simulated weights: 10.15 MB,
+    1.05 times 8 bytes an edge.  Keys formed through an int64 product, and
+    keys and weights padded by ``np.append``, peaked at 29.44 MB, 3.05 times."""
+    params, net = simulated_args()
+    sim = simulate_gravity(params, net)
+    rng = np.random.default_rng(5)
+    ids = np.array(TABLE.ids)
+    homes = ids[net.user_counts > 0][rng.integers(np.count_nonzero(net.user_counts), size=3000)]
+    locs = ids[net.store_counts > 0][rng.integers(np.count_nonzero(net.store_counts), size=3000)]
+    log = PurchaseLog.from_rows((f"C{c}", f"S{s}", 10.0, homes[c], locs[s])
+                                for c, s in rng.integers(3000, size=(20000, 2)).tolist())
+    emp, arrays = build_purchase_network(log, TABLE), purchase_arrays(log, TABLE)
+    revenue, peak = peak_bytes(lambda: adjust_gravity_amounts(
+        arrays, emp, sim, direction="simulated_over_actual"))
+    assert revenue.sum() > 0
+    assert peak <= 1.25 * sim.flows.size * 8
+
+
 def test_jackknife_holds_one_byte_cells():
     """The jackknife forms each edge's group cell once and keeps it for every
-    replicate.  Over the simulated flows it peaked at 11.98 MB, 1.24 times
-    8 bytes an edge: uint8 cells plus the intp copy ``np.bincount`` makes of
-    them.  Holding the cells as int64 peaked at 20.86 MB, 2.16 times."""
+    replicate.  Over the simulated flows it peaks at 11.98 MB, 1.24 times
+    8 bytes an edge: the uint8 cells beside the int64 permutation of all
+    edges that each replicate's ``rng.choice`` draws its removals from.
+    Holding the cells as int64 peaked at 20.86 MB, 2.16 times."""
     flows = simulate_gravity(*simulated_args()).flows
     groups = assign_groups(TABLE)
     est, peak = peak_bytes(lambda: jackknife_statistic(flows, flows_assortativity, groups,

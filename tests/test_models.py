@@ -412,6 +412,45 @@ class TestAdjustAmounts:
         with pytest.raises(ValueError, match="direction"):
             adjust_gravity_amounts(arrays, net, net, direction="sideways")
 
+    def test_cells_past_int32_match_int64_reference(self):
+        """On a 50,000-row table the cell ``origin * n + dest`` passes 2**31,
+        beyond the int32 that edges index nodes in; counting events into
+        edges and looking them up among the simulated ones agree with the
+        int64 arithmetic."""
+        n = 50_000
+        table = make_table(n, spacing_deg=1e-5)
+        rows = [n - 1, n - 2, 46_341, 3]
+        pairs = [(0, 1), (0, 1), (1, 0), (2, 3), (3, 2), (0, 0), (2, 1)]
+        log = purchase_log([purchase(f"C{a}", f"S{b}", table.ids[rows[a]], table.ids[rows[b]],
+                                     amount=1.0 + a + 2 * b) for a, b in pairs])
+        emp = build_purchase_network(log, table)
+        cells = np.array([rows[a] * n + rows[b] for a, b in pairs], dtype=np.int64)
+        assert cells.max() > 2 ** 31
+        keys, counts = np.unique(cells, return_counts=True)
+        f = emp.flows
+        assert f.origin.dtype == f.dest.dtype == np.int32
+        assert np.array_equal(f.origin, keys // n) and np.array_equal(f.dest, keys % n)
+        assert np.array_equal(f.weight, counts)
+        counted = Flows.counted(cells, n)
+        assert np.array_equal(counted.origin, keys // n)
+        assert np.array_equal(counted.dest, keys % n)
+
+        # the simulated edges: every empirical one, and some that sort between them
+        sim_keys = np.union1d(keys, [3 * n, 46_341 * n + 46_340, (n - 1) * n, n * n - 2])
+        sim_w = 0.5 + np.arange(sim_keys.size)
+        sim = InteractionNetwork(table=table, flows=Flows(sim_keys // n, sim_keys % n, sim_w, n),
+                                 channel="purchase", weighting="raw")
+        w_hat = dict(zip(sim_keys.tolist(), sim_w.tolist()))
+        w = dict(zip(keys.tolist(), counts.tolist()))
+        arrays = purchase_arrays(log, table)
+        for direction, ratio in (("actual_over_simulated", lambda c: w[c] / w_hat[c]),
+                                 ("simulated_over_actual", lambda c: w_hat[c] / w[c])):
+            oracle = np.zeros(n)
+            for (a, b), c in zip(pairs, cells.tolist()):
+                oracle[rows[b]] += (1.0 + a + 2 * b) * ratio(c)
+            revenue = adjust_gravity_amounts(arrays, emp, sim, direction=direction)
+            assert np.allclose(revenue, oracle, rtol=1e-12, atol=0)
+
 
 def test_reference_parameter_sets_round_trip():
     """Noiseless generate-then-fit recovers each reference parameter set."""

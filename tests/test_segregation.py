@@ -5,7 +5,7 @@ from segflow.ingest import NeighborhoodTable
 from segflow.network import (Flows, InteractionNetwork, build_purchase_network,
                              centroid_distances, population_weight)
 from segflow.segregation import (DegenerateMatrixError, GroupAssignment, MixingMatrix,
-                                 assign_groups, assortativity, asymmetry_bias,
+                                 _cell_sums, assign_groups, assortativity, asymmetry_bias,
                                  asymmetry_sweep, distance_sweep,
                                  extremes_sweep, group_flows, mixing_from_matrix,
                                  mixing_matrix)
@@ -120,6 +120,29 @@ class TestGroupLabels:
             got = group_flows(o, d, weights, labels, k)
             assert got.dtype == expected.dtype
             assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("k", [2, 16, 17, 256, 257])
+@pytest.mark.parametrize("size", [0, 5000])
+def test_cell_sums_equal_bincount_bitwise(k, size):
+    """The cell-sum kernel adds in input order, as ``np.bincount`` does, so
+    the two agree bit for bit on the uint8 (k <= 16), uint16 and uint32
+    cells of every replicate kind, weighted or counted, empty or not.
+    Half the terms fall in the last three cells, whose sums then change with
+    the order of their terms at every k.  Counts stay int64: the jackknife
+    compares them with ``==``.  Sums stay float64 also when there is
+    nothing to sum, where ``np.bincount`` gives int64 zeros, of the same
+    bytes."""
+    rng = np.random.default_rng(size + k)
+    cells = np.where(rng.random(size) < 0.5, rng.integers(k * k, size=size),
+                     rng.integers(k * k - 3, k * k, size=size))
+    cells = cells.astype(np.min_scalar_type(k * k - 1))
+    w = rng.uniform(0, 1, size) * 10.0 ** rng.integers(-3, 3, size)
+    for weights, dtype in ((w, np.float64), (None, np.int64)):
+        expected = np.bincount(cells, weights=weights, minlength=k * k).reshape(k, k)
+        got = _cell_sums(cells, weights, k)
+        assert got.dtype == dtype
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestMixingMatrix:
