@@ -24,7 +24,7 @@ cfg.exploration = 2.5  # status strongly tied to exploration
 city = synth.generate_city(cfg)
 events = filter_active_customers(city.purchases, 10)
 profiles = purchase_profiles(events)
-result = neighborhood_diversity(profiles, city.customer_homes, "purchase", city.table)
+result = neighborhood_diversity(profiles, events.home, "purchase", city.table)
 print(f"{len(result.mean)} neighborhoods with residents, "
       f"{len(result.undefined)} without")
 

@@ -12,7 +12,7 @@ from .ingest import (GeoPostLog, MentionLog, NeighborhoodTable, PurchaseLog,
                      filter_active_customers, infer_home, load_geometry,
                      load_geoposts, load_mentions, load_neighborhoods,
                      load_purchases)
-from .metrics import (NeighborhoodDiversity, individual_diversity,
+from .metrics import (NeighborhoodDiversity, Profiles, individual_diversity,
                       mention_profiles, neighborhood_diversity, pearson,
                       purchase_profiles)
 from .network import (Flows, InteractionNetwork, build_mention_network,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import logging
 import os
 import sys
@@ -22,9 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, metrics, models, network, segregation, stats, synth
-from .ingest import (ValidationError, assign_points_to_neighborhoods, file_sha256,
-                     filter_active_customers, hash_once, infer_home, load_geometry,
-                     load_geoposts, load_mentions, load_neighborhoods,
+from .ingest import (ValidationError, _write_json, assign_points_to_neighborhoods,
+                     file_sha256, filter_active_customers, hash_once, infer_home,
+                     load_geometry, load_geoposts, load_mentions, load_neighborhoods,
                      load_purchases)
 
 DATA_FILES = ("neighborhoods.csv", "geometry.json", "purchases.csv",
@@ -113,9 +112,7 @@ def _write_manifest(out: Path, command: str, cfg: dict, inputs: list[Path],
         "inputs": {p.name: file_sha256(p) for p in inputs if p.exists()},
         "outputs": sorted(outputs),
     }
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "manifest.json", manifest)
 
 
 def _load_purchases(cfg: dict):
@@ -191,16 +188,9 @@ def cmd_ingest(cfg, out: Path) -> list[str]:
             writer.writerow(["user_id", "neighborhood_id"])
             writer.writerows(sorted(homes.items()))
         outputs.append("homes.csv")
-    with open(out / "ingest_report.json", "w") as fh:
-        json.dump(report, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "ingest_report.json", report)
     outputs.append("ingest_report.json")
     return outputs
-
-
-def _placed(pairs, table) -> dict:
-    """The (person, home) pairs whose home is in the table, as a dict."""
-    return {person: home for person, home in pairs if home in table.index}
 
 
 def cmd_diversity(cfg, out: Path) -> list[str]:
@@ -208,15 +198,13 @@ def cmd_diversity(cfg, out: Path) -> list[str]:
     mentions, homes, _ = _mentions(cfg)
     results = []
     if purchases:
-        customer_homes = _placed(zip(purchases.customer_ids, purchases.home), table)
-        if customer_homes:
-            results.append(metrics.neighborhood_diversity(
-                metrics.purchase_profiles(purchases), customer_homes, "purchase", table))
-    homes = _placed(homes.items(), table)
+        results.append(metrics.neighborhood_diversity(
+            metrics.purchase_profiles(purchases), purchases.home, "purchase", table))
     if mentions and homes:
         results.append(metrics.neighborhood_diversity(
-            metrics.mention_profiles(mentions), homes, "mention", table))
-    if not results:
+            metrics.mention_profiles(mentions), list(map(homes.get, mentions.user_ids)),
+            "mention", table))
+    if not any(res.residents for res in results):
         raise ValidationError("no event data for diversity")
     metrics.write_diversity_csv(results, out / "diversity.csv")
     return ["diversity.csv"]
@@ -298,9 +286,7 @@ def cmd_gravity(cfg, out: Path) -> list[str]:
         params = models.fit_gravity(raw, eps_grid=eps_grid,
                                     linear_distance=cfg["linear_distance"])
         name = f"gravity_{channel}.json"
-        with open(out / name, "w") as fh:
-            json.dump(params.as_dict(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        _write_json(out / name, params.as_dict())
         outputs.append(name)
     return outputs
 
@@ -335,9 +321,7 @@ def cmd_jackknife(cfg, out: Path) -> list[str]:
                    "ci_high": est.ci_high, "std": est.std,
                    "replicates": est.replicates, "discarded": est.discarded,
                    "removal_fraction": est.removal_fraction}
-        with open(out / name, "w") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        _write_json(out / name, payload)
         outputs.append(name)
     return outputs
 

@@ -295,7 +295,7 @@ def _read_chunks(path, required: Sequence[str], optional: Sequence[str] = ()
     missing from a short row or from an absent optional column reads as "".
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(path, fh)
         header = next(reader, [])
         missing = [c for c in required if c not in header]
         if missing:
@@ -315,6 +315,18 @@ def _read_chunks(path, required: Sequence[str], optional: Sequence[str] = ()
             columns.update((c, ("",) * len(rows)) for c in optional if c not in position)
             yield start, columns
             start += len(rows)
+
+
+def _csv_rows(path, fh) -> Iterator[list[str]]:
+    """The rows of ``csv.reader(fh)``; a row it cannot read, or bytes that
+    do not decode, is a ValidationError naming ``path``."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValidationError(f"{path}: line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not {exc.encoding} text: {exc.reason}") from None
 
 
 def _line_of(path, row: int) -> int:
@@ -468,6 +480,13 @@ def _sha256(path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def _write_json(path, value) -> None:
+    """Write ``value`` as every JSON artifact is written: sorted, indent 1, a final newline."""
+    with open(path, "w") as fh:
+        json.dump(value, fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 T = TypeVar("T")
@@ -683,28 +702,42 @@ def load_geometry(path) -> dict[str, list[np.ndarray]]:
 
 
 def _parse_geometry(path) -> dict[str, list[np.ndarray]]:
-    with open(path) as fh:
-        raw = json.load(fh)
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}: line {exc.lineno}: {exc.msg}") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not {exc.encoding} text: {exc.reason}") from None
+    if not isinstance(raw, dict):
+        raise ValidationError(f"{path}: expected an object of polygons by neighborhood_id, "
+                              f"got {type(raw).__name__}")
     geometry = {}
+
+    def malformed(nid: str, problem: str) -> ValidationError:
+        # an unclosed ring in an earlier polygon is named first
+        _check_closed(path, geometry)
+        return ValidationError(f"{path}: malformed polygon for {nid!r}: {problem}")
+
     for nid, rings in raw.items():
         if not isinstance(rings, list) or not rings:
-            _check_closed(geometry)
-            raise ValidationError(f"malformed polygon for {nid!r}: no rings")
+            raise malformed(nid, "no rings")
         geometry[nid] = parsed = []
         for ring in rings:
-            arr = np.asarray(ring, dtype=float)
+            try:
+                arr = np.asarray(ring, dtype=float)
+            except (TypeError, ValueError, OverflowError):
+                raise malformed(nid, "a vertex is not a pair of numbers") from None
             if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 4:
-                _check_closed(geometry)
-                raise ValidationError(f"malformed polygon for {nid!r}: ring too short")
+                raise malformed(nid, "ring too short")
             if not np.isfinite(arr).all():  # json reads NaN and Infinity
-                _check_closed(geometry)
-                raise ValidationError(f"malformed polygon for {nid!r}: non-finite vertex")
+                raise malformed(nid, "non-finite vertex")
             parsed.append(arr)
-    _check_closed(geometry)
+    _check_closed(path, geometry)
     return geometry
 
 
-def _check_closed(geometry: Mapping[str, list[np.ndarray]]) -> None:
+def _check_closed(path, geometry: Mapping[str, list[np.ndarray]]) -> None:
     """Name the first polygon with a ring whose last vertex is not
     ``np.allclose`` to its first."""
     owners = [nid for nid, rings in geometry.items() for _ in rings]
@@ -713,7 +746,7 @@ def _check_closed(geometry: Mapping[str, list[np.ndarray]]) -> None:
     ends = np.array([(ring[0], ring[-1]) for rings in geometry.values() for ring in rings])
     closed = np.isclose(ends[:, 0], ends[:, 1]).all(axis=1)
     if not closed.all():
-        raise ValidationError(f"malformed polygon for {owners[np.argmin(closed)]!r}: "
+        raise ValidationError(f"{path}: malformed polygon for {owners[np.argmin(closed)]!r}: "
                               "ring not closed")
 
 

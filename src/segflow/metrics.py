@@ -8,7 +8,6 @@ residents of each neighborhood.
 from __future__ import annotations
 
 import csv
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -38,29 +37,41 @@ def individual_diversity(counts) -> float:
     return abs(float((p * np.log(p)).sum()))
 
 
-def purchase_profiles(events: PurchaseLog) -> dict[str, dict[str, int]]:
-    """Per-customer store visit counts, customers and their stores in
-    first-seen order."""
+@dataclass(eq=False)
+class Profiles:
+    """Each person's count per target, one entry per (person, target) pair,
+    as codes into ``person_ids`` and ``target_ids``.  Pairs are grouped by
+    person, persons and each one's targets in first-seen order, which fixes
+    the order of every float sum over them."""
+
+    person_ids: Sequence[str]
+    target_ids: Sequence[str]
+    person: np.ndarray
+    target: np.ndarray
+    count: np.ndarray
+
+
+def purchase_profiles(events: PurchaseLog) -> Profiles:
+    """Per-customer store visit counts."""
     return _profiles(events.customer, events.store, events.customer_ids, events.store_ids)
 
 
-def mention_profiles(mentions: MentionLog) -> dict[str, dict[str, int]]:
-    """Per-user mention-target counts, users and targets in first-seen order."""
+def mention_profiles(mentions: MentionLog) -> Profiles:
+    """Per-user mention-target counts."""
     return _profiles(mentions.source, mentions.target, mentions.user_ids, mentions.user_ids)
 
 
 def _profiles(person: np.ndarray, target: np.ndarray, person_ids: Sequence[str],
-              target_ids: Sequence[str]) -> dict[str, dict[str, int]]:
-    """Each person's count per target, persons and each one's targets in
-    first-seen order, which fixes the order of every float sum over them."""
-    pairs, first, counts = np.unique(person * len(target_ids) + target,
-                                     return_index=True, return_counts=True)
-    order = np.argsort(first)
-    person, target = np.divmod(pairs[order], len(target_ids))
-    profiles: dict[str, dict[str, int]] = {}
-    for p, t, count in zip(person.tolist(), target.tolist(), counts[order].tolist()):
-        profiles.setdefault(person_ids[p], {})[target_ids[t]] = count
-    return profiles
+              target_ids: Sequence[str]) -> Profiles:
+    pairs, first, count = np.unique(person * len(target_ids) + target,
+                                    return_index=True, return_counts=True)
+    person, target = np.divmod(pairs, len(target_ids))    # grouped by person code
+    starts = np.flatnonzero(np.diff(person, prepend=-1))
+    seen = np.repeat(np.minimum.reduceat(first, starts), np.diff(starts, append=len(pairs)))
+    # a person's code need not be first-seen among persons: a mention's
+    # target is interned before it is ever a source
+    order = np.lexsort((first, seen))
+    return Profiles(person_ids, target_ids, person[order], target[order], count[order])
 
 
 @dataclass
@@ -75,34 +86,39 @@ class NeighborhoodDiversity:
 
 
 def neighborhood_diversity(
-    profiles: Mapping[str, Mapping[str, int]],
-    homes: Mapping[str, str],
+    profiles: Profiles,
+    homes: Sequence[str | None],
     channel: str,
-    table: NeighborhoodTable | None = None,
+    table: NeighborhoodTable,
 ) -> NeighborhoodDiversity:
     """Average individual diversity over the residents of each neighborhood.
 
-    Individuals without a home assignment are skipped and counted.  When a
-    table is supplied, neighborhoods with zero profiled residents are
-    flagged as undefined rather than reported as zero.
+    ``homes`` gives the home neighborhood id of each of
+    ``profiles.person_ids``.  Profiled persons whose home is None or not in
+    ``table`` are skipped and counted.  Neighborhoods with zero profiled
+    residents are flagged as undefined rather than reported as zero.
     """
-    sums: dict[str, float] = defaultdict(float)
-    counts: dict[str, int] = defaultdict(int)
-    skipped = 0
-    for person, target_counts in profiles.items():
-        home = homes.get(person)
-        if home is None:
-            skipped += 1
-            continue
-        sums[home] += individual_diversity(target_counts)
-        counts[home] += 1
-    mean = {nid: sums[nid] / counts[nid] for nid in counts}
-    undefined = []
-    if table is not None:
-        undefined = [nid for nid in table.ids if nid not in counts]
-    return NeighborhoodDiversity(channel=channel, mean=mean,
-                                 residents=dict(counts), skipped=skipped,
-                                 undefined=undefined)
+    starts = np.flatnonzero(np.diff(profiles.person, prepend=-1))
+    sizes = np.diff(starts, append=len(profiles.person))
+    p = profiles.count / np.repeat(np.add.reduceat(profiles.count, starts), sizes)
+    terms = p * np.log(p)
+    # each entropy equals ``individual_diversity`` bit for bit: the terms of
+    # the persons with m targets are summed as the rows of one (persons, m)
+    # block, pairwise per row as numpy sums one person's terms; abs folds -0.0
+    entropy = np.empty(len(starts))
+    for m in np.unique(sizes).tolist():
+        which = np.flatnonzero(sizes == m)
+        entropy[which] = np.abs(terms[starts[which, None] + np.arange(m)].sum(axis=1))
+    row = table.rows(homes)[profiles.person[starts]]
+    placed = row >= 0
+    residents = np.bincount(row[placed], minlength=table.n)
+    sums = np.bincount(row[placed], weights=entropy[placed], minlength=table.n)
+    homed = np.flatnonzero(residents)
+    ids = [table.ids[i] for i in homed.tolist()]
+    return NeighborhoodDiversity(
+        channel=channel, mean=dict(zip(ids, (sums[homed] / residents[homed]).tolist())),
+        residents=dict(zip(ids, residents[homed].tolist())), skipped=int((~placed).sum()),
+        undefined=[table.ids[i] for i in np.flatnonzero(residents == 0).tolist()])
 
 
 def pearson(x, y, weights=None) -> float:

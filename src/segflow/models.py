@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .ingest import NeighborhoodTable, PurchaseLog
-from .network import Flows, InteractionNetwork, _edges, haversine_km
+from .network import Flows, InteractionNetwork, _sized, haversine_km
 from .segregation import (DegenerateMatrixError, GroupAssignment, MixingMatrix, _scored,
                           asymmetry_bias, assortativity, group_flows)
 
@@ -80,7 +80,7 @@ def fit_gravity(
     if not np.all(np.isfinite(grid) & (grid >= 0)):
         raise ValueError("eps_grid values must be finite and non-negative")
     n_o, n_d = _masses(net)
-    rows, cols, w = _edges(net.flows, net.n)
+    rows, cols, w = net.flows
     if not np.all(np.isfinite(w) & (w > 0)):
         raise ValueError("flows must be finite and non-negative")
     n_pos = len(w)
@@ -226,7 +226,7 @@ def null_shuffle_ses(
     Replicate i draws its permutation from a stream derived from (seed, i),
     so results are reproducible and order-independent.
     """
-    o, d, w = _edges(_scored(net, groups), net.n)
+    o, d, w = _scored(net, groups)
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
     r_vals, bias_vals = [], []
@@ -355,7 +355,7 @@ def adjust_gravity_amounts(
     if direction not in ("actual_over_simulated", "simulated_over_actual"):
         raise ValueError(f"unknown direction {direction!r}")
     n = arrays.n_neighborhoods
-    emp, sim = _edges(empirical_net.flows, n), _edges(simulated_net.flows, n)
+    emp, sim = _sized(empirical_net.flows, n), _sized(simulated_net.flows, n)
     emp_cells = _keys(emp)
     at = _positions(_keys(sim), emp_cells)    # the simulated keys live for this call only
     sim_w, hit = np.zeros(emp.size), at < sim.size

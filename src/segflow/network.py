@@ -19,7 +19,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .ingest import MentionLog, NeighborhoodTable, PurchaseLog
+from .ingest import MentionLog, NeighborhoodTable, PurchaseLog, _write_json
 
 EARTH_RADIUS_KM = 6371.0
 _BLOCK_ROWS = 128     # rows (origins) of a block of distances computed at a time
@@ -77,6 +77,9 @@ class InteractionNetwork:
     dropped_events: int = 0
     simulated: bool = False
 
+    def __post_init__(self):
+        _sized(self.flows, self.table.n)
+
     @property
     def nodes(self) -> list[str]:
         return self.table.ids
@@ -95,6 +98,13 @@ class InteractionNetwork:
 
     def total_weight(self) -> float:
         return float(self.flows.weight.sum())
+
+
+def _sized(flows: Flows, n: int) -> Flows:
+    """``flows``, once shown to be n x n."""
+    if flows.n != n:
+        raise ValueError(f"flow matrix is {flows.n}x{flows.n}, not {n}x{n}")
+    return flows
 
 
 def build_purchase_network(events: PurchaseLog, table: NeighborhoodTable) -> InteractionNetwork:
@@ -197,15 +207,6 @@ def haversine_km(lat1, lon1, lat2, lon2) -> np.ndarray:
     return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
 
 
-def _edges(W: Flows | np.ndarray, n: int) -> Flows:
-    """The edges of W once W is shown to be n x n: a ``Flows`` as it is, a
-    dense matrix through ``Flows.from_matrix``."""
-    shape = (W.n, W.n) if isinstance(W, Flows) else np.shape(W)
-    if shape != (n, n):
-        raise ValueError(f"flow matrix is {'x'.join(map(str, shape))}, not {n}x{n}")
-    return W if isinstance(W, Flows) else Flows.from_matrix(W)
-
-
 def _whole(values, field: str) -> list[int] | None:
     """``values`` as ints; one that ``int`` would truncate is refused."""
     if values is not None and not all(float(v).is_integer() for v in values):
@@ -230,11 +231,9 @@ def write_network(net: InteractionNetwork, edges_path, header_path) -> None:
     with open(edges_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["origin_id", "dest_id", "weight"])
-        for i, j, w in zip(*(a.tolist() for a in _edges(net.flows, net.n))):
+        for i, j, w in zip(*(a.tolist() for a in net.flows)):
             writer.writerow([net.nodes[i], net.nodes[j], repr(float(w))])
-    with open(header_path, "w") as fh:
-        json.dump(header, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(header_path, header)
 
 
 def read_network(edges_path, header_path, table: NeighborhoodTable) -> InteractionNetwork:

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .ingest import NeighborhoodTable
-from .network import Flows, InteractionNetwork, _distance_blocks, _edges, haversine_km
+from .network import Flows, InteractionNetwork, _distance_blocks, _sized, haversine_km
 
 
 class DegenerateMatrixError(ValueError):
@@ -141,10 +141,9 @@ def _scored(net: InteractionNetwork, groups: GroupAssignment) -> Flows:
     return net.flows
 
 
-def mixing_from_matrix(W: Flows | np.ndarray, groups: GroupAssignment) -> MixingMatrix:
-    """Aggregate n x n flows, raw or weighted, edges or a dense matrix, into
-    group space."""
-    o, d, w = _edges(W, len(groups.nodes))
+def mixing_from_matrix(W: Flows, groups: GroupAssignment) -> MixingMatrix:
+    """Aggregate the edges of n x n flows, raw or weighted, into group space."""
+    o, d, w = _sized(W, len(groups.nodes))
     return MixingMatrix.from_flows(group_flows(o, d, w, groups.labels, groups.k))
 
 
@@ -278,7 +277,7 @@ def distance_sweep(
     ``default_thresholds(net.table)``.
     A side with no remaining mass or no variance is flagged invalid.
     """
-    i, j, w = _edges(_scored(net, groups), net.n)
+    i, j, w = _scored(net, groups)
     if thresholds is None:
         thresholds = default_thresholds(net.table)
     thresholds = [float(d) for d in thresholds]

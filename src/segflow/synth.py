@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ingest import GeoPostLog, MentionLog, NeighborhoodTable, PurchaseLog
+from .ingest import GeoPostLog, MentionLog, NeighborhoodTable, PurchaseLog, _write_json
 from .models import GravityParams
 from .network import EARTH_RADIUS_KM
 
@@ -220,10 +220,11 @@ def generate_city(cfg: SynthConfig) -> SynthCity:
         cfg.n_purchase_events)
     amounts = np.round(rng.lognormal(3.0, 0.6, ev_i.size), 2)
     purchase_times = _event_times(rng, rng.integers(9, 22, ev_i.size))
-    purchases = PurchaseLog.from_rows(
-        (customer_ids[c], store_ids[s], a, table.ids[i], table.ids[j])
-        for c, s, a, i, j in zip(cust.tolist(), store.tolist(), amounts.tolist(),
-                                 ev_i.tolist(), ev_j.tolist()))
+    ids = np.array(table.ids)
+    # select renumbers the customers and stores with an event in first-seen order
+    purchases = PurchaseLog(customer_ids, store_ids, ids[customer_nbhd].tolist(),
+                            ids[np.repeat(np.arange(n), store_counts)].tolist(),
+                            cust, store, amounts).select(np.ones(ev_i.size, dtype=bool))
 
     ev_i, ev_j, src, dst, scale_t = _draw_events(
         rng, cfg, cfg.mention_gravity, twitter_counts, twitter_counts, dist, u,
@@ -372,8 +373,5 @@ def write_city(city: SynthCity, outdir) -> dict[str, str]:
             fh.write(f"{posts.user_ids[u]},{lat!r},{lon!r},{ts}\n")
 
     paths["truth"] = str(outdir / "truth.json")
-    with open(paths["truth"], "w") as fh:
-        json.dump({"config": asdict(city.config), "truth": city.truth},
-                  fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(paths["truth"], {"config": asdict(city.config), "truth": city.truth})
     return paths

@@ -79,6 +79,16 @@ def mention_log(events):
     return MentionLog.from_rows(events)
 
 
+def profile_dict(profiles) -> dict[str, dict[str, int]]:
+    """A ``metrics.Profiles`` as person id -> {target id: count}, both in
+    the order the arrays hold them."""
+    view = {}
+    for p, t, count in zip(*(a.tolist() for a in (profiles.person, profiles.target,
+                                                  profiles.count))):
+        view.setdefault(profiles.person_ids[p], {})[profiles.target_ids[t]] = count
+    return view
+
+
 def post(user, lon, lat, hour=22):
     """One geoposts.csv row, in the column order of ``GeoPostLog.from_rows``."""
     return (user, lat, lon, hour)

@@ -59,7 +59,7 @@ def groups_for_k(k):
 
 
 def r_of_e(e):
-    mix = mixing_from_matrix(np.asarray(e, float), groups_for_k(e.shape[0]))
+    mix = mixing_from_matrix(Flows.from_matrix(np.asarray(e, float)), groups_for_k(e.shape[0]))
     return assortativity(mix)
 
 
@@ -318,7 +318,7 @@ def test_criterion_12_population_weighting_invariance():
         events.append(purchase(f"C{k % 60}-N{h}", f"S{s}-N{loc}", f"N{h:02d}", f"N{loc:02d}"))
     net = build_purchase_network(purchase_log(events), table)
     groups = assign_groups(table, k=10)
-    r_raw = assortativity(mixing_from_matrix(net.W, groups))
+    r_raw = assortativity(mixing_from_matrix(Flows.from_matrix(net.W), groups))
     uniform_users = np.full(30, 25)  # m_i / p_i identical everywhere
     weighted = population_weight(replace(net, user_counts=uniform_users))
     r_weighted = assortativity(mixing_matrix(weighted, groups))

@@ -125,6 +125,46 @@ class TestDeterminism:
         assert runs[0] == runs[1]
 
 
+SQUARE = "[[0,0],[1,0],[1,1],[0,1],[0,0]]"
+VALID_CITY = {
+    "neighborhoods.csv": "neighborhood_id,lat,lon,population,ses\nA,0.5,0.5,500,20\n",
+    "geometry.json": f'{{"A": [{SQUARE}]}}',
+    "geoposts.csv": "user_id,lat,lon,timestamp\nu1,0.5,0.5,2013-05-01T23:00:00\n",
+    "mentions.csv": "source_user,target_user,timestamp\nu1,u2,2013-05-01T12:00:00\n",
+    "purchases.csv": "customer_id,store_id,timestamp,amount\nC1,S1,2013-05-01T12:00:00,5\n",
+}
+LONG_CELL = "x" * (csv.field_size_limit() + 1)
+# each way to break one input file: (file, its bytes, the message after "<path>: ")
+MALFORMED = {
+    "geometry list": ("geometry.json", b"[]",
+                      "expected an object of polygons by neighborhood_id, got list"),
+    "geometry string": ("geometry.json", b'"A"',
+                        "expected an object of polygons by neighborhood_id, got str"),
+    "object vertex": ("geometry.json", b'{"A": [[[0,0],{"x": 1},[1,1],[0,1],[0,0]]]}',
+                      "malformed polygon for 'A': a vertex is not a pair of numbers"),
+    "string vertex": ("geometry.json", b'{"A": [[[0,0],["a",0],[1,1],[0,1],[0,0]]]}',
+                      "malformed polygon for 'A': a vertex is not a pair of numbers"),
+    "ragged vertex": ("geometry.json", b'{"A": [[[0,0],[1],[1,1],[0,1],[0,0]]]}',
+                      "malformed polygon for 'A': a vertex is not a pair of numbers"),
+    "json syntax": ("geometry.json", b'{"A": [\n[[0,0],', "line 2: Expecting value"),
+    "no rings": ("geometry.json", b'{"A": []}', "malformed polygon for 'A': no rings"),
+    "short ring": ("geometry.json", b'{"A": [[[0,0],[1,0],[0,0]]]}',
+                   "malformed polygon for 'A': ring too short"),
+    "NaN vertex": ("geometry.json", b'{"A": [[[0,0],[1,0],[1,NaN],[0,1],[0,0]]]}',
+                   "malformed polygon for 'A': non-finite vertex"),
+    "open ring": ("geometry.json", b'{"A": [[[0,0],[1,0],[1,1],[0,1]]]}',
+                  "malformed polygon for 'A': ring not closed"),
+    "geometry bytes": ("geometry.json", b'{"A": [], "\xff": 1}',
+                       "not utf-8 text: invalid start byte"),
+    **{f"{name} long cell": (name, (VALID_CITY[name] + LONG_CELL + "\n").encode(),
+                             "line 3: field larger than field limit")
+       for name in ("neighborhoods.csv", "geoposts.csv", "mentions.csv", "purchases.csv")},
+    **{f"{name} bytes": (name, VALID_CITY[name].encode() + b"\xff\n",
+                         "not utf-8 text: invalid start byte")
+       for name in ("neighborhoods.csv", "geoposts.csv", "mentions.csv", "purchases.csv")},
+}
+
+
 class TestErrors:
     def test_unknown_flag_exits_one(self, capsys):
         assert main(["mixing", "--out", "/tmp/x", "--bogus-flag", "1"]) == 1
@@ -197,8 +237,19 @@ class TestErrors:
         (data / "geoposts.csv").write_text("user_id,lat,lon,timestamp\n"
                                            "u1,0.5,0.5,2013-05-01T23:00:00\n")
         assert main(["ingest", "--data", str(data), "--out", str(tmp_path / "out")]) == 1
-        assert ("error: malformed polygon for 'A': non-finite vertex"
+        assert (f"error: {data / 'geometry.json'}: malformed polygon for 'A': non-finite vertex"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_input_exits_one_naming_its_file(self, tmp_path, capsys, case):
+        name, content, message = MALFORMED[case]
+        data = tmp_path / "city"
+        data.mkdir()
+        for file, text in VALID_CITY.items():
+            (data / file).write_text(text)
+        (data / name).write_bytes(content)
+        assert main(["ingest", "--data", str(data), "--out", str(tmp_path / "out")]) == 1
+        assert f"error: {data / name}: {message}" in capsys.readouterr().err
 
     def test_internal_error_exits_two(self, tmp_path, monkeypatch):
         def boom(cfg, out):

@@ -21,7 +21,7 @@ from segflow.metrics import mention_profiles
 from segflow.network import build_mention_network
 
 import ingest_reference as reference
-from conftest import homes_of, localize, make_table, mention_log
+from conftest import homes_of, localize, make_table, mention_log, profile_dict
 
 # ids need quoting: commas, quotes and newlines inside a field
 IDS = st.text(alphabet='ab ,"\n', min_size=1, max_size=4)
@@ -240,7 +240,7 @@ def test_mention_network_matches_loop_reference(mentions, homes):
 @settings(max_examples=100, deadline=None)
 def test_mention_profiles_match_loop_reference(mentions):
     """Same counts in the same order: users and each user's targets first-seen."""
-    profiles = mention_profiles(mention_log(mentions))
+    profiles = profile_dict(mention_profiles(mention_log(mentions)))
     expected = reference.mention_profiles(mentions)
     assert [(u, list(c.items())) for u, c in profiles.items()] \
         == [(u, list(c.items())) for u, c in expected.items()]
@@ -262,7 +262,7 @@ def test_unclosed_ring_names_its_polygon(tmp_path, geometry, message):
     path.write_text(json.dumps(geometry))
     with pytest.raises(ingest.ValidationError) as err:
         load_geometry(path)
-    assert str(err.value) == message
+    assert str(err.value) == f"{path}: {message}"
 
 
 def renumbered_by_sort(codes: np.ndarray, ids: list, places: list):

@@ -3,13 +3,15 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from segflow.metrics import (individual_diversity, mention_profiles,
+from segflow.ingest import NeighborhoodTable
+from segflow.metrics import (Profiles, individual_diversity, mention_profiles,
                              neighborhood_diversity, pearson,
                              purchase_profiles)
 
-from conftest import make_table, mention, mention_log, purchase, purchase_log
+import ingest_reference as reference
+from conftest import make_table, mention, mention_log, profile_dict, purchase, purchase_log
 
 counts_strategy = st.lists(st.integers(min_value=1, max_value=50), min_size=1, max_size=12)
 
@@ -73,7 +75,7 @@ class TestProfiles:
     def test_purchase_profiles(self):
         events = [purchase("C1", "S1", "N00", "N01"), purchase("C1", "S1", "N00", "N01"),
                   purchase("C1", "S2", "N00", "N01"), purchase("C2", "S3", "N01", "N00")]
-        profiles = purchase_profiles(purchase_log(events))
+        profiles = profile_dict(purchase_profiles(purchase_log(events)))
         assert profiles["C1"] == {"S1": 2, "S2": 1}
         assert profiles["C2"] == {"S3": 1}
 
@@ -85,14 +87,83 @@ class TestProfiles:
         oracle = {}
         for e in events:
             oracle.setdefault(e.customer_id, Counter())[e.store_id] += 1
-        profiles = purchase_profiles(purchase_log(events))
+        profiles = profile_dict(purchase_profiles(purchase_log(events)))
         assert list(profiles) == list(oracle)
         for customer, counts in oracle.items():
             assert list(profiles[customer].items()) == list(counts.items())
 
     def test_mention_profiles(self):
         events = [mention("u1", "u2"), mention("u1", "u2"), mention("u1", "u3")]
-        assert mention_profiles(mention_log(events))["u1"] == {"u2": 2, "u3": 1}
+        assert profile_dict(mention_profiles(mention_log(events)))["u1"] == {"u2": 2, "u3": 1}
+
+
+def table_of(ids) -> NeighborhoodTable:
+    n = len(ids)
+    return NeighborhoodTable(list(ids), np.zeros(n), np.zeros(n), np.full(n, 1000), np.zeros(n))
+
+
+def diversity(view, homes, table=None):
+    """``neighborhood_diversity`` of person -> {target: count} profiles and a
+    person -> home dict, over ``table`` or one of the homes named."""
+    targets = list(dict.fromkeys(t for counts in view.values() for t in counts))
+    pairs = [(p, targets.index(t), c)
+             for p, counts in enumerate(view.values()) for t, c in counts.items()]
+    person, target, count = np.array(pairs, dtype=np.int64).reshape(-1, 3).T
+    if table is None:
+        table = table_of(sorted(set(homes.values())))
+    return neighborhood_diversity(Profiles(list(view), targets, person, target, count),
+                                  [homes.get(p) for p in view], "purchase", table)
+
+
+def reference_diversity(view, homes, table):
+    """The dict path: each placed person's ``individual_diversity``, summed
+    per home in person order, then divided by the home's residents."""
+    sums, counts, skipped = {}, {}, 0
+    for person, target_counts in view.items():
+        home = homes.get(person)
+        if home not in table.index:
+            skipped += 1
+            continue
+        sums[home] = sums.get(home, 0.0) + individual_diversity(target_counts)
+        counts[home] = counts.get(home, 0) + 1
+    return ({nid: sums[nid] / counts[nid] for nid in counts}, counts, skipped,
+            [nid for nid in table.ids if nid not in counts])
+
+
+@st.composite
+def mention_cities(draw):
+    """Mention rows whose 1 to 6 sources each reach 1 to 9 or 120 to 300
+    distinct users, in shuffled order, so a source is often first seen as
+    another's target; and each source's home: a table neighborhood, "N99"
+    (outside the table) or none."""
+    sizes = draw(st.lists(st.one_of(st.integers(1, 9), st.integers(120, 300)),
+                          min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = []
+    for source, m in enumerate(sizes):
+        targets = rng.choice(np.delete(np.arange(400), source), m, replace=False)
+        rows += [(f"u{source}", f"u{t}") for t in np.repeat(targets, rng.integers(1, 6, m))]
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    places = ["N00", "N01", "N02", "N99", None]
+    homes = {f"u{source}": places[i] for source, i in enumerate(rng.integers(5, size=len(sizes)))
+             if places[i]}
+    return rows, homes
+
+
+@given(mention_cities())
+@settings(max_examples=60, deadline=None)
+def test_neighborhood_diversity_equals_dict_path_bitwise(city):
+    rows, homes = city
+    table = make_table(3)
+    log = mention_log(rows)
+    got = neighborhood_diversity(mention_profiles(log), [homes.get(u) for u in log.user_ids],
+                                 "mention", table)
+    mean, residents, skipped, undefined = reference_diversity(
+        reference.mention_profiles(rows), homes, table)
+    assert {nid: v.hex() for nid, v in got.mean.items()} == {
+        nid: v.hex() for nid, v in mean.items()}
+    assert got.residents == residents
+    assert (got.skipped, got.undefined) == (skipped, undefined)
 
 
 class TestNeighborhoodDiversity:
@@ -100,19 +171,18 @@ class TestNeighborhoodDiversity:
         # entropies: uniform over 2 -> ln 2; compose residents with known values
         profiles = {"p1": {"A": 1, "B": 1}, "p2": {"A": 1}}
         homes = {"p1": "N00", "p2": "N00"}
-        result = neighborhood_diversity(profiles, homes, "purchase")
+        result = diversity(profiles, homes)
         assert result.mean["N00"] == pytest.approx(math.log(2) / 2)
         assert result.residents["N00"] == 2
 
     def test_zero_residents_flagged_not_zero(self):
         table = make_table(3)
-        result = neighborhood_diversity({"p1": {"A": 1}}, {"p1": "N00"}, "purchase", table)
+        result = diversity({"p1": {"A": 1}}, {"p1": "N00"}, table)
         assert "N01" in result.undefined and "N02" in result.undefined
         assert "N01" not in result.mean
 
     def test_missing_home_skipped_and_counted(self):
-        result = neighborhood_diversity({"p1": {"A": 1}, "p2": {"B": 1}},
-                                        {"p1": "N00"}, "purchase")
+        result = diversity({"p1": {"A": 1}, "p2": {"B": 1}}, {"p1": "N00"})
         assert result.skipped == 1
 
     def test_three_by_two_fixture_matches_oracle(self):
@@ -122,7 +192,7 @@ class TestNeighborhoodDiversity:
             "c1": {"s1": 4}, "c2": {"s2": 1, "s3": 3},
         }
         homes = {"a1": "NA", "a2": "NA", "b1": "NB", "b2": "NB", "c1": "NC", "c2": "NC"}
-        result = neighborhood_diversity(profiles, homes, "purchase")
+        result = diversity(profiles, homes)
 
         def entropy(counts):
             p = np.array(counts, float)

@@ -181,8 +181,8 @@ class TestSimulateGravity:
         sim2 = simulate_gravity(double, gravity_net(table, n_o, n_d))
         assert np.allclose(sim2.W, 2.0 * sim1.W)
         groups = assign_groups(table, k=7)
-        r1 = assortativity(mixing_from_matrix(sim1.W, groups))
-        r2 = assortativity(mixing_from_matrix(sim2.W, groups))
+        r1 = assortativity(mixing_from_matrix(Flows.from_matrix(sim1.W), groups))
+        r2 = assortativity(mixing_from_matrix(Flows.from_matrix(sim2.W), groups))
         assert abs(r1 - r2) <= 1e-12
 
     def test_everywhere_positive(self, geometry):

@@ -183,7 +183,7 @@ class TestPopulationWeight:
         weighted = population_weight(replace(net, user_counts=m_uniform))
         assert np.allclose(weighted.W, net.W * 100.0)
         groups = assign_groups(table, k=4)
-        r_raw = assortativity(mixing_from_matrix(net.W, groups))
+        r_raw = assortativity(mixing_from_matrix(Flows.from_matrix(net.W), groups))
         r_weighted = assortativity(mixing_matrix(weighted, groups))
         assert abs(r_raw - r_weighted) <= 1e-12
 

@@ -92,10 +92,11 @@ def test_no_analysis_takes_what_its_network_carries():
 
 SLICE = WEIGHTED.W[:8, :8]
 OFF_SIZE = {
-    "segregation.mixing_from_matrix": (lambda: segregation.mixing_from_matrix(SLICE, GROUPS),
-                                       "flow matrix is 8x8, not 12x12"),
+    "segregation.mixing_from_matrix": (lambda: segregation.mixing_from_matrix(
+        Flows.from_matrix(SLICE), GROUPS), "flow matrix is 8x8, not 12x12"),
     "stats.jackknife_statistic": (lambda: stats.jackknife_statistic(
-        SLICE, stats.flows_assortativity, GROUPS, replicates=5), "flow matrix is 8x8, not 12x12"),
+        Flows.from_matrix(SLICE), stats.flows_assortativity, GROUPS, replicates=5),
+        "flow matrix is 8x8, not 12x12"),
     "segregation.distance_sweep": (lambda: segregation.distance_sweep(
         replace(WEIGHTED, flows=Flows.from_matrix(SLICE)), GROUPS),
         "flow matrix is 8x8, not 12x12"),

@@ -162,7 +162,8 @@ def test_jackknife_replicates_recount_their_kept_edges(city, fraction, seed):
     W = net.W
     o, d = np.nonzero(W)
     w, labels, k = W[o, d], groups.labels, groups.k
-    M, reps = _jackknife_flows(W, groups, fraction, replicates=4, seed=seed)
+    M, reps = _jackknife_flows(Flows.from_matrix(W), groups, fraction, replicates=4,
+                               seed=seed)
     n_remove = int(fraction * len(w))
     for rep, replicate in enumerate(reps):
         kept = np.ones(len(w), dtype=bool)

@@ -182,7 +182,7 @@ class TestMixingMatrix:
         net = build_purchase_network(purchase_log([purchase("C1", "S1", "N00", "N01")]), table4)
         with pytest.raises(ValueError, match="population-weighted"):
             mixing_matrix(net, assign_groups(table4, k=2))
-        mixing_from_matrix(net.W, assign_groups(table4, k=2))
+        mixing_from_matrix(Flows.from_matrix(net.W), assign_groups(table4, k=2))
 
     def test_zero_network_errors(self, table4):
         with pytest.raises(DegenerateMatrixError, match="no interaction mass"):
@@ -207,7 +207,7 @@ class TestAssortativity:
     def test_diagonal_is_one(self):
         for k in range(2, 11):
             e = np.diag(np.full(k, 1.0 / k))
-            mix = mixing_from_matrix(e, _groups_for(k))
+            mix = mixing_from_matrix(Flows.from_matrix(e), _groups_for(k))
             assert abs(assortativity(mix) - 1.0) <= 1e-12
 
     def test_product_form_is_zero(self):
@@ -266,12 +266,14 @@ def _groups_for(k):
 
 def _r_of_e(e):
     k = e.shape[0]
-    return assortativity(mixing_from_matrix(np.asarray(e, float), _groups_for(k)))
+    return assortativity(mixing_from_matrix(Flows.from_matrix(np.asarray(e, float)),
+                                            _groups_for(k)))
 
 
 def _bias_of_e(e):
     k = e.shape[0]
-    return asymmetry_bias(mixing_from_matrix(np.asarray(e, float), _groups_for(k)))
+    return asymmetry_bias(mixing_from_matrix(Flows.from_matrix(np.asarray(e, float)),
+                                             _groups_for(k)))
 
 
 class TestAsymmetryBias:

@@ -127,7 +127,7 @@ class TestJackknife:
             W[i, j] += 1.0
         W[7, 8] = 0.5
         with pytest.raises(ValueError, match="degenerate"):
-            jackknife_statistic(W, flows_assortativity, groups,
+            jackknife_statistic(Flows.from_matrix(W), flows_assortativity, groups,
                                 removal_fraction=0.5, replicates=60, seed=1)
 
     def test_validation(self):
@@ -165,7 +165,8 @@ class TestSweepReplicates:
             Wr = W.copy()
             Wr[o[drop], d[drop]] = 0.0
             try:
-                expected.append(extremes_value(mixing_from_matrix(Wr, groups).M, 1))
+                expected.append(extremes_value(
+                    mixing_from_matrix(Flows.from_matrix(Wr), groups).M, 1))
             except DegenerateMatrixError:
                 pass
 

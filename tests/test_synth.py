@@ -12,6 +12,7 @@ from segflow import (assign_groups, assign_points_to_neighborhoods,
                      pearson, population_weight, purchase_profiles)
 from segflow import synth
 from segflow.cli import main
+from segflow.ingest import PurchaseLog
 from segflow.synth import SynthConfig, generate_city, preset, write_city
 
 from test_golden import SYNTH_ARGS
@@ -39,6 +40,23 @@ class TestDeterminism:
         write_city(generate_city(tiny_cfg(seed=2)), tmp_path / "b")
         assert ((tmp_path / "a" / "purchases.csv").read_bytes()
                 != (tmp_path / "b" / "purchases.csv").read_bytes())
+
+
+def test_purchase_log_equals_interned_rows():
+    """The log built from the drawn codes equals, field by field and dtype by
+    dtype, the log ``PurchaseLog.from_rows`` interns from its rows, and
+    places each customer in its home."""
+    city = generate_city(tiny_cfg(seed=5))
+    log = city.purchases
+    rows = PurchaseLog.from_rows(
+        (log.customer_ids[c], log.store_ids[s], a, log.home[c], log.location[s])
+        for c, s, a in zip(log.customer.tolist(), log.store.tolist(), log.amount.tolist()))
+    for name in ("customer_ids", "store_ids", "home", "location"):
+        assert getattr(log, name) == getattr(rows, name), name
+    for name in ("customer", "store", "amount"):
+        got, want = getattr(log, name), getattr(rows, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert log.home == [city.customer_homes[c] for c in log.customer_ids]
 
 
 class TestEventVolumes:
@@ -103,7 +121,7 @@ class TestPlantedStructure:
         city = generate_city(tiny_cfg(seed=11, exploration=2.5,
                                       n_purchase_events=20000))
         profiles = purchase_profiles(city.purchases)
-        nd = neighborhood_diversity(profiles, city.customer_homes,
+        nd = neighborhood_diversity(profiles, city.purchases.home,
                                     "purchase", city.table)
         ids = [nid for nid in city.table.ids if nid in nd.mean]
         ses = [city.table.ses[city.table.index[nid]] for nid in ids]
