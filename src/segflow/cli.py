@@ -11,7 +11,6 @@ the level named by SEGFLOW_LOG (default WARNING).
 from __future__ import annotations
 
 import argparse
-import csv
 import logging
 import os
 import sys
@@ -21,10 +20,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, metrics, models, network, segregation, stats, synth
-from .ingest import (ValidationError, _write_json, assign_points_to_neighborhoods,
-                     file_sha256, filter_active_customers, hash_once, infer_home,
-                     load_geometry, load_geoposts, load_mentions, load_neighborhoods,
-                     load_purchases)
+from .ingest import (ValidationError, _write_csv, _write_json,
+                     assign_points_to_neighborhoods, file_sha256, filter_active_customers,
+                     hash_once, infer_home, load_geometry, load_geoposts, load_mentions,
+                     load_neighborhoods, load_purchases)
 
 DATA_FILES = ("neighborhoods.csv", "geometry.json", "purchases.csv",
               "mentions.csv", "geoposts.csv")
@@ -183,10 +182,7 @@ def cmd_ingest(cfg, out: Path) -> list[str]:
     table.write_csv(out / "neighborhoods.csv")
     outputs = ["neighborhoods.csv"]
     if "geoposts" in report:
-        with open(out / "homes.csv", "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["user_id", "neighborhood_id"])
-            writer.writerows(sorted(homes.items()))
+        _write_csv(out / "homes.csv", ("user_id", "neighborhood_id"), sorted(homes.items()), "\n")
         outputs.append("homes.csv")
     _write_json(out / "ingest_report.json", report)
     outputs.append("ingest_report.json")
@@ -298,12 +294,10 @@ def cmd_null(cfg, out: Path) -> list[str]:
     for channel, _, weighted in nets:
         dist = models.null_shuffle_ses(weighted, groups, cfg["replicates"], cfg["seed"])
         name = f"null_{channel}.csv"
-        with open(out / name, "w") as fh:
-            fh.write("replicate,statistic,value\n")
-            for i, v in enumerate(dist.r_values):
-                fh.write(f"{i},assortativity,{float(v)!r}\n")
-            for i, v in enumerate(dist.bias_values):
-                fh.write(f"{i},bias,{float(v)!r}\n")
+        draws = (("assortativity", dist.r_values), ("bias", dist.bias_values))
+        _write_csv(out / name, ("replicate", "statistic", "value"),
+                   ((i, statistic, repr(v)) for statistic, values in draws
+                    for i, v in enumerate(values.tolist())), "\n")
         outputs.append(name)
     return outputs
 

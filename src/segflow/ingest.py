@@ -103,12 +103,9 @@ class NeighborhoodTable:
 
     def write_csv(self, path) -> None:
         """Write the table back out in normalized (sorted, canonical) form."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(NEIGHBORHOOD_COLUMNS)
-            for i, nid in enumerate(self.ids):
-                writer.writerow([nid, repr(float(self.lat[i])), repr(float(self.lon[i])),
-                                 int(self.population[i]), repr(float(self.ses[i]))])
+        _write_csv(path, NEIGHBORHOOD_COLUMNS,
+                   zip(self.ids, map(repr, self.lat.tolist()), map(repr, self.lon.tolist()),
+                       self.population.tolist(), map(repr, self.ses.tolist())))
 
 
 @dataclass(eq=False)
@@ -489,6 +486,28 @@ def _write_json(path, value) -> None:
         fh.write("\n")
 
 
+def _write_csv(path, header: Sequence[str], rows: Iterable[Sequence], newline: str = "\r\n"
+               ) -> None:
+    """Write ``header`` and then ``rows`` as every CSV artifact is written:
+    quoted as ``csv.writer`` quotes, each line ended by ``newline``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator=newline)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _read_json(path):
+    """The value of a JSON file; text that does not parse or decode is a
+    ValidationError naming ``path``."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}: line {exc.lineno}: {exc.msg}") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not {exc.encoding} text: {exc.reason}") from None
+
+
 T = TypeVar("T")
 
 
@@ -702,13 +721,7 @@ def load_geometry(path) -> dict[str, list[np.ndarray]]:
 
 
 def _parse_geometry(path) -> dict[str, list[np.ndarray]]:
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: line {exc.lineno}: {exc.msg}") from None
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path}: not {exc.encoding} text: {exc.reason}") from None
+    raw = _read_json(path)
     if not isinstance(raw, dict):
         raise ValidationError(f"{path}: expected an object of polygons by neighborhood_id, "
                               f"got {type(raw).__name__}")

@@ -7,13 +7,12 @@ residents of each neighborhood.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .ingest import MentionLog, NeighborhoodTable, PurchaseLog
+from .ingest import MentionLog, NeighborhoodTable, PurchaseLog, _write_csv
 
 
 def individual_diversity(counts) -> float:
@@ -148,9 +147,6 @@ def pearson(x, y, weights=None) -> float:
 
 def write_diversity_csv(results: Sequence[NeighborhoodDiversity], path) -> None:
     """Emit the plot-ready table: neighborhood_id,channel,mean_diversity,resident_count."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["neighborhood_id", "channel", "mean_diversity", "resident_count"])
-        for res in results:
-            for nid in sorted(res.mean):
-                writer.writerow([nid, res.channel, repr(res.mean[nid]), res.residents[nid]])
+    _write_csv(path, ("neighborhood_id", "channel", "mean_diversity", "resident_count"),
+               ((nid, res.channel, repr(res.mean[nid]), res.residents[nid])
+                for res in results for nid in sorted(res.mean)))

@@ -17,8 +17,8 @@ import numpy as np
 
 from .ingest import NeighborhoodTable, PurchaseLog
 from .network import Flows, InteractionNetwork, _sized, haversine_km
-from .segregation import (DegenerateMatrixError, GroupAssignment, MixingMatrix, _scored,
-                          asymmetry_bias, assortativity, group_flows)
+from .segregation import (DegenerateMatrixError, GroupAssignment, MixingMatrix, _cell_sums,
+                          _cells, _compact_labels, _scored, asymmetry_bias, assortativity)
 
 log = logging.getLogger(__name__)
 
@@ -229,12 +229,14 @@ def null_shuffle_ses(
     o, d, w = _scored(net, groups)
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
+    k, lab = groups.k, _compact_labels(groups.labels, groups.k)
+    o, d = o.astype(np.intp), d.astype(np.intp)   # gathered by every replicate
     r_vals, bias_vals = [], []
     for rep in range(replicates):
         rng = np.random.default_rng((seed, rep))
-        labels = groups.labels[rng.permutation(net.n)]
+        labels = lab[rng.permutation(net.n)]
         try:
-            mix = MixingMatrix.from_flows(group_flows(o, d, w, labels, groups.k))
+            mix = MixingMatrix.from_flows(_cell_sums(_cells(labels, o, labels, d, k), w, k))
             r_vals.append(assortativity(mix))
             bias_vals.append(asymmetry_bias(mix))
         except DegenerateMatrixError:

@@ -12,14 +12,14 @@ synthetic-city generator only.
 """
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
 
-from .ingest import MentionLog, NeighborhoodTable, PurchaseLog, _write_json
+from .ingest import (MentionLog, NeighborhoodTable, PurchaseLog, ValidationError, _first,
+                     _line_of, _number_faults, _numbers, _read_chunks, _read_json, _reject,
+                     _write_csv, _write_json)
 
 EARTH_RADIUS_KM = 6371.0
 _BLOCK_ROWS = 128     # rows (origins) of a block of distances computed at a time
@@ -228,49 +228,57 @@ def write_network(net: InteractionNetwork, edges_path, header_path) -> None:
         "dropped_events": net.dropped_events,
         "simulated": net.simulated,
     }
-    with open(edges_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["origin_id", "dest_id", "weight"])
-        for i, j, w in zip(*(a.tolist() for a in net.flows)):
-            writer.writerow([net.nodes[i], net.nodes[j], repr(float(w))])
+    ids = net.nodes
+    o, d, w = (a.tolist() for a in net.flows)
+    _write_csv(edges_path, ("origin_id", "dest_id", "weight"),
+               zip(map(ids.__getitem__, o), map(ids.__getitem__, d), map(repr, w)))
     _write_json(header_path, header)
 
 
 def read_network(edges_path, header_path, table: NeighborhoodTable) -> InteractionNetwork:
     """A network written by ``write_network`` over ``table``; a header whose
     nodes, population or SES differ from the table's is refused, and so is
-    an edge row with an unknown node or a pair already given.  Rows may come
-    in any order; a zero weight is no edge."""
-    with open(header_path) as fh:
-        header = json.load(fh)
+    an edge row with an unknown node, a weight that is not a finite
+    non-negative number, or a pair already given.  Rows may come in any
+    order; a zero weight is no edge.  Edge rows are read as the loaders
+    read theirs, so a bad one is named by file and line."""
+    header = _read_json(header_path)
+    keys = ("nodes", "population", "ses", "channel", "weighting")
+    missing = [key for key in keys if key not in header] if isinstance(header, dict) else keys
+    if missing:
+        raise ValidationError(f"{header_path}: missing key(s) {', '.join(missing)}")
     for key, ours in (("nodes", table.ids), ("population", table.population.tolist()),
                       ("ses", table.ses.tolist())):
         if header[key] != ours:
             raise ValueError(f"{header_path}: {key} differ from the neighborhood table's")
-    seen, weights = {}, {}
-    with open(edges_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            where = f"{edges_path}: line {reader.line_num}"
-            try:
-                pair = table.index[row["origin_id"]], table.index[row["dest_id"]]
-            except KeyError as exc:
-                raise ValueError(f"{where}: unknown neighborhood {exc.args[0]!r}") from None
-            if pair in seen:
-                raise ValueError(f"{where}: repeats the pair of line {seen[pair]}")
-            seen[pair], weight = reader.line_num, float(row["weight"])
-            if weight != 0:
-                weights[pair] = weight
-    pairs = sorted(weights)
-    o, d = np.array(pairs, dtype=np.int32).reshape(-1, 2).T
-    flows = Flows(o, d, np.array([weights[p] for p in pairs], dtype=float), table.n)
+    cells, weights = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+    for start, cols in _read_chunks(edges_path, ("origin_id", "dest_id", "weight")):
+        o, d = table.rows(cols["origin_id"]), table.rows(cols["dest_id"])
+        w = _numbers(cols["weight"])
+        _reject(edges_path, start, cols, [
+            (o < 0, "unknown neighborhood {origin_id!r}"),
+            (d < 0, "unknown neighborhood {dest_id!r}"),
+            *_number_faults(cols, "weight", w), (w < 0, "negative weight {weight}")])
+        cells.append(o * table.n + d)
+        weights.append(w)
+    # repeats are found once every row is read, so another fault is named first
+    cells = np.concatenate(cells)
+    cell, first, which = np.unique(cells, return_index=True, return_inverse=True)
+    row = _first(first[which] != np.arange(len(cells)))
+    if row < len(cells):
+        raise ValidationError(f"{edges_path}: line {_line_of(edges_path, row)}: repeats the "
+                              f"pair of line {_line_of(edges_path, first[which[row]])}")
+    weight = np.concatenate(weights)[first]
+    edge = weight != 0
+    flows = Flows(*np.divmod(cell[edge], table.n), weight[edge], table.n)
 
-    def arr(key, dtype):
-        return None if header.get(key) is None else np.asarray(header[key], dtype=dtype)
+    def counts(key):
+        values = _whole(header.get(key), f"{header_path}: {key}")
+        return None if values is None else np.array(values, dtype=np.int64)
 
     return InteractionNetwork(
         table=table, flows=flows, channel=header["channel"], weighting=header["weighting"],
-        user_counts=arr("user_counts", np.int64), store_counts=arr("store_counts", np.int64),
+        user_counts=counts("user_counts"), store_counts=counts("store_counts"),
         dropped_events=header.get("dropped_events", 0),
         simulated=header.get("simulated", False),
     )

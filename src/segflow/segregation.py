@@ -9,13 +9,12 @@ and the asymmetry bias measures the poor-to-rich excess of flow mass.
 """
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .ingest import NeighborhoodTable
+from .ingest import NeighborhoodTable, _write_csv
 from .network import Flows, InteractionNetwork, _distance_blocks, _sized, haversine_km
 
 
@@ -69,7 +68,6 @@ class MixingMatrix:
     S: np.ndarray
     e: np.ndarray
     group_values: np.ndarray
-    zero_rows: list[int] = field(default_factory=list)
 
     @property
     def k(self) -> int:
@@ -86,10 +84,8 @@ class MixingMatrix:
             raise DegenerateMatrixError("no interaction mass")
         row_sums = M.sum(axis=1, keepdims=True)
         S = np.divide(M, row_sums, out=np.zeros_like(M), where=row_sums > 0)
-        zero_rows = [int(i) for i in np.nonzero(row_sums[:, 0] == 0)[0]]
         return cls(M=M, S=S, e=M / total,
-                   group_values=np.arange(1, M.shape[0] + 1, dtype=float),
-                   zero_rows=zero_rows)
+                   group_values=np.arange(1, M.shape[0] + 1, dtype=float))
 
 
 def _compact_labels(labels: np.ndarray, k: int) -> np.ndarray:
@@ -301,24 +297,16 @@ def distance_sweep(
 
 
 def write_sweep_csv(steps: Sequence[SweepStep], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "param", "r_or_bias", "ci_low", "ci_high", "valid"])
-        for idx, s in enumerate(steps, start=1):
-            writer.writerow([
-                idx, s.descriptor, repr(s.value) if s.valid else "",
-                "" if s.ci_low is None else repr(s.ci_low),
-                "" if s.ci_high is None else repr(s.ci_high),
-                int(s.valid),
-            ])
+    _write_csv(path, ("step", "param", "r_or_bias", "ci_low", "ci_high", "valid"),
+               ((idx, s.descriptor, repr(s.value) if s.valid else "",
+                 "" if s.ci_low is None else repr(s.ci_low),
+                 "" if s.ci_high is None else repr(s.ci_high), int(s.valid))
+                for idx, s in enumerate(steps, start=1)))
 
 
 def write_mixing_csv(mix: MixingMatrix, path, view: str = "e") -> None:
     """Write one view (M, S, or e) of a mixing matrix as a labeled grid."""
-    matrix = getattr(mix, view)
+    matrix = np.asarray(getattr(mix, view), dtype=float)
     labels = [str(int(v)) for v in mix.group_values]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["group"] + labels)
-        for name, row in zip(labels, matrix):
-            writer.writerow([name] + [repr(float(v)) for v in row])
+    _write_csv(path, ["group", *labels],
+               ([name, *map(repr, row)] for name, row in zip(labels, matrix.tolist())))

@@ -1,14 +1,13 @@
 """Resampling confidence intervals, GINI inequality, and the coupling report."""
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .ingest import NeighborhoodTable, PurchaseLog, _write_json
+from .ingest import NeighborhoodTable, PurchaseLog, _write_csv, _write_json
 from .network import (Flows, InteractionNetwork, _sized, build_purchase_network,
                       population_weight, sampling_rate)
 from .segregation import (DegenerateMatrixError, GroupAssignment, MixingMatrix, SweepStep,
@@ -291,16 +290,11 @@ def segregation_inequality_report(
 
 
 def write_report_csv(rows: Sequence[InequalityRow], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label", "fraction", "assortativity_mean", "assortativity_std",
-                         "gini_mean", "gini_std", "replicates"])
-        for row in rows:
-            writer.writerow([
-                row.label, "" if row.fraction is None else repr(row.fraction),
-                repr(row.assortativity_mean), repr(row.assortativity_std),
-                repr(row.gini_mean), repr(row.gini_std), row.replicates,
-            ])
+    _write_csv(path, ("label", "fraction", "assortativity_mean", "assortativity_std",
+                      "gini_mean", "gini_std", "replicates"),
+               ((row.label, "" if row.fraction is None else repr(row.fraction),
+                 repr(row.assortativity_mean), repr(row.assortativity_std),
+                 repr(row.gini_mean), repr(row.gini_std), row.replicates) for row in rows))
 
 
 def write_report_details(rows: Sequence[InequalityRow], path) -> None:

@@ -109,6 +109,49 @@ class TestSmoke:
         assert len(lines) == 1 + 2 + 5  # empirical, gravity, five fractions
 
 
+# The header line of every CSV artifact, by command and file name.  The
+# csv.writer tables end their lines in CRLF; homes.csv and null_*.csv in LF.
+SWEEP_HEADER = "step,param,r_or_bias,ci_low,ci_high,valid"
+CSV_HEADERS = {
+    "ingest": {"neighborhoods.csv": "neighborhood_id,lat,lon,population,ses",
+               "homes.csv": "user_id,neighborhood_id"},
+    "diversity": {"diversity.csv": "neighborhood_id,channel,mean_diversity,resident_count"},
+    "network": {f"{c}_{tag}_edges.csv": "origin_id,dest_id,weight"
+                for c in ("purchase", "mention") for tag in ("raw", "weighted")},
+    "mixing": {f"mixing_{c}_{view}.csv": "group," + ",".join(map(str, range(1, 11)))
+               for c in ("purchase", "mention") for view in ("M", "S", "e")},
+    "sweep": {f"sweep_{kind}_{c}.csv": SWEEP_HEADER
+              for kind in ("extremes", "distance") for c in ("purchase", "mention")},
+    "asymmetry": {f"asymmetry_{c}.csv": SWEEP_HEADER for c in ("purchase", "mention")},
+    "null": {f"null_{c}.csv": "replicate,statistic,value" for c in ("purchase", "mention")},
+    "gini-report": {"report.csv": "label,fraction,assortativity_mean,assortativity_std,"
+                                  "gini_mean,gini_std,replicates"},
+    "gravity": {},
+    "jackknife": {},
+}
+
+
+def test_csv_artifacts_pin_header_and_line_ending(city_dir, tmp_path):
+    """Headers and line endings, not digests: numeric bytes depend on the
+    BLAS kernel, and the golden test compares numbers."""
+    small = {"sweep": ["--jackknife-replicates", "2"], "null": ["--replicates", "3"],
+             "jackknife": ["--replicates", "3"], "gini-report": ["--replicates", "2"]}
+    for command in DATA_COMMANDS:
+        out = tmp_path / command
+        assert main([command, "--data", str(city_dir), "--out", str(out),
+                     *small.get(command, [])]) == 0
+        found = {}
+        for path in sorted(out.glob("*.csv")):
+            data = path.read_bytes()
+            lf = path.name == "homes.csv" or path.name.startswith("null_")
+            newline = b"\n" if lf else b"\r\n"
+            assert data.endswith(newline), path.name
+            assert data.count(b"\n") == data.count(newline), path.name
+            assert data.count(b"\r") == data.count(newline) * (len(newline) - 1), path.name
+            found[path.name] = data.split(newline, 1)[0].decode()
+        assert found == CSV_HEADERS[command], command
+
+
 class TestDeterminism:
     def test_synth_rerun_identical(self, city_dir, tmp_path):
         out = tmp_path / "again"

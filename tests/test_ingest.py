@@ -1,3 +1,4 @@
+import ast
 import re
 import tempfile
 from pathlib import Path
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import segflow
 from segflow.ingest import (CHUNK_ROWS, GEOPOST_COLUMNS, MENTION_COLUMNS,
                             NEIGHBORHOOD_COLUMNS, GeoPostLog, NeighborhoodTable,
                             ValidationError,
@@ -478,3 +480,17 @@ def test_home_assignment_referential_integrity(table4):
     place, _ = assign_points_to_neighborhoods(posts, geometry)
     homes, _ = infer_home(posts, place, sorted(geometry))
     assert set(homes.values()) <= set(table4.ids)
+
+
+def test_only_ingest_imports_csv():
+    """Every CSV artifact is written by ``ingest._write_csv`` and every CSV
+    input is read by ``ingest._read_chunks``, so no other module imports csv."""
+    importers = []
+    for path in sorted(Path(segflow.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                modules = [node.module] if isinstance(node, ast.ImportFrom) else []
+            importers += [path.name for module in modules if module == "csv"]
+    assert importers == ["ingest.py"]

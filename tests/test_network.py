@@ -314,6 +314,41 @@ class TestExport:
         with pytest.raises(ValueError, match=f"^{re.escape(f'{edges}: {message}')}$"):
             read_network(edges, header, table4)
 
+    @pytest.mark.parametrize("file, edit, message", [
+        ("edges", lambda text: text.replace(",1.0", ",abc", 1),
+         "line 2: weight is not a finite number: 'abc'"),
+        ("edges", lambda text: text.replace(",1.0", ",", 1), "line 2: missing field 'weight'"),
+        ("edges", lambda text: text.replace(",1.0", ",nan", 1),
+         "line 2: weight is not a finite number: 'nan'"),
+        ("edges", lambda text: text.replace(",1.0", ",-inf", 1),
+         "line 2: weight is not a finite number: '-inf'"),
+        ("edges", lambda text: text.replace(",1.0", ",-1.0", 1), "line 2: negative weight -1.0"),
+        ("edges", lambda text: text.replace("weight", "w", 1), "missing column(s) weight"),
+        ("header", lambda text: "not json", "line 1: Expecting value"),
+        ("header", lambda text: "[]", "missing key(s) nodes, population, ses, channel, weighting"),
+        ("header", lambda text: text.replace('"weighting"', '"weights"'),
+         "missing key(s) weighting"),
+        ("header", lambda text: text.replace('"user_counts": [\n  1,',
+                                             '"user_counts": [\n  1.5,'),
+         "user_counts must be whole numbers"),
+        ("header", lambda text: text.replace('"store_counts": [\n  0,',
+                                             '"store_counts": [\n  0.5,'),
+         "store_counts must be whole numbers"),
+    ], ids=["text weight", "blank weight", "NaN weight", "infinite weight", "negative weight",
+            "missing column", "header not JSON", "header not an object", "header lacks a key",
+            "fractional user_counts", "fractional store_counts"])
+    def test_malformed_export_named(self, tmp_path, table4, file, edit, message):
+        """Each malformed edge list or header is refused, naming the file
+        (and the line of an edge row), never read as NaN or truncated."""
+        events = [purchase("C1", "S1", "N00", "N01"), purchase("C2", "S2", "N03", "N02")]
+        paths = {"edges": tmp_path / "edges.csv", "header": tmp_path / "header.json"}
+        write_network(build_purchase_network(purchase_log(events), table4), *paths.values())
+        text = paths[file].read_text()
+        assert edit(text) != text
+        paths[file].write_text(edit(text))
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{paths[file]}: {message}')}$"):
+            read_network(*paths.values(), table4)
+
     @pytest.mark.parametrize("key, other", [
         ("nodes", make_table(5)),
         ("population", make_table(4, population=[1000, 1000, 1000, 999])),

