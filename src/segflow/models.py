@@ -152,33 +152,39 @@ def fit_gravity(
     )
 
 
+def _law(params: GravityParams, net: InteractionNetwork, o, d) -> np.ndarray:
+    """The law's flow from nodes ``o`` to nodes ``d``, index arrays that
+    broadcast against each other, on the masses (see ``_masses``) and
+    centroids of ``net``.  Negative masses are refused, and so is eps = 0
+    unless the distance is linear: each node is 0 km from itself."""
+    if params.epsilon == 0 and not params.linear_distance:
+        raise ValueError("distance singularity: eps = 0 with zero distances")
+    n_o, n_d = _masses(net)
+    if np.any(n_o < 0) or np.any(n_d < 0):
+        raise ValueError("mass counts must be non-negative")
+    lat, lon = net.table.lat, net.table.lon
+    t = haversine_km(lat[o], lon[o], lat[d], lon[d]) + params.epsilon
+    kernel = np.exp(-params.alpha * t) if params.linear_distance else t ** (-params.alpha)
+    return params.c * ((n_o ** params.beta1)[o] * (n_d ** params.beta2)[d]) * kernel
+
+
 def simulate_gravity(params: GravityParams, net: InteractionNetwork) -> InteractionNetwork:
-    """Evaluate the gravity law on the masses and centroids of ``net``.
+    """Evaluate the gravity law (``_law``) on the masses and centroids of ``net``.
 
     The result is ``net`` with real-valued raw flows, strictly positive
     wherever both masses are positive and zero elsewhere; table and counts
     are kept.  The law is evaluated only on pairs with both masses nonzero,
     a block of origins of at most ``_BLOCK_PAIRS`` pairs at a time, into
     edge arrays sized for those pairs.
-    eps = 0 is rejected unless the distance is linear: each node is 0 km
-    from itself.
     """
-    if params.epsilon == 0 and not params.linear_distance:
-        raise ValueError("distance singularity: eps = 0 with zero distances")
     n_o, n_d = _masses(net)
-    if np.any(n_o < 0) or np.any(n_d < 0):
-        raise ValueError("mass counts must be non-negative")
-    a, b = n_o ** params.beta1, n_d ** params.beta2
-    origins, dests = np.flatnonzero(a), np.flatnonzero(b)
+    origins, dests = np.flatnonzero(n_o), np.flatnonzero(n_d)
     size = len(origins) * len(dests)
     o_out, d_out, w_out = np.empty(size, np.int32), np.empty(size, np.int32), np.empty(size)
-    lat, lon, end = net.table.lat, net.table.lon, 0
-    rows = max(1, _BLOCK_PAIRS // max(len(dests), 1))
-    for start in range(0, len(origins), rows):
+    end, rows = 0, max(1, _BLOCK_PAIRS // max(len(dests), 1))
+    for start in range(0, max(len(origins), 1), rows):   # _law's rules hold for any masses
         o = origins[start:start + rows]
-        t = haversine_km(lat[o, None], lon[o, None], lat[dests], lon[dests]) + params.epsilon
-        kernel = np.exp(-params.alpha * t) if params.linear_distance else t ** (-params.alpha)
-        flow = params.c * np.outer(a[o], b[dests]) * kernel
+        flow = _law(params, net, o[:, None], dests)
         keep = flow != 0          # row-major, as np.nonzero; NaN is kept
         stop = end + np.count_nonzero(keep)
         w_out[end:stop] = flow[keep]
@@ -344,51 +350,30 @@ def reshuffle_locations(
 def adjust_gravity_amounts(
     arrays: PurchaseArrays,
     empirical_net: InteractionNetwork,
-    simulated_net: InteractionNetwork,
-    direction: str = "actual_over_simulated",
+    params: GravityParams,
 ) -> np.ndarray:
-    """Rescale each transaction amount by a per-pair flow ratio.
-
-    ``actual_over_simulated`` multiplies amounts on pair (i, j) by
-    w_ij / w_hat_ij; ``simulated_over_actual`` imposes the model's flow
-    level on the observed amounts instead.  Returns the adjusted revenue
-    aggregated by store neighborhood.
+    """Rescale each transaction amount on pair (i, j) by w_hat_ij / w_ij,
+    the fitted law (``_law``) over the observed flow of ``empirical_net``,
+    imposing the model's flow level on the observed amounts.  Returns the
+    adjusted revenue aggregated by store neighborhood.
     """
-    if direction not in ("actual_over_simulated", "simulated_over_actual"):
-        raise ValueError(f"unknown direction {direction!r}")
     n = arrays.n_neighborhoods
-    emp, sim = _sized(empirical_net.flows, n), _sized(simulated_net.flows, n)
-    emp_cells = _keys(emp)
-    at = _positions(_keys(sim), emp_cells)    # the simulated keys live for this call only
-    sim_w, hit = np.zeros(emp.size), at < sim.size
-    sim_w[hit] = sim.weight[at[hit]]
-    if np.any(sim_w[emp.weight > 0] <= 0):
+    emp = _sized(empirical_net.flows, n)
+    w_hat = _law(params, empirical_net, emp.origin, emp.dest)
+    if np.any(w_hat[emp.weight > 0] <= 0):
         raise ValueError("simulated flow is zero on a pair with observed flow")
+    # each edge's and event's cell, origin * n + dest, ascending for the
+    # row-major edges; int64, as the int32 edge indices overflow once n > 46,340
+    keys = emp.origin.astype(np.int64)
+    keys *= n
+    keys += emp.dest
     cells, j = arrays.event_cells()
     cells *= n
-    cells += j                 # each event's cell, origin * n + dest, in place
-    edge = _positions(emp_cells, cells)
+    cells += j
+    edge = np.searchsorted(keys, cells)
+    if len(keys):
+        edge[keys.take(edge, mode="clip") != cells] = len(keys)    # not an edge
     del cells
     if np.any(np.append(emp.weight, 0.0)[edge] <= 0):
         raise ValueError("event on a pair with zero empirical flow")
-    ratio = emp.weight / sim_w if direction == "actual_over_simulated" else sim_w / emp.weight
-    return np.bincount(j, weights=ratio[edge] * arrays.ev_amount, minlength=n)
-
-
-def _keys(f: Flows) -> np.ndarray:
-    """Each edge's cell ``origin * n + dest``, ascending for row-major
-    edges, in int64: in the int32 of the edge indices it overflows once n
-    exceeds 46,340."""
-    keys = f.origin.astype(np.int64)
-    keys *= f.n
-    keys += f.dest
-    return keys
-
-
-def _positions(cells: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Position of each query cell among the sorted ``cells``, or
-    ``len(cells)`` for one that is not among them; ``cells`` is not copied."""
-    at = np.searchsorted(cells, query)
-    if len(cells):
-        at[cells.take(at, mode="clip") != query] = len(cells)
-    return at
+    return np.bincount(j, weights=(w_hat / emp.weight)[edge] * arrays.ev_amount, minlength=n)

@@ -31,7 +31,7 @@ class Flows:
     row-major order, the order of ``np.nonzero``; ``size`` counts them, and
     a ``Flows`` unpacks as ``origin, dest, weight``.  ``origin`` and
     ``dest`` are int32 and ``weight`` float64: 16 bytes an edge.  A cell
-    key ``origin * n + dest`` needs int64 (see ``models._keys``)."""
+    key ``origin * n + dest`` needs int64 (see ``models.adjust_gravity_amounts``)."""
 
     origin: np.ndarray
     dest: np.ndarray
@@ -238,10 +238,12 @@ def write_network(net: InteractionNetwork, edges_path, header_path) -> None:
 def read_network(edges_path, header_path, table: NeighborhoodTable) -> InteractionNetwork:
     """A network written by ``write_network`` over ``table``; a header whose
     nodes, population or SES differ from the table's is refused, and so is
-    an edge row with an unknown node, a weight that is not a finite
-    non-negative number, or a pair already given.  Rows may come in any
-    order; a zero weight is no edge.  Edge rows are read as the loaders
-    read theirs, so a bad one is named by file and line."""
+    one with an unknown channel or weighting, or with counts that are not
+    one whole non-negative number a node.  So is an edge row with an
+    unknown node, a weight that is not a finite non-negative number, or a
+    pair already given.  Rows may come in any order; a zero weight is no
+    edge.  Edge rows are read as the loaders read theirs, so a bad one is
+    named by file and line."""
     header = _read_json(header_path)
     keys = ("nodes", "population", "ses", "channel", "weighting")
     missing = [key for key in keys if key not in header] if isinstance(header, dict) else keys
@@ -251,6 +253,11 @@ def read_network(edges_path, header_path, table: NeighborhoodTable) -> Interacti
                       ("ses", table.ses.tolist())):
         if header[key] != ours:
             raise ValueError(f"{header_path}: {key} differ from the neighborhood table's")
+    for key, known in (("channel", ("purchase", "mention")),
+                       ("weighting", ("raw", "population_weighted"))):
+        if header[key] not in known:
+            raise ValidationError(f"{header_path}: {key} must be {' or '.join(map(repr, known))}"
+                                  f", not {header[key]!r}")
     cells, weights = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
     for start, cols in _read_chunks(edges_path, ("origin_id", "dest_id", "weight")):
         o, d = table.rows(cols["origin_id"]), table.rows(cols["dest_id"])
@@ -273,8 +280,17 @@ def read_network(edges_path, header_path, table: NeighborhoodTable) -> Interacti
     flows = Flows(*np.divmod(cell[edge], table.n), weight[edge], table.n)
 
     def counts(key):
-        values = _whole(header.get(key), f"{header_path}: {key}")
-        return None if values is None else np.array(values, dtype=np.int64)
+        values = header.get(key)
+        if values is None:
+            return None
+        # a JSON true or false is no count, though Python takes it for an int
+        if not (isinstance(values, list) and len(values) == table.n
+                and all(type(v) in (int, float) for v in values)):
+            raise ValidationError(f"{header_path}: {key} must be a list of {table.n} numbers")
+        values = np.array(_whole(values, f"{header_path}: {key}"), dtype=np.int64)
+        if np.any(values < 0):
+            raise ValidationError(f"{header_path}: {key} must be non-negative: {values.min()}")
+        return values
 
     return InteractionNetwork(
         table=table, flows=flows, channel=header["channel"], weighting=header["weighting"],

@@ -172,10 +172,10 @@ def gini(values) -> float:
 
 
 def _reshuffle_flows(arrays: models.PurchaseArrays, rep: models.ReshuffleReplicate,
-                     groups: GroupAssignment, inv_rate: np.ndarray) -> np.ndarray:
+                     lab: np.ndarray, k: int, inv_rate: np.ndarray) -> np.ndarray:
     """k x k flows of a reshuffle replicate, each event weighted by the
-    ``inv_rate`` of its customer's home, from the groups of homes and stores."""
-    k, lab = groups.k, _compact_labels(groups.labels, groups.k)
+    ``inv_rate`` of its customer's home, from the groups of homes and stores:
+    ``lab``, each neighborhood's label as ``_compact_labels`` gives it."""
     cells = _cells(lab[rep.home], arrays.ev_customer, lab[rep.loc], arrays.ev_store, k)
     return _cell_sums(cells, inv_rate[rep.home][arrays.ev_customer], k)
 
@@ -214,10 +214,11 @@ def segregation_inequality_report(
     excludes them reported in the row details.  Every network is
     population-weighted and scored over ``groups``, a grouping of ``table``.
 
-    For the gravity row, scaling each transaction by observed/simulated
-    flow cancels at the pair level, so its default revenues reproduce the
-    observed ones; the variant that imposes the model's flows on observed
-    amounts is surfaced in the row details.
+    For the gravity row, scaling each transaction by observed/fitted flow
+    would cancel at the pair level and reproduce the observed revenues, so
+    its GINI is the empirical one; ``gini_imposed_flows`` in the row details
+    scales each transaction by the fitted law read at its observed pair over
+    the observed flow, imposing the model's flows on observed amounts.
     """
     if eps_grid is None:
         # the simulated network must evaluate the zero-distance diagonal,
@@ -242,13 +243,10 @@ def segregation_inequality_report(
     ))
 
     params = gravity_params or models.fit_gravity(emp_net, eps_grid=eps_grid)
-    sim_net = models.simulate_gravity(params, emp_net)
-    rev_imposed = models.adjust_gravity_amounts(arrays, emp_net, sim_net,
-                                                direction="simulated_over_actual")
+    rev_imposed = models.adjust_gravity_amounts(arrays, emp_net, params)
     # the weighted flows share the raw edge indices; the raw weights go
     # before the jackknife, and the flows after it
-    sim_flows = population_weight(sim_net).flows
-    del sim_net
+    sim_flows = population_weight(models.simulate_gravity(params, emp_net)).flows
     jk_sim = jackknife_statistic(sim_flows, flows_assortativity, groups,
                                  removal_fraction, jackknife_replicates, seed)
     del sim_flows
@@ -267,11 +265,12 @@ def segregation_inequality_report(
     # reshuffles keep every neighborhood's customer count, so each event
     # carries its home's population weight whatever home it moves to
     inv_rate = 1.0 / sampling_rate(emp_net.user_counts, table.population)
+    k, lab = groups.k, _compact_labels(groups.labels, groups.k)
     for fraction in fractions:
         reps = models.reshuffle_locations(arrays, fraction, replicates=replicates, seed=seed)
         r_vals, g_vals, g_excl, totals = [], [], [], []
         for rep in reps:
-            r_vals.append(flows_assortativity(_reshuffle_flows(arrays, rep, groups, inv_rate)))
+            r_vals.append(flows_assortativity(_reshuffle_flows(arrays, rep, lab, k, inv_rate)))
             g_vals.append(gini(rep.revenue))
             g_excl.append(gini(rep.revenue[has_store]))
             totals.append(float(rep.revenue.sum()))

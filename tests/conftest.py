@@ -6,6 +6,7 @@ import pytest
 from segflow.ingest import (GeoPostLog, MentionLog, NeighborhoodTable, PurchaseLog,
                             assign_points_to_neighborhoods, infer_home)
 from segflow import synth
+from segflow.models import GravityParams
 from segflow.network import Flows, InteractionNetwork
 
 
@@ -24,6 +25,16 @@ def preset_table(n):
     neighborhoods: the geometry the benchmark runs on."""
     cfg = synth.preset("homophilous", seed=7, n_neighborhoods=n)
     return synth._grid_layout(cfg, np.random.default_rng(cfg.seed))[0]
+
+
+def simulated_args():
+    """A law and a network carrying its masses over the preset table; the
+    simulated flows have about 1.2M edges."""
+    rng = np.random.default_rng(6)
+    table = preset_table(1600)
+    users, stores = rng.integers(0, 3, size=(2, table.n))
+    params = GravityParams(c=0.5, beta1=0.8, beta2=0.7, epsilon=0.5, alpha=0.6)
+    return params, gravity_net(table, users, stores)
 
 
 def sparse_net(table, nnz, channel="purchase", weighting="population_weighted"):

@@ -13,13 +13,13 @@ import pytest
 
 from segflow.ingest import MentionLog, PurchaseLog
 from segflow.metrics import neighborhood_diversity, purchase_profiles
-from segflow.models import GravityParams, adjust_gravity_amounts, purchase_arrays, simulate_gravity
+from segflow.models import adjust_gravity_amounts, purchase_arrays, simulate_gravity
 from segflow.network import (build_mention_network, build_purchase_network,
                              centroid_distances, population_weight)
 from segflow.segregation import assign_groups, distance_sweep, mixing_matrix
 from segflow.stats import flows_assortativity, jackknife_statistic
 
-from conftest import gravity_net, preset_table, sparse_net
+from conftest import preset_table, simulated_args, sparse_net
 
 TABLE = preset_table(1600)
 MATRIX_BYTES = TABLE.n * TABLE.n * 8
@@ -92,15 +92,6 @@ def test_sparse_network_allocates_its_edges_only(channel):
     assert peak < 1_000_000
 
 
-def simulated_args():
-    """A law and a network carrying its masses over the preset table; the
-    simulated flows have about 1.2M edges."""
-    rng = np.random.default_rng(6)
-    users, stores = rng.integers(0, 3, size=(2, TABLE.n))
-    params = GravityParams(c=0.5, beta1=0.8, beta2=0.7, epsilon=0.5, alpha=0.6)
-    return params, gravity_net(TABLE, users, stores)
-
-
 def test_simulated_gravity_peak_near_its_flows():
     """The law is filled into edge arrays a block of origins at a time; the
     dense result was 20.5 MB whatever the masses."""
@@ -121,12 +112,12 @@ def test_simulated_gravity_holds_16_bytes_an_edge():
 
 
 def test_gravity_adjustment_holds_one_key_an_edge():
-    """Looking 20,000 purchases up among the ~1.2M simulated edges holds one
-    int64 cell key an edge and no copy of the simulated weights: 10.15 MB,
-    1.05 times 8 bytes an edge.  Keys formed through an int64 product, and
-    keys and weights padded by ``np.append``, peaked at 29.44 MB, 3.05 times."""
+    """Reading the law at the 19,675 edges of 20,000 purchases, and looking
+    the purchases up among those edges by one int64 cell key an edge, holds
+    1.92 MB, 12 times 8 bytes an event, nearly all of it the law's float
+    temporaries over the edges.  Reading the law's values off its ~1.2M
+    simulated edges held 10.15 MB, and padded keys and weights 29.44 MB."""
     params, net = simulated_args()
-    sim = simulate_gravity(params, net)
     rng = np.random.default_rng(5)
     ids = np.array(TABLE.ids)
     homes = ids[net.user_counts > 0][rng.integers(np.count_nonzero(net.user_counts), size=3000)]
@@ -134,10 +125,9 @@ def test_gravity_adjustment_holds_one_key_an_edge():
     log = PurchaseLog.from_rows((f"C{c}", f"S{s}", 10.0, homes[c], locs[s])
                                 for c, s in rng.integers(3000, size=(20000, 2)).tolist())
     emp, arrays = build_purchase_network(log, TABLE), purchase_arrays(log, TABLE)
-    revenue, peak = peak_bytes(lambda: adjust_gravity_amounts(
-        arrays, emp, sim, direction="simulated_over_actual"))
+    revenue, peak = peak_bytes(lambda: adjust_gravity_amounts(arrays, emp, params))
     assert revenue.sum() > 0
-    assert peak <= 1.25 * sim.flows.size * 8
+    assert peak <= 14 * arrays.ev_amount.size * 8
 
 
 def test_jackknife_holds_one_byte_cells():

@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 
 from segflow.ingest import filter_active_customers
-from segflow.models import (GravityParams, adjust_gravity_amounts,
+from segflow.models import (GravityParams, _law, adjust_gravity_amounts,
                             fit_gravity, null_shuffle_ses, purchase_arrays,
                             reshuffle_locations, simulate_gravity)
 from segflow.network import (Flows, InteractionNetwork, build_purchase_network,
-                             centroid_distances, population_weight)
+                             centroid_distances, haversine_km, population_weight)
 from segflow.segregation import (assign_groups, assortativity, mixing_from_matrix,
                                  mixing_matrix)
 from segflow import synth
 
-from conftest import gravity_net, make_table, purchase, purchase_log
+from conftest import gravity_net, make_table, purchase, purchase_log, simulated_args
 
 
 @pytest.fixture(scope="module")
@@ -199,6 +199,19 @@ class TestSimulateGravity:
         with pytest.raises(ValueError, match="distance singularity"):
             simulate_gravity(params, gravity_net(table, n_o, n_d))
 
+    def test_rules_hold_with_no_origin_mass(self, geometry):
+        """With no origin mass no pair is evaluated, yet eps = 0 and a
+        negative mass are still refused."""
+        table, dist, _, n_d = geometry
+        net = gravity_net(table, np.zeros(table.n, int), n_d)
+        with pytest.raises(ValueError, match="distance singularity"):
+            simulate_gravity(GravityParams(c=1.0, beta1=0.5, beta2=0.5, epsilon=0.0, alpha=0.5),
+                             net)
+        params = GravityParams(c=1.0, beta1=0.5, beta2=0.5, epsilon=0.5, alpha=0.5)
+        assert simulate_gravity(params, net).flows.size == 0
+        with pytest.raises(ValueError, match="^mass counts must be non-negative$"):
+            simulate_gravity(params, replace(net, store_counts=-n_d))
+
     def test_alpha_zero_distance_free(self, geometry):
         table, dist, n_o, n_d = geometry
         params = GravityParams(c=1.0, beta1=0.5, beta2=0.5, epsilon=0.5, alpha=0.0)
@@ -353,6 +366,47 @@ class TestReshuffle:
             reshuffle_locations(purchase_arrays(*self._events()), 0.5, replicates=replicates)
 
 
+def _past_int32():
+    """A 50,000-row table, whose cell keys ``origin * n + dest`` pass 2**31,
+    the rows that its customers and stores live at, their (customer, store)
+    pairs, and a log of one purchase a pair."""
+    n = 50_000
+    table = make_table(n, spacing_deg=1e-5)
+    rows = [n - 1, n - 2, 46_341, 3]
+    pairs = [(0, 1), (0, 1), (1, 0), (2, 3), (3, 2), (0, 0), (2, 1)]
+    log = purchase_log([purchase(f"C{a}", f"S{b}", table.ids[rows[a]], table.ids[rows[b]],
+                                 amount=1.0 + a + 2 * b) for a, b in pairs])
+    return table, rows, pairs, log
+
+
+def _past_int32_args():
+    """A law, and the purchase network of ``_past_int32`` with masses of
+    20-200 where its customers and stores live, so that a product of the
+    law's factors taken in another order would round differently."""
+    table, rows, _, log = _past_int32()
+    net = build_purchase_network(log, table)
+    users, stores = np.zeros((2, table.n), int)
+    users[rows], stores[rows] = [37, 151, 88, 196], [64, 23, 119, 175]
+    params = GravityParams(c=0.3, beta1=0.8, beta2=0.7, epsilon=0.5, alpha=0.6)
+    return params, replace(net, user_counts=users, store_counts=stores)
+
+
+@pytest.mark.parametrize("args", [simulated_args, _past_int32_args],
+                         ids=["preset", "past int32"])
+def test_law_at_edges_is_simulated_weights_bitwise(args):
+    """``_law`` states the gravity law once: read at the edges that
+    ``simulate_gravity`` fills a block of origins at a time, it gives their
+    weights bit for bit, so the report's imposed flows read the very law
+    its gravity row simulates."""
+    params, net = args()
+    f = simulate_gravity(params, net).flows
+    assert f.size > 0
+    for at in range(0, f.size, 1 << 16):     # the law's temporaries, a slice at a time
+        edges = slice(at, at + (1 << 16))
+        w_hat = _law(params, net, f.origin[edges], f.dest[edges])
+        assert w_hat.tobytes() == f.weight[edges].tobytes()
+
+
 class TestAdjustAmounts:
     def _setup(self):
         table = make_table(3, ses=[1.0, 2.0, 3.0])
@@ -361,9 +415,16 @@ class TestAdjustAmounts:
         net = build_purchase_network(purchase_log(events), table)
         return events, table, net, purchase_arrays(purchase_log(events), table)
 
+    @staticmethod
+    def _flat(c, beta1=0.0):
+        """A law with no distance decay: ``c * n_o**beta1``."""
+        return GravityParams(c=c, beta1=beta1, beta2=0.0, epsilon=1.0, alpha=0.0)
+
     def test_identical_networks_identity(self):
         _, table, net, arrays = self._setup()
-        revenue = adjust_gravity_amounts(arrays, net, net)
+        # 2 * n_o is the observed flow on both pairs: 4 from N00, 2 from N01
+        net = replace(net, user_counts=np.array([2, 1, 0]))
+        revenue = adjust_gravity_amounts(arrays, net, self._flat(2.0, beta1=1.0))
         oracle = np.zeros(3)
         oracle[1] = 40.0
         oracle[2] = 10.0
@@ -373,57 +434,39 @@ class TestAdjustAmounts:
         table = make_table(2)
         log = purchase_log([purchase("C1", "S1", "N00", "N01", amount=10.0)] * 4)
         emp = build_purchase_network(log, table)
-        sim = InteractionNetwork(table=table, flows=Flows.from_matrix(emp.W / 2.0),
-                                 channel="purchase", weighting="raw")
-        revenue = adjust_gravity_amounts(purchase_arrays(log, table), emp, sim)
-        # each of the four 10-unit amounts is doubled (w=4, w_hat=2)
+        revenue = adjust_gravity_amounts(purchase_arrays(log, table), emp, self._flat(8.0))
+        # each of the four 10-unit amounts is doubled (w=4, w_hat=8)
         assert revenue[1] == pytest.approx(80.0)
 
     def test_brute_force_total(self):
         events, table, net, arrays = self._setup()
-        rng = np.random.default_rng(31)
-        sim_W = net.W * rng.uniform(0.5, 2.0, net.W.shape)
-        sim = InteractionNetwork(table=table, flows=Flows.from_matrix(sim_W),
-                                 channel="purchase", weighting="raw")
-        revenue = adjust_gravity_amounts(arrays, net, sim)
+        net = replace(net, user_counts=np.array([3, 5, 0]), store_counts=np.array([0, 2, 7]))
+        params = GravityParams(c=0.7, beta1=0.8, beta2=0.6, epsilon=0.3, alpha=1.1)
+        revenue = adjust_gravity_amounts(arrays, net, params)
+        dist = centroid_distances(table)
         oracle = 0.0
         for e in events:
             i, j = table.index[e.customer_home], table.index[e.store_neighborhood]
-            oracle += e.amount * net.W[i, j] / sim_W[i, j]
+            w_hat = (0.7 * net.user_counts[i] ** 0.8 * net.store_counts[j] ** 0.6
+                     * (dist[i, j] + 0.3) ** -1.1)
+            oracle += e.amount * w_hat / net.W[i, j]
         assert revenue.sum() == pytest.approx(oracle, rel=1e-12)
-
-    def test_inverse_direction(self):
-        _, table, net, arrays = self._setup()
-        sim = InteractionNetwork(table=table, flows=Flows.from_matrix(net.W * 2.0),
-                                 channel="purchase", weighting="raw")
-        default = adjust_gravity_amounts(arrays, net, sim)
-        inverse = adjust_gravity_amounts(arrays, net, sim, direction="simulated_over_actual")
-        assert np.allclose(default * 4.0, inverse)
 
     def test_zero_simulated_flow_errors(self):
         _, table, net, arrays = self._setup()
-        sim = InteractionNetwork(table=table, flows=Flows.from_matrix(np.zeros_like(net.W)),
-                                 channel="purchase", weighting="raw")
-        with pytest.raises(ValueError, match="zero on a pair"):
-            adjust_gravity_amounts(arrays, net, sim)
-
-    def test_unknown_direction(self):
-        _, table, net, arrays = self._setup()
-        with pytest.raises(ValueError, match="direction"):
-            adjust_gravity_amounts(arrays, net, net, direction="sideways")
+        # 1e-300 * (4.3 km + 1) ** -400 underflows to zero
+        underflow = GravityParams(c=1e-300, beta1=0.0, beta2=0.0, epsilon=1.0, alpha=400.0)
+        message = "^simulated flow is zero on a pair with observed flow$"
+        with pytest.raises(ValueError, match=message):
+            adjust_gravity_amounts(arrays, net, underflow)
 
     def test_cells_past_int32_match_int64_reference(self):
         """On a 50,000-row table the cell ``origin * n + dest`` passes 2**31,
         beyond the int32 that edges index nodes in; counting events into
-        edges and looking them up among the simulated ones agree with the
-        int64 arithmetic."""
-        n = 50_000
-        table = make_table(n, spacing_deg=1e-5)
-        rows = [n - 1, n - 2, 46_341, 3]
-        pairs = [(0, 1), (0, 1), (1, 0), (2, 3), (3, 2), (0, 0), (2, 1)]
-        log = purchase_log([purchase(f"C{a}", f"S{b}", table.ids[rows[a]], table.ids[rows[b]],
-                                     amount=1.0 + a + 2 * b) for a, b in pairs])
-        emp = build_purchase_network(log, table)
+        edges and looking each event up among them agree with the int64
+        arithmetic."""
+        table, rows, pairs, log = _past_int32()
+        n, emp = table.n, build_purchase_network(log, table)
         cells = np.array([rows[a] * n + rows[b] for a, b in pairs], dtype=np.int64)
         assert cells.max() > 2 ** 31
         keys, counts = np.unique(cells, return_counts=True)
@@ -435,21 +478,21 @@ class TestAdjustAmounts:
         assert np.array_equal(counted.origin, keys // n)
         assert np.array_equal(counted.dest, keys % n)
 
-        # the simulated edges: every empirical one, and some that sort between them
-        sim_keys = np.union1d(keys, [3 * n, 46_341 * n + 46_340, (n - 1) * n, n * n - 2])
-        sim_w = 0.5 + np.arange(sim_keys.size)
-        sim = InteractionNetwork(table=table, flows=Flows(sim_keys // n, sim_keys % n, sim_w, n),
-                                 channel="purchase", weighting="raw")
-        w_hat = dict(zip(sim_keys.tolist(), sim_w.tolist()))
+        params = GravityParams(c=0.5, beta1=0.8, beta2=0.7, epsilon=0.5, alpha=0.6)
+        lat, lon = table.lat, table.lon
         w = dict(zip(keys.tolist(), counts.tolist()))
-        arrays = purchase_arrays(log, table)
-        for direction, ratio in (("actual_over_simulated", lambda c: w[c] / w_hat[c]),
-                                 ("simulated_over_actual", lambda c: w_hat[c] / w[c])):
-            oracle = np.zeros(n)
-            for (a, b), c in zip(pairs, cells.tolist()):
-                oracle[rows[b]] += (1.0 + a + 2 * b) * ratio(c)
-            revenue = adjust_gravity_amounts(arrays, emp, sim, direction=direction)
-            assert np.allclose(revenue, oracle, rtol=1e-12, atol=0)
+
+        def w_hat(c):
+            o, d = divmod(c, n)
+            t = float(haversine_km(lat[o], lon[o], lat[d], lon[d]))
+            return (0.5 * emp.user_counts[o] ** 0.8 * emp.store_counts[d] ** 0.7
+                    * (t + 0.5) ** -0.6)
+
+        oracle = np.zeros(n)
+        for (a, b), c in zip(pairs, cells.tolist()):
+            oracle[rows[b]] += (1.0 + a + 2 * b) * w_hat(c) / w[c]
+        revenue = adjust_gravity_amounts(purchase_arrays(log, table), emp, params)
+        assert np.allclose(revenue, oracle, rtol=1e-12, atol=0)
 
 
 def test_reference_parameter_sets_round_trip():

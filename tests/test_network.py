@@ -275,6 +275,12 @@ class TestDistances:
             assert d[i, j] <= d[i, k] + d[k, j] + 1e-9
 
 
+def _header_value(key, value):
+    """An edit of a header that sets ``key`` to the JSON text ``value``."""
+    return lambda text: re.sub(rf'"{key}": (\[[^]]*]|"[^"]*")', lambda _: f'"{key}": {value}',
+                               text)
+
+
 class TestExport:
     def test_round_trip(self, tmp_path, table4):
         events = [purchase("C1", "S1", "N00", "N01")] * 3 + [purchase("C2", "S2", "N03", "N02")]
@@ -334,9 +340,24 @@ class TestExport:
         ("header", lambda text: text.replace('"store_counts": [\n  0,',
                                              '"store_counts": [\n  0.5,'),
          "store_counts must be whole numbers"),
+        ("header", _header_value("user_counts", "5"), "user_counts must be a list of 4 numbers"),
+        ("header", _header_value("user_counts", '["a", 0, 0, 1]'),
+         "user_counts must be a list of 4 numbers"),
+        ("header", _header_value("user_counts", "[true, 0, 0, 1]"),
+         "user_counts must be a list of 4 numbers"),
+        ("header", _header_value("store_counts", "[1, 1]"),
+         "store_counts must be a list of 4 numbers"),
+        ("header", _header_value("store_counts", "[0, 1, -2, 0]"),
+         "store_counts must be non-negative: -2"),
+        ("header", _header_value("channel", '"sales"'),
+         "channel must be 'purchase' or 'mention', not 'sales'"),
+        ("header", _header_value("weighting", '"weighted"'),
+         "weighting must be 'raw' or 'population_weighted', not 'weighted'"),
     ], ids=["text weight", "blank weight", "NaN weight", "infinite weight", "negative weight",
             "missing column", "header not JSON", "header not an object", "header lacks a key",
-            "fractional user_counts", "fractional store_counts"])
+            "fractional user_counts", "fractional store_counts", "user_counts not a list",
+            "user_counts not numbers", "user_counts of booleans", "store_counts too short",
+            "negative store_counts", "unknown channel", "unknown weighting"])
     def test_malformed_export_named(self, tmp_path, table4, file, edit, message):
         """Each malformed edge list or header is refused, naming the file
         (and the line of an edge row), never read as NaN or truncated."""

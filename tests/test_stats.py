@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from segflow.models import purchase_arrays, reshuffle_locations
 from segflow.network import Flows, InteractionNetwork, build_purchase_network, sampling_rate
-from segflow.segregation import (DegenerateMatrixError, assign_groups,
+from segflow.segregation import (DegenerateMatrixError, _compact_labels, assign_groups,
                                  extremes_sweep, extremes_value, group_flows,
                                  mixing_from_matrix)
 from segflow.stats import (_reshuffle_flows, flows_assortativity, gini, jackknife_assortativity,
@@ -250,11 +250,13 @@ class TestInequalityReport:
         arrays = purchase_arrays(events, table)
         net = build_purchase_network(events, table)
         inv_rate = 1.0 / sampling_rate(net.user_counts, table.population)
+        lab = _compact_labels(groups.labels, groups.k)
         for fraction in (0.2, 1.0):
             for rep in reshuffle_locations(arrays, fraction, replicates=5, seed=3):
                 i, j = arrays.event_cells(rep.home, rep.loc)
                 oracle = group_flows(i, j, inv_rate[i], groups.labels, groups.k)
-                assert np.array_equal(_reshuffle_flows(arrays, rep, groups, inv_rate), oracle)
+                assert np.array_equal(_reshuffle_flows(arrays, rep, lab, groups.k, inv_rate),
+                                      oracle)
 
     def test_groups_of_another_table_rejected(self, small_city):
         city, events = small_city
