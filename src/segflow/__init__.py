@@ -3,7 +3,7 @@
 The pipeline runs from raw purchase/mention event logs to diversity
 entropies, population-weighted interaction networks, mixing-matrix
 assortativity sweeps, asymmetry bias, gravity and shuffle baselines,
-jackknife confidence intervals, and the segregation-inequality report,
+edge-removal jackknife bands, and the segregation-inequality report,
 all verifiable end to end on a built-in synthetic-city generator.
 """
 
@@ -17,8 +17,7 @@ from .metrics import (NeighborhoodDiversity, Profiles, individual_diversity,
                       purchase_profiles)
 from .network import (Flows, InteractionNetwork, build_mention_network,
                       build_purchase_network, centroid_distances,
-                      haversine_km, population_weight, read_network,
-                      write_network)
+                      haversine_km, population_weight, write_network)
 from .segregation import (DegenerateMatrixError, GroupAssignment,
                           MixingMatrix, SweepStep, assign_groups,
                           assortativity, asymmetry_bias, asymmetry_sweep,

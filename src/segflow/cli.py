@@ -359,7 +359,7 @@ COMMANDS = {
         DATA, eps_start=0.0, eps_stop=2.0, eps_step=0.01, linear_distance=False)),
     "null": (cmd_null, "SES-shuffle null distribution", dict(
         GROUPED, replicates=100, seed=None)),
-    "jackknife": (cmd_jackknife, "edge-removal confidence interval", dict(
+    "jackknife": (cmd_jackknife, "edge-removal band", dict(
         GROUPED, replicates=100, fraction=0.05, seed=None)),
     "gini-report": (cmd_gini_report, "segregation-inequality coupling", dict(
         PURCHASES, k=10, ses_descending=False, replicates=50, seed=None,

@@ -496,18 +496,6 @@ def _write_csv(path, header: Sequence[str], rows: Iterable[Sequence], newline: s
         writer.writerows(rows)
 
 
-def _read_json(path):
-    """The value of a JSON file; text that does not parse or decode is a
-    ValidationError naming ``path``."""
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: line {exc.lineno}: {exc.msg}") from None
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path}: not {exc.encoding} text: {exc.reason}") from None
-
-
 T = TypeVar("T")
 
 
@@ -721,7 +709,13 @@ def load_geometry(path) -> dict[str, list[np.ndarray]]:
 
 
 def _parse_geometry(path) -> dict[str, list[np.ndarray]]:
-    raw = _read_json(path)
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}: line {exc.lineno}: {exc.msg}") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not {exc.encoding} text: {exc.reason}") from None
     if not isinstance(raw, dict):
         raise ValidationError(f"{path}: expected an object of polygons by neighborhood_id, "
                               f"got {type(raw).__name__}")

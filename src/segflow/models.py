@@ -70,9 +70,9 @@ def fit_gravity(
     """Weighted least-squares fit of the gravity law to the flows of ``net``,
     with the masses it carries (see ``_masses``).
 
-    Zero flows are excluded (their log is undefined) and each remaining
-    observation is weighted by its own raw flow value; a negative or
-    non-finite flow or eps is refused.  ``linear_distance`` switches the
+    Each edge of ``net.flows`` is an observation weighted by its own raw
+    flow value; an explicit zero edge (it has no log) is refused, as is a
+    negative or non-finite flow or eps.  ``linear_distance`` switches the
     distance regressor from -log(T+eps) to -T, in which case eps is not
     separately identifiable and is reported as 0.
     """
@@ -82,7 +82,7 @@ def fit_gravity(
     n_o, n_d = _masses(net)
     rows, cols, w = net.flows
     if not np.all(np.isfinite(w) & (w > 0)):
-        raise ValueError("flows must be finite and non-negative")
+        raise ValueError("flows must be finite and positive")
     n_pos = len(w)
     if n_pos < 20:
         raise ValueError(f"too few positive flow entries to fit: {n_pos} < 20")

@@ -17,9 +17,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .ingest import (MentionLog, NeighborhoodTable, PurchaseLog, ValidationError, _first,
-                     _line_of, _number_faults, _numbers, _read_chunks, _read_json, _reject,
-                     _write_csv, _write_json)
+from .ingest import MentionLog, NeighborhoodTable, PurchaseLog, _write_csv, _write_json
 
 EARTH_RADIUS_KM = 6371.0
 _BLOCK_ROWS = 128     # rows (origins) of a block of distances computed at a time
@@ -234,67 +232,3 @@ def write_network(net: InteractionNetwork, edges_path, header_path) -> None:
                zip(map(ids.__getitem__, o), map(ids.__getitem__, d), map(repr, w)))
     _write_json(header_path, header)
 
-
-def read_network(edges_path, header_path, table: NeighborhoodTable) -> InteractionNetwork:
-    """A network written by ``write_network`` over ``table``; a header whose
-    nodes, population or SES differ from the table's is refused, and so is
-    one with an unknown channel or weighting, or with counts that are not
-    one whole non-negative number a node.  So is an edge row with an
-    unknown node, a weight that is not a finite non-negative number, or a
-    pair already given.  Rows may come in any order; a zero weight is no
-    edge.  Edge rows are read as the loaders read theirs, so a bad one is
-    named by file and line."""
-    header = _read_json(header_path)
-    keys = ("nodes", "population", "ses", "channel", "weighting")
-    missing = [key for key in keys if key not in header] if isinstance(header, dict) else keys
-    if missing:
-        raise ValidationError(f"{header_path}: missing key(s) {', '.join(missing)}")
-    for key, ours in (("nodes", table.ids), ("population", table.population.tolist()),
-                      ("ses", table.ses.tolist())):
-        if header[key] != ours:
-            raise ValueError(f"{header_path}: {key} differ from the neighborhood table's")
-    for key, known in (("channel", ("purchase", "mention")),
-                       ("weighting", ("raw", "population_weighted"))):
-        if header[key] not in known:
-            raise ValidationError(f"{header_path}: {key} must be {' or '.join(map(repr, known))}"
-                                  f", not {header[key]!r}")
-    cells, weights = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
-    for start, cols in _read_chunks(edges_path, ("origin_id", "dest_id", "weight")):
-        o, d = table.rows(cols["origin_id"]), table.rows(cols["dest_id"])
-        w = _numbers(cols["weight"])
-        _reject(edges_path, start, cols, [
-            (o < 0, "unknown neighborhood {origin_id!r}"),
-            (d < 0, "unknown neighborhood {dest_id!r}"),
-            *_number_faults(cols, "weight", w), (w < 0, "negative weight {weight}")])
-        cells.append(o * table.n + d)
-        weights.append(w)
-    # repeats are found once every row is read, so another fault is named first
-    cells = np.concatenate(cells)
-    cell, first, which = np.unique(cells, return_index=True, return_inverse=True)
-    row = _first(first[which] != np.arange(len(cells)))
-    if row < len(cells):
-        raise ValidationError(f"{edges_path}: line {_line_of(edges_path, row)}: repeats the "
-                              f"pair of line {_line_of(edges_path, first[which[row]])}")
-    weight = np.concatenate(weights)[first]
-    edge = weight != 0
-    flows = Flows(*np.divmod(cell[edge], table.n), weight[edge], table.n)
-
-    def counts(key):
-        values = header.get(key)
-        if values is None:
-            return None
-        # a JSON true or false is no count, though Python takes it for an int
-        if not (isinstance(values, list) and len(values) == table.n
-                and all(type(v) in (int, float) for v in values)):
-            raise ValidationError(f"{header_path}: {key} must be a list of {table.n} numbers")
-        values = np.array(_whole(values, f"{header_path}: {key}"), dtype=np.int64)
-        if np.any(values < 0):
-            raise ValidationError(f"{header_path}: {key} must be non-negative: {values.min()}")
-        return values
-
-    return InteractionNetwork(
-        table=table, flows=flows, channel=header["channel"], weighting=header["weighting"],
-        user_counts=counts("user_counts"), store_counts=counts("store_counts"),
-        dropped_events=header.get("dropped_events", 0),
-        simulated=header.get("simulated", False),
-    )

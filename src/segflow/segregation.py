@@ -35,9 +35,6 @@ class GroupAssignment:
             raise ValueError(f"{len(self.labels)} group labels for {len(self.nodes)} nodes")
         _compact_labels(self.labels, self.k)
 
-    def label_of(self, neighborhood_id: str) -> int:
-        return int(self.labels[self.nodes.index(neighborhood_id)])
-
 
 def assign_groups(table: NeighborhoodTable, k: int = 10, ses_ascending: bool = True) -> GroupAssignment:
     """Split neighborhoods into k contiguous SES blocks of near-equal size.

@@ -1,4 +1,11 @@
-"""Resampling confidence intervals, GINI inequality, and the coupling report."""
+"""Edge-removal bands, GINI inequality, and the coupling report.
+
+The band is the spread of a statistic over replicates that each drop a
+share of the edges.  It is not a confidence interval: a replicate shares
+most of its edges with the full network, so the band is narrower than the
+statistic's sampling spread.  On the ``preset`` city, seeds 1-12, the
+purchase channel's 95% band holds the 12-seed mean of r in 2 of 12 cities.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass, field

@@ -19,7 +19,7 @@ import numpy as np
 
 from .ingest import GeoPostLog, MentionLog, NeighborhoodTable, PurchaseLog, _write_json
 from .models import GravityParams
-from .network import EARTH_RADIUS_KM
+from .network import EARTH_RADIUS_KM, centroid_distances
 
 KM_PER_DEG_LAT = math.pi * EARTH_RADIUS_KM / 180.0
 BASE_LAT = 40.0
@@ -203,7 +203,6 @@ def generate_city(cfg: SynthConfig) -> SynthCity:
     n = table.n
     u = table.ses / 100.0
 
-    from .network import centroid_distances
     dist = centroid_distances(table)
 
     store_counts = _allocate(cfg.n_stores, n, rng)

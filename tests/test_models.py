@@ -97,10 +97,16 @@ class TestFitGravity:
     def test_nan_and_negative_flows_refused(self, geometry):
         table, dist, n_o, n_d = geometry
         planted = GravityParams(c=0.3, beta1=0.6, beta2=0.7, epsilon=0.25, alpha=0.8)
-        W = simulate_gravity(planted, gravity_net(table, n_o, n_d)).W.copy()
+        sim = simulate_gravity(planted, gravity_net(table, n_o, n_d))
+        W = sim.W.copy()
         W[3, 4], W[5, 6] = np.nan, -5.0
-        with pytest.raises(ValueError, match="^flows must be finite and non-negative$"):
+        with pytest.raises(ValueError, match="^flows must be finite and positive$"):
             fit_gravity(gravity_net(table, n_o, n_d, W))
+        # an explicit zero edge, which no builder makes, has no log either
+        weight = sim.flows.weight.copy()
+        weight[3] = 0.0
+        with pytest.raises(ValueError, match="^flows must be finite and positive$"):
+            fit_gravity(replace(sim, flows=replace(sim.flows, weight=weight)))
 
 
     @pytest.mark.parametrize("grid", [[-0.5, 0.0, 0.5], [np.nan], [0.1, np.inf]],

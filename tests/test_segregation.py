@@ -66,15 +66,15 @@ class TestAssignGroups:
         g2 = assign_groups(table, k=3)
         assert np.array_equal(g1.labels, g2.labels)
         tied = sorted(nid for nid, s in zip(table.ids, table.ses) if s == 50.0)
-        got = [g1.label_of(nid) for nid in tied]
+        got = [int(g1.labels[g1.nodes.index(nid)]) for nid in tied]
         assert got == sorted(got)  # id order decides within the tie
 
     def test_descending_flag_flips_ranking(self):
         # a marginalization-style score: higher means poorer
         table = make_table(6, ses=[5.0, 4.0, 3.0, 2.0, 1.0, 0.0])
         groups = assign_groups(table, k=3, ses_ascending=False)
-        assert groups.label_of("N00") == 1  # highest index = lowest status
-        assert groups.label_of("N05") == 3
+        assert int(groups.labels[groups.nodes.index("N00")]) == 1  # highest index = lowest status
+        assert int(groups.labels[groups.nodes.index("N05")]) == 3
 
     def test_too_few_neighborhoods(self):
         with pytest.raises(ValueError):
