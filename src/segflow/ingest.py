@@ -225,8 +225,9 @@ class _PurchaseBuilder:
                            home, location, customer, store, amount)
 
 
-def _renumber(codes: np.ndarray, ids: list[str], places: list):
-    """Codes renumbered in first-seen order, with the ids and places kept."""
+def _renumber(codes: np.ndarray, ids: list[str], *places: list):
+    """Codes renumbered in first-seen order, with the ids and any lists of
+    places kept beside them."""
     first = np.full(len(ids), len(codes), dtype=np.int64)
     np.minimum.at(first, codes, np.arange(len(codes)))
     used = np.flatnonzero(first < len(codes))
@@ -234,7 +235,7 @@ def _renumber(codes: np.ndarray, ids: list[str], places: list):
     order = used[np.argsort(first[used])]
     new = np.empty(len(ids), dtype=np.int64)
     new[order] = np.arange(order.size)
-    return new[codes], [ids[i] for i in order], [places[i] for i in order]
+    return (new[codes], *([values[i] for i in order] for values in (ids, *places)))
 
 
 @dataclass(eq=False)

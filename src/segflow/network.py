@@ -39,6 +39,7 @@ class Flows:
     def __post_init__(self):
         self.origin = np.asarray(self.origin, dtype=np.int32)
         self.dest = np.asarray(self.dest, dtype=np.int32)
+        self.weight = np.asarray(self.weight, dtype=np.float64)
 
     @property
     def size(self) -> int:
@@ -227,7 +228,8 @@ def write_network(net: InteractionNetwork, edges_path, header_path) -> None:
         "simulated": net.simulated,
     }
     ids = net.nodes
-    o, d, w = (a.tolist() for a in net.flows)
+    edge = net.flows.weight != 0
+    o, d, w = (a[edge].tolist() for a in net.flows)
     _write_csv(edges_path, ("origin_id", "dest_id", "weight"),
                zip(map(ids.__getitem__, o), map(ids.__getitem__, d), map(repr, w)))
     _write_json(header_path, header)

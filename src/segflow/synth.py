@@ -13,11 +13,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .ingest import GeoPostLog, MentionLog, NeighborhoodTable, PurchaseLog, _write_json
+from .ingest import (GeoPostLog, MentionLog, NeighborhoodTable, PurchaseLog, _renumber,
+                     _write_json)
 from .models import GravityParams
 from .network import EARTH_RADIUS_KM, centroid_distances
 
@@ -31,16 +33,6 @@ START = np.datetime64("2013-04-01T00:00:00", "s")    # events fall on the N_DAYS
 N_DAYS = 90                                            # from START on
 
 
-def _default_purchase_gravity() -> GravityParams:
-    return GravityParams(c=1.0, beta1=0.8, beta2=0.7, epsilon=0.5, alpha=0.6,
-                         channel="purchase")
-
-
-def _default_mention_gravity() -> GravityParams:
-    return GravityParams(c=1.0, beta1=0.6, beta2=0.6, epsilon=0.5, alpha=0.5,
-                         channel="mention")
-
-
 @dataclass
 class SynthConfig:
     n_neighborhoods: int = 100
@@ -49,8 +41,10 @@ class SynthConfig:
     n_stores: int = 400
     n_customers: int = 1500
     n_twitter_users: int = 800
-    purchase_gravity: GravityParams = field(default_factory=_default_purchase_gravity)
-    mention_gravity: GravityParams = field(default_factory=_default_mention_gravity)
+    purchase_gravity: GravityParams = field(default_factory=partial(
+        GravityParams, c=1.0, beta1=0.8, beta2=0.7, epsilon=0.5, alpha=0.6, channel="purchase"))
+    mention_gravity: GravityParams = field(default_factory=partial(
+        GravityParams, c=1.0, beta1=0.6, beta2=0.6, epsilon=0.5, alpha=0.5, channel="mention"))
     homophily: float = 0.0             # h >= 0, flow factor exp(-h * |dses|)
     tilt: float = 0.0                  # tau, poor-to-rich factor exp(tau * dses)
     exploration: float = 1.0           # richer individuals spread over more targets
@@ -114,15 +108,13 @@ def _grid_layout(cfg: SynthConfig, rng: np.random.Generator):
     population = rng.integers(800, 1201, n)
     table = NeighborhoodTable(ids, lat, lon, population, ses)
 
-    geometry = {}
-    for i, nid in enumerate(ids):
-        x0, y0 = cols[i] * spacing, rows[i] * spacing
-        corners_km = [(x0, y0), (x0 + spacing, y0), (x0 + spacing, y0 + spacing),
-                      (x0, y0 + spacing), (x0, y0)]
-        ring = np.array([[BASE_LON + cx / KM_PER_DEG_LON, BASE_LAT + cy / KM_PER_DEG_LAT]
-                         for cx, cy in corners_km])
-        geometry[nid] = [ring]
     cell_origin_km = np.column_stack([cols * spacing, rows * spacing])
+    # each cell's ring of corners, closed, as (lon, lat) pairs
+    unit_ring = np.array([[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]])
+    corners_km = cell_origin_km[:, None, :] + unit_ring * spacing
+    rings = np.stack([BASE_LON + corners_km[..., 0] / KM_PER_DEG_LON,
+                      BASE_LAT + corners_km[..., 1] / KM_PER_DEG_LAT], axis=-1)
+    geometry = {nid: [ring] for nid, ring in zip(ids, rings)}
     return table, geometry, cell_origin_km, spacing
 
 
@@ -178,13 +170,20 @@ def _draw_events(rng, cfg: SynthConfig, grav: GravityParams, origin_counts, dest
     its own, richer origins spreading further.  Returns each event's origin
     and destination neighborhood, its origin and destination individual, and
     the scale that brings the intensity to ``target_events``."""
+    # lam takes each factor in place, with at most two n x n temporaries beside it
     lam = grav.c * np.outer(origin_counts ** grav.beta1, dest_counts ** grav.beta2)
-    lam = lam / (dist + grav.epsilon) ** grav.alpha
+    lam /= (dist + grav.epsilon) ** grav.alpha
     dses = u[None, :] - u[:, None]
-    lam = lam * np.exp(-cfg.homophily * np.abs(dses)) * np.exp(cfg.tilt * dses)
+    factor = np.abs(dses)
+    factor *= -cfg.homophily
+    lam *= np.exp(factor, out=factor)
+    dses *= cfg.tilt
+    lam *= np.exp(dses, out=dses)
+    del factor, dses
     lam[np.diag_indices_from(lam)] *= cfg.self_flow_scale
     scale = target_events / lam.sum()
-    counts = rng.poisson(lam * scale)
+    lam *= scale
+    counts = rng.poisson(lam)
     pair_i, pair_j = np.nonzero(counts)
     reps = counts[pair_i, pair_j]
     ev_i, ev_j = np.repeat(pair_i, reps), np.repeat(pair_j, reps)
@@ -220,8 +219,9 @@ def generate_city(cfg: SynthConfig) -> SynthCity:
     amounts = np.round(rng.lognormal(3.0, 0.6, ev_i.size), 2)
     purchase_times = _event_times(rng, rng.integers(9, 22, ev_i.size))
     ids = np.array(table.ids)
+    customer_home = ids[customer_nbhd].tolist()
     # select renumbers the customers and stores with an event in first-seen order
-    purchases = PurchaseLog(customer_ids, store_ids, ids[customer_nbhd].tolist(),
+    purchases = PurchaseLog(customer_ids, store_ids, customer_home,
                             ids[np.repeat(np.arange(n), store_counts)].tolist(),
                             cust, store, amounts).select(np.ones(ev_i.size, dtype=bool))
 
@@ -234,43 +234,41 @@ def generate_city(cfg: SynthConfig) -> SynthCity:
     dst[move] = first[move] + (dst[move] - first[move] + 1) % size[move]
     keep = src != dst
     mention_times = _event_times(rng, rng.integers(8, 24, ev_i.size))[keep]
-    mentions = MentionLog.from_rows((user_ids[a], user_ids[b])
-                                    for a, b in zip(src[keep].tolist(), dst[keep].tolist()))
+    # sources interleave with targets, so a row's source is seen first
+    codes, users = _renumber(np.column_stack([src[keep], dst[keep]]).ravel(), user_ids)
+    mentions = MentionLog(users, codes[0::2], codes[1::2])
 
-    # geo posts: a handful of night posts at home plus daytime posts elsewhere
-    post_rows, post_minutes = [], []
-    for uid_idx, uid in enumerate(user_ids):
-        home = user_nbhd[uid_idx]
+    # geo posts: a handful of night posts at home plus daytime posts elsewhere,
+    # drawn user by user in the order the recorded data digests pin
+    n_posts, cells, hours, xy, day_minute = [], [], [], [], []
+    for home in user_nbhd.tolist():
         n_night = int(rng.integers(2, 6))
         n_day = int(rng.integers(0, 4))
-        cells = [home] * n_night + list(rng.integers(0, n, n_day))
-        hour_pool = [int(rng.choice(NIGHT_HOURS)) for _ in range(n_night)]
-        hour_pool += [int(h) for h in rng.integers(9, 20, n_day)]
-        for cell, hour in zip(cells, hour_pool):
-            fx, fy = 0.15 + 0.7 * rng.random(), 0.15 + 0.7 * rng.random()
-            x_km = cell_origin_km[cell, 0] + fx * spacing
-            y_km = cell_origin_km[cell, 1] + fy * spacing
-            day, minute = int(rng.integers(0, N_DAYS)), int(rng.integers(0, 60))
-            post_rows.append((uid, float(BASE_LAT + y_km / KM_PER_DEG_LAT),
-                              float(BASE_LON + x_km / KM_PER_DEG_LON), hour))
-            post_minutes.append((day * 24 + hour) * 60 + minute)
+        n_posts.append(n_night + n_day)
+        cells += [home] * n_night + rng.integers(0, n, n_day).tolist()
+        hours += [NIGHT_HOURS[int(rng.integers(0, len(NIGHT_HOURS)))] for _ in range(n_night)]
+        hours += rng.integers(9, 20, n_day).tolist()
+        for _ in range(n_night + n_day):
+            xy.append(rng.random(2))
+            day_minute.append((rng.integers(0, N_DAYS), rng.integers(0, 60)))
+    post_km = cell_origin_km[cells] + (0.15 + 0.7 * np.array(xy)) * spacing
+    (day, minute), hour = np.array(day_minute).T, np.array(hours)
+    user, users = _renumber(np.repeat(np.arange(len(user_ids)), n_posts), user_ids)
+    geoposts = GeoPostLog(users, user, BASE_LAT + post_km[:, 1] / KM_PER_DEG_LAT,
+                          BASE_LON + post_km[:, 0] / KM_PER_DEG_LON, hour)
 
-    truth = planted_truth(cfg)
-    truth["effective_c_purchase"] = cfg.purchase_gravity.c * scale_p
-    truth["effective_c_mention"] = cfg.mention_gravity.c * scale_t
-    truth["customer_counts"] = [int(v) for v in customer_counts]
-    truth["store_counts"] = [int(v) for v in store_counts]
-    truth["twitter_counts"] = [int(v) for v in twitter_counts]
+    truth = dict(planted_truth(cfg), effective_c_purchase=cfg.purchase_gravity.c * scale_p,
+                 effective_c_mention=cfg.mention_gravity.c * scale_t,
+                 customer_counts=customer_counts.tolist(), store_counts=store_counts.tolist(),
+                 twitter_counts=twitter_counts.tolist())
 
     return SynthCity(
         config=cfg, table=table, geometry=geometry,
         purchases=purchases, purchase_times=purchase_times, mentions=mentions,
-        mention_times=mention_times, geoposts=GeoPostLog.from_rows(post_rows),
-        geopost_times=START + np.array(post_minutes, dtype="timedelta64[m]"), truth=truth,
-        customer_homes={customer_ids[i]: table.ids[customer_nbhd[i]]
-                        for i in range(cfg.n_customers)},
-        user_homes={user_ids[i]: table.ids[user_nbhd[i]]
-                    for i in range(cfg.n_twitter_users)},
+        mention_times=mention_times, geoposts=geoposts,
+        geopost_times=START + ((day * 24 + hour) * 60 + minute).astype("timedelta64[m]"),
+        truth=truth, customer_homes=dict(zip(customer_ids, customer_home)),
+        user_homes=dict(zip(user_ids, ids[user_nbhd].tolist())),
     )
 
 
@@ -280,18 +278,10 @@ def planted_truth(cfg: SynthConfig) -> dict:
     Thresholds for the strong-homophily regime come from a 20-seed pilot
     of the shipped presets.
     """
-    if cfg.homophily >= 3.0:
-        expect_r = {"kind": "min", "value": 0.6}
-    elif cfg.homophily == 0.0:
-        expect_r = {"kind": "null_band"}
-    else:
-        expect_r = {"kind": "positive"}
-    if cfg.tilt > 0.0:
-        expect_bias = {"kind": "positive"}
-    elif cfg.tilt == 0.0:
-        expect_bias = {"kind": "null_band"}
-    else:
-        expect_bias = {"kind": "negative"}
+    expect_r = ({"kind": "min", "value": 0.6} if cfg.homophily >= 3.0 else
+                {"kind": "null_band"} if cfg.homophily == 0.0 else {"kind": "positive"})
+    expect_bias = {"kind": "positive" if cfg.tilt > 0.0 else
+                   "null_band" if cfg.tilt == 0.0 else "negative"}
     return {
         "seed": cfg.seed,
         "homophily": cfg.homophily,
@@ -326,51 +316,60 @@ def preset(name: str, seed: int = 0, **overrides) -> SynthConfig:
     return SynthConfig(seed=seed, **{**PRESETS[name], **overrides})
 
 
-def _iso(times: np.ndarray) -> list[str]:
-    """datetime64[s] values as ISO 8601 text, as ``datetime.isoformat`` prints them."""
-    return np.datetime_as_string(times, unit="s").tolist()
+def _gather(texts: list[str], codes: np.ndarray) -> list[str]:
+    """The text of each code."""
+    return np.array(texts, dtype=object)[codes].tolist()
+
+
+def _formatted(values: np.ndarray, fmt: str) -> list[str]:
+    """``fmt`` applied to each float64 value, once for each distinct bit pattern."""
+    bits, code = np.unique(values.view(np.int64), return_inverse=True)
+    return _gather([fmt.format(v) for v in bits.view(np.float64).tolist()], code)
+
+
+def _iso_columns(times: np.ndarray, end: str) -> list[list[str]]:
+    """datetime64[s] values as ISO 8601 text, as ``datetime.isoformat``
+    prints them, then ``end``: the date and hour, formatted once for each
+    distinct hour, and the minute and second, gathered from a table."""
+    hour, second = np.divmod(times.astype(np.int64), 3600)
+    hours, hour = np.unique(hour, return_inverse=True)
+    hours = np.datetime_as_string(hours.astype("datetime64[h]")).tolist()
+    return [_gather([f"{h}:" for h in hours], hour),
+            _gather([f"{s // 60:02d}:{s % 60:02d}{end}" for s in range(3600)], second)]
+
+
+def _write_rows(path: Path, header: str, *columns: list[str]) -> None:
+    """Write a header, then the rows whose cells, separators included, are the columns."""
+    path.write_text(header + "".join(map("".join, zip(*columns))))
 
 
 def write_city(city: SynthCity, outdir) -> dict[str, str]:
-    """Write a city in the exact formats the ingest loaders read."""
+    """Write a city in the exact formats the ingest loaders read, a column
+    at a time: each id, amount and hour is formatted once, then gathered."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    paths = {}
-
-    paths["neighborhoods"] = str(outdir / "neighborhoods.csv")
+    paths = {file.split(".")[0]: outdir / file for file in ("neighborhoods.csv", "geometry.json",
+             "purchases.csv", "mentions.csv", "geoposts.csv", "truth.json")}
     city.table.write_csv(paths["neighborhoods"])
-
-    paths["geometry"] = str(outdir / "geometry.json")
-    with open(paths["geometry"], "w") as fh:
-        json.dump({nid: [ring.tolist() for ring in rings]
-                   for nid, rings in city.geometry.items()}, fh, sort_keys=True)
-        fh.write("\n")
-
-    paths["purchases"] = str(outdir / "purchases.csv")
-    with open(paths["purchases"], "w") as fh:
-        fh.write("customer_id,store_id,timestamp,amount,customer_home,store_neighborhood\n")
-        log = city.purchases
-        for c, s, t, a in zip(log.customer.tolist(), log.store.tolist(),
-                              _iso(city.purchase_times), log.amount.tolist()):
-            fh.write(f"{log.customer_ids[c]},{log.store_ids[s]},{t},"
-                     f"{a:.2f},{log.home[c]},{log.location[s]}\n")
-
-    paths["mentions"] = str(outdir / "mentions.csv")
-    with open(paths["mentions"], "w") as fh:
-        fh.write("source_user,target_user,timestamp\n")
-        users = city.mentions.user_ids
-        for a, b, ts in zip(city.mentions.source.tolist(), city.mentions.target.tolist(),
-                            _iso(city.mention_times)):
-            fh.write(f"{users[a]},{users[b]},{ts}\n")
-
-    paths["geoposts"] = str(outdir / "geoposts.csv")
-    with open(paths["geoposts"], "w") as fh:
-        fh.write("user_id,lat,lon,timestamp\n")
-        posts = city.geoposts
-        for u, lat, lon, ts in zip(posts.user.tolist(), posts.lat.tolist(), posts.lon.tolist(),
-                                   _iso(city.geopost_times)):
-            fh.write(f"{posts.user_ids[u]},{lat!r},{lon!r},{ts}\n")
-
-    paths["truth"] = str(outdir / "truth.json")
+    paths["geometry"].write_text(json.dumps({nid: [ring.tolist() for ring in rings]
+                                             for nid, rings in city.geometry.items()},
+                                            sort_keys=True) + "\n")
+    log = city.purchases
+    _write_rows(paths["purchases"],
+                "customer_id,store_id,timestamp,amount,customer_home,store_neighborhood\n",
+                _gather([f"{c}," for c in log.customer_ids], log.customer),
+                _gather([f"{s}," for s in log.store_ids], log.store),
+                *_iso_columns(city.purchase_times, ","), _formatted(log.amount, "{:.2f},"),
+                _gather([f"{h}," for h in log.home], log.customer),
+                _gather([f"{p}\n" for p in log.location], log.store))
+    users = [f"{u}," for u in city.mentions.user_ids]
+    _write_rows(paths["mentions"], "source_user,target_user,timestamp\n",
+                _gather(users, city.mentions.source), _gather(users, city.mentions.target),
+                *_iso_columns(city.mention_times, "\n"))
+    posts = city.geoposts
+    _write_rows(paths["geoposts"], "user_id,lat,lon,timestamp\n",
+                _gather([f"{u}," for u in posts.user_ids], posts.user),
+                _formatted(posts.lat, "{!r},"), _formatted(posts.lon, "{!r},"),
+                *_iso_columns(city.geopost_times, "\n"))
     _write_json(paths["truth"], {"config": asdict(city.config), "truth": city.truth})
-    return paths
+    return {name: str(path) for name, path in paths.items()}

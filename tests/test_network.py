@@ -304,6 +304,14 @@ class TestExport:
             assert head[key] == getattr(net, key).tolist()
             assert all(type(v) is int for v in head[key])
 
+    def test_explicit_zero_edge_omitted(self, tmp_path):
+        """A hand-built explicit zero is no edge; no builder makes one."""
+        net = InteractionNetwork(make_table(3), Flows([0, 1], [1, 2], [0.0, 2.0], 3), "purchase")
+        edges = tmp_path / "edges.csv"
+        write_network(net, edges, tmp_path / "header.json")
+        with open(edges, newline="") as fh:
+            assert list(csv.reader(fh))[1:] == [["N01", "N02", "2.0"]]
+
     def test_fractional_counts_refused(self, tmp_path, table4):
         """``int`` would truncate them: [2.7, 1.5] used to read back as [2, 1]."""
         events = [purchase("C1", "S1", "N00", "N01"), purchase("C2", "S2", "N03", "N02")]

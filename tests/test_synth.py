@@ -12,7 +12,7 @@ from segflow import (assign_groups, assign_points_to_neighborhoods,
                      pearson, population_weight, purchase_profiles)
 from segflow import synth
 from segflow.cli import main
-from segflow.ingest import PurchaseLog
+from segflow.ingest import GeoPostLog, MentionLog, PurchaseLog
 from segflow.synth import SynthConfig, generate_city, preset, write_city
 
 from test_golden import SYNTH_ARGS
@@ -57,6 +57,51 @@ def test_purchase_log_equals_interned_rows():
         got, want = getattr(log, name), getattr(rows, name)
         assert got.dtype == want.dtype and np.array_equal(got, want), name
     assert log.home == [city.customer_homes[c] for c in log.customer_ids]
+
+
+def test_code_built_logs_equal_interned_rows():
+    """On the golden smoke city, the mention and geopost logs built from the
+    drawn codes equal, field by field and dtype by dtype, the logs
+    ``from_rows`` interns from the same id tuples."""
+    flags = dict(zip(SYNTH_ARGS[::2], SYNTH_ARGS[1::2]))
+    city = generate_city(preset(flags.pop("--preset"), seed=int(flags.pop("--seed")),
+                                **{k[2:].replace("-", "_"): int(v) for k, v in flags.items()}))
+    m, p = city.mentions, city.geoposts
+    pairs = {"mention": (m, MentionLog.from_rows(
+                 (m.user_ids[a], m.user_ids[b]) for a, b in zip(m.source.tolist(),
+                                                                 m.target.tolist()))),
+             "geopost": (p, GeoPostLog.from_rows(
+                 zip([p.user_ids[u] for u in p.user.tolist()], p.lat.tolist(), p.lon.tolist(),
+                     p.hour.tolist())))}
+    for channel, (got, want) in pairs.items():
+        assert got.user_ids == want.user_ids, channel
+        fields = ("source", "target") if channel == "mention" else ("user", "lat", "lon", "hour")
+        for name in fields:
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (channel, name)
+    assert len(m) > 3000 and len(p) > 1000
+
+
+def test_column_formatters_match_row_formats():
+    """The writer's column formatters give, value for value, the text of the
+    per-row formats: ``np.datetime_as_string`` for times, ``{:.2f}`` for
+    amounts and ``repr`` for coordinates, repeated values included."""
+    times = np.array(["1969-12-31T23:59:59", "1970-01-01T00:00:00", "1899-12-31T23:59:59",
+                      "1900-03-01T12:34:56", "2015-12-31T23:59:59", "2016-01-01T00:00:00",
+                      "2016-02-28T23:59:59", "2016-02-29T00:00:00", "2016-02-29T23:59:59",
+                      "2016-03-01T00:00:00", "2013-04-01T00:00:00"], dtype="datetime64[s]")
+    times = np.concatenate([times, times[::-1]])
+    for end in (",", "\n"):
+        rows = list(map("".join, zip(*synth._iso_columns(times, end))))
+        assert rows == [t + end for t in np.datetime_as_string(times, unit="s").tolist()]
+    assert synth._iso_columns(times[:0], "\n") == [[], []]
+    raw = np.array([0.0, 0.01, 0.005, 0.015, 0.025, 0.125, 1.005, 2.675, 0.004999999999999999,
+                    0.005000000000000001, 1e7, 1e7 + 0.005, 9999999.995, 0.0, 0.01])
+    amounts = np.round(raw, 2)
+    assert synth._formatted(amounts, "{:.2f},") == [f"{a:.2f}," for a in amounts.tolist()]
+    coords = np.array([40.0, -3.0, 40.123456789012345, -2.9999999999999996, 0.1 + 0.2,
+                       1e-7, 0.0, -0.0, 40.0, -3.0])
+    assert synth._formatted(coords, "{!r},") == [f"{c!r}," for c in coords.tolist()]
 
 
 class TestEventVolumes:
@@ -206,6 +251,20 @@ RECORDED = {
         "mentions.csv": "3d9d3e1c53a12f692017ef5101c396f2f6ecc605e4ae1fdbd767be808a01edbf",
         "geoposts.csv": "c7fa484430dc783179b9186253d758bcaebca3c9ff1e0e09dcf5703e0db3b0f7",
     },
+    "preset": {
+        "neighborhoods.csv": "53fd0b9f597bfc0514bfe4f432e03ba42bbddf04bbed1ad599e62cd4d1bb08a8",
+        "geometry.json": "6421108c40706297d55f934ba0d7e1122519c9b2c8bfcde59c86f22539d30a9a",
+        "purchases.csv": "f3d88d7f00bb3f9f48ba5fa2fc66e2c86b4dcac022b2f25da7c0167796258869",
+        "mentions.csv": "0e53d91b28f2c3efd13de944c3583203b20c946e6297bfb37bcc4b8c77728e0f",
+        "geoposts.csv": "b63acea3aae2121264755df31810c24aa5af2b084f851468847494815522b605",
+    },
+    "coarse": {
+        "neighborhoods.csv": "48b6fe558e25e1d0b0cbea238ec299e7d2075bfa2b19485cd771c1a374e7afaa",
+        "geometry.json": "bb9c2e1642f245516f746049d5d22fa6ebbd062fd73d871479205cfca4034533",
+        "purchases.csv": "639ad696d5b55f3d10634e594e0429c68237552e654552962819aa2144857971",
+        "mentions.csv": "04efa0d65150ee410ac78bc22560a6006fc602af1b073fd1e872fec497d8c4ea",
+        "geoposts.csv": "f2fc2afb326b6cde0432c3b97d1c4d523f621aa6da448679402793f53afc082e",
+    },
     "tilted": {
         "neighborhoods.csv": "63908e5a5c8d51e5440c6a23b81c3c21ebf3c520da9aa5d231d325ad0e5d8260",
         "geometry.json": "d53cfdfacceb3e52b8da257cba802fcab7fa06791dbb3820d252747f1b72bd48",
@@ -220,11 +279,16 @@ RECORDED = {
     ("smoke", SYNTH_ARGS),
     ("neutral", ["--preset", "neutral", *SMALL_PRESET]),
     ("tilted", ["--preset", "tilted", *SMALL_PRESET]),
+    # the benchmark's two cities (perfbench/pipeline.py, WORKLOADS) at seed 7
+    ("preset", ["--preset", "homophilous", "--seed", "7"]),
+    ("coarse", ["--preset", "homophilous", "--seed", "7", "--n-neighborhoods", "400",
+                "--n-purchase-events", "200000"]),
 ])
 def test_data_files_match_recorded_digests(tmp_path, name, args):
     """The generator still writes the cities that the golden outputs and
-    perfbench/reference.json were recorded on: the golden smoke city and a
-    small neutral and tilted city keep their bytes."""
+    perfbench/reference.json were recorded on: the golden smoke city, a
+    small neutral and tilted city and the benchmark's two cities keep their
+    bytes."""
     assert main(["synth", "--out", str(tmp_path)] + args) == 0
     digests = {file: hashlib.sha256((tmp_path / file).read_bytes()).hexdigest()
                for file in RECORDED[name]}
