@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import logging
 import os
@@ -43,6 +44,8 @@ CHUNK_ROWS = 1024
 ROW_BLOCK = 1 << 16
 # Directory beside an input file that holds its parsed snapshot.
 SNAPSHOT_DIR = ".segflow-cache"
+# Rows that a column-at-a-time writer joins into one string and writes at once.
+WRITE_ROWS = 1 << 14
 
 NEIGHBORHOOD_COLUMNS = ("neighborhood_id", "lat", "lon", "population", "ses")
 PURCHASE_COLUMNS = ("customer_id", "store_id", "timestamp", "amount")
@@ -495,6 +498,49 @@ def _write_csv(path, header: Sequence[str], rows: Iterable[Sequence], newline: s
         writer = csv.writer(fh, lineterminator=newline)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def _csv_fields(texts: Iterable[str]) -> list[str]:
+    """Each text as ``csv.writer`` writes it as one field of a row ended by
+    CR LF: quoted where it must be, which depends on that line end."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    fields = []
+    for text in texts:
+        writer.writerow((text, ""))    # a field alone in its row is quoted when empty
+        fields.append(buf.getvalue().removesuffix(",\r\n"))
+        buf.seek(0)
+        buf.truncate()
+    return fields
+
+
+def _gather(texts: list[str], codes: np.ndarray) -> list[str]:
+    """The text of each code."""
+    return np.array(texts, dtype=object)[codes].tolist()
+
+
+def _formatted(values: np.ndarray, fmt: str) -> list[str]:
+    """``fmt`` applied to each float64 value, once for each distinct bit pattern."""
+    bits, code = np.unique(values.view(np.int64), return_inverse=True)
+    return _gather([fmt.format(v) for v in bits.view(np.float64).tolist()], code)
+
+
+def _write_rows(path, header: str, n_rows: int,
+                cells: Callable[[slice], Sequence[list[str]]]) -> None:
+    """Write a header, then ``n_rows`` rows, ``WRITE_ROWS`` at a time:
+    ``cells(rows)`` gives a slice of rows as columns of cells, separators
+    and line ends included.  Line ends are written as given, on every
+    platform."""
+    with open(path, "w", newline="") as fh:
+        fh.write(header)
+        for start in range(0, n_rows, WRITE_ROWS):
+            fh.write("".join(map("".join, zip(*cells(slice(start, start + WRITE_ROWS))))))
+
+
+def _write_columns(path, header: str, *columns: list[str]) -> None:
+    """Write a header, then the rows whose cells, separators and line ends
+    included, are the columns."""
+    _write_rows(path, header, len(columns[0]), lambda rows: [column[rows] for column in columns])
 
 
 T = TypeVar("T")

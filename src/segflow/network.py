@@ -17,7 +17,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .ingest import MentionLog, NeighborhoodTable, PurchaseLog, _write_csv, _write_json
+from .ingest import (MentionLog, NeighborhoodTable, PurchaseLog, _csv_fields, _formatted,
+                     _gather, _write_json, _write_rows)
 
 EARTH_RADIUS_KM = 6371.0
 _BLOCK_ROWS = 128     # rows (origins) of a block of distances computed at a time
@@ -215,7 +216,10 @@ def _whole(values, field: str) -> list[int] | None:
 
 def write_network(net: InteractionNetwork, edges_path, header_path) -> None:
     """Export as an edge list (zero entries omitted) plus a JSON header.
-    Counts are written as integers; a fractional one is refused."""
+    Counts are written as integers; a fractional one is refused.  The edge
+    list is written as ``csv.writer`` writes it, a block of rows at a time,
+    a column at a time: each node id is quoted once, and each distinct
+    weight of a block formatted once with ``repr``."""
     header = {
         "nodes": net.nodes,
         "channel": net.channel,
@@ -227,10 +231,10 @@ def write_network(net: InteractionNetwork, edges_path, header_path) -> None:
         "dropped_events": net.dropped_events,
         "simulated": net.simulated,
     }
-    ids = net.nodes
+    ids = [f"{field}," for field in _csv_fields(net.nodes)]
     edge = net.flows.weight != 0
-    o, d, w = (a[edge].tolist() for a in net.flows)
-    _write_csv(edges_path, ("origin_id", "dest_id", "weight"),
-               zip(map(ids.__getitem__, o), map(ids.__getitem__, d), map(repr, w)))
+    o, d, w = (a[edge] for a in net.flows)
+    _write_rows(edges_path, "origin_id,dest_id,weight\r\n", len(w), lambda rows: (
+        _gather(ids, o[rows]), _gather(ids, d[rows]), _formatted(w[rows], "{!r}\r\n")))
     _write_json(header_path, header)
 

@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .ingest import (GeoPostLog, MentionLog, NeighborhoodTable, PurchaseLog, _renumber,
-                     _write_json)
+from .ingest import (GeoPostLog, MentionLog, NeighborhoodTable, PurchaseLog, _formatted,
+                     _gather, _renumber, _write_columns, _write_json)
 from .models import GravityParams
 from .network import EARTH_RADIUS_KM, centroid_distances
 
@@ -245,9 +245,10 @@ def generate_city(cfg: SynthConfig) -> SynthCity:
         n_night = int(rng.integers(2, 6))
         n_day = int(rng.integers(0, 4))
         n_posts.append(n_night + n_day)
-        cells += [home] * n_night + rng.integers(0, n, n_day).tolist()
+        # scalar draws give the stream of one sized draw, without its np.prod on the size
+        cells += [home] * n_night + [int(rng.integers(0, n)) for _ in range(n_day)]
         hours += [NIGHT_HOURS[int(rng.integers(0, len(NIGHT_HOURS)))] for _ in range(n_night)]
-        hours += rng.integers(9, 20, n_day).tolist()
+        hours += [int(rng.integers(9, 20)) for _ in range(n_day)]
         for _ in range(n_night + n_day):
             xy.append(rng.random(2))
             day_minute.append((rng.integers(0, N_DAYS), rng.integers(0, 60)))
@@ -316,17 +317,6 @@ def preset(name: str, seed: int = 0, **overrides) -> SynthConfig:
     return SynthConfig(seed=seed, **{**PRESETS[name], **overrides})
 
 
-def _gather(texts: list[str], codes: np.ndarray) -> list[str]:
-    """The text of each code."""
-    return np.array(texts, dtype=object)[codes].tolist()
-
-
-def _formatted(values: np.ndarray, fmt: str) -> list[str]:
-    """``fmt`` applied to each float64 value, once for each distinct bit pattern."""
-    bits, code = np.unique(values.view(np.int64), return_inverse=True)
-    return _gather([fmt.format(v) for v in bits.view(np.float64).tolist()], code)
-
-
 def _iso_columns(times: np.ndarray, end: str) -> list[list[str]]:
     """datetime64[s] values as ISO 8601 text, as ``datetime.isoformat``
     prints them, then ``end``: the date and hour, formatted once for each
@@ -336,11 +326,6 @@ def _iso_columns(times: np.ndarray, end: str) -> list[list[str]]:
     hours = np.datetime_as_string(hours.astype("datetime64[h]")).tolist()
     return [_gather([f"{h}:" for h in hours], hour),
             _gather([f"{s // 60:02d}:{s % 60:02d}{end}" for s in range(3600)], second)]
-
-
-def _write_rows(path: Path, header: str, *columns: list[str]) -> None:
-    """Write a header, then the rows whose cells, separators included, are the columns."""
-    path.write_text(header + "".join(map("".join, zip(*columns))))
 
 
 def write_city(city: SynthCity, outdir) -> dict[str, str]:
@@ -355,21 +340,21 @@ def write_city(city: SynthCity, outdir) -> dict[str, str]:
                                              for nid, rings in city.geometry.items()},
                                             sort_keys=True) + "\n")
     log = city.purchases
-    _write_rows(paths["purchases"],
-                "customer_id,store_id,timestamp,amount,customer_home,store_neighborhood\n",
-                _gather([f"{c}," for c in log.customer_ids], log.customer),
-                _gather([f"{s}," for s in log.store_ids], log.store),
-                *_iso_columns(city.purchase_times, ","), _formatted(log.amount, "{:.2f},"),
-                _gather([f"{h}," for h in log.home], log.customer),
-                _gather([f"{p}\n" for p in log.location], log.store))
+    _write_columns(paths["purchases"],
+                   "customer_id,store_id,timestamp,amount,customer_home,store_neighborhood\n",
+                   _gather([f"{c}," for c in log.customer_ids], log.customer),
+                   _gather([f"{s}," for s in log.store_ids], log.store),
+                   *_iso_columns(city.purchase_times, ","), _formatted(log.amount, "{:.2f},"),
+                   _gather([f"{h}," for h in log.home], log.customer),
+                   _gather([f"{p}\n" for p in log.location], log.store))
     users = [f"{u}," for u in city.mentions.user_ids]
-    _write_rows(paths["mentions"], "source_user,target_user,timestamp\n",
-                _gather(users, city.mentions.source), _gather(users, city.mentions.target),
-                *_iso_columns(city.mention_times, "\n"))
+    _write_columns(paths["mentions"], "source_user,target_user,timestamp\n",
+                   _gather(users, city.mentions.source), _gather(users, city.mentions.target),
+                   *_iso_columns(city.mention_times, "\n"))
     posts = city.geoposts
-    _write_rows(paths["geoposts"], "user_id,lat,lon,timestamp\n",
-                _gather([f"{u}," for u in posts.user_ids], posts.user),
-                _formatted(posts.lat, "{!r},"), _formatted(posts.lon, "{!r},"),
-                *_iso_columns(city.geopost_times, "\n"))
+    _write_columns(paths["geoposts"], "user_id,lat,lon,timestamp\n",
+                   _gather([f"{u}," for u in posts.user_ids], posts.user),
+                   _formatted(posts.lat, "{!r},"), _formatted(posts.lon, "{!r},"),
+                   *_iso_columns(city.geopost_times, "\n"))
     _write_json(paths["truth"], {"config": asdict(city.config), "truth": city.truth})
     return {name: str(path) for name, path in paths.items()}

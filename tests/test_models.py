@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from segflow.ingest import filter_active_customers
 from segflow.models import (GravityParams, _law, adjust_gravity_amounts,
@@ -134,6 +135,105 @@ class TestFitGravity:
                 assert fit_gravity(sim, eps_grid=grid).epsilon == chosen
             message = f"gravity fit of purchase flows: eps {chosen:g} is at an end of its grid"
             assert (message in caplog.text) == logged
+
+
+# A 5 x 5 grid city with 0.5 km cells, and eps values from 0 to the far end
+# of the default grid.
+FIT_TABLE = synth.synthetic_geometry(25, extent_km=2.5, seed=0)[0]
+EPS_VALUES = [0.0, 0.01, 0.1, 0.25, 0.5, 1.0, 2.0]
+
+
+@st.composite
+def fit_case(draw):
+    """A network over ``FIT_TABLE`` and an eps grid.  Flows follow a planted
+    law with noise on a random subset of pairs; self-flows put edges at zero
+    distance; masses may be 1 but for a few at 1 + delta, whose log columns
+    are then close to zero, so that the normal equations come near the
+    condition limit or pass it, depending on eps; the grid is unsorted,
+    repeats values and holds values a few ulps apart, whose residuals are
+    near-ties."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = FIT_TABLE.n
+    delta = draw(st.sampled_from([None, 1e-3, 1e-5, 1e-6]))
+    n_o, n_d = (rng.integers(1, 200, (2, n)) if delta is None else
+                1 + delta * (rng.random((2, n)) < 0.1))
+    planted = GravityParams(c=0.5, beta1=0.8, beta2=0.6, epsilon=0.3, alpha=0.9)
+    W = simulate_gravity(planted, gravity_net(FIT_TABLE, n_o, n_d)).W
+    W *= np.exp(draw(st.sampled_from([0.01, 0.5, 2.0])) * rng.standard_normal((n, n)))
+    W *= rng.random((n, n)) < draw(st.floats(0.1, 1.0))
+    if not draw(st.booleans()):
+        np.fill_diagonal(W, 0.0)
+    base = draw(st.lists(st.sampled_from(EPS_VALUES) | st.floats(0.001, 3.0), min_size=1,
+                         max_size=6))
+    near = [v + k * np.spacing(v) for v, k in draw(st.lists(
+        st.tuples(st.sampled_from(base), st.integers(1, 64)), max_size=6)) if v > 0]
+    grid = draw(st.permutations(base + near + draw(st.lists(st.sampled_from(base), max_size=3))))
+    return gravity_net(FIT_TABLE, n_o, n_d, W), [float(v) for v in grid]
+
+
+def fit_at_each(net, grid) -> list[tuple[float, GravityParams | ValueError]]:
+    """The fit of ``net`` at each value of ``grid`` alone, or its error."""
+    fits = []
+    for eps in grid:
+        try:
+            fits.append((eps, fit_gravity(net, eps_grid=[eps])))
+        except ValueError as exc:
+            fits.append((eps, exc))
+    return fits
+
+
+def exponential_decay_case():
+    """Flows that fall off as exp(-0.003 T): -log(T + eps) approaches that
+    form as eps grows, so the best eps of this grid, 5000, has normal
+    equations within 100x of the condition limit, where only the exact
+    solve can tell that they are solvable."""
+    rng = np.random.default_rng(1)
+    n_o, n_d = rng.integers(1, 200, (2, FIT_TABLE.n))
+    W = 0.5 * np.outer(n_o ** 0.8, n_d ** 0.6) * np.exp(
+        -0.003 * centroid_distances(FIT_TABLE) + 1e-5 * rng.standard_normal((FIT_TABLE.n,) * 2))
+    return gravity_net(FIT_TABLE, n_o, n_d, W), [100.0, 300.0, 1000.0, 2000.0, 3000.0, 5000.0]
+
+
+@given(fit_case())
+@example(exponential_decay_case())
+@settings(max_examples=150, deadline=None)
+def test_fit_is_the_first_least_residual_of_single_eps_fits(case):
+    """Scanning the grid over the distinct distances picks the eps that the
+    exact solve at every grid value picks: the first of least residual,
+    with its exact parameters; with no solvable value, the error names the
+    last one that failed."""
+    net, grid = case
+    fits = fit_at_each(net, grid)
+    solved = [(eps, fit) for eps, fit in fits if isinstance(fit, GravityParams)]
+    if not solved:
+        failed = [str(exc) for _, exc in fits if not str(exc).endswith(": None")]
+        with pytest.raises(ValueError) as whole:
+            fit_gravity(net, eps_grid=grid)
+        assert str(whole.value) == (failed[-1] if failed else
+                                    "collinear regressors at every eps: None")
+        return
+    least = min(fit.residual_norm for _, fit in solved)
+    tied = [eps for eps, fit in solved if fit.residual_norm == least]
+    fit = fit_gravity(net, eps_grid=grid)
+    assert fit.residual_norm == least
+    assert fit.as_dict() == dict(solved)[fit.epsilon].as_dict()
+    # the first such eps, unless a later one's norm is equal and its residual smaller
+    assert fit.epsilon == tied[0] or len(set(tied)) > 1
+
+
+def test_all_singular_grid_keeps_its_message(geometry):
+    """Constant origin masses are collinear with the intercept at every eps:
+    the error names the condition number at the last value of the grid."""
+    table, _, _, n_d = geometry
+    planted = GravityParams(c=1.0, beta1=0.5, beta2=0.5, epsilon=0.2, alpha=0.5)
+    sim = simulate_gravity(planted, gravity_net(table, np.full(49, 50), n_d))
+    with pytest.raises(ValueError) as last:
+        fit_gravity(sim, eps_grid=[0.2])
+    assert str(last.value).startswith("collinear regressors at every eps: "
+                                      "singular normal equations (cond=")
+    with pytest.raises(ValueError) as whole:
+        fit_gravity(sim, eps_grid=[0.3, 0.0, 0.1, 0.2])
+    assert str(whole.value) == str(last.value)
 
 
 class TestGravityMasses:

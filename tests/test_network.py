@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from segflow import network, synth
+from segflow import ingest, network, synth
 from segflow.network import (EARTH_RADIUS_KM, Flows, InteractionNetwork,
                              build_mention_network, build_purchase_network, centroid_distances,
                              haversine_km, population_weight, write_network)
@@ -311,6 +311,31 @@ class TestExport:
         write_network(net, edges, tmp_path / "header.json")
         with open(edges, newline="") as fh:
             assert list(csv.reader(fh))[1:] == [["N01", "N02", "2.0"]]
+
+    @pytest.mark.parametrize("rows_at_a_time", [3, ingest.WRITE_ROWS])
+    def test_edge_bytes_match_a_csv_writer(self, tmp_path, monkeypatch, rows_at_a_time):
+        """Ids that need quoting or none, and weights whose ``repr`` is not
+        a plain decimal, are written byte for byte as ``csv.writer`` writes
+        them, lines ended by CR LF, however many rows go in one write."""
+        monkeypatch.setattr(ingest, "WRITE_ROWS", rows_at_a_time)
+        ids = ["a,b", 'say "hi"', "two\nlines", "cr\rlf", " lead", "Zürich", "東京", "", "N1"]
+        n = len(ids)
+        table = NeighborhoodTable(ids, np.full(n, 40.0), np.linspace(-3.0, -2.9, n),
+                                  np.full(n, 1000), np.full(n, 50.0))
+        rng = np.random.default_rng(2)
+        weight = rng.choice([1.0, 2.5, 1 / 3, np.nan, np.inf, -np.inf, 1e-320, -0.0, 0.0], 60)
+        flows = Flows(*rng.integers(n, size=(2, 60)), weight, n)
+        net = InteractionNetwork(table, flows, "mention", weighting="population_weighted")
+        edges = tmp_path / "edges.csv"
+        write_network(net, edges, tmp_path / "header.json")
+        oracle = tmp_path / "oracle.csv"
+        with open(oracle, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\r\n")
+            writer.writerow(("origin_id", "dest_id", "weight"))
+            writer.writerows((table.ids[o], table.ids[d], repr(w))
+                             for o, d, w in zip(*(a.tolist() for a in flows)) if w != 0)
+        assert edges.read_bytes() == oracle.read_bytes()
+        assert b'"a,b"' in oracle.read_bytes() and b"1e-320" in oracle.read_bytes()
 
     def test_fractional_counts_refused(self, tmp_path, table4):
         """``int`` would truncate them: [2.7, 1.5] used to read back as [2, 1]."""

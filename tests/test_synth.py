@@ -12,7 +12,7 @@ from segflow import (assign_groups, assign_points_to_neighborhoods,
                      pearson, population_weight, purchase_profiles)
 from segflow import synth
 from segflow.cli import main
-from segflow.ingest import GeoPostLog, MentionLog, PurchaseLog
+from segflow.ingest import GeoPostLog, MentionLog, PurchaseLog, _formatted
 from segflow.synth import SynthConfig, generate_city, preset, write_city
 
 from test_golden import SYNTH_ARGS
@@ -98,10 +98,10 @@ def test_column_formatters_match_row_formats():
     raw = np.array([0.0, 0.01, 0.005, 0.015, 0.025, 0.125, 1.005, 2.675, 0.004999999999999999,
                     0.005000000000000001, 1e7, 1e7 + 0.005, 9999999.995, 0.0, 0.01])
     amounts = np.round(raw, 2)
-    assert synth._formatted(amounts, "{:.2f},") == [f"{a:.2f}," for a in amounts.tolist()]
+    assert _formatted(amounts, "{:.2f},") == [f"{a:.2f}," for a in amounts.tolist()]
     coords = np.array([40.0, -3.0, 40.123456789012345, -2.9999999999999996, 0.1 + 0.2,
                        1e-7, 0.0, -0.0, 40.0, -3.0])
-    assert synth._formatted(coords, "{!r},") == [f"{c!r}," for c in coords.tolist()]
+    assert _formatted(coords, "{!r},") == [f"{c!r}," for c in coords.tolist()]
 
 
 class TestEventVolumes:
