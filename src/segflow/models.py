@@ -6,8 +6,8 @@ destination mass m, and centroid distance T.  Taking logs makes the fit
 linear in (log c, beta1, beta2, alpha) for fixed eps, a weighted
 least-squares solve with each observation weighted by its own flow value.
 eps is chosen from a grid: the normal equations of every grid value are
-scanned from sums over the distinct distances, and the exact solve over
-the edges decides among the few values that the scan cannot rule out.
+built from sums over the edges at each distinct distance and solved
+together, and the first of least residual wins.
 """
 from __future__ import annotations
 
@@ -26,9 +26,7 @@ log = logging.getLogger(__name__)
 
 DEFAULT_EPS_GRID = np.round(np.arange(0.0, 2.0 + 1e-9, 0.01), 10)
 _BLOCK_PAIRS = 1 << 15   # (origin, destination) pairs of the law evaluated at a time
-_BLOCK_VALUES = 1 << 16  # (distinct distance, eps) values of the grid scan at a time
 _COND_LIMIT = 1e12       # normal equations above this condition number are singular
-_RSS_MARGIN = 1e-9       # scanned residuals this share of sum(w*y**2) above the least may win
 
 
 @dataclass
@@ -48,10 +46,10 @@ class GravityParams:
     linear_distance: bool = False
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError("c must be positive")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
+        if not 0 < self.c < np.inf:
+            raise ValueError(f"c must be positive and finite, got {self.c}")
+        if not 0 <= self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be non-negative and finite, got {self.epsilon}")
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -79,7 +77,11 @@ def fit_gravity(
     flow value; an explicit zero edge (it has no log) is refused, as is a
     negative or non-finite flow or eps.  ``linear_distance`` switches the
     distance regressor from -log(T+eps) to -T, in which case eps is not
-    separately identifiable and is reported as 0.
+    separately identifiable and is reported as 0.  Each eps has its own
+    normal equations, built from sums over the edges at each distinct
+    distance, so a grid picks what fitting each of its values alone does:
+    the first of least residual among those whose condition number is at
+    most ``_COND_LIMIT``.
     """
     grid = DEFAULT_EPS_GRID if eps_grid is None else np.asarray(eps_grid, dtype=float)
     if not np.all(np.isfinite(grid) & (grid >= 0)):
@@ -95,112 +97,54 @@ def fit_gravity(
         raise ValueError("positive flow from/to a neighborhood with zero mass count")
     y = np.log(w)
     lat, lon = net.table.lat, net.table.lon
-    T = haversine_km(lat[rows], lon[rows], lat[cols], lon[cols])
-    if not linear_distance:     # taken before A, while few edge arrays are held
-        u, at = np.unique(T, return_inverse=True)
-        G = np.stack([np.bincount(at, weights=col, minlength=len(u)) for col in (
-            w, w * np.log(n_o[rows]), w * np.log(n_d[cols]), w * y)])
-        del at
+    # G sums w * (1, log n_o, log n_d, log w) over the edges at each distinct
+    # distance u, taken before A, while few edge arrays are held
+    u, at = np.unique(haversine_km(lat[rows], lon[rows], lat[cols], lon[cols]),
+                      return_inverse=True)
+    G = np.stack([np.bincount(at, weights=col, minlength=len(u)) for col in (
+        w, w * np.log(n_o[rows]), w * np.log(n_d[cols]), w * y)])
+    del at
     A = np.column_stack([np.ones(n_pos), np.log(n_o[rows]), np.log(n_d[cols])])
 
-    # eps-independent blocks of the weighted normal equations
-    Aw = A * w[:, None]
-    K11 = Aw.T @ A
-    v1 = A.T @ (w * y)
-    sw_yy = float(w @ (y ** 2))
+    # the weighted normal equations K beta = v of every eps, over the columns
+    # of A and the distance column d
+    eps = np.zeros(1) if linear_distance else grid[u[0] + grid > 0]  # 0 km + eps 0 has no log
+    K = np.empty((len(eps), 4, 4))
+    K[:, :3, :3] = (A * w[:, None]).T @ A
+    v = np.empty((len(eps), 4))
+    v[:, :3] = A.T @ (w * y)
+    for i, e in enumerate(eps):
+        d = -u if linear_distance else -np.log(u + e)
+        K[i, :3, 3] = K[i, 3, :3] = G[:3] @ d
+        K[i, 3, 3] = G[0] @ (d * d)
+        v[i, 3] = G[3] @ d
+    cond = np.linalg.cond(K)
+    ok = cond <= _COND_LIMIT
+    if not ok.any():
+        last = f"singular normal equations (cond={cond[-1]:.3e})" if len(eps) else None
+        raise ValueError(f"collinear regressors at every eps: {last}")
+    K, v, eps = K[ok], v[ok], eps[ok]
+    beta = np.linalg.solve(K, v[..., None])[..., 0]
+    rss = np.maximum(0.0, float(w @ (y ** 2)) - 2.0 * np.einsum("bi,bi->b", beta, v)
+                     + np.einsum("bi,bij,bj->b", beta, K, beta))
+    best = int(np.argmin(rss))
+    eps_hat, beta, rss = float(eps[best]), beta[best], float(rss[best])
+    if not linear_distance and eps_hat in (grid[0], grid[-1]):
+        log.info("gravity fit of %s flows: eps %g is at an end of its grid %g..%g",
+                 net.channel, eps_hat, grid[0], grid[-1])
+    with np.errstate(over="ignore"):
+        c = float(np.exp(beta[0]))
+    if not np.isfinite(c):
+        raise ValueError(f"the fitted log c, {beta[0]:.6g}, overflows c")
     y_bar = float((w @ y) / w.sum())
     tss = float(w @ (y - y_bar) ** 2)
-
-    def solve_for(d_col: np.ndarray):
-        K = np.empty((4, 4))
-        K[:3, :3] = K11
-        k12 = A.T @ (w * d_col)
-        K[:3, 3] = k12
-        K[3, :3] = k12
-        K[3, 3] = float(w @ (d_col ** 2))
-        v = np.append(v1, float(w @ (d_col * y)))
-        cond = np.linalg.cond(K)
-        if not np.isfinite(cond) or cond > _COND_LIMIT:
-            raise np.linalg.LinAlgError(f"singular normal equations (cond={cond:.3e})")
-        beta = np.linalg.solve(K, v)
-        rss = max(0.0, sw_yy - 2.0 * float(beta @ v) + float(beta @ K @ beta))
-        return beta, rss
-
-    if linear_distance:
-        try:
-            beta, rss = solve_for(-T)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError(f"collinear regressors: {exc}") from exc
-        best = (0.0, beta, rss)
-    else:
-        best = None
-        last_err = None
-        # the exact solves decide among the scan's candidates, or else over the whole grid
-        for eps_set in (_eps_candidates(u, G, K11, v1, sw_yy, grid), grid):
-            for eps in eps_set:
-                shifted = T + eps
-                if np.any(shifted <= 0):
-                    continue
-                try:
-                    beta, rss = solve_for(-np.log(shifted))
-                except np.linalg.LinAlgError as exc:
-                    last_err = exc
-                    continue
-                if best is None or rss < best[2]:
-                    best = (float(eps), beta, rss)
-            if best is not None:
-                break
-        if best is None:
-            raise ValueError(f"collinear regressors at every eps: {last_err}")
-        if best[0] in (grid[0], grid[-1]):
-            log.info("gravity fit of %s flows: eps %g is at an end of its grid %g..%g",
-                     net.channel, best[0], grid[0], grid[-1])
-
-    eps_hat, beta, rss = best
     return GravityParams(
-        c=float(np.exp(beta[0])), beta1=float(beta[1]), beta2=float(beta[2]),
+        c=c, beta1=float(beta[1]), beta2=float(beta[2]),
         epsilon=eps_hat, alpha=float(beta[3]), channel=net.channel,
         r2_weighted=(1.0 - rss / tss) if tss > 0 else None,
         residual_norm=float(np.sqrt(rss)), n_pairs=n_pos,
         zero_pairs_excluded=net.n ** 2 - n_pos, linear_distance=linear_distance,
     )
-
-
-def _eps_candidates(u, G, K11, v1, sw_yy: float, grid: np.ndarray) -> np.ndarray:
-    """The values of ``grid``, in grid order, at which the exact fit may be
-    best.  The scan builds the 4 x 4 normal equations of each eps from
-    ``G``, the sums of w * (1, log n_o, log n_d, log w) over the edges at
-    each distinct distance ``u`` (ascending), taking -log(u + eps) for a
-    block of eps values at a time, and solves them together.  A candidate
-    is a value whose condition number lies within 100x of ``_COND_LIMIT``,
-    where the scan cannot tell whether the exact solve succeeds, or a
-    better-conditioned one whose residual is within ``_RSS_MARGIN * sw_yy``
-    of the least of those."""
-    eps = grid[u[0] + grid > 0]     # eps 0 beside a zero distance has no log
-    K = np.empty((len(eps), 4, 4))
-    K[:, :3, :3] = K11
-    v = np.empty((len(eps), 4))
-    v[:, :3] = v1
-    step = max(1, _BLOCK_VALUES // len(u))
-    for start in range(0, len(eps), step):
-        block = slice(start, start + step)
-        log_d = np.log(eps[block, None] + u)       # minus the distance column, an eps a row
-        kv = log_d @ G.T
-        K[block, :3, 3] = K[block, 3, :3] = -kv[:, :3]
-        v[block, 3] = -kv[:, 3]
-        log_d *= log_d
-        K[block, 3, 3] = log_d @ G[0]
-    finite = np.isfinite(K).all(axis=(1, 2))
-    K[~finite] = np.eye(4)          # svd refuses them, and the exact solve finds them singular
-    U, sv, Vh = np.linalg.svd(K)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = np.where(finite, sv[:, 0] / sv[:, -1], np.nan)
-        beta = np.einsum("bj,bji->bi", np.einsum("bji,bj->bi", U, v) / sv, Vh)
-        rss = np.maximum(0.0, sw_yy - 2.0 * np.einsum("bi,bi->b", beta, v)
-                         + np.einsum("bi,bij,bj->b", beta, K, beta))
-    safe = (cond < _COND_LIMIT / 100) & np.isfinite(rss)
-    near_least = safe & (rss <= rss[safe].min(initial=np.inf) + _RSS_MARGIN * sw_yy)
-    return eps[near_least | (~safe & (cond <= _COND_LIMIT * 100))]
 
 
 def _law(params: GravityParams, net: InteractionNetwork, o, d) -> np.ndarray:

@@ -180,8 +180,8 @@ def half_filled_net():
 def test_gravity_fit_holds_no_grid_of_distances():
     """The fit over 80,250 edges and the 201 values of the default eps grid
     peaks at 8.35 MB, 104 bytes an edge, while it builds the regressors: the
-    scan of the grid takes -log(u + eps) for a block of values at a time
-    over the distinct distances u.  The whole grid at once is 201 values
+    normal equations of each eps take -log(u + eps) over the 8,641 distinct
+    distances u, one eps at a time.  The whole grid at once is 201 values
     for each distinct distance."""
     net = half_filled_net()
     assert net.flows.size == 80_250

@@ -184,9 +184,10 @@ def fit_at_each(net, grid) -> list[tuple[float, GravityParams | ValueError]]:
 
 def exponential_decay_case():
     """Flows that fall off as exp(-0.003 T): -log(T + eps) approaches that
-    form as eps grows, so the best eps of this grid, 5000, has normal
-    equations within 100x of the condition limit, where only the exact
-    solve can tell that they are solvable."""
+    form as eps grows, so the normal equations of eps 1000 to 5000 have
+    condition numbers from 1e10 to 6e11, just under the limit, and residuals
+    that differ by less than their rounding.  The grid must still pick what
+    the single-eps fits pick."""
     rng = np.random.default_rng(1)
     n_o, n_d = rng.integers(1, 200, (2, FIT_TABLE.n))
     W = 0.5 * np.outer(n_o ** 0.8, n_d ** 0.6) * np.exp(
@@ -198,10 +199,10 @@ def exponential_decay_case():
 @example(exponential_decay_case())
 @settings(max_examples=150, deadline=None)
 def test_fit_is_the_first_least_residual_of_single_eps_fits(case):
-    """Scanning the grid over the distinct distances picks the eps that the
-    exact solve at every grid value picks: the first of least residual,
-    with its exact parameters; with no solvable value, the error names the
-    last one that failed."""
+    """A grid picks what fitting each of its values alone picks: the first
+    eps of least residual, with the same parameters bit for bit, since both
+    build and solve the same normal equations for each eps; with no
+    solvable value, the error names the last one that failed."""
     net, grid = case
     fits = fit_at_each(net, grid)
     solved = [(eps, fit) for eps, fit in fits if isinstance(fit, GravityParams)]
@@ -234,6 +235,61 @@ def test_all_singular_grid_keeps_its_message(geometry):
     with pytest.raises(ValueError) as whole:
         fit_gravity(sim, eps_grid=[0.3, 0.0, 0.1, 0.2])
     assert str(whole.value) == str(last.value)
+
+
+def test_overflowing_c_refused():
+    """Masses of 1000 and 1001 barely identify the mass exponents, so log c
+    absorbs -beta1 * log 1000 and passes 709: the fit used to return c = inf
+    after numpy's overflow warning."""
+    n = FIT_TABLE.n
+    rng = np.random.default_rng(19)
+    n_o, n_d = (np.where(rng.random(n) < 0.1, 1001, 1000) for _ in range(2))
+    planted = GravityParams(c=0.5, beta1=0.8, beta2=0.6, epsilon=0.3, alpha=0.9)
+    W = simulate_gravity(planted, gravity_net(FIT_TABLE, n_o, n_d)).W
+    W *= np.exp(0.1 * rng.standard_normal((n, n)))
+    with pytest.raises(ValueError, match=r"^the fitted log c, 928\.\d+, overflows c$"):
+        fit_gravity(gravity_net(FIT_TABLE, n_o, n_d, W), eps_grid=[0.001])
+
+
+def lstsq_fit(net, eps, linear_distance) -> list[float]:
+    """c, beta1, beta2, alpha and the residual norm of the fit at one eps,
+    from its definition: least squares over the edges, each row of the log
+    law scaled by the square root of its flow."""
+    rows, cols, w = net.flows
+    n_d = net.store_counts if net.channel == "purchase" else net.user_counts
+    lat, lon = net.table.lat, net.table.lon
+    T = haversine_km(lat[rows], lon[rows], lat[cols], lon[cols])
+    X = np.column_stack([np.ones(len(w)), np.log(net.user_counts[rows]), np.log(n_d[cols]),
+                         -T if linear_distance else -np.log(T + eps)])
+    root = np.sqrt(w)
+    beta, rss, rank, _ = np.linalg.lstsq(X * root[:, None], np.log(w) * root, rcond=None)
+    assert rank == 4
+    return [np.exp(beta[0]), *beta[1:], np.sqrt(rss[0])]
+
+
+@pytest.mark.parametrize("linear_distance", [False, True], ids=["log", "linear"])
+@pytest.mark.parametrize("channel", ["purchase", "mention"])
+def test_fit_matches_weighted_lstsq_over_the_edges(geometry, channel, linear_distance):
+    """The per-distance sums solve the same least-squares problem as the
+    edges do: a noisy purchase network over 49 nodes with self-flows, and a
+    sparse mention network over 25 nodes without them."""
+    if channel == "purchase":
+        table, _, n_o, n_d = geometry
+        rng = np.random.default_rng(11)
+    else:
+        table, rng = FIT_TABLE, np.random.default_rng(12)
+        n_o = n_d = rng.integers(5, 300, FIT_TABLE.n)
+    planted = GravityParams(c=0.3, beta1=0.6, beta2=0.7, epsilon=0.25, alpha=0.8)
+    W = simulate_gravity(planted, gravity_net(table, n_o, n_d, channel=channel)).W
+    W *= np.exp(0.4 * rng.standard_normal(W.shape))
+    if channel == "mention":
+        W *= rng.random(W.shape) < 0.5
+        np.fill_diagonal(W, 0.0)
+    net = gravity_net(table, n_o, n_d, W, channel=channel)
+    fit = fit_gravity(net, eps_grid=[0.25], linear_distance=linear_distance)
+    assert fit.epsilon == (0.0 if linear_distance else 0.25)
+    got = [fit.c, fit.beta1, fit.beta2, fit.alpha, fit.residual_norm]
+    assert got == pytest.approx(lstsq_fit(net, 0.25, linear_distance), rel=1e-9, abs=0)
 
 
 class TestGravityMasses:
@@ -342,10 +398,14 @@ class TestSimulateGravity:
         assert abs(r - null.r_mean) <= 3.0 * null.r_std
 
     def test_params_validation(self):
-        with pytest.raises(ValueError):
-            GravityParams(c=0.0, beta1=1, beta2=1, epsilon=0.1, alpha=1)
-        with pytest.raises(ValueError):
-            GravityParams(c=1.0, beta1=1, beta2=1, epsilon=-0.1, alpha=1)
+        for c, epsilon, message in ((0.0, 0.1, "c must be positive and finite"),
+                                    (np.inf, 0.1, "c must be positive and finite"),
+                                    (np.nan, 0.1, "c must be positive and finite"),
+                                    (1.0, -0.1, "epsilon must be non-negative and finite"),
+                                    (1.0, np.nan, "epsilon must be non-negative and finite"),
+                                    (1.0, np.inf, "epsilon must be non-negative and finite")):
+            with pytest.raises(ValueError, match=message):
+                GravityParams(c=c, beta1=1, beta2=1, epsilon=epsilon, alpha=1)
 
 
 class TestNullShuffle:
