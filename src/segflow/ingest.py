@@ -42,6 +42,8 @@ CHUNK_ROWS = 1024
 # (point, ring edge) rows that point-in-polygon evaluates at once, which
 # bounds its memory.
 ROW_BLOCK = 1 << 16
+# Event codes whose first-seen order is checked at once.
+CODE_BLOCK = 1 << 14
 # Directory beside an input file that holds its parsed snapshot.
 SNAPSHOT_DIR = ".segflow-cache"
 # Rows that a column-at-a-time writer joins into one string and writes at once.
@@ -144,7 +146,11 @@ class PurchaseLog:
 
     def select(self, keep: np.ndarray) -> PurchaseLog:
         """The events where ``keep`` holds, customers and stores renumbered
-        in first-seen order."""
+        in first-seen order.  When ``keep`` holds for every event and the
+        codes are already first-seen, as every loader numbers them, the
+        result shares this log's columns instead of copying them."""
+        if keep.all():
+            keep = slice(None)      # a view, not a copy
         customer, customer_ids, home = _renumber(self.customer[keep], self.customer_ids, self.home)
         store, store_ids, location = _renumber(self.store[keep], self.store_ids, self.location)
         return PurchaseLog(customer_ids, store_ids, home, location, customer, store,
@@ -154,7 +160,7 @@ class PurchaseLog:
         """The events whose home and store location are both in ``table``,
         with the table row of each kept customer's home and store's location."""
         home, loc = table.rows(self.home), table.rows(self.location)
-        log = self.select((home[self.customer] >= 0) & (loc[self.store] >= 0))
+        log = self.select((home >= 0)[self.customer] & (loc >= 0)[self.store])
         return log, table.rows(log.home), table.rows(log.location)
 
 
@@ -230,7 +236,10 @@ class _PurchaseBuilder:
 
 def _renumber(codes: np.ndarray, ids: list[str], *places: list):
     """Codes renumbered in first-seen order, with the ids and any lists of
-    places kept beside them."""
+    places kept beside them; codes that are already so numbered and use
+    every id are returned as they are."""
+    if _first_seen(codes, len(ids)):
+        return (codes, ids, *places)
     first = np.full(len(ids), len(codes), dtype=np.int64)
     np.minimum.at(first, codes, np.arange(len(codes)))
     used = np.flatnonzero(first < len(codes))
@@ -239,6 +248,20 @@ def _renumber(codes: np.ndarray, ids: list[str], *places: list):
     new = np.empty(len(ids), dtype=np.int64)
     new[order] = np.arange(order.size)
     return (new[codes], *([values[i] for i in order] for values in (ids, *places)))
+
+
+def _first_seen(codes: np.ndarray, n: int) -> bool:
+    """Whether ``codes`` use each of 0..n-1, each code first seen after
+    every lower one: each code is at most one above all codes before it.
+    ``CODE_BLOCK`` codes are checked at a time."""
+    top = -1     # the highest code before the block
+    for start in range(0, len(codes), CODE_BLOCK):
+        highest = np.maximum.accumulate(codes[start:start + CODE_BLOCK])
+        np.maximum(highest, top, out=highest)
+        if np.any(np.diff(highest, prepend=top) > 1):
+            return False
+        top = highest[-1]
+    return top == n - 1
 
 
 @dataclass(eq=False)
@@ -809,7 +832,7 @@ def filter_active_customers(events: PurchaseLog, min_tx: int = 10) -> PurchaseLo
     if min_tx < 1:
         raise ValueError("min_tx must be >= 1")
     counts = np.bincount(events.customer, minlength=len(events.customer_ids))
-    return events.select(counts[events.customer] >= min_tx)
+    return events.select((counts >= min_tx)[events.customer])
 
 
 def _spans(first: np.ndarray, last: np.ndarray) -> np.ndarray:

@@ -62,15 +62,27 @@ def mention_profiles(mentions: MentionLog) -> Profiles:
 
 def _profiles(person: np.ndarray, target: np.ndarray, person_ids: Sequence[str],
               target_ids: Sequence[str]) -> Profiles:
-    pairs, first, count = np.unique(person * len(target_ids) + target,
-                                    return_index=True, return_counts=True)
-    person, target = np.divmod(pairs, len(target_ids))    # grouped by person code
-    starts = np.flatnonzero(np.diff(person, prepend=-1))
+    # what np.unique(key, return_index=True, return_counts=True) gives, with
+    # each intermediate dropped once used, so that few event arrays are held
+    key = person * len(target_ids) + target
+    by_key = np.argsort(key, kind="stable")
+    key = key[by_key]
+    at = np.flatnonzero(np.diff(key, prepend=-1))     # each pair's first in key order
+    pairs, first = key[at], by_key[at]
+    del key, by_key
+    count = np.diff(at, append=len(person))
+    del at
+    # pairs are grouped by person code, which need not be first-seen among
+    # persons: a mention's target is interned before it is ever a source
+    starts = np.flatnonzero(np.diff(pairs // len(target_ids), prepend=-1))
     seen = np.repeat(np.minimum.reduceat(first, starts), np.diff(starts, append=len(pairs)))
-    # a person's code need not be first-seen among persons: a mention's
-    # target is interned before it is ever a source
     order = np.lexsort((first, seen))
-    return Profiles(person_ids, target_ids, person[order], target[order], count[order])
+    del first, seen
+    pairs = pairs[order]
+    count = count[order]
+    del order
+    person, target = np.divmod(pairs, len(target_ids))
+    return Profiles(person_ids, target_ids, person, target, count)
 
 
 @dataclass

@@ -25,7 +25,7 @@ from .segregation import (DegenerateMatrixError, GroupAssignment, MixingMatrix, 
 log = logging.getLogger(__name__)
 
 DEFAULT_EPS_GRID = np.round(np.arange(0.0, 2.0 + 1e-9, 0.01), 10)
-_BLOCK_PAIRS = 1 << 15   # (origin, destination) pairs of the law evaluated at a time
+_BLOCK_PAIRS = 1 << 15   # pairs of the law, edges or events that a pass holds at a time
 _COND_LIMIT = 1e12       # normal equations above this condition number are singular
 
 
@@ -86,6 +86,8 @@ def fit_gravity(
     grid = DEFAULT_EPS_GRID if eps_grid is None else np.asarray(eps_grid, dtype=float)
     if not np.all(np.isfinite(grid) & (grid >= 0)):
         raise ValueError("eps_grid values must be finite and non-negative")
+    if not grid.size:
+        raise ValueError("empty eps grid")
     n_o, n_d = _masses(net)
     rows, cols, w = net.flows
     if not np.all(np.isfinite(w) & (w > 0)):
@@ -97,10 +99,14 @@ def fit_gravity(
         raise ValueError("positive flow from/to a neighborhood with zero mass count")
     y = np.log(w)
     lat, lon = net.table.lat, net.table.lon
+    dist = np.empty(n_pos)    # each edge's centroid distance, a block of edges at a time
+    for start in range(0, n_pos, _BLOCK_PAIRS):
+        o, d = rows[start:start + _BLOCK_PAIRS], cols[start:start + _BLOCK_PAIRS]
+        dist[start:start + _BLOCK_PAIRS] = haversine_km(lat[o], lon[o], lat[d], lon[d])
     # G sums w * (1, log n_o, log n_d, log w) over the edges at each distinct
     # distance u, taken before A, while few edge arrays are held
-    u, at = np.unique(haversine_km(lat[rows], lon[rows], lat[cols], lon[cols]),
-                      return_inverse=True)
+    u, at = np.unique(dist, return_inverse=True)
+    del dist
     G = np.stack([np.bincount(at, weights=col, minlength=len(u)) for col in (
         w, w * np.log(n_o[rows]), w * np.log(n_d[cols]), w * y)])
     del at
@@ -109,6 +115,9 @@ def fit_gravity(
     # the weighted normal equations K beta = v of every eps, over the columns
     # of A and the distance column d
     eps = np.zeros(1) if linear_distance else grid[u[0] + grid > 0]  # 0 km + eps 0 has no log
+    if not len(eps):
+        raise ValueError("no eps to fit: the grid holds only eps 0, and an edge has centroid "
+                         "distance 0 km (a self-flow), where -log(distance + eps) is undefined")
     K = np.empty((len(eps), 4, 4))
     K[:, :3, :3] = (A * w[:, None]).T @ A
     v = np.empty((len(eps), 4))
@@ -121,8 +130,8 @@ def fit_gravity(
     cond = np.linalg.cond(K)
     ok = cond <= _COND_LIMIT
     if not ok.any():
-        last = f"singular normal equations (cond={cond[-1]:.3e})" if len(eps) else None
-        raise ValueError(f"collinear regressors at every eps: {last}")
+        raise ValueError("collinear regressors at every eps: "
+                         f"singular normal equations (cond={cond[-1]:.3e})")
     K, v, eps = K[ok], v[ok], eps[ok]
     beta = np.linalg.solve(K, v[..., None])[..., 0]
     rss = np.maximum(0.0, float(w @ (y ** 2)) - 2.0 * np.einsum("bi,bi->b", beta, v)
@@ -350,11 +359,15 @@ def adjust_gravity_amounts(
     """Rescale each transaction amount on pair (i, j) by w_hat_ij / w_ij,
     the fitted law (``_law``) over the observed flow of ``empirical_net``,
     imposing the model's flow level on the observed amounts.  Returns the
-    adjusted revenue aggregated by store neighborhood.
+    adjusted revenue aggregated by store neighborhood.  The law and the
+    events' lookups are taken ``_BLOCK_PAIRS`` edges or events at a time.
     """
     n = arrays.n_neighborhoods
     emp = _sized(empirical_net.flows, n)
-    w_hat = _law(params, empirical_net, emp.origin, emp.dest)
+    w_hat = np.empty(emp.size)
+    for start in range(0, max(emp.size, 1), _BLOCK_PAIRS):   # _law's rules hold for no edges
+        edges = slice(start, start + _BLOCK_PAIRS)
+        w_hat[edges] = _law(params, empirical_net, emp.origin[edges], emp.dest[edges])
     if np.any(w_hat[emp.weight > 0] <= 0):
         raise ValueError("simulated flow is zero on a pair with observed flow")
     # each edge's and event's cell, origin * n + dest, ascending for the
@@ -362,13 +375,22 @@ def adjust_gravity_amounts(
     keys = emp.origin.astype(np.int64)
     keys *= n
     keys += emp.dest
-    cells, j = arrays.event_cells()
-    cells *= n
-    cells += j
-    edge = np.searchsorted(keys, cells)
-    if len(keys):
-        edge[keys.take(edge, mode="clip") != cells] = len(keys)    # not an edge
-    del cells
-    if np.any(np.append(emp.weight, 0.0)[edge] <= 0):
-        raise ValueError("event on a pair with zero empirical flow")
-    return np.bincount(j, weights=(w_hat / emp.weight)[edge] * arrays.ev_amount, minlength=n)
+    observed = np.append(emp.weight, 0.0)      # the last entry: not an edge
+    scale = w_hat / emp.weight
+    del w_hat
+    # np.add.at adds in input order, as a bincount over all events would
+    revenue = np.zeros(n)
+    for start in range(0, len(arrays.ev_amount), _BLOCK_PAIRS):
+        events = slice(start, start + _BLOCK_PAIRS)
+        cells = arrays.home_of_customer[arrays.ev_customer[events]]
+        j = arrays.loc_of_store[arrays.ev_store[events]]
+        cells *= n
+        cells += j
+        edge = np.searchsorted(keys, cells)
+        if len(keys):
+            edge[keys.take(edge, mode="clip") != cells] = len(keys)    # not an edge
+        del cells
+        if np.any(observed[edge] <= 0):
+            raise ValueError("event on a pair with zero empirical flow")
+        np.add.at(revenue, j, scale[edge] * arrays.ev_amount[events])
+    return revenue

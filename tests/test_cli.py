@@ -569,6 +569,21 @@ class TestBadParameters:
         err = capsys.readouterr().err
         assert message in err and "collinear" not in err
 
+    def test_eps_0_on_a_self_flow_named(self, city_dir, tmp_path, capsys):
+        """A customer who buys in their own neighborhood puts a flow 0 km
+        long in the network, where eps 0 leaves no log distance."""
+        lines = (city_dir / "purchases.csv").read_text().splitlines(keepends=True)
+        lines += [f"CSELF,SSELF,2013-06-01T12:00:{i:02d},10.00,N0000,N0000\n"
+                  for i in range(10)]
+        data = copy_city(city_dir, tmp_path / "city", lines)
+        out = tmp_path / "g"
+        assert main(["gravity", "--data", str(data), "--out", str(out),
+                     "--eps-start", "0", "--eps-stop", "0"]) == 1
+        err = capsys.readouterr().err
+        assert "error: no eps to fit: the grid holds only eps 0, and an edge has centroid " \
+               "distance 0 km (a self-flow)" in err
+        assert not out.exists() or not list(out.iterdir())
+
     @pytest.mark.parametrize("flags, key, value", [
         (["--eps-start", "-0.5", "--eps-stop", "0.5", "--eps-step", "0.5"], "eps_start", "-0.5"),
         (["--eps-start", "nan"], "eps_start", "nan"),

@@ -307,3 +307,63 @@ def test_select_renumbers_as_the_sort_reference(case):
     for got, want in ((selected.customer, customer), (selected.store, store),
                       (selected.amount, log.amount[keep])):
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def selected_as_reference(log: PurchaseLog, keep: np.ndarray) -> PurchaseLog:
+    """What ``select`` gives by the copying, sorting reference."""
+    customer, customer_ids, home = renumbered_by_sort(log.customer[keep], log.customer_ids,
+                                                      log.home)
+    store, store_ids, location = renumbered_by_sort(log.store[keep], log.store_ids,
+                                                    log.location)
+    return PurchaseLog(customer_ids, store_ids, home, location, customer, store, log.amount[keep])
+
+
+def assert_same_log(got: PurchaseLog, want: PurchaseLog):
+    for name in ("customer_ids", "store_ids", "home", "location"):
+        assert getattr(got, name) == getattr(want, name), name
+    for name in ("customer", "store", "amount"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def columns(log: PurchaseLog) -> tuple[np.ndarray, ...]:
+    return log.customer, log.store, log.amount
+
+
+class TestSelectBranches:
+    """``select`` shares the columns only when it drops no event and the
+    codes are already first-seen; otherwise it renumbers copies."""
+
+    def loaded(self) -> PurchaseLog:
+        """A log as the loaders leave it: codes in first-seen order."""
+        return PurchaseLog.from_rows((f"C{i % 7}", f"S{i % 5}", float(i), f"N{i % 7}",
+                                      f"M{i % 5}") for i in range(40))
+
+    def test_every_first_seen_event_kept_shares_the_columns(self):
+        log = self.loaded()
+        keep = np.ones(len(log), dtype=bool)
+        selected = log.select(keep)
+        for got, column in zip(columns(selected), columns(log)):
+            assert np.shares_memory(got, column)
+        assert_same_log(selected, selected_as_reference(log, keep))
+
+    @pytest.mark.parametrize("customer", [
+        [1, 0, 1, 2, 0],      # code 1 first seen before code 0
+        [0, 2, 1, 2, 0],      # code 2 first seen before code 1
+        [0, 1, 0, 1, 0],      # code 2 is no event's
+    ], ids=["swapped", "skipped", "unused"])
+    def test_every_event_kept_but_codes_not_first_seen_renumbered(self, customer):
+        log = PurchaseLog(["C0", "C1", "C2"], ["S0"], ["N0", "N1", "N2"], ["M0"],
+                          np.array(customer), np.zeros(5, dtype=np.int64), np.arange(5.0))
+        keep = np.ones(len(log), dtype=bool)
+        selected = log.select(keep)
+        assert not np.shares_memory(selected.customer, log.customer)
+        assert_same_log(selected, selected_as_reference(log, keep))
+
+    def test_some_events_kept_copied(self):
+        log = self.loaded()
+        keep = np.arange(len(log)) % 3 != 1
+        selected = log.select(keep)
+        for got, column in zip(columns(selected), columns(log)):
+            assert not np.shares_memory(got, column)
+        assert_same_log(selected, selected_as_reference(log, keep))

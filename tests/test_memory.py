@@ -1,5 +1,6 @@
-"""No step holds n x n temporaries, a network holds only its edges, and
-diversity holds arrays, not a dict per person.
+"""No step holds n x n temporaries, a network holds only its edges,
+diversity holds arrays, not a dict per person, and passes over events
+share the log's columns or hold a block of them.
 
 On the 1600-neighborhood preset geometry one n x n float matrix is 20.5 MB,
 and short-lived copies of it, then the dense networks themselves, used to
@@ -12,10 +13,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from segflow.ingest import MentionLog, PurchaseLog
+from segflow.ingest import CODE_BLOCK, MentionLog, PurchaseLog, filter_active_customers
 from segflow.metrics import neighborhood_diversity, purchase_profiles
-from segflow.models import (adjust_gravity_amounts, fit_gravity, purchase_arrays,
-                            simulate_gravity)
+from segflow.models import (_BLOCK_PAIRS, adjust_gravity_amounts, fit_gravity,
+                            purchase_arrays, simulate_gravity)
 from segflow.network import (build_mention_network, build_purchase_network,
                              centroid_distances, population_weight, write_network)
 from segflow.segregation import assign_groups, distance_sweep, mixing_matrix
@@ -113,23 +114,61 @@ def test_simulated_gravity_holds_16_bytes_an_edge():
     assert f.weight.dtype == np.float64
 
 
-def test_gravity_adjustment_holds_one_key_an_edge():
-    """Reading the law at the 19,675 edges of 20,000 purchases, and looking
-    the purchases up among those edges by one int64 cell key an edge, holds
-    1.92 MB, 12 times 8 bytes an event, nearly all of it the law's float
-    temporaries over the edges.  Reading the law's values off its ~1.2M
-    simulated edges held 10.15 MB, and padded keys and weights 29.44 MB."""
-    params, net = simulated_args()
-    rng = np.random.default_rng(5)
+def random_log(events, customers, stores, seed=5, homes=None, locations=None):
+    """``events`` random purchases among ``customers`` and ``stores``, placed
+    in random neighborhoods unless ``homes`` and ``locations`` are given,
+    with codes numbered first-seen, as the loaders number them."""
+    rng = np.random.default_rng(seed)
     ids = np.array(TABLE.ids)
-    homes = ids[net.user_counts > 0][rng.integers(np.count_nonzero(net.user_counts), size=3000)]
-    locs = ids[net.store_counts > 0][rng.integers(np.count_nonzero(net.store_counts), size=3000)]
-    log = PurchaseLog.from_rows((f"C{c}", f"S{s}", 10.0, homes[c], locs[s])
-                                for c, s in rng.integers(3000, size=(20000, 2)).tolist())
-    emp, arrays = build_purchase_network(log, TABLE), purchase_arrays(log, TABLE)
-    revenue, peak = peak_bytes(lambda: adjust_gravity_amounts(arrays, emp, params))
-    assert revenue.sum() > 0
-    assert peak <= 14 * arrays.ev_amount.size * 8
+    homes = ids[rng.integers(TABLE.n, size=customers)] if homes is None else homes
+    locations = ids[rng.integers(TABLE.n, size=stores)] if locations is None else locations
+    log = PurchaseLog([f"C{i}" for i in range(customers)], [f"S{i}" for i in range(stores)],
+                      list(homes), list(locations), rng.integers(customers, size=events),
+                      rng.integers(stores, size=events), np.full(events, 10.0))
+    return log.select(np.ones(events, dtype=bool))
+
+
+def test_gravity_adjustment_holds_one_key_an_edge():
+    """Reading the law at the 9,120 edges of 200,000 or of 400,000 purchases
+    among 100 customers and 100 stores, and looking the purchases up among
+    those edges by one int64 cell key an edge, holds 1.32 MB at either
+    count: the edges' keys and law, and one block of ``_BLOCK_PAIRS``
+    events' lookups.  Looking every event up at once held 6.75 and 13.35 MB,
+    and reading the law's values off its ~1.2M simulated edges 10.15 MB."""
+    params, net = simulated_args()
+    ids = np.array(TABLE.ids)
+    rng = np.random.default_rng(5)
+    homes = ids[net.user_counts > 0][rng.integers(np.count_nonzero(net.user_counts), size=100)]
+    locs = ids[net.store_counts > 0][rng.integers(np.count_nonzero(net.store_counts), size=100)]
+    for events in (200_000, 400_000):
+        log = random_log(events, 100, 100, homes=homes, locations=locs)
+        emp, arrays = build_purchase_network(log, TABLE), purchase_arrays(log, TABLE)
+        revenue, peak = peak_bytes(lambda: adjust_gravity_amounts(arrays, emp, params))
+        assert revenue.sum() > 0 and emp.flows.size == 9120
+        assert peak < 40 * emp.flows.size + 40 * _BLOCK_PAIRS
+
+
+def test_filter_keeping_everyone_holds_a_flag_an_event():
+    """Filtering 200,000 purchases of customers who are all active shares
+    the log's columns: it holds 0.42 MB, a keep flag an event and one block
+    of codes checked for first-seen order.  Copying the three columns held
+    5.23 MB, more than three times one int64 column."""
+    events = 200_000
+    log = random_log(events, 3000, 3000)
+    kept, peak = peak_bytes(lambda: filter_active_customers(log, 10))
+    assert len(kept) == events and np.shares_memory(kept.amount, log.amount)
+    assert peak < events + 4 * 8 * CODE_BLOCK
+
+
+def test_purchase_network_shares_the_resolved_log():
+    """Building the network of 200,000 purchases with every place known
+    holds 7.85 MB, 39 bytes an event, most of it the sort of the int64 cell
+    keys; resolving to a copy of the log held 12.76 MB, 64 bytes an event."""
+    events = 200_000
+    log = random_log(events, 3000, 3000)
+    net, peak = peak_bytes(lambda: build_purchase_network(log, TABLE))
+    assert net.dropped_events == 0
+    assert peak < 44 * events
 
 
 def test_jackknife_holds_one_byte_cells():
@@ -149,9 +188,11 @@ def test_jackknife_holds_one_byte_cells():
 
 def test_diversity_holds_arrays_not_dicts():
     """Diversity over 200,000 purchases by 4,500 customers at 2,000 stores,
-    about as many (customer, store) pairs as events, holds 79 bytes an
-    event at its peak.  A dict per customer of its store counts, with
-    entropies taken customer by customer, peaked at 158."""
+    about as many (customer, store) pairs as events, holds 9.50 MB, 47 bytes
+    an event, at its peak; counting the pairs with ``np.unique``, whose
+    intermediates are all held at once, peaked at 79.  A dict per customer
+    of its store counts, with entropies taken customer by customer, peaked
+    at 158."""
     rng = np.random.default_rng(5)
     events, customers, stores = 200_000, 4500, 2000
     ids = np.array(TABLE.ids)
@@ -163,7 +204,7 @@ def test_diversity_holds_arrays_not_dicts():
     result, peak = peak_bytes(lambda: neighborhood_diversity(
         purchase_profiles(log), log.home, "purchase", TABLE))
     assert sum(result.residents.values()) == customers
-    assert peak < 100 * events
+    assert peak < 55 * events
 
 
 def half_filled_net():
@@ -179,15 +220,17 @@ def half_filled_net():
 
 def test_gravity_fit_holds_no_grid_of_distances():
     """The fit over 80,250 edges and the 201 values of the default eps grid
-    peaks at 8.35 MB, 104 bytes an edge, while it builds the regressors: the
-    normal equations of each eps take -log(u + eps) over the 8,641 distinct
-    distances u, one eps at a time.  The whole grid at once is 201 values
-    for each distinct distance."""
+    peaks at 4.94 MB, 62 bytes an edge: the edges' centroid distances are
+    taken a block of edges at a time, and the normal equations of each eps
+    take -log(u + eps) over the 8,641 distinct distances u, one eps at a
+    time.  Taking every edge's distance at once peaked at 8.35 MB, 104
+    bytes an edge; the whole grid at once is 201 values for each distinct
+    distance."""
     net = half_filled_net()
     assert net.flows.size == 80_250
     fit, peak = peak_bytes(lambda: fit_gravity(net))
     assert fit.n_pairs == net.flows.size
-    assert peak < 106 * net.flows.size
+    assert peak < 70 * net.flows.size
 
 
 def test_edge_writer_holds_a_block_of_rows(tmp_path):

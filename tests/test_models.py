@@ -171,6 +171,10 @@ def fit_case(draw):
     return gravity_net(FIT_TABLE, n_o, n_d, W), [float(v) for v in grid]
 
 
+ONLY_EPS_0 = ("no eps to fit: the grid holds only eps 0, and an edge has centroid distance "
+              "0 km (a self-flow), where -log(distance + eps) is undefined")
+
+
 def fit_at_each(net, grid) -> list[tuple[float, GravityParams | ValueError]]:
     """The fit of ``net`` at each value of ``grid`` alone, or its error."""
     fits = []
@@ -202,16 +206,16 @@ def test_fit_is_the_first_least_residual_of_single_eps_fits(case):
     """A grid picks what fitting each of its values alone picks: the first
     eps of least residual, with the same parameters bit for bit, since both
     build and solve the same normal equations for each eps; with no
-    solvable value, the error names the last one that failed."""
+    solvable value, the error names the last one that failed, or eps 0
+    and the zero distance when the grid holds only eps 0."""
     net, grid = case
     fits = fit_at_each(net, grid)
     solved = [(eps, fit) for eps, fit in fits if isinstance(fit, GravityParams)]
     if not solved:
-        failed = [str(exc) for _, exc in fits if not str(exc).endswith(": None")]
+        failed = [str(exc) for _, exc in fits if str(exc) != ONLY_EPS_0]
         with pytest.raises(ValueError) as whole:
             fit_gravity(net, eps_grid=grid)
-        assert str(whole.value) == (failed[-1] if failed else
-                                    "collinear regressors at every eps: None")
+        assert str(whole.value) == (failed[-1] if failed else ONLY_EPS_0)
         return
     least = min(fit.residual_norm for _, fit in solved)
     tied = [eps for eps, fit in solved if fit.residual_norm == least]
@@ -235,6 +239,28 @@ def test_all_singular_grid_keeps_its_message(geometry):
     with pytest.raises(ValueError) as whole:
         fit_gravity(sim, eps_grid=[0.3, 0.0, 0.1, 0.2])
     assert str(whole.value) == str(last.value)
+
+
+@pytest.mark.parametrize("grid", [[0.0], [0.0, 0.0]])
+def test_eps_0_alone_on_a_self_flow_names_the_zero_distance(geometry, grid):
+    """Simulated flows include each neighborhood's flow to itself, 0 km
+    away, where eps 0 leaves -log(distance + eps) undefined: the error used
+    to be "collinear regressors at every eps: None"."""
+    table, _, n_o, n_d = geometry
+    planted = GravityParams(c=1.0, beta1=0.5, beta2=0.5, epsilon=0.2, alpha=0.5)
+    sim = simulate_gravity(planted, gravity_net(table, n_o, n_d))
+    assert np.any(sim.flows.origin == sim.flows.dest)
+    with pytest.raises(ValueError) as err:
+        fit_gravity(sim, eps_grid=grid)
+    assert str(err.value) == ONLY_EPS_0
+    assert fit_gravity(sim, eps_grid=[0.0, 0.2]).epsilon == 0.2
+
+
+def test_empty_grid_refused(geometry):
+    table, _, n_o, n_d = geometry
+    planted = GravityParams(c=1.0, beta1=0.5, beta2=0.5, epsilon=0.2, alpha=0.5)
+    with pytest.raises(ValueError, match="^empty eps grid$"):
+        fit_gravity(simulate_gravity(planted, gravity_net(table, n_o, n_d)), eps_grid=[])
 
 
 def test_overflowing_c_refused():

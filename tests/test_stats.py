@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from segflow.models import purchase_arrays, reshuffle_locations
+from segflow.ingest import load_neighborhoods, load_purchases
+from segflow.metrics import purchase_profiles
+from segflow.models import (adjust_gravity_amounts, fit_gravity, purchase_arrays,
+                            reshuffle_locations)
 from segflow.network import Flows, InteractionNetwork, build_purchase_network, sampling_rate
 from segflow.segregation import (DegenerateMatrixError, _compact_labels, assign_groups,
                                  extremes_sweep, extremes_value, group_flows,
@@ -263,3 +266,26 @@ class TestInequalityReport:
         other = make_table(64, ses=np.arange(64, dtype=float))
         with pytest.raises(ValueError, match="different node sets"):
             segregation_inequality_report(events, city.table, assign_groups(other, k=8))
+
+
+def test_no_step_writes_into_a_shared_column(small_city, tmp_path):
+    """Filtering and resolving a log that loses no event share its columns,
+    so every step over events runs here on a loaded log whose columns are
+    read-only: a step that wrote into them would raise."""
+    synth.write_city(small_city[0], tmp_path)
+    table = load_neighborhoods(tmp_path / "neighborhoods.csv")
+    log = load_purchases(tmp_path / "purchases.csv")
+    for column in (log.customer, log.store, log.amount):
+        column.flags.writeable = False
+    events = filter_active_customers(log, 1)
+    assert np.shares_memory(events.customer, log.customer)
+    grid = np.round(np.arange(0.3, 0.8, 0.01), 10)
+    net, arrays = build_purchase_network(events, table), purchase_arrays(events, table)
+    assert np.shares_memory(arrays.ev_store, log.store)
+    revenue = adjust_gravity_amounts(arrays, net, fit_gravity(net, eps_grid=grid))
+    assert revenue.sum() > 0
+    rows = segregation_inequality_report(events, table, assign_groups(table, k=8),
+                                         fractions=(0.5,), replicates=2,
+                                         jackknife_replicates=2, eps_grid=grid)
+    assert len(rows) == 3
+    assert purchase_profiles(events).count.sum() == len(log)
