@@ -22,6 +22,7 @@ from .ingest import (MentionLog, NeighborhoodTable, PurchaseLog, _csv_fields, _f
 
 EARTH_RADIUS_KM = 6371.0
 _BLOCK_ROWS = 128     # rows (origins) of a block of distances computed at a time
+_BLOCK_EDGES = 1 << 12   # edges of a block weighted at a time
 
 
 @dataclass
@@ -59,11 +60,22 @@ class Flows:
 
     @classmethod
     def counted(cls, cells: np.ndarray, n: int) -> "Flows":
-        """How many times each cell ``origin * n + dest`` occurs."""
-        cells, counts = np.unique(cells, return_counts=True)
-        origin, dest = np.empty((2, len(cells)), np.int32)
-        np.divmod(cells, n, out=(origin, dest), casting="unsafe")   # no int64 quotient
-        return cls(origin, dest, counts.astype(float), n)
+        """How many times each cell ``origin * n + dest`` occurs.  The int64
+        ``cells`` are consumed: sorted in place and counted by runs, where
+        ``np.unique`` sorts a flattened copy."""
+        cells.sort()
+        first = np.empty(len(cells), bool)       # where each run starts
+        first[:1] = True
+        np.not_equal(cells[1:], cells[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        del first
+        keys, counts = cells[starts], np.empty(len(starts))
+        np.subtract(starts[1:], starts[:-1], out=counts[:-1])
+        counts[-1:] = len(cells) - starts[-1:]
+        del starts
+        origin, dest = np.empty((2, len(keys)), np.int32)
+        np.divmod(keys, n, out=(origin, dest), casting="unsafe")   # no int64 quotient
+        return cls(origin, dest, counts, n)
 
 
 @dataclass
@@ -152,8 +164,19 @@ def population_weight(net: InteractionNetwork) -> InteractionNetwork:
     Purchase flows from i are divided by m_i/p_i; mention flows from i to j
     are divided by (m_i*m_j)/(p_i*p_j).  A neighborhood with zero sampled
     users may not carry any flow, and zero population with sampled users is
-    an inconsistent census.
+    an inconsistent census.  The weights are new; those of ``net`` are read only.
     """
+    f = net.flows
+    return replace(net, flows=replace(f, weight=_population_weights(net, np.empty(f.size))),
+                   weighting="population_weighted")
+
+
+def _population_weights(net: InteractionNetwork, out: np.ndarray) -> np.ndarray:
+    """``out``, filled with the population weights of the raw flows of ``net``
+    (see ``population_weight``), ``_BLOCK_EDGES`` edges at a time.  ``out``
+    may be the flows' own weights when the caller alone holds them, as the
+    report holds its simulated network; an unsampled end found in a later
+    block then raises after earlier blocks were weighted."""
     if net.weighting != "raw":
         raise ValueError("network is already population-weighted")
     m, p = net.user_counts, net.table.population
@@ -164,14 +187,17 @@ def population_weight(net: InteractionNetwork) -> InteractionNetwork:
     if net.channel not in ("purchase", "mention"):
         raise ValueError(f"unknown channel {net.channel!r}")
     f, rate, unsampled = net.flows, sampling_rate(m, p), m == 0
-    ends = (f.origin,) if net.channel == "purchase" else (f.origin, f.dest)
-    if any(np.any(unsampled[end]) for end in ends):
-        raise ValueError(f"zero sampled users in a neighborhood with {net.channel} flow")
-    scale = rate[f.origin]     # gathered once; the new weights are divided into it
-    if net.channel == "mention":
-        scale *= rate[f.dest]
-    return replace(net, flows=replace(f, weight=np.divide(f.weight, scale, out=scale)),
-                   weighting="population_weighted")
+    mention = net.channel == "mention"
+    for start in range(0, f.size, _BLOCK_EDGES):
+        edges = slice(start, start + _BLOCK_EDGES)
+        ends = (f.origin[edges], f.dest[edges]) if mention else (f.origin[edges],)
+        if any(np.any(unsampled[end]) for end in ends):
+            raise ValueError(f"zero sampled users in a neighborhood with {net.channel} flow")
+        scale = rate[ends[0]]
+        if mention:
+            scale *= rate[ends[1]]
+        np.divide(f.weight[edges], scale, out=out[edges])
+    return out
 
 
 def sampling_rate(user_counts, population) -> np.ndarray:

@@ -15,8 +15,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .ingest import NeighborhoodTable, PurchaseLog, _write_csv, _write_json
-from .network import (Flows, InteractionNetwork, _sized, build_purchase_network,
-                      population_weight, sampling_rate)
+from .network import (Flows, InteractionNetwork, _population_weights, _sized,
+                      build_purchase_network, population_weight, sampling_rate)
 from .segregation import (DegenerateMatrixError, GroupAssignment, MixingMatrix, SweepStep,
                           _cell_sums, _cells, _compact_labels, _scored, assortativity,
                           extremes_value)
@@ -37,28 +37,37 @@ class ResampleEstimate:
     removal_fraction: float
 
 
-def _jackknife_flows(
-    W: Flows,
-    groups: GroupAssignment,
-    removal_fraction: float = 0.05,
-    replicates: int = 100,
-    seed: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """k x k group flows of W and of each delete-a-fraction replicate.
+def _jackknife_flows(W: Flows, groups: GroupAssignment, removal_fraction: float,
+                     replicates: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """k x k group flows of W and of each replicate of ``_jackknife_cells``
+    over W's edges, each edge's cell formed once from W's ends."""
+    return _jackknife_cells(_edge_cells(W, groups), W.weight, groups.k,
+                            removal_fraction, replicates, seed)
 
-    Replicate i drops floor(removal_fraction * E) of the E nonzero entries
-    of W (the edges the mixing matrix sums), drawn from the stream (seed, i)
+
+def _edge_cells(W: Flows, groups: GroupAssignment) -> np.ndarray:
+    """The k x k group cell of each edge of W, once W is shown to span
+    ``groups``' nodes: one byte an edge for k <= 16."""
+    o, d, _ = _sized(W, len(groups.nodes))
+    lab = _compact_labels(groups.labels, groups.k)
+    return _cells(lab, o, lab, d, groups.k)
+
+
+def _jackknife_cells(cells: np.ndarray, w: np.ndarray, k: int, removal_fraction: float,
+                     replicates: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """k x k sums of the edge weights ``w`` over their ``cells`` and of each
+    delete-a-fraction replicate.
+
+    Replicate i drops floor(removal_fraction * E) of the E edges (the
+    nonzero entries the mixing matrix sums), drawn from the stream (seed, i)
     in row-major order, by subtracting their flows; a cell that lost all its
-    edges is exactly 0.
+    edges is exactly 0.  Only the cells and weights are read, so a caller
+    may free the edges' ends before the draws.
     """
     if not 0.0 <= removal_fraction < 1.0:
         raise ValueError("removal_fraction must be in [0, 1)")
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
-    o, d, w = _sized(W, len(groups.nodes))
-    k = groups.k
-    lab = _compact_labels(groups.labels, k)
-    cells = _cells(lab, o, lab, d, k)    # each edge's cell, formed once
     M, counts = _cell_sums(cells, w, k), _cell_sums(cells, None, k)
     n_remove = int(removal_fraction * len(w))
     reps = np.repeat(M[None], replicates, axis=0)
@@ -79,7 +88,7 @@ def _jackknife_flows(
 
 def _estimate(statistic: Callable[[np.ndarray], float], M: np.ndarray,
               reps: np.ndarray, removal_fraction: float) -> ResampleEstimate:
-    """Score the full flows and each replicate from ``_jackknife_flows``.
+    """Score the full flows and each replicate from ``_jackknife_cells``.
 
     The interval is the interpolated 2.5/97.5 percentile of the replicate
     values.  Degenerate replicates are discarded; more than 20% is an error.
@@ -114,7 +123,7 @@ def jackknife_statistic(
     """Delete-a-fraction resampling of a statistic of the k x k group flows.
 
     ``statistic`` maps the flows of W and of each replicate (see
-    ``_jackknife_flows``) to a number; the interval is the interpolated
+    ``_jackknife_cells``) to a number; the interval is the interpolated
     2.5/97.5 percentile of the replicate values.
     """
     M, reps = _jackknife_flows(W, groups, removal_fraction, replicates, seed)
@@ -251,12 +260,16 @@ def segregation_inequality_report(
 
     params = gravity_params or models.fit_gravity(emp_net, eps_grid=eps_grid)
     rev_imposed = models.adjust_gravity_amounts(arrays, emp_net, params)
-    # the weighted flows share the raw edge indices; the raw weights go
-    # before the jackknife, and the flows after it
-    sim_flows = population_weight(models.simulate_gravity(params, emp_net)).flows
-    jk_sim = jackknife_statistic(sim_flows, flows_assortativity, groups,
-                                 removal_fraction, jackknife_replicates, seed)
-    del sim_flows
+    # the jackknife reads each simulated edge's group cell and weight only:
+    # the raw weights, held here alone, are population-weighted in place,
+    # and the int32 ends go once the cells are formed, before the draws
+    sim = models.simulate_gravity(params, emp_net)
+    w = _population_weights(sim, out=sim.flows.weight)
+    cells = _edge_cells(sim.flows, groups)
+    del sim
+    M, reps = _jackknife_cells(cells, w, groups.k, removal_fraction, jackknife_replicates, seed)
+    del cells, w
+    jk_sim = _estimate(flows_assortativity, M, reps, removal_fraction)
     rows.append(InequalityRow(
         label="gravity", fraction=None,
         assortativity_mean=jk_sim.point, assortativity_std=jk_sim.std,

@@ -20,7 +20,8 @@ from segflow.models import (_BLOCK_PAIRS, adjust_gravity_amounts, fit_gravity,
 from segflow.network import (build_mention_network, build_purchase_network,
                              centroid_distances, population_weight, write_network)
 from segflow.segregation import assign_groups, distance_sweep, mixing_matrix
-from segflow.stats import flows_assortativity, jackknife_statistic
+from segflow.stats import (flows_assortativity, jackknife_statistic,
+                           segregation_inequality_report)
 
 from conftest import gravity_net, preset_table, simulated_args, sparse_net
 
@@ -161,14 +162,17 @@ def test_filter_keeping_everyone_holds_a_flag_an_event():
 
 
 def test_purchase_network_shares_the_resolved_log():
-    """Building the network of 200,000 purchases with every place known
-    holds 7.85 MB, 39 bytes an event, most of it the sort of the int64 cell
-    keys; resolving to a copy of the log held 12.76 MB, 64 bytes an event."""
+    """Building the network of 200,000 purchases, 183,527 edges, with every
+    place known holds 6.19 MB, 31 bytes an event: the int64 cell keys,
+    sorted in place, and three arrays an edge (run starts, then the edges'
+    keys and counts, then their ends).  ``np.unique``'s flattened copy of
+    the keys held 7.85 MB, 39 bytes an event, and resolving to a copy of
+    the log 12.76 MB, 64."""
     events = 200_000
     log = random_log(events, 3000, 3000)
     net, peak = peak_bytes(lambda: build_purchase_network(log, TABLE))
     assert net.dropped_events == 0
-    assert peak < 44 * events
+    assert peak < 35 * events
 
 
 def test_jackknife_holds_one_byte_cells():
@@ -184,6 +188,24 @@ def test_jackknife_holds_one_byte_cells():
                                                        replicates=100, seed=0))
     assert est.replicates + est.discarded == 100
     assert peak < 1.6 * flows.size * 8
+
+
+def test_report_holds_a_cell_and_a_weight_a_simulated_pair():
+    """The report's gravity row simulates 734,440 pairs here.  It weights the
+    simulated network in place and keeps each edge's one-byte group cell and
+    its weight through the jackknife's draws, whose permutation of all edges
+    is another 8 bytes an edge: the report peaks at 20.3 bytes a pair on a
+    first call and 18.8 after.  Weighting into a new array and jackknifing
+    the edges with their int32 ends held 28.3 and 26.8."""
+    params = simulated_args()[0]
+    log = random_log(20_000, 1200, 1200)
+    net = build_purchase_network(log, TABLE)
+    pairs = np.count_nonzero(net.user_counts) * np.count_nonzero(net.store_counts)
+    rows, peak = peak_bytes(lambda: segregation_inequality_report(
+        log, TABLE, assign_groups(TABLE), gravity_params=params, fractions=(0.5,),
+        replicates=2, jackknife_replicates=10))
+    assert rows[1].label == "gravity" and pairs == 734_440
+    assert peak < 23 * pairs
 
 
 def test_diversity_holds_arrays_not_dicts():

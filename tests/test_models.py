@@ -666,9 +666,10 @@ class TestAdjustAmounts:
         assert f.origin.dtype == f.dest.dtype == np.int32
         assert np.array_equal(f.origin, keys // n) and np.array_equal(f.dest, keys % n)
         assert np.array_equal(f.weight, counts)
-        counted = Flows.counted(cells, n)
+        counted = Flows.counted(cells.copy(), n)     # the keys are consumed
         assert np.array_equal(counted.origin, keys // n)
         assert np.array_equal(counted.dest, keys % n)
+        assert np.array_equal(counted.weight, counts)
 
         params = GravityParams(c=0.5, beta1=0.8, beta2=0.7, epsilon=0.5, alpha=0.6)
         lat, lon = table.lat, table.lon

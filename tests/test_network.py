@@ -168,6 +168,30 @@ class TestPopulationWeight:
         assert np.array_equal(raw.W, before)
         assert not np.shares_memory(weighted.W, raw.W)
 
+    @pytest.mark.parametrize("channel", ["purchase", "mention"])
+    def test_weights_in_place_and_fresh_are_the_stated_arithmetic(self, channel):
+        """``population_weight`` and the report's in-place weighting share one
+        routine, a block of edges at a time.  Over three blocks both give,
+        bit for bit, rate[o] (times rate[d] for mentions), then w / scale;
+        ``population_weight`` writes nothing into the network it weights,
+        whose arrays are read-only here."""
+        rng = np.random.default_rng(2)
+        raw = sparse_net(preset_table(400), 3 * network._BLOCK_EDGES, channel=channel,
+                         weighting="raw")
+        raw = replace(raw, flows=replace(raw.flows, weight=rng.integers(1, 40, raw.flows.size)))
+        for column in (*raw.flows, raw.user_counts, raw.table.population):
+            column.flags.writeable = False
+        o, d, w = raw.flows
+        assert raw.flows.size > 2 * network._BLOCK_EDGES
+        rate = network.sampling_rate(raw.user_counts, raw.table.population)
+        scale = rate[o] * rate[d] if channel == "mention" else rate[o]
+        fresh = population_weight(raw).flows.weight
+        held = w.copy()
+        out = network._population_weights(replace(raw, flows=replace(raw.flows, weight=held)),
+                                          out=held)
+        assert out is held
+        assert fresh.tobytes() == held.tobytes() == (w / scale).tobytes()
+
     def test_uniform_sampling_ratio_is_global_scaling(self):
         # identical m_i/p_i everywhere multiplies W by one constant, so
         # downstream assortativity is unchanged to 1e-12

@@ -4,16 +4,17 @@ from hypothesis import given, strategies as st
 
 from segflow.ingest import load_neighborhoods, load_purchases
 from segflow.metrics import purchase_profiles
-from segflow.models import (adjust_gravity_amounts, fit_gravity, purchase_arrays,
-                            reshuffle_locations)
-from segflow.network import Flows, InteractionNetwork, build_purchase_network, sampling_rate
+from segflow.models import (GravityParams, adjust_gravity_amounts, fit_gravity,
+                            purchase_arrays, reshuffle_locations, simulate_gravity)
+from segflow.network import (Flows, InteractionNetwork, build_purchase_network,
+                             population_weight, sampling_rate)
 from segflow.segregation import (DegenerateMatrixError, _compact_labels, assign_groups,
                                  extremes_sweep, extremes_value, group_flows,
                                  mixing_from_matrix)
 from segflow.stats import (_reshuffle_flows, flows_assortativity, gini, jackknife_assortativity,
                            jackknife_extremes_sweep, jackknife_statistic,
                            segregation_inequality_report, write_report_csv)
-from segflow import filter_active_customers, synth
+from segflow import filter_active_customers, models, stats, synth
 
 from conftest import make_table
 
@@ -266,6 +267,77 @@ class TestInequalityReport:
         other = make_table(64, ses=np.arange(64, dtype=float))
         with pytest.raises(ValueError, match="different node sets"):
             segregation_inequality_report(events, city.table, assign_groups(other, k=8))
+
+
+LAW = GravityParams(c=0.5, beta1=0.8, beta2=0.7, epsilon=0.5, alpha=0.6)
+
+
+@pytest.mark.parametrize("seed, n", [(3, 64), (5, 144)])
+def test_gravity_row_is_the_weighted_simulation_jackknifed(seed, n, monkeypatch):
+    """The report weights its simulated network in place and jackknifes the
+    edges' group cells and weights alone.  Its gravity row is, bit for bit,
+    the public steps composed: the jackknife of the population-weighted
+    simulation, its point, band and every replicate value."""
+    cfg = synth.preset("homophilous", seed=seed, n_neighborhoods=n, extent_km=16.0,
+                       n_stores=3 * n, n_customers=5 * n, n_twitter_users=2 * n,
+                       n_purchase_events=12000, n_mention_events=100)
+    city = synth.generate_city(cfg)
+    events, table = filter_active_customers(city.purchases, 10), city.table
+    groups = assign_groups(table, k=8)
+    estimate, estimates = stats._estimate, []
+
+    def recorded(*args):
+        estimates.append(estimate(*args))
+        return estimates[-1]
+
+    monkeypatch.setattr(stats, "_estimate", recorded)
+    rows = segregation_inequality_report(events, table, groups, gravity_params=LAW,
+                                         fractions=(0.5,), replicates=2,
+                                         jackknife_replicates=30, seed=4)
+    monkeypatch.undo()
+    sim = simulate_gravity(LAW, build_purchase_network(events, table))
+    expected = jackknife_statistic(population_weight(sim).flows, flows_assortativity, groups,
+                                   0.05, 30, 4)
+    row, got = rows[1], estimates[1]
+    assert row.label == "gravity" and len(estimates) == 2 and sim.flows.size > 1000
+    assert (row.assortativity_mean, row.assortativity_std) == (expected.point, expected.std)
+    assert got.values.tobytes() == expected.values.tobytes()
+    assert ((got.ci_low, got.ci_high, got.replicates, got.discarded)
+            == (expected.ci_low, expected.ci_high, expected.replicates, expected.discarded))
+
+
+def test_report_writes_only_into_the_simulated_weights(small_city, tmp_path, monkeypatch):
+    """The report's one write into an array it did not allocate is the
+    in-place weighting of its simulated gravity network.  The loaded log's
+    columns, the table's and the empirical network's arrays are read-only
+    here, and the simulated weights end as the population weights."""
+    synth.write_city(small_city[0], tmp_path)
+    table = load_neighborhoods(tmp_path / "neighborhoods.csv")
+    log = load_purchases(tmp_path / "purchases.csv")
+    build, simulate, simulated = stats.build_purchase_network, models.simulate_gravity, []
+
+    def built(events, table):
+        net = build(events, table)
+        for column in (*net.flows, net.user_counts, net.store_counts):
+            column.flags.writeable = False
+        return net
+
+    def recorded(params, net):
+        simulated.append(simulate(params, net))
+        return simulated[-1]
+
+    for column in (log.customer, log.store, log.amount, table.lat, table.lon,
+                   table.population, table.ses):
+        column.flags.writeable = False
+    monkeypatch.setattr(stats, "build_purchase_network", built)
+    monkeypatch.setattr(models, "simulate_gravity", recorded)
+    rows = segregation_inequality_report(log, table, assign_groups(table, k=8),
+                                         gravity_params=LAW, fractions=(0.5,), replicates=2,
+                                         jackknife_replicates=2)
+    monkeypatch.undo()
+    assert len(rows) == 3 and len(simulated) == 1
+    weighted = population_weight(simulate_gravity(LAW, build_purchase_network(log, table)))
+    assert simulated[0].flows.weight.tobytes() == weighted.flows.weight.tobytes()
 
 
 def test_no_step_writes_into_a_shared_column(small_city, tmp_path):
