@@ -250,6 +250,15 @@ def _renumber(codes: np.ndarray, ids: list[str], *places: list):
     return (new[codes], *([values[i] for i in order] for values in (ids, *places)))
 
 
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Where each run of equal values of the sorted ``values`` starts, with
+    one flag a value held beside them."""
+    first = np.empty(len(values), bool)
+    first[:1] = True
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return np.flatnonzero(first)
+
+
 def _first_seen(codes: np.ndarray, n: int) -> bool:
     """Whether ``codes`` use each of 0..n-1, each code first seen after
     every lower one: each code is at most one above all codes before it.

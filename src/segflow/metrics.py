@@ -12,7 +12,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .ingest import MentionLog, NeighborhoodTable, PurchaseLog, _write_csv
+from .ingest import MentionLog, NeighborhoodTable, PurchaseLog, _run_starts, _write_csv
+from .models import _BLOCK_PAIRS
 
 
 def individual_diversity(counts) -> float:
@@ -62,26 +63,37 @@ def mention_profiles(mentions: MentionLog) -> Profiles:
 
 def _profiles(person: np.ndarray, target: np.ndarray, person_ids: Sequence[str],
               target_ids: Sequence[str]) -> Profiles:
-    # what np.unique(key, return_index=True, return_counts=True) gives, with
-    # each intermediate dropped once used, so that few event arrays are held
-    key = person * len(target_ids) + target
-    by_key = np.argsort(key, kind="stable")
-    key = key[by_key]
-    at = np.flatnonzero(np.diff(key, prepend=-1))     # each pair's first in key order
-    pairs, first = key[at], by_key[at]
-    del key, by_key
-    count = np.diff(at, append=len(person))
-    del at
+    # each pair's key, person * targets + target, sorted in place and
+    # counted by runs, as ``Flows.counted`` counts cells
+    n_t, n_events = len(target_ids), len(person)
+    key = person * n_t
+    key += target
+    key.sort()
+    starts = _run_starts(key)
+    pairs = key[starts]
+    del key
+    count = np.diff(starts, append=n_events)
+    del starts
+    # each pair's first event: the events' keys looked up among the pairs
+    # a block at a time
+    first = np.full(len(pairs), n_events)
+    for start in range(0, n_events, _BLOCK_PAIRS):
+        key = person[start:start + _BLOCK_PAIRS] * n_t
+        key += target[start:start + _BLOCK_PAIRS]
+        np.minimum.at(first, np.searchsorted(pairs, key), np.arange(start, start + len(key)))
     # pairs are grouped by person code, which need not be first-seen among
-    # persons: a mention's target is interned before it is ever a source
-    starts = np.flatnonzero(np.diff(pairs // len(target_ids), prepend=-1))
-    seen = np.repeat(np.minimum.reduceat(first, starts), np.diff(starts, append=len(pairs)))
-    order = np.lexsort((first, seen))
-    del first, seen
+    # persons (a mention's target is interned before it is ever a source):
+    # persons go in the order of their first events, each one's pairs in
+    # the order of theirs
+    runs = _run_starts(pairs // n_t)
+    rank = np.empty(len(runs), np.min_scalar_type(len(runs)))
+    rank[np.argsort(np.minimum.reduceat(first, runs))] = np.arange(len(runs))
+    order = np.lexsort((first, np.repeat(rank, np.diff(runs, append=len(pairs)))))
+    del first, rank, runs
     pairs = pairs[order]
     count = count[order]
     del order
-    person, target = np.divmod(pairs, len(target_ids))
+    person, target = np.divmod(pairs, n_t)
     return Profiles(person_ids, target_ids, person, target, count)
 
 
@@ -109,17 +121,24 @@ def neighborhood_diversity(
     ``table`` are skipped and counted.  Neighborhoods with zero profiled
     residents are flagged as undefined rather than reported as zero.
     """
-    starts = np.flatnonzero(np.diff(profiles.person, prepend=-1))
+    starts = _run_starts(profiles.person)
     sizes = np.diff(starts, append=len(profiles.person))
-    p = profiles.count / np.repeat(np.add.reduceat(profiles.count, starts), sizes)
-    terms = p * np.log(p)
+    # each pair's share p of its person's count, then its term p log p, in
+    # one array: the log is taken a block at a time
+    terms = np.repeat(np.add.reduceat(profiles.count, starts).astype(float), sizes)
+    np.divide(profiles.count, terms, out=terms)
+    for start in range(0, len(terms), _BLOCK_PAIRS):
+        p = terms[start:start + _BLOCK_PAIRS]
+        p *= np.log(p)
     # each entropy equals ``individual_diversity`` bit for bit: the terms of
-    # the persons with m targets are summed as the rows of one (persons, m)
-    # block, pairwise per row as numpy sums one person's terms; abs folds -0.0
+    # the persons with m targets are summed as the rows of (persons, m)
+    # blocks of at most _BLOCK_PAIRS terms, pairwise per row as numpy sums
+    # one person's terms; abs folds -0.0
     entropy = np.empty(len(starts))
-    for m in np.unique(sizes).tolist():
+    for m in np.flatnonzero(np.bincount(sizes)).tolist():      # the distinct sizes
         which = np.flatnonzero(sizes == m)
-        entropy[which] = np.abs(terms[starts[which, None] + np.arange(m)].sum(axis=1))
+        for rows in np.array_split(which, -(-len(which) * m // _BLOCK_PAIRS)):
+            entropy[rows] = np.abs(terms[starts[rows, None] + np.arange(m)].sum(axis=1))
     row = table.rows(homes)[profiles.person[starts]]
     placed = row >= 0
     residents = np.bincount(row[placed], minlength=table.n)

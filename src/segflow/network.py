@@ -18,7 +18,7 @@ from typing import Mapping
 import numpy as np
 
 from .ingest import (MentionLog, NeighborhoodTable, PurchaseLog, _csv_fields, _formatted,
-                     _gather, _write_json, _write_rows)
+                     _gather, _run_starts, _write_json, _write_rows)
 
 EARTH_RADIUS_KM = 6371.0
 _BLOCK_ROWS = 128     # rows (origins) of a block of distances computed at a time
@@ -64,11 +64,7 @@ class Flows:
         ``cells`` are consumed: sorted in place and counted by runs, where
         ``np.unique`` sorts a flattened copy."""
         cells.sort()
-        first = np.empty(len(cells), bool)       # where each run starts
-        first[:1] = True
-        np.not_equal(cells[1:], cells[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
-        del first
+        starts = _run_starts(cells)
         keys, counts = cells[starts], np.empty(len(starts))
         np.subtract(starts[1:], starts[:-1], out=counts[:-1])
         counts[-1:] = len(cells) - starts[-1:]
@@ -207,30 +203,35 @@ def sampling_rate(user_counts, population) -> np.ndarray:
     return np.divide(m, p, out=np.ones_like(p), where=m > 0)
 
 
-def _distance_blocks(table: NeighborhoodTable):
-    """(row slice, its rows of the centroid distance matrix in km) for each
-    block of rows.  ``haversine_km`` is symmetric bit for bit (each difference
-    is squared and the cosine product commutes), and 0 from a point to itself."""
-    lat, lon = table.lat, table.lon
-    for a in range(0, table.n, _BLOCK_ROWS):
-        rows = slice(a, a + _BLOCK_ROWS)
-        yield rows, haversine_km(lat[rows, None], lon[rows, None], lat, lon)
-
-
 def centroid_distances(table: NeighborhoodTable) -> np.ndarray:
     """Great-circle distances (km) between neighborhood centroids, 0 on the
     diagonal.  Filled a block of rows at a time, with no n x n temporary."""
-    d = np.empty((table.n, table.n))
-    for rows, block in _distance_blocks(table):
-        d[rows] = block
+    d, lat, lon = np.empty((table.n, table.n)), table.lat, table.lon
+    for a in range(0, table.n, _BLOCK_ROWS):
+        rows = slice(a, a + _BLOCK_ROWS)
+        d[rows] = haversine_km(lat[rows, None], lon[rows, None], lat, lon)
     return d
 
 
 def haversine_km(lat1, lon1, lat2, lon2) -> np.ndarray:
     """Great-circle distance (km) between points in degrees, broadcast."""
     p1, l1, p2, l2 = map(np.radians, (lat1, lon1, lat2, lon2))
-    a = np.sin((p2 - p1) / 2.0) ** 2 + np.cos(p1) * np.cos(p2) * np.sin((l2 - l1) / 2.0) ** 2
+    return _haversine(p1, l1, np.cos(p1), p2, l2, np.cos(p2))
+
+
+def _haversine(p1, l1, cos1, p2, l2, cos2) -> np.ndarray:
+    a = np.sin((p2 - p1) / 2.0) ** 2 + cos1 * cos2 * np.sin((l2 - l1) / 2.0) ** 2
     return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
+
+
+def _edge_km(table: NeighborhoodTable):
+    """A function of edge ends ``(o, d)`` that gives their centroid
+    distances as ``haversine_km`` does, bit for bit (numpy's radians and
+    cosine work element by element), with each node's radians and cosine
+    taken once."""
+    p, l = np.radians(table.lat), np.radians(table.lon)
+    cos = np.cos(p)
+    return lambda o, d: _haversine(p[o], l[o], cos[o], p[d], l[d], cos[d])
 
 
 def _whole(values, field: str) -> list[int] | None:

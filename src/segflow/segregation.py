@@ -15,7 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from .ingest import NeighborhoodTable, _write_csv
-from .network import Flows, InteractionNetwork, _distance_blocks, _sized, haversine_km
+from .network import (_BLOCK_EDGES, _BLOCK_ROWS, Flows, InteractionNetwork, _edge_km, _sized,
+                      haversine_km)
 
 
 class DegenerateMatrixError(ValueError):
@@ -242,17 +243,26 @@ def asymmetry_sweep(net: InteractionNetwork, groups: GroupAssignment) -> list[Sw
     return extremes_sweep(net, groups, statistic="bias")
 
 
+def _distance_blocks(table: NeighborhoodTable):
+    """The distances in km from each block of rows to the columns after its
+    first row: the upper triangle of the centroid distance matrix, and the
+    block's own lower part."""
+    lat, lon = table.lat, table.lon
+    for a in range(0, table.n, _BLOCK_ROWS):
+        rows = slice(a, a + _BLOCK_ROWS)
+        yield haversine_km(lat[rows, None], lon[rows, None], lat[a + 1:], lon[a + 1:])
+
+
 def default_thresholds(table: NeighborhoodTable) -> np.ndarray:
     """The quintiles of all pairwise centroid distances of ``table``: the
     thresholds ``distance_sweep`` uses when given none."""
     # the upper triangle, row by row (the order of triu_indices), filled
-    # from row blocks into one vector that the percentile may partition
-    n = table.n
-    pairs, end = np.empty(n * (n - 1) // 2), 0
-    for rows, block in _distance_blocks(table):
-        for r, row in enumerate(block, start=rows.start):
-            pairs[end:end + n - r - 1] = row[r + 1:]
-            end += n - r - 1
+    # into one vector that the percentile may partition
+    pairs, end = np.empty(table.n * (table.n - 1) // 2), 0
+    for block in _distance_blocks(table):
+        for r, row in enumerate(block):
+            pairs[end:end + len(row) - r] = row[r:]
+            end += len(row) - r
     return np.percentile(pairs, (20, 40, 60, 80, 100), overwrite_input=True)
 
 
@@ -269,6 +279,10 @@ def distance_sweep(
     renormalized, and scored separately.  Thresholds default to
     ``default_thresholds(net.table)``.
     A side with no remaining mass or no variance is flagged invalid.
+    The edges are taken ``_BLOCK_EDGES`` at a time: each block's distances
+    and group cells, and its weights added into both sides' k x k sums of
+    every threshold, bit for bit the sums over all edges at once, since
+    ``np.add.at`` adds in input order across calls too.
     """
     i, j, w = _scored(net, groups)
     if thresholds is None:
@@ -277,16 +291,22 @@ def distance_sweep(
     if (not all(0 < d < np.inf for d in thresholds)
             or any(b <= a for a, b in zip(thresholds, thresholds[1:]))):
         raise ValueError("thresholds must be finite, positive and ascending")
-    lat, lon = net.table.lat, net.table.lon
-    edge_dist = haversine_km(lat[i], lon[i], lat[j], lon[j])
+    k, lab, km = groups.k, _compact_labels(groups.labels, groups.k), _edge_km(net.table)
+    sums = np.zeros((len(thresholds), 2, k * k))       # (threshold, within | beyond, cell)
+    for start in range(0, len(w), _BLOCK_EDGES):
+        edges = slice(start, start + _BLOCK_EDGES)
+        o, d = i[edges].astype(np.intp), j[edges].astype(np.intp)
+        dist, cells, wb = km(o, d), _cells(lab, o, lab, d, k), w[edges]
+        for side, d_max in zip(sums, thresholds):
+            within = dist <= d_max
+            for M, keep in zip(side, (within, ~within)):
+                np.add.at(M, cells[keep], wb[keep])
     steps = []
-    for d in thresholds:
-        within = edge_dist <= d
-        for side, mask in (("within", within), ("beyond", ~within)):
-            desc = f"{side}:{d:.6g}km"
+    for d, side in zip(thresholds, sums):
+        for name, M in zip(("within", "beyond"), side):
+            desc = f"{name}:{d:.6g}km"
             try:
-                mix = MixingMatrix.from_flows(
-                    group_flows(i[mask], j[mask], w[mask], groups.labels, groups.k))
+                mix = MixingMatrix.from_flows(M.reshape(k, k))
                 steps.append(SweepStep(descriptor=desc, param=d, value=assortativity(mix)))
             except DegenerateMatrixError:
                 steps.append(SweepStep(descriptor=desc, param=d, value=float("nan"), valid=False))

@@ -191,9 +191,18 @@ def _reshuffle_flows(arrays: models.PurchaseArrays, rep: models.ReshuffleReplica
                      lab: np.ndarray, k: int, inv_rate: np.ndarray) -> np.ndarray:
     """k x k flows of a reshuffle replicate, each event weighted by the
     ``inv_rate`` of its customer's home, from the groups of homes and stores:
-    ``lab``, each neighborhood's label as ``_compact_labels`` gives it."""
-    cells = _cells(lab[rep.home], arrays.ev_customer, lab[rep.loc], arrays.ev_store, k)
-    return _cell_sums(cells, inv_rate[rep.home][arrays.ev_customer], k)
+    ``lab``, each neighborhood's label as ``_compact_labels`` gives it.  The
+    events are summed ``_BLOCK_PAIRS`` at a time into one k x k array, bit
+    for bit ``_cell_sums`` over all of them, since ``np.add.at`` adds in
+    input order across calls too."""
+    home_lab, loc_lab, weight = lab[rep.home], lab[rep.loc], inv_rate[rep.home]
+    sums = np.zeros(k * k)
+    for start in range(0, len(arrays.ev_customer), models._BLOCK_PAIRS):
+        events = slice(start, start + models._BLOCK_PAIRS)
+        customer = arrays.ev_customer[events]
+        np.add.at(sums, _cells(home_lab, customer, loc_lab, arrays.ev_store[events], k),
+                  weight[customer])
+    return sums.reshape(k, k)
 
 
 @dataclass

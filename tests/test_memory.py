@@ -1,6 +1,7 @@
 """No step holds n x n temporaries, a network holds only its edges,
-diversity holds arrays, not a dict per person, and passes over events
-share the log's columns or hold a block of them.
+diversity holds arrays, not a dict per person, passes over events share
+the log's columns or hold a block of them, and the gravity fit and the
+distance sweep hold a block of edges, so one bound holds at any edge count.
 
 On the 1600-neighborhood preset geometry one n x n float matrix is 20.5 MB,
 and short-lived copies of it, then the dense networks themselves, used to
@@ -15,12 +16,13 @@ import pytest
 
 from segflow.ingest import CODE_BLOCK, MentionLog, PurchaseLog, filter_active_customers
 from segflow.metrics import neighborhood_diversity, purchase_profiles
-from segflow.models import (_BLOCK_PAIRS, adjust_gravity_amounts, fit_gravity,
-                            purchase_arrays, simulate_gravity)
-from segflow.network import (build_mention_network, build_purchase_network,
-                             centroid_distances, population_weight, write_network)
-from segflow.segregation import assign_groups, distance_sweep, mixing_matrix
-from segflow.stats import (flows_assortativity, jackknife_statistic,
+from segflow.models import (adjust_gravity_amounts, fit_gravity, purchase_arrays,
+                            reshuffle_locations, simulate_gravity)
+from segflow.network import (_BLOCK_EDGES, Flows, InteractionNetwork, build_mention_network,
+                             build_purchase_network, centroid_distances, population_weight,
+                             sampling_rate, write_network)
+from segflow.segregation import _compact_labels, assign_groups, distance_sweep, mixing_matrix
+from segflow.stats import (_reshuffle_flows, flows_assortativity, jackknife_statistic,
                            segregation_inequality_report)
 
 from conftest import gravity_net, preset_table, simulated_args, sparse_net
@@ -132,10 +134,13 @@ def random_log(events, customers, stores, seed=5, homes=None, locations=None):
 def test_gravity_adjustment_holds_one_key_an_edge():
     """Reading the law at the 9,120 edges of 200,000 or of 400,000 purchases
     among 100 customers and 100 stores, and looking the purchases up among
-    those edges by one int64 cell key an edge, holds 1.32 MB at either
-    count: the edges' keys and law, and one block of ``_BLOCK_PAIRS``
-    events' lookups.  Looking every event up at once held 6.75 and 13.35 MB,
-    and reading the law's values off its ~1.2M simulated edges 10.15 MB."""
+    those edges by one int64 cell key an edge, holds 0.53 MB at either
+    count: two arrays an edge, its key and its scale (the law, divided in
+    place by the observed flow), and one block of ``_BLOCK_EDGES`` edges'
+    law, about 100 bytes a pair, or events' lookups.  The law and lookups in blocks of 32,768, with
+    the law, its scale and the observed flows held apart, held 1.32 MB;
+    looking every event up at once 6.75 and 13.35 MB, and reading the law's
+    values off its ~1.2M simulated edges 10.15 MB."""
     params, net = simulated_args()
     ids = np.array(TABLE.ids)
     rng = np.random.default_rng(5)
@@ -146,7 +151,7 @@ def test_gravity_adjustment_holds_one_key_an_edge():
         emp, arrays = build_purchase_network(log, TABLE), purchase_arrays(log, TABLE)
         revenue, peak = peak_bytes(lambda: adjust_gravity_amounts(arrays, emp, params))
         assert revenue.sum() > 0 and emp.flows.size == 9120
-        assert peak < 40 * emp.flows.size + 40 * _BLOCK_PAIRS
+        assert peak < 20 * emp.flows.size + 120 * _BLOCK_EDGES
 
 
 def test_filter_keeping_everyone_holds_a_flag_an_event():
@@ -210,11 +215,15 @@ def test_report_holds_a_cell_and_a_weight_a_simulated_pair():
 
 def test_diversity_holds_arrays_not_dicts():
     """Diversity over 200,000 purchases by 4,500 customers at 2,000 stores,
-    about as many (customer, store) pairs as events, holds 9.50 MB, 47 bytes
-    an event, at its peak; counting the pairs with ``np.unique``, whose
-    intermediates are all held at once, peaked at 79.  A dict per customer
-    of its store counts, with entropies taken customer by customer, peaked
-    at 158."""
+    197,816 (customer, store) pairs, holds 6.81 MB, 34 bytes an event, at
+    its peak: the pairs' keys, counts and first events, and the order that
+    sorts them by person and first event.  The pairs' keys are sorted in
+    place and each one's first event is looked up a block of events at a
+    time; a stable argsort of every event's key, with its sorted copy and
+    each intermediate of the pairs held at once, peaked at 47.  Counting the
+    pairs with ``np.unique``, whose intermediates are all held at once,
+    peaked at 79, and a dict per customer of its store counts, with
+    entropies taken customer by customer, at 158."""
     rng = np.random.default_rng(5)
     events, customers, stores = 200_000, 4500, 2000
     ids = np.array(TABLE.ids)
@@ -226,7 +235,25 @@ def test_diversity_holds_arrays_not_dicts():
     result, peak = peak_bytes(lambda: neighborhood_diversity(
         purchase_profiles(log), log.home, "purchase", TABLE))
     assert sum(result.residents.values()) == customers
-    assert peak < 55 * events
+    assert peak < 39 * events
+
+
+def test_reshuffle_replicate_holds_a_block_of_events():
+    """The k x k flows of one reshuffle replicate of 200,000 or of 400,000
+    purchases hold 0.38 MB either way: one block of ``_BLOCK_PAIRS`` events'
+    cells and weights, summed into one k x k array.  Forming every event's
+    cell and weight at once held 1.79 and 3.50 MB."""
+    groups = assign_groups(TABLE)
+    lab = _compact_labels(groups.labels, groups.k)
+    for events in (200_000, 400_000):
+        log = random_log(events, 3000, 3000)
+        arrays = purchase_arrays(log, TABLE)
+        inv_rate = 1.0 / sampling_rate(build_purchase_network(log, TABLE).user_counts,
+                                       TABLE.population)
+        rep = reshuffle_locations(arrays, 0.5, replicates=1, seed=0)[0]
+        M, peak = peak_bytes(lambda: _reshuffle_flows(arrays, rep, lab, groups.k, inv_rate))
+        assert M.sum() > 0
+        assert peak < 500_000
 
 
 def half_filled_net():
@@ -240,19 +267,43 @@ def half_filled_net():
     return gravity_net(preset_table(n), users, stores, W)
 
 
+def many_edges_net(edges=330_000):
+    """Random counts of 1 to 5 on about ``edges`` random cells of the 1600-node
+    preset geometry (309,870 for the default, near the 333,185 purchase
+    edges of the 10x event city), with random masses; its edges lie at
+    80,469 distinct distances, all that the geometry has."""
+    rng = np.random.default_rng(10)
+    o, d = np.divmod(np.unique(rng.integers(TABLE.n ** 2, size=edges)), TABLE.n)
+    users, stores = rng.integers(1, 20, size=(2, TABLE.n))
+    return InteractionNetwork(table=TABLE, flows=Flows(o, d, rng.integers(1, 6, len(o)), TABLE.n),
+                              channel="purchase", user_counts=users, store_counts=stores)
+
+
 def test_gravity_fit_holds_no_grid_of_distances():
-    """The fit over 80,250 edges and the 201 values of the default eps grid
-    peaks at 4.94 MB, 62 bytes an edge: the edges' centroid distances are
-    taken a block of edges at a time, and the normal equations of each eps
-    take -log(u + eps) over the 8,641 distinct distances u, one eps at a
-    time.  Taking every edge's distance at once peaked at 8.35 MB, 104
-    bytes an edge; the whole grid at once is 201 values for each distinct
-    distance."""
-    net = half_filled_net()
-    assert net.flows.size == 80_250
-    fit, peak = peak_bytes(lambda: fit_gravity(net))
-    assert fit.n_pairs == net.flows.size
-    assert peak < 70 * net.flows.size
+    """The fit sums its normal equations a block of ``_BLOCK_EDGES`` edges at
+    a time, so one bound holds at 80,250 edges and at 309,870: it peaks at
+    1.30 and 3.93 MiB.  What grows is the sums at each distinct distance,
+    8,641 and 80,469 of them, which the geometry bounds, not the edges.  The
+    edges' own arrays held at once peaked at 4.71 and 19.21 MiB, 62 bytes an
+    edge; taking every edge's distance at once too, 104 bytes an edge."""
+    for net in (half_filled_net(), many_edges_net()):
+        fit, peak = peak_bytes(lambda: fit_gravity(net))
+        assert fit.n_pairs == net.flows.size
+        assert peak < 4_600_000
+
+
+def test_distance_sweep_holds_a_block_of_edges():
+    """The sweep takes a block of ``_BLOCK_EDGES`` edges' distances and cells
+    at a time and adds it into both sides' sums of every threshold, so one
+    bound holds at 80,250 edges and at 309,870: it peaks at 0.44 and 0.47 MiB
+    with five thresholds.  Every edge's distance at once, with each side's
+    edges copied out, peaked at 7.35 and 28.37 MiB."""
+    for net in (half_filled_net(), many_edges_net()):
+        net, groups = replace(net, weighting="population_weighted"), assign_groups(net.table)
+        steps, peak = peak_bytes(lambda: distance_sweep(
+            net, groups, thresholds=[1.0, 2.0, 5.0, 10.0, 100.0]))
+        assert len(steps) == 10 and all(s.valid for s in steps[::2])
+        assert peak < 1_000_000
 
 
 def test_edge_writer_holds_a_block_of_rows(tmp_path):

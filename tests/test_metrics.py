@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from segflow import metrics
 from segflow.ingest import NeighborhoodTable
 from segflow.metrics import (Profiles, individual_diversity, mention_profiles,
                              neighborhood_diversity, pearson,
@@ -95,6 +96,73 @@ class TestProfiles:
     def test_mention_profiles(self):
         events = [mention("u1", "u2"), mention("u1", "u2"), mention("u1", "u3")]
         assert profile_dict(mention_profiles(mention_log(events)))["u1"] == {"u2": 2, "u3": 1}
+
+
+def argsort_profiles(person, target, n_t):
+    """(person, target, count) of each pair from a stable argsort of every
+    event's pair key, its first event read off the sorted order."""
+    key = person * n_t + target
+    by_key = np.argsort(key, kind="stable")
+    key = key[by_key]
+    at = np.flatnonzero(np.diff(key, prepend=-1))
+    pairs, first, count = key[at], by_key[at], np.diff(at, append=len(person))
+    starts = np.flatnonzero(np.diff(pairs // n_t, prepend=-1))
+    seen = np.repeat(np.minimum.reduceat(first, starts), np.diff(starts, append=len(pairs)))
+    order = np.lexsort((first, seen))
+    return (*np.divmod(pairs[order], n_t), count[order])
+
+
+@pytest.mark.parametrize("block", [1000, 1 << 15])
+@pytest.mark.parametrize("first_seen", [True, False], ids=["purchases", "mentions"])
+def test_profiles_equal_the_argsort_formula_bitwise(first_seen, block, monkeypatch):
+    """Pairs counted by runs of their sorted keys, each one's first event
+    looked up a block of events at a time, give the argsort formula's
+    arrays: persons coded first-seen, as purchases are, or not, as a
+    mention's source may be; 5,000 events in blocks of 1,000, and in one."""
+    monkeypatch.setattr(metrics, "_BLOCK_PAIRS", block)
+    rng = np.random.default_rng(8)
+    person, target = rng.integers(0, 60, 5000), rng.integers(0, 90, 5000)
+    if first_seen:
+        person = np.unique(person, return_inverse=True)[1]
+        order = np.full(person.max() + 1, len(person))
+        np.minimum.at(order, person, np.arange(len(person)))
+        person = np.argsort(np.argsort(order))[person]
+    got = metrics._profiles(person, target, [f"p{i}" for i in range(60)],
+                            [f"t{i}" for i in range(90)])
+    for array, expected in zip((got.person, got.target, got.count),
+                               argsort_profiles(person, target, 90)):
+        assert array.dtype == np.int64 and np.array_equal(array, expected)
+
+
+def test_profiles_keep_the_range_of_a_pair_key():
+    """Only the pair key person * targets + target must stay below 2**63:
+    here it reaches 3 * 2**61 with 2**21 persons and 3 * 2**40 targets,
+    where a key of a pair and its event index would overflow."""
+    n_t, last = 3 << 40, (1 << 21) - 1
+    person = np.array([5, last, 5, last, 7, 5])
+    target = np.array([n_t - 1, 2, n_t - 1, n_t - 2, 0, 3])
+    got = metrics._profiles(person, target, range(last + 1), range(n_t))
+    assert got.person.tolist() == [5, 5, last, last, 7]
+    assert got.target.tolist() == [n_t - 1, 3, 2, n_t - 2, 0]
+    assert got.count.tolist() == [2, 1, 1, 1, 1]
+
+
+def test_entropies_in_blocks_of_rows_equal_the_dict_path_bitwise(monkeypatch):
+    """Persons with the same number of targets are summed in blocks of rows
+    of at most ``_BLOCK_PAIRS`` terms; with blocks of 64 terms, each entropy
+    is still ``individual_diversity``'s, bit for bit."""
+    monkeypatch.setattr(metrics, "_BLOCK_PAIRS", 64)
+    rng = np.random.default_rng(9)
+    view = {f"p{i}": {f"t{t}": int(c) for t, c in zip(rng.choice(40, m, replace=False),
+                                                        rng.integers(1, 9, m))}
+            for i, m in enumerate(rng.choice([1, 7, 30], 200))}
+    homes = {person: f"N0{i % 3}" for i, person in enumerate(view)}
+    table = make_table(3)
+    got = diversity(view, homes, table)
+    mean, residents, _, _ = reference_diversity(view, homes, table)
+    assert {nid: v.hex() for nid, v in got.mean.items()} == {
+        nid: v.hex() for nid, v in mean.items()}
+    assert got.residents == residents
 
 
 def table_of(ids) -> NeighborhoodTable:

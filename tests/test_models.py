@@ -5,16 +5,17 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from segflow.ingest import filter_active_customers
-from segflow.models import (GravityParams, _law, adjust_gravity_amounts,
+from segflow.models import (_COND_LIMIT, GravityParams, _law, adjust_gravity_amounts,
                             fit_gravity, null_shuffle_ses, purchase_arrays,
                             reshuffle_locations, simulate_gravity)
-from segflow.network import (Flows, InteractionNetwork, build_purchase_network,
+from segflow.network import (_BLOCK_EDGES, Flows, InteractionNetwork, build_purchase_network,
                              centroid_distances, haversine_km, population_weight)
 from segflow.segregation import (assign_groups, assortativity, mixing_from_matrix,
                                  mixing_matrix)
-from segflow import synth
+from segflow import models, synth
 
-from conftest import gravity_net, make_table, purchase, purchase_log, simulated_args
+from conftest import (gravity_net, make_table, preset_table, purchase, purchase_log,
+                      simulated_args)
 
 
 @pytest.fixture(scope="module")
@@ -316,6 +317,107 @@ def test_fit_matches_weighted_lstsq_over_the_edges(geometry, channel, linear_dis
     assert fit.epsilon == (0.0 if linear_distance else 0.25)
     got = [fit.c, fit.beta1, fit.beta2, fit.alpha, fit.residual_norm]
     assert got == pytest.approx(lstsq_fit(net, 0.25, linear_distance), rel=1e-9, abs=0)
+
+
+def block_net(n_blocks, masses="random", self_flows=False):
+    """A noisy gravity network of ``n_blocks`` times ``_BLOCK_EDGES`` edges
+    on random cells of the 400-node preset geometry.  ``masses`` "unit"
+    makes every mass 1, whose log columns are 0; "steep" draws origin
+    masses of e**10 or e**10.1 and thins the flows from the heavier ones
+    by e**7.5, so that beta1 is near -74 and log c near 740."""
+    table, rng = preset_table(400), np.random.default_rng(int(2 * n_blocks))
+    cells = np.sort(rng.choice(table.n ** 2, size=int(n_blocks * _BLOCK_EDGES), replace=False))
+    if self_flows:
+        cells[:table.n] = np.arange(table.n) * (table.n + 1)
+        cells.sort()
+    o, d = np.divmod(cells, table.n)
+    n_o, n_d = rng.integers(1, 200, (2, table.n))
+    if masses == "unit":
+        n_o = n_d = np.ones(table.n, dtype=np.int64)
+    elif masses == "steep":
+        n_o = np.where(rng.random(table.n) < 0.5, 22026, 24343)   # e**10, e**10.1
+    law = GravityParams(c=0.5, beta1=0.8, beta2=0.6, epsilon=0.3, alpha=0.9)
+    w = _law(law, gravity_net(table, n_o, n_d), o, d) * np.exp(0.4 * rng.standard_normal(len(o)))
+    if masses == "steep":
+        w[n_o[o] == 24343] *= np.exp(-7.5)
+    return InteractionNetwork(table=table, flows=Flows(o, d, w, table.n), channel="purchase",
+                              user_counts=n_o, store_counts=n_d)
+
+
+def one_pass_fit(net, grid) -> dict:
+    """The fit from its definition in one pass over all edges: each eps's
+    normal equations from the weighted cross products of the edges' design
+    rows (1, log n_o, log n_d, -log(T + eps)); the first least residual among
+    those at most ``_COND_LIMIT`` in condition number, and the fit's errors."""
+    rows, cols, w = net.flows
+    lat, lon = net.table.lat, net.table.lon
+    T = haversine_km(lat[rows], lon[rows], lat[cols], lon[cols])
+    y = np.log(w)
+    eps = [e for e in grid if T.min() + e > 0]
+    if not eps:
+        raise ValueError(ONLY_EPS_0)
+    solved, cond = [], None
+    for e in eps:
+        X = np.column_stack([np.ones(len(w)), np.log(net.user_counts[rows]),
+                             np.log(net.store_counts[cols]), -np.log(T + e)])
+        K, v = (X * w[:, None]).T @ X, X.T @ (w * y)
+        cond = np.linalg.cond(K)
+        if cond <= _COND_LIMIT:
+            beta = np.linalg.solve(K, v)
+            solved.append((max(0.0, w @ y ** 2 - 2 * beta @ v + beta @ K @ beta), e, beta))
+    if not solved:
+        raise ValueError(f"collinear regressors at every eps: singular normal equations "
+                         f"(cond={cond:.3e})")
+    rss, e, beta = min(solved, key=lambda fit: fit[0])
+    with np.errstate(over="ignore"):
+        c = float(np.exp(beta[0]))
+    if not np.isfinite(c):
+        raise ValueError(f"the fitted log c, {beta[0]:.6g}, overflows c")
+    tss = w @ (y - (w @ y) / w.sum()) ** 2
+    return dict(c=c, beta1=beta[1], beta2=beta[2], epsilon=e, alpha=beta[3],
+                r2_weighted=1 - rss / tss, residual_norm=np.sqrt(rss))
+
+
+FIT_GRID = [0.0, 0.05, 0.3, 1.0]
+
+
+@pytest.mark.parametrize("merge", ["batch", "every block"])
+@pytest.mark.parametrize("n_blocks", [1, 3, 3.5])
+def test_blocked_fit_matches_one_pass_normal_equations(n_blocks, merge, monkeypatch):
+    """Summing the normal equations a block of edges at a time, and merging
+    the blocks' distinct distances a batch at a time or after every block,
+    moves each parameter by at most 1e-9 relative and picks the same eps."""
+    if merge == "every block":
+        monkeypatch.setattr(models, "_BLOCK_PAIRS", 1)
+    net = block_net(n_blocks)
+    assert net.flows.size == n_blocks * _BLOCK_EDGES
+    expected, fit = one_pass_fit(net, FIT_GRID), fit_gravity(net, eps_grid=FIT_GRID).as_dict()
+    assert fit["epsilon"] == expected.pop("epsilon")
+    for name, value in expected.items():
+        assert fit[name] == pytest.approx(value, rel=1e-9, abs=0), name
+
+
+@pytest.mark.parametrize("masses, self_flows, grid", [
+    ("unit", False, FIT_GRID), ("random", True, [0.0]), ("steep", False, FIT_GRID)],
+    ids=["collinear", "only-eps-0", "overflowing-c"])
+@pytest.mark.parametrize("n_blocks", [1, 3, 3.5])
+def test_blocked_fit_keeps_the_one_pass_errors(n_blocks, masses, self_flows, grid):
+    """Eps 0 alone on a self-flow and an overflowing c raise the one-pass
+    fit's errors, word for word.  Zero log-mass columns raise its
+    collinear error, but the condition number it names is the rounding of
+    a singular matrix: inf or some 1e16 and more, in either fit."""
+    net = block_net(n_blocks, masses, self_flows)
+    with pytest.raises(ValueError) as expected:
+        one_pass_fit(net, grid)
+    with pytest.raises(ValueError) as got:
+        fit_gravity(net, eps_grid=grid)
+    if masses != "unit":
+        assert str(got.value) == str(expected.value)
+        return
+    prefix = "collinear regressors at every eps: singular normal equations (cond="
+    for err in (got.value, expected.value):
+        assert str(err).startswith(prefix) and str(err).endswith(")")
+        assert float(str(err)[len(prefix):-1]) > _COND_LIMIT
 
 
 class TestGravityMasses:

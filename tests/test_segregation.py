@@ -3,10 +3,10 @@ import pytest
 
 from segflow.ingest import NeighborhoodTable
 from segflow.network import (Flows, InteractionNetwork, build_purchase_network,
-                             centroid_distances, population_weight)
+                             centroid_distances, haversine_km, population_weight)
 from segflow.segregation import (DegenerateMatrixError, GroupAssignment, MixingMatrix,
                                  _cell_sums, assign_groups, assortativity, asymmetry_bias,
-                                 asymmetry_sweep, distance_sweep,
+                                 asymmetry_sweep, default_thresholds, distance_sweep,
                                  extremes_sweep, group_flows, mixing_from_matrix,
                                  mixing_matrix)
 
@@ -450,6 +450,44 @@ class TestDistanceSweep:
         pairs = centroid_distances(table)[np.triu_indices(n, k=1)]
         assert [s.param for s in steps[::2]] == [
             float(np.percentile(pairs, q)) for q in (20, 40, 60, 80, 100)]
+
+    def test_default_thresholds_take_each_pair_once_bitwise(self):
+        """Each block of rows takes its distances to the columns after its
+        first row only, and the quintiles still equal, bit for bit, those of
+        the ``triu_indices`` vector: 300 nodes, blocks of 128, 128 and 44."""
+        table = preset_table(300)
+        pairs = centroid_distances(table)[np.triu_indices(table.n, k=1)]
+        assert np.array_equal(default_thresholds(table),
+                              np.percentile(pairs, (20, 40, 60, 80, 100)))
+
+    @pytest.mark.parametrize("edges", [3000, 20_000])
+    def test_blocked_sweep_equals_whole_edge_formula_bitwise(self, edges):
+        """Every step, valid or not, equals bit for bit the sweep that took
+        every edge's distance at once and grouped each side's edges in one
+        call: one block of edges, and five; with the default thresholds, one
+        between two centroid distances and one past the largest."""
+        table = preset_table(400)
+        net, groups = sparse_net(table, edges), assign_groups(table)
+        rng = np.random.default_rng(edges)
+        net.flows.weight[:] = rng.random(net.flows.size)
+        i, j, w = net.flows
+        dist = haversine_km(table.lat[i], table.lon[i], table.lat[j], table.lon[j])
+        for thresholds in (None, [float(np.median(dist)), 1e6]):
+            steps = distance_sweep(net, groups, thresholds=thresholds)
+            params = [float(d) for d in (default_thresholds(table) if thresholds is None
+                                         else thresholds)]
+            expected = []
+            for d in params:
+                within = dist <= d
+                for mask in (within, ~within):
+                    try:
+                        mix = MixingMatrix.from_flows(group_flows(
+                            i[mask], j[mask], w[mask], groups.labels, groups.k))
+                        expected.append((True, assortativity(mix)))
+                    except DegenerateMatrixError:
+                        expected.append((False, None))
+            assert [(s.valid, s.value if s.valid else None) for s in steps] == expected
+            assert [s.param for s in steps] == [d for d in params for _ in "wb"]
 
     def test_mass_partition(self):
         net, groups, dist = self._city()

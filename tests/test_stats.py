@@ -8,8 +8,8 @@ from segflow.models import (GravityParams, adjust_gravity_amounts, fit_gravity,
                             purchase_arrays, reshuffle_locations, simulate_gravity)
 from segflow.network import (Flows, InteractionNetwork, build_purchase_network,
                              population_weight, sampling_rate)
-from segflow.segregation import (DegenerateMatrixError, _compact_labels, assign_groups,
-                                 extremes_sweep, extremes_value, group_flows,
+from segflow.segregation import (DegenerateMatrixError, _cell_sums, _cells, _compact_labels,
+                                 assign_groups, extremes_sweep, extremes_value, group_flows,
                                  mixing_from_matrix)
 from segflow.stats import (_reshuffle_flows, flows_assortativity, gini, jackknife_assortativity,
                            jackknife_extremes_sweep, jackknife_statistic,
@@ -261,6 +261,26 @@ class TestInequalityReport:
                 oracle = group_flows(i, j, inv_rate[i], groups.labels, groups.k)
                 assert np.array_equal(_reshuffle_flows(arrays, rep, lab, groups.k, inv_rate),
                                       oracle)
+
+    @pytest.mark.parametrize("block", [1000, 32768])
+    def test_reshuffle_flows_a_block_at_a_time_equal_all_events_bitwise(self, small_city,
+                                                                       block, monkeypatch):
+        """Summing a replicate's events a block at a time into one k x k
+        array gives, bit for bit, the cell sums over all its events at once:
+        the 8,400 events here in blocks of 1,000, and in one block."""
+        monkeypatch.setattr(models, "_BLOCK_PAIRS", block)
+        city, events = small_city
+        table, groups = city.table, assign_groups(city.table, k=8)
+        arrays = purchase_arrays(events, table)
+        net = build_purchase_network(events, table)
+        inv_rate = 1.0 / sampling_rate(net.user_counts, table.population)
+        lab, k = _compact_labels(groups.labels, groups.k), groups.k
+        assert len(arrays.ev_customer) > 8 * 1000
+        for rep in reshuffle_locations(arrays, 0.6, replicates=5, seed=4):
+            whole = _cell_sums(_cells(lab[rep.home], arrays.ev_customer, lab[rep.loc],
+                                      arrays.ev_store, k),
+                               inv_rate[rep.home][arrays.ev_customer], k)
+            assert np.array_equal(_reshuffle_flows(arrays, rep, lab, k, inv_rate), whole)
 
     def test_groups_of_another_table_rejected(self, small_city):
         city, events = small_city
