@@ -166,13 +166,13 @@ def pearson(x, y, weights=None) -> float:
         if w.shape != x.shape or not np.all(np.isfinite(w) & (w >= 0)) or w.sum() <= 0:
             raise ValueError("weights must be finite and non-negative with positive total")
     w = w / w.sum()
-    mx = float(w @ x)
-    my = float(w @ y)
-    vx = float(w @ (x - mx) ** 2)
-    vy = float(w @ (y - my) ** 2)
+    mx = float((w * x).sum())
+    my = float((w * y).sum())
+    vx = float((w * (x - mx) ** 2).sum())
+    vy = float((w * (y - my) ** 2).sum())
     if vx <= 0 or vy <= 0:
         raise ValueError("degenerate correlation")
-    cov = float(w @ ((x - mx) * (y - my)))
+    cov = float((w * (x - mx) * (y - my)).sum())
     return min(1.0, max(-1.0, cov / np.sqrt(vx * vy)))
 
 

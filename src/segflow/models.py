@@ -27,6 +27,7 @@ log = logging.getLogger(__name__)
 DEFAULT_EPS_GRID = np.round(np.arange(0.0, 2.0 + 1e-9, 0.01), 10)
 _BLOCK_PAIRS = 1 << 15   # pairs of the law, edges or events that a pass holds at a time
 _COND_LIMIT = 1e12       # normal equations above this condition number are singular
+_JACOBI_SWEEPS = 30      # a backstop: a 4 x 4 stack meets rounding level in about 6
 
 
 @dataclass
@@ -87,7 +88,10 @@ def fit_gravity(
     block of edges and the sums at each distinct distance, not arrays an
     edge.  Adding block by block rounds differently from one pass over all
     edges: the parameters agree with a one-pass solve to within 1e-9
-    relative, and chose the same eps on the benchmark cities.
+    relative, and chose the same eps on the benchmark cities.  The sums,
+    the solves and the condition numbers are numpy elementwise products and
+    reductions, with no BLAS or LAPACK call, so the fit does not depend on
+    the kernel or thread count OpenBLAS runs with.
     """
     grid = DEFAULT_EPS_GRID if eps_grid is None else np.asarray(eps_grid, dtype=float)
     if not np.all(np.isfinite(grid) & (grid >= 0)):
@@ -122,7 +126,7 @@ def fit_gravity(
         if sum(map(len, batch)) >= _BLOCK_PAIRS:
             u, batch = _distinct(np.concatenate([u, *batch])), []
         w_sum += wb.sum()
-        wy_sum += wb @ y
+        wy_sum += (wb * y).sum()
     u = _distinct(np.concatenate([u, *batch]))
     y_bar = wy_sum / w_sum
     # pass 2: the sums of the normal equations over the regressors
@@ -135,10 +139,10 @@ def fit_gravity(
         lo, ld = log_o[o], log_d[d]
         wx = (wb, wb * lo, wb * ld, wb * y)
         for i in range(3):
-            K3[i] += wx[i].sum(), wx[i] @ lo, wx[i] @ ld
-            v3[i] += wx[i] @ y
-        wyy += wx[3] @ y
-        tss += wb @ (y - y_bar) ** 2
+            K3[i] += wx[i].sum(), (wx[i] * lo).sum(), (wx[i] * ld).sum()
+            v3[i] += (wx[i] * y).sum()
+        wyy += (wx[3] * y).sum()
+        tss += (wb * (y - y_bar) ** 2).sum()
         by_dist = np.argsort(dist)          # sorted, the distances are found faster
         at = np.empty(len(dist), np.intp)
         at[by_dist] = np.searchsorted(u, dist[by_dist])
@@ -155,23 +159,21 @@ def fit_gravity(
     K[:, :3, :3] = K3
     v = np.empty((len(eps), 4))
     v[:, :3] = v3
-    d = -u
+    d, gd = -u, np.empty_like(u)   # gd: one row of G times d at a time, not a second G
     for i, e in enumerate(eps):
         if not linear_distance:
             np.negative(np.log(np.add(u, e, out=d), out=d), out=d)
-        Gd = G.dot(d)           # np.dot, which took half the time of @ here
-        K[i, :3, 3] = K[i, 3, :3] = Gd[:3]
-        K[i, 3, 3] = G[0].dot(d * d)
-        v[i, 3] = Gd[3]
-    cond = np.linalg.cond(K)
-    ok = cond <= _COND_LIMIT
+        K[i, 1, 3], K[i, 2, 3], v[i, 3] = (np.multiply(row, d, out=gd).sum() for row in G[1:])
+        K[i, 0, 3] = np.multiply(G[0], d, out=gd).sum()
+        K[i, 3, 3] = np.multiply(gd, d, out=gd).sum()
+        K[i, 3, :3] = K[i, :3, 3]
+    ok = _condition(K) <= _COND_LIMIT
     if not ok.any():
-        raise ValueError("collinear regressors at every eps: "
-                         f"singular normal equations (cond={cond[-1]:.3e})")
+        raise ValueError("collinear regressors at every eps: singular normal equations")
     K, v, eps = K[ok], v[ok], eps[ok]
-    beta = np.linalg.solve(K, v[..., None])[..., 0]
-    rss = np.maximum(0.0, float(wyy) - 2.0 * np.einsum("bi,bi->b", beta, v)
-                     + np.einsum("bi,bij,bj->b", beta, K, beta))
+    beta = _solve(K, v)
+    rss = np.maximum(0.0, float(wyy) - 2.0 * (beta * v).sum(axis=1)
+                     + ((K * beta[:, None, :]).sum(axis=2) * beta).sum(axis=1))
     best = int(np.argmin(rss))
     eps_hat, beta, rss = float(eps[best]), beta[best], float(rss[best])
     if not linear_distance and eps_hat in (grid[0], grid[-1]):
@@ -188,6 +190,63 @@ def fit_gravity(
         residual_norm=float(np.sqrt(rss)), n_pairs=n_pos,
         zero_pairs_excluded=net.n ** 2 - n_pos, linear_distance=linear_distance,
     )
+
+
+def _solve(K: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """x with K x = v for each square matrix of the stack ``K`` and row of
+    ``v``, by Gaussian elimination with partial pivoting; each system is
+    solved on its own, in elementwise products and short sums."""
+    n = K.shape[-1]
+    A = np.concatenate([K, v[:, :, None]], axis=2)   # each system augmented by its v
+    stack = np.arange(len(A))
+    for col in range(n):
+        pivot = col + np.argmax(np.abs(A[:, col:, col]), axis=1)
+        A[stack, col], A[stack, pivot] = A[stack, pivot], A[stack, col]
+        factor = A[:, col + 1:, col] / A[:, col, col, None]
+        A[:, col + 1:, col:] -= factor[:, :, None] * A[:, None, col, col:]
+    x = np.empty_like(v)
+    for row in reversed(range(n)):
+        rest = (A[:, row, row + 1:n] * x[:, row + 1:]).sum(axis=1)
+        x[:, row] = (A[:, row, n] - rest) / A[:, row, row]
+    return x
+
+
+def _condition(K: np.ndarray) -> np.ndarray:
+    """The 2-norm condition number of each symmetric matrix of the stack
+    ``K``, read from its upper triangle: its largest over its smallest
+    absolute eigenvalue, inf or NaN when that is 0.  The eigenvalues are
+    the diagonal that cyclic Jacobi rotations leave once every off-diagonal
+    entry is at rounding level beside its two diagonal entries, or after
+    ``_JACOBI_SWEEPS`` sweeps.  A matrix stops rotating once it is there,
+    so its number does not depend on the others in the stack."""
+    n = K.shape[-1]
+    A = np.triu(K) + np.triu(K, 1).transpose(0, 2, 1)
+    diag, off = np.arange(n), ~np.eye(n, dtype=bool)
+    for _ in range(_JACOBI_SWEEPS):
+        scale = np.sqrt(np.abs(A[:, diag, diag]))
+        level = np.finfo(float).eps * scale[:, :, None] * scale[:, None, :]
+        active = (np.abs(A) > level)[:, off].any(axis=1)
+        if not active.any():
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                # the rotation by the angle of tangent t that zeroes A[p, q]
+                apq = A[:, p, q]
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    theta = (A[:, q, q] - A[:, p, p]) / (2.0 * apq)
+                    t = np.where(theta < 0, -1.0, 1.0) / (np.abs(theta) + np.hypot(theta, 1.0))
+                t = np.where(active & (apq != 0), t, 0.0)
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s, c = (t * c)[:, None], c[:, None]
+                row_p, row_q = A[:, p], A[:, q]
+                A[:, p], A[:, q] = c * row_p - s * row_q, s * row_p + c * row_q
+                col_p, col_q = A[:, :, p], A[:, :, q]
+                A[:, :, p], A[:, :, q] = c * col_p - s * col_q, s * col_p + c * col_q
+                rotated = t != 0
+                A[rotated, p, q] = A[rotated, q, p] = 0.0
+    eig = np.abs(A[:, diag, diag])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return eig.max(axis=1) / eig.min(axis=1)
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:

@@ -149,14 +149,14 @@ def mixing_matrix(net: InteractionNetwork, groups: GroupAssignment) -> MixingMat
 def _assortativity_e(e: np.ndarray, x: np.ndarray) -> float:
     a = e.sum(axis=1)
     b = e.sum(axis=0)
-    mean_a = float(x @ a)
-    mean_b = float(x @ b)
-    var_a = float((x ** 2) @ a - mean_a ** 2)
-    var_b = float((x ** 2) @ b - mean_b ** 2)
+    mean_a = float((x * a).sum())
+    mean_b = float((x * b).sum())
+    var_a = float((x ** 2 * a).sum() - mean_a ** 2)
+    var_b = float((x ** 2 * b).sum() - mean_b ** 2)
     # mass on a single group has zero variance, whatever rounding leaves
     if var_a <= 0 or var_b <= 0 or np.count_nonzero(a) < 2 or np.count_nonzero(b) < 2:
         raise DegenerateMatrixError("degenerate attribute distribution")
-    cov = float(x @ e @ x - mean_a * mean_b)
+    cov = float((x[:, None] * e * x).sum() - mean_a * mean_b)
     return min(1.0, max(-1.0, cov / float(np.sqrt(var_a * var_b))))
 
 

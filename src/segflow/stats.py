@@ -184,7 +184,7 @@ def gini(values) -> float:
     vs = np.sort(v)
     n = v.size
     ranks = np.arange(1, n + 1)
-    return float(2.0 * (ranks @ vs) / (n * total) - (n + 1) / n)
+    return float(2.0 * (ranks * vs).sum() / (n * total) - (n + 1) / n)
 
 
 def _reshuffle_flows(arrays: models.PurchaseArrays, rep: models.ReshuffleReplicate,

@@ -68,7 +68,7 @@ class TestFitGravity:
         with pytest.raises(ValueError, match="too few"):
             fit_gravity(gravity_net(table, n_o, n_d, W))
 
-    def test_collinear_regressors_report_condition(self, geometry):
+    def test_collinear_regressors_refused(self, geometry):
         table, dist, _, n_d = geometry
         uniform = np.full(49, 50)  # log origin mass constant -> collinear with intercept
         planted = GravityParams(c=1.0, beta1=0.5, beta2=0.5, epsilon=0.2, alpha=0.5)
@@ -172,6 +172,7 @@ def fit_case(draw):
     return gravity_net(FIT_TABLE, n_o, n_d, W), [float(v) for v in grid]
 
 
+SINGULAR = "collinear regressors at every eps: singular normal equations"
 ONLY_EPS_0 = ("no eps to fit: the grid holds only eps 0, and an edge has centroid distance "
               "0 km (a self-flow), where -log(distance + eps) is undefined")
 
@@ -229,17 +230,15 @@ def test_fit_is_the_first_least_residual_of_single_eps_fits(case):
 
 def test_all_singular_grid_keeps_its_message(geometry):
     """Constant origin masses are collinear with the intercept at every eps:
-    the error names the condition number at the last value of the grid."""
+    the error says so, and names no condition number, which for exactly
+    singular normal equations is rounding noise."""
     table, _, _, n_d = geometry
     planted = GravityParams(c=1.0, beta1=0.5, beta2=0.5, epsilon=0.2, alpha=0.5)
     sim = simulate_gravity(planted, gravity_net(table, np.full(49, 50), n_d))
-    with pytest.raises(ValueError) as last:
-        fit_gravity(sim, eps_grid=[0.2])
-    assert str(last.value).startswith("collinear regressors at every eps: "
-                                      "singular normal equations (cond=")
-    with pytest.raises(ValueError) as whole:
-        fit_gravity(sim, eps_grid=[0.3, 0.0, 0.1, 0.2])
-    assert str(whole.value) == str(last.value)
+    for grid in ([0.2], [0.3, 0.0, 0.1, 0.2]):
+        with pytest.raises(ValueError) as err:
+            fit_gravity(sim, eps_grid=grid)
+        assert str(err.value) == SINGULAR
 
 
 @pytest.mark.parametrize("grid", [[0.0], [0.0, 0.0]])
@@ -356,18 +355,16 @@ def one_pass_fit(net, grid) -> dict:
     eps = [e for e in grid if T.min() + e > 0]
     if not eps:
         raise ValueError(ONLY_EPS_0)
-    solved, cond = [], None
+    solved = []
     for e in eps:
         X = np.column_stack([np.ones(len(w)), np.log(net.user_counts[rows]),
                              np.log(net.store_counts[cols]), -np.log(T + e)])
         K, v = (X * w[:, None]).T @ X, X.T @ (w * y)
-        cond = np.linalg.cond(K)
-        if cond <= _COND_LIMIT:
+        if np.linalg.cond(K) <= _COND_LIMIT:
             beta = np.linalg.solve(K, v)
             solved.append((max(0.0, w @ y ** 2 - 2 * beta @ v + beta @ K @ beta), e, beta))
     if not solved:
-        raise ValueError(f"collinear regressors at every eps: singular normal equations "
-                         f"(cond={cond:.3e})")
+        raise ValueError(SINGULAR)
     rss, e, beta = min(solved, key=lambda fit: fit[0])
     with np.errstate(over="ignore"):
         c = float(np.exp(beta[0]))
@@ -402,22 +399,14 @@ def test_blocked_fit_matches_one_pass_normal_equations(n_blocks, merge, monkeypa
     ids=["collinear", "only-eps-0", "overflowing-c"])
 @pytest.mark.parametrize("n_blocks", [1, 3, 3.5])
 def test_blocked_fit_keeps_the_one_pass_errors(n_blocks, masses, self_flows, grid):
-    """Eps 0 alone on a self-flow and an overflowing c raise the one-pass
-    fit's errors, word for word.  Zero log-mass columns raise its
-    collinear error, but the condition number it names is the rounding of
-    a singular matrix: inf or some 1e16 and more, in either fit."""
+    """Zero log-mass columns, eps 0 alone on a self-flow and an overflowing
+    c raise the one-pass fit's errors, word for word."""
     net = block_net(n_blocks, masses, self_flows)
     with pytest.raises(ValueError) as expected:
         one_pass_fit(net, grid)
     with pytest.raises(ValueError) as got:
         fit_gravity(net, eps_grid=grid)
-    if masses != "unit":
-        assert str(got.value) == str(expected.value)
-        return
-    prefix = "collinear regressors at every eps: singular normal equations (cond="
-    for err in (got.value, expected.value):
-        assert str(err).startswith(prefix) and str(err).endswith(")")
-        assert float(str(err)[len(prefix):-1]) > _COND_LIMIT
+    assert str(got.value) == str(expected.value)
 
 
 class TestGravityMasses:
