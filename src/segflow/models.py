@@ -167,14 +167,19 @@ def fit_gravity(
         K[i, 0, 3] = np.multiply(G[0], d, out=gd).sum()
         K[i, 3, 3] = np.multiply(gd, d, out=gd).sum()
         K[i, 3, :3] = K[i, :3, 3]
-    ok = _condition(K) <= _COND_LIMIT
-    if not ok.any():
+    # every system is solved: a singular one meets a zero pivot, and is refused below
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        beta = _solve(K, v)
+        rss = np.maximum(0.0, float(wyy) - 2.0 * (beta * v).sum(axis=1)
+                         + ((K * beta[:, None, :]).sum(axis=2) * beta).sum(axis=1))
+    # the first of least residual whose condition number passes; a system's
+    # number does not depend on the rest of the stack, so only the systems
+    # up to that one are conditioned, in stable residual order, NaN last
+    for best in np.argsort(rss, kind="stable"):
+        if _condition(K[best:best + 1])[0] <= _COND_LIMIT:
+            break
+    else:
         raise ValueError("collinear regressors at every eps: singular normal equations")
-    K, v, eps = K[ok], v[ok], eps[ok]
-    beta = _solve(K, v)
-    rss = np.maximum(0.0, float(wyy) - 2.0 * (beta * v).sum(axis=1)
-                     + ((K * beta[:, None, :]).sum(axis=2) * beta).sum(axis=1))
-    best = int(np.argmin(rss))
     eps_hat, beta, rss = float(eps[best]), beta[best], float(rss[best])
     if not linear_distance and eps_hat in (grid[0], grid[-1]):
         log.info("gravity fit of %s flows: eps %g is at an end of its grid %g..%g",

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ingest import NeighborhoodTable, _write_csv
+from .ingest import NeighborhoodTable, _run_starts, _write_csv
 from .network import (_BLOCK_EDGES, _BLOCK_ROWS, Flows, InteractionNetwork, _edge_km, _sized,
                       haversine_km)
 
@@ -263,7 +263,34 @@ def default_thresholds(table: NeighborhoodTable) -> np.ndarray:
         for r, row in enumerate(block):
             pairs[end:end + len(row) - r] = row[r:]
             end += len(row) - r
-    return np.percentile(pairs, (20, 40, 60, 80, 100), overwrite_input=True)
+    return _percentiles(pairs, (20, 40, 60, 80, 100))
+
+
+def _percentiles(values: np.ndarray, q) -> np.ndarray:
+    """``np.percentile(values, q)`` with its default linear method, bit for
+    bit, for a 1-d float array, which is partitioned in place.
+
+    It partitions at every index numpy does, the first and last among
+    them, since which of two equal values (-0.0 and 0.0) lands at an index
+    depends on all of them, and interpolates as numpy's lerp does.  numpy
+    takes those indices from a bare ``np.unique``, which imports
+    ``numpy.ma`` (about 1.3 MB of pages); here a sort does.  An index at or
+    past n - 1 reads the last order statistic as index -1, with numpy's
+    weight ``at + 1``, which decides the sign of a zero there."""
+    n = len(values)
+    at = (n - 1) * np.true_divide(q, 100)
+    lo = np.floor(at).astype(np.intp)
+    hi, last = lo + 1, at >= n - 1
+    lo[last] = hi[last] = -1
+    kth = np.sort(np.concatenate(([0, -1], lo, hi)))
+    values.partition(kth[_run_starts(kth)])
+    a, b = values[lo], values[hi]
+    g = at - lo
+    out = a + (b - a) * g
+    np.subtract(b, (b - a) * (1 - g), out=out, where=g >= 0.5)
+    if np.isnan(values[-1]):            # a NaN sorts last, and makes every percentile NaN
+        out[:] = values[-1]
+    return out
 
 
 def distance_sweep(

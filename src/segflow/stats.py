@@ -18,8 +18,8 @@ from .ingest import NeighborhoodTable, PurchaseLog, _write_csv, _write_json
 from .network import (Flows, InteractionNetwork, _population_weights, _sized,
                       build_purchase_network, population_weight, sampling_rate)
 from .segregation import (DegenerateMatrixError, GroupAssignment, MixingMatrix, SweepStep,
-                          _cell_sums, _cells, _compact_labels, _scored, assortativity,
-                          extremes_value)
+                          _cell_sums, _cells, _compact_labels, _percentiles, _scored,
+                          assortativity, extremes_value)
 from . import models
 
 
@@ -104,7 +104,7 @@ def _estimate(statistic: Callable[[np.ndarray], float], M: np.ndarray,
     if discarded > 0.2 * len(reps):
         raise ValueError(f"{discarded}/{len(reps)} resampling replicates were degenerate")
     arr = np.array(values)
-    ci_low, ci_high = np.percentile(arr, [2.5, 97.5])
+    ci_low, ci_high = _percentiles(arr.copy(), (2.5, 97.5))   # arr keeps replicate order
     std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
     return ResampleEstimate(point=point, values=arr, ci_low=float(ci_low),
                             ci_high=float(ci_high), std=std,

@@ -241,6 +241,32 @@ def test_all_singular_grid_keeps_its_message(geometry):
         assert str(err.value) == SINGULAR
 
 
+def test_fit_conditions_only_the_systems_the_eps_rule_reads(geometry, monkeypatch):
+    """Every eps is solved, and systems are conditioned one at a time in
+    residual order: on a well-posed fit over the 201 values of the default
+    grid, only the first is.  Refusing it yields the fit of the grid
+    without that eps."""
+    table, _, n_o, n_d = geometry
+    planted = GravityParams(c=0.5, beta1=0.7, beta2=0.8, epsilon=0.3, alpha=0.9)
+    sim = simulate_gravity(planted, gravity_net(table, n_o, n_d))
+    seen, refused, condition = [], [], models._condition
+
+    def counted(K):
+        seen.append(len(K))
+        return np.full(len(K), np.inf) if len(seen) in refused else condition(K)
+
+    monkeypatch.setattr(models, "_condition", counted)
+    fit = fit_gravity(sim)
+    assert len(models.DEFAULT_EPS_GRID) == 201 and seen == [1]
+    assert fit.epsilon == pytest.approx(planted.epsilon)
+
+    refused.append(2)
+    second = fit_gravity(sim)
+    monkeypatch.undo()
+    rest = [eps for eps in models.DEFAULT_EPS_GRID if eps != fit.epsilon]
+    assert seen == [1, 1, 1] and second.as_dict() == fit_gravity(sim, eps_grid=rest).as_dict()
+
+
 @pytest.mark.parametrize("grid", [[0.0], [0.0, 0.0]])
 def test_eps_0_alone_on_a_self_flow_names_the_zero_distance(geometry, grid):
     """Simulated flows include each neighborhood's flow to itself, 0 km

@@ -3,7 +3,8 @@ analysis step calls BLAS or LAPACK: products and sums are numpy elementwise
 operations and reductions, and the gravity fit solves its 4 x 4 normal
 equations and takes their condition numbers in numpy loops
 (``models._solve`` and ``models._condition``).  LAPACK stays the
-reference here, in the tests."""
+reference here, in the tests.  No command imports ``numpy.ma`` either,
+which numpy's percentiles and set operations do on first use."""
 import ast
 import ctypes
 import glob
@@ -26,7 +27,15 @@ from test_golden import COMMANDS, SYNTH_ARGS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 CROSS_KERNEL = ("gravity", "jackknife", "sweep", "gini-report")
+SINGLE_PASS = ("ingest", "diversity", "network", "mixing", "asymmetry", "gravity")
+RESAMPLING = ("sweep", "null", "jackknife", "gini-report")
 BLAS_NAMES = {"dot", "einsum", "matmul", "inner", "vdot", "tensordot", "linalg"}
+# numpy calls that import numpy.ma (about 1.3 MB of pages) on numpy 2.4,
+# through the bare np.unique they call; np.unique itself does unless it
+# returns indices, an inverse or counts
+MA_NAMES = {"percentile", "quantile", "median", "nanpercentile", "nanquantile", "nanmedian",
+            "union1d", "setdiff1d", "intersect1d", "setxor1d", "unique_values", "ma"}
+UNIQUE_RETURNS = {"return_index", "return_inverse", "return_counts"}
 
 
 def openblas_core():
@@ -101,18 +110,58 @@ def test_out_bytes_do_not_depend_on_the_openblas_kernel(tmp_path):
             f"OPENBLAS_CORETYPE={core}: kernel {kernels[core]}")
 
 
-def test_no_blas_or_lapack_call_in_the_package():
-    """No ``@`` and no numpy entry point that reaches BLAS or LAPACK."""
-    found = []
+def package_nodes():
+    """(file name, node, the attribute, name or import it names, if any)
+    for every AST node of ``src/segflow``."""
     for path in sorted((SRC / "segflow").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             name = (node.attr if isinstance(node, ast.Attribute)
                     else node.id if isinstance(node, ast.Name)
                     else node.name if isinstance(node, ast.alias) else None)
-            matmul = isinstance(getattr(node, "op", None), ast.MatMult)
-            if matmul or name in BLAS_NAMES:
-                found.append(f"{path.name}:{node.lineno}")
+            yield path.name, node, name
+
+
+def test_no_blas_or_lapack_call_in_the_package():
+    """No ``@`` and no numpy entry point that reaches BLAS or LAPACK."""
+    found = [f"{file}:{node.lineno}" for file, node, name in package_nodes()
+             if isinstance(getattr(node, "op", None), ast.MatMult) or name in BLAS_NAMES]
     assert found == []
+
+
+def test_no_call_that_imports_numpy_ma_in_the_package():
+    """No numpy percentile, median or set operation, and no ``np.unique``
+    that returns only the distinct values; ``segregation._percentiles``
+    takes every band and quintile."""
+    def bare_unique(node):
+        return (isinstance(node, ast.Call)
+                and getattr(node.func, "attr", getattr(node.func, "id", None)) == "unique"
+                and not UNIQUE_RETURNS & {k.arg for k in node.keywords})
+
+    found = [f"{file}:{node.lineno}" for file, node, name in package_nodes()
+             if name in MA_NAMES or bare_unique(node)]
+    assert found == []
+
+
+def test_commands_leave_numpy_ma_unimported(tmp_path):
+    """One fresh interpreter runs the ten commands on the smoke city: the
+    six single-pass ones import neither ``numpy.ma`` nor ``numpy.random``,
+    and the four resampling ones do not import ``numpy.ma``."""
+    city = tmp_path / "city"
+    assert main(["synth", "--out", str(city), *SYNTH_ARGS]) == 0
+    flags = dict(COMMANDS)
+    runs = [[command, "--data", str(city), "--out", str(tmp_path / command), *flags[command]]
+            for command in (*SINGLE_PASS, *RESAMPLING)]
+    code = ("import sys\nfrom segflow.cli import main\n"
+            f"for args in {runs!r}:\n"
+            "    assert main(args) == 0\n"
+            "    print(args[0], 'numpy.ma' in sys.modules, 'numpy.random' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    imported = {line.split()[0]: line.split()[1:] for line in proc.stdout.splitlines()}
+    assert list(imported) == [*SINGLE_PASS, *RESAMPLING]
+    assert [c for c in SINGLE_PASS if imported[c] != ["False", "False"]] == []
+    assert [c for c in RESAMPLING if imported[c][0] != "False"] == []
 
 
 def spd_stack(rng, count: int, cond: float | None = None) -> np.ndarray:

@@ -5,10 +5,10 @@ from segflow.ingest import NeighborhoodTable
 from segflow.network import (Flows, InteractionNetwork, build_purchase_network,
                              centroid_distances, haversine_km, population_weight)
 from segflow.segregation import (DegenerateMatrixError, GroupAssignment, MixingMatrix,
-                                 _cell_sums, assign_groups, assortativity, asymmetry_bias,
-                                 asymmetry_sweep, default_thresholds, distance_sweep,
-                                 extremes_sweep, group_flows, mixing_from_matrix,
-                                 mixing_matrix)
+                                 _cell_sums, _percentiles, assign_groups, assortativity,
+                                 asymmetry_bias, asymmetry_sweep, default_thresholds,
+                                 distance_sweep, extremes_sweep, group_flows,
+                                 mixing_from_matrix, mixing_matrix)
 
 from conftest import make_table, preset_table, purchase, purchase_log, sparse_net
 
@@ -510,3 +510,20 @@ def test_documented_reference_values():
     reproducible assertions.  Kept here so the numbers live next to code."""
     reference = {"purchase": 0.42, "mention": 0.41}
     assert set(reference) == {"purchase", "mention"}
+
+
+@pytest.mark.parametrize("q", [(2.5, 97.5), (20, 40, 60, 80, 100), (0, 50, 100)])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 99, 100, 101, 1279])
+def test_percentiles_equal_numpy_bit_for_bit(n, q):
+    """``_percentiles`` returns the bytes ``np.percentile`` does, on values
+    with ties, negatives, signed zeros and a NaN, where the sign of a zero
+    bound depends on which of the equal values each partition puts where."""
+    rng = np.random.default_rng(n)
+    cases = [rng.standard_normal(n),
+             rng.integers(-3, 4, n).astype(float),
+             rng.choice([-0.0, 0.0], n),
+             rng.choice([-0.0, 0.0, -1.0, 1.0, 2.5], n),
+             np.where(rng.random(n) < 0.05, np.nan, rng.choice([-0.0, 0.0, 1.0], n))]
+    for values in cases:
+        want = np.percentile(values, q)
+        assert _percentiles(values.copy(), q).tobytes() == want.tobytes()

@@ -326,6 +326,19 @@ def test_gravity_row_is_the_weighted_simulation_jackknifed(seed, n, monkeypatch)
             == (expected.ci_low, expected.ci_high, expected.replicates, expected.discarded))
 
 
+def test_estimate_reads_its_band_from_a_copy():
+    """The band comes from a partitioned copy of the replicate values:
+    ``values`` stay in replicate order, and the band and std equal numpy's
+    on them, bit for bit."""
+    scores = np.random.default_rng(5).standard_normal(41)
+    reps = np.arange(41.0)[:, None, None]          # each replicate holds its index
+
+    est = stats._estimate(lambda M: float(scores[int(M[0, 0])]), np.zeros((1, 1)), reps, 0.05)
+    assert est.values.tobytes() == scores.tobytes()
+    assert (est.ci_low, est.ci_high) == tuple(np.percentile(scores, [2.5, 97.5]))
+    assert est.std == float(scores.std(ddof=1))
+
+
 def test_report_writes_only_into_the_simulated_weights(small_city, tmp_path, monkeypatch):
     """The report's one write into an array it did not allocate is the
     in-place weighting of its simulated gravity network.  The loaded log's
