@@ -331,6 +331,8 @@ def _read_chunks(path, required: Sequence[str], optional: Sequence[str] = ()
         reader = _csv_rows(path, fh)
         header = next(reader, [])
         missing = [c for c in required if c not in header]
+        if missing and header and header[0].startswith("\ufeff"):
+            raise ValidationError(f"{path}: the header starts with a UTF-8 byte-order mark")
         if missing:
             raise ValidationError(f"{path}: missing column(s) {', '.join(missing)}")
         position = {name: i for i, name in enumerate(header)}

@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .ingest import MentionLog, NeighborhoodTable, PurchaseLog, _run_starts, _write_csv
-from .models import _BLOCK_PAIRS
+from .network import _BLOCK_PAIRS, _row_blocks
 
 
 def individual_diversity(counts) -> float:
@@ -83,13 +83,13 @@ def _profiles(person: np.ndarray, target: np.ndarray, person_ids: Sequence[str],
         np.minimum.at(first, np.searchsorted(pairs, key), np.arange(start, start + len(key)))
     # pairs are grouped by person code, which need not be first-seen among
     # persons (a mention's target is interned before it is ever a source):
-    # persons go in the order of their first events, each one's pairs in
-    # the order of theirs
+    # they go in the order of one key, their person's first event times
+    # n_events plus their own first event
     runs = _run_starts(pairs // n_t)
-    rank = np.empty(len(runs), np.min_scalar_type(len(runs)))
-    rank[np.argsort(np.minimum.reduceat(first, runs))] = np.arange(len(runs))
-    order = np.lexsort((first, np.repeat(rank, np.diff(runs, append=len(pairs)))))
-    del first, rank, runs
+    first += np.repeat(np.minimum.reduceat(first, runs) * n_events,
+                       np.diff(runs, append=len(pairs)))
+    order = np.argsort(first)
+    del first, runs
     pairs = pairs[order]
     count = count[order]
     del order
@@ -132,12 +132,12 @@ def neighborhood_diversity(
         p *= np.log(p)
     # each entropy equals ``individual_diversity`` bit for bit: the terms of
     # the persons with m targets are summed as the rows of (persons, m)
-    # blocks of at most _BLOCK_PAIRS terms, pairwise per row as numpy sums
-    # one person's terms; abs folds -0.0
+    # blocks of at most _BLOCK_PAIRS terms (``_row_blocks``), pairwise per
+    # row as numpy sums one person's terms; abs folds -0.0
     entropy = np.empty(len(starts))
     for m in np.flatnonzero(np.bincount(sizes)).tolist():      # the distinct sizes
         which = np.flatnonzero(sizes == m)
-        for rows in np.array_split(which, -(-len(which) * m // _BLOCK_PAIRS)):
+        for rows in (which[block] for block in _row_blocks(len(which), m)):
             entropy[rows] = np.abs(terms[starts[rows, None] + np.arange(m)].sum(axis=1))
     row = table.rows(homes)[profiles.person[starts]]
     placed = row >= 0

@@ -18,14 +18,14 @@ from typing import Sequence
 import numpy as np
 
 from .ingest import NeighborhoodTable, PurchaseLog, _run_starts
-from .network import _BLOCK_EDGES, Flows, InteractionNetwork, _edge_km, _sized, haversine_km
+from .network import (_BLOCK_EDGES, _BLOCK_PAIRS, Flows, InteractionNetwork, _edge_km,
+                      _row_blocks, _sized)
 from .segregation import (DegenerateMatrixError, GroupAssignment, MixingMatrix, _cell_sums,
                           _cells, _compact_labels, _scored, asymmetry_bias, assortativity)
 
 log = logging.getLogger(__name__)
 
 DEFAULT_EPS_GRID = np.round(np.arange(0.0, 2.0 + 1e-9, 0.01), 10)
-_BLOCK_PAIRS = 1 << 15   # pairs of the law, edges or events that a pass holds at a time
 _COND_LIMIT = 1e12       # normal equations above this condition number are singular
 _JACOBI_SWEEPS = 30      # a backstop: a 4 x 4 stack meets rounding level in about 6
 
@@ -271,8 +271,7 @@ def _law(params: GravityParams, net: InteractionNetwork, o, d) -> np.ndarray:
     n_o, n_d = _masses(net)
     if np.any(n_o < 0) or np.any(n_d < 0):
         raise ValueError("mass counts must be non-negative")
-    lat, lon = net.table.lat, net.table.lon
-    t = haversine_km(lat[o], lon[o], lat[d], lon[d]) + params.epsilon
+    t = _edge_km(net.table)(o, d) + params.epsilon
     kernel = np.exp(-params.alpha * t) if params.linear_distance else t ** (-params.alpha)
     return params.c * ((n_o ** params.beta1)[o] * (n_d ** params.beta2)[d]) * kernel
 
@@ -283,16 +282,15 @@ def simulate_gravity(params: GravityParams, net: InteractionNetwork) -> Interact
     The result is ``net`` with real-valued raw flows, strictly positive
     wherever both masses are positive and zero elsewhere; table and counts
     are kept.  The law is evaluated only on pairs with both masses nonzero,
-    a block of origins of at most ``_BLOCK_PAIRS`` pairs at a time, into
-    edge arrays sized for those pairs.
+    a block of origins of at most ``_BLOCK_PAIRS`` pairs at a time
+    (``_row_blocks``), into edge arrays sized for those pairs.
     """
     n_o, n_d = _masses(net)
     origins, dests = np.flatnonzero(n_o), np.flatnonzero(n_d)
-    size = len(origins) * len(dests)
+    size, end = len(origins) * len(dests), 0
     o_out, d_out, w_out = np.empty(size, np.int32), np.empty(size, np.int32), np.empty(size)
-    end, rows = 0, max(1, _BLOCK_PAIRS // max(len(dests), 1))
-    for start in range(0, max(len(origins), 1), rows):   # _law's rules hold for any masses
-        o = origins[start:start + rows]
+    for rows in _row_blocks(len(origins), len(dests)):   # _law's rules hold for any masses
+        o = origins[rows]
         flow = _law(params, net, o[:, None], dests)
         keep = flow != 0          # row-major, as np.nonzero; NaN is kept
         stop = end + np.count_nonzero(keep)

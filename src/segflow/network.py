@@ -6,9 +6,9 @@ sorted rows of the neighborhood table it shares, which gives its census
 and centroids.  Raw edge weights are event counts; the population
 weighting divides out each neighborhood's sampling rate, edge by edge, so
 that under-sampled areas are not under-represented.  No analysis builds an
-n x n matrix: ``net.W`` is a dense view made on each read, and the
-centroid distance matrix is filled a block of rows at a time, for the
-synthetic-city generator only.
+n x n matrix: ``net.W`` is a dense view made on each read, and every walk
+over node pairs holds at most ``_BLOCK_PAIRS`` of them (``_row_blocks``),
+the budget that the passes over events share too.
 """
 from __future__ import annotations
 
@@ -21,8 +21,8 @@ from .ingest import (MentionLog, NeighborhoodTable, PurchaseLog, _csv_fields, _f
                      _gather, _run_starts, _write_json, _write_rows)
 
 EARTH_RADIUS_KM = 6371.0
-_BLOCK_ROWS = 128     # rows (origins) of a block of distances computed at a time
 _BLOCK_EDGES = 1 << 12   # edges of a block weighted at a time
+_BLOCK_PAIRS = 1 << 15   # node pairs, edges or events that a pass holds at a time
 
 
 @dataclass
@@ -178,8 +178,9 @@ def _population_weights(net: InteractionNetwork, out: np.ndarray) -> np.ndarray:
     m, p = net.user_counts, net.table.population
     if m is None:
         raise ValueError("population weighting needs the network's user counts")
-    if np.any((p == 0) & (m > 0)):
-        raise ValueError("inconsistent census: zero population with sampled users")
+    if (bad := np.flatnonzero((p == 0) & (m > 0))).size:
+        raise ValueError(f"inconsistent census: neighborhood {net.table.ids[bad[0]]!r} has "
+                         f"{m[bad[0]]} sampled users but population 0 in neighborhoods.csv")
     if net.channel not in ("purchase", "mention"):
         raise ValueError(f"unknown channel {net.channel!r}")
     f, rate, unsampled = net.flows, sampling_rate(m, p), m == 0
@@ -203,12 +204,18 @@ def sampling_rate(user_counts, population) -> np.ndarray:
     return np.divide(m, p, out=np.ones_like(p), where=m > 0)
 
 
+def _row_blocks(rows: int, width: int) -> list[slice]:
+    """Blocks of ``rows`` rows of ``width`` pairs, each of at most ``_BLOCK_PAIRS``
+    pairs (or one row); at least one, so that a walk's checks run on no rows."""
+    step = max(1, _BLOCK_PAIRS // max(width, 1))
+    return [slice(a, a + step) for a in range(0, max(rows, 1), step)]
+
+
 def centroid_distances(table: NeighborhoodTable) -> np.ndarray:
     """Great-circle distances (km) between neighborhood centroids, 0 on the
     diagonal.  Filled a block of rows at a time, with no n x n temporary."""
     d, lat, lon = np.empty((table.n, table.n)), table.lat, table.lon
-    for a in range(0, table.n, _BLOCK_ROWS):
-        rows = slice(a, a + _BLOCK_ROWS)
+    for rows in _row_blocks(table.n, table.n):
         d[rows] = haversine_km(lat[rows, None], lon[rows, None], lat, lon)
     return d
 
@@ -225,10 +232,10 @@ def _haversine(p1, l1, cos1, p2, l2, cos2) -> np.ndarray:
 
 
 def _edge_km(table: NeighborhoodTable):
-    """A function of edge ends ``(o, d)`` that gives their centroid
-    distances as ``haversine_km`` does, bit for bit (numpy's radians and
-    cosine work element by element), with each node's radians and cosine
-    taken once."""
+    """A function of edge ends ``(o, d)``, index arrays that broadcast
+    against each other, that gives their centroid distances as
+    ``haversine_km`` does, bit for bit (numpy's radians and cosine work
+    element by element), with each node's radians and cosine taken once."""
     p, l = np.radians(table.lat), np.radians(table.lon)
     cos = np.cos(p)
     return lambda o, d: _haversine(p[o], l[o], cos[o], p[d], l[d], cos[d])

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .ingest import NeighborhoodTable, _run_starts, _write_csv
-from .network import (_BLOCK_EDGES, _BLOCK_ROWS, Flows, InteractionNetwork, _edge_km, _sized,
+from .network import (_BLOCK_EDGES, Flows, InteractionNetwork, _edge_km, _row_blocks, _sized,
                       haversine_km)
 
 
@@ -66,10 +66,6 @@ class MixingMatrix:
     S: np.ndarray
     e: np.ndarray
     group_values: np.ndarray
-
-    @property
-    def k(self) -> int:
-        return self.M.shape[0]
 
     @classmethod
     def from_flows(cls, M: np.ndarray) -> "MixingMatrix":
@@ -248,9 +244,9 @@ def _distance_blocks(table: NeighborhoodTable):
     first row: the upper triangle of the centroid distance matrix, and the
     block's own lower part."""
     lat, lon = table.lat, table.lon
-    for a in range(0, table.n, _BLOCK_ROWS):
-        rows = slice(a, a + _BLOCK_ROWS)
-        yield haversine_km(lat[rows, None], lon[rows, None], lat[a + 1:], lon[a + 1:])
+    for rows in _row_blocks(table.n, table.n):
+        after = slice(rows.start + 1, None)
+        yield haversine_km(lat[rows, None], lon[rows, None], lat[after], lon[after])
 
 
 def default_thresholds(table: NeighborhoodTable) -> np.ndarray:

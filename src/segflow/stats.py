@@ -15,12 +15,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .ingest import NeighborhoodTable, PurchaseLog, _write_csv, _write_json
-from .network import (Flows, InteractionNetwork, _population_weights, _sized,
+from .network import (_BLOCK_PAIRS, Flows, InteractionNetwork, _population_weights, _sized,
                       build_purchase_network, population_weight, sampling_rate)
 from .segregation import (DegenerateMatrixError, GroupAssignment, MixingMatrix, SweepStep,
                           _cell_sums, _cells, _compact_labels, _percentiles, _scored,
                           assortativity, extremes_value)
 from . import models
+
+_REMOVAL_FRACTION = 0.05   # edges a jackknife replicate drops, by default and in the report
 
 
 @dataclass
@@ -116,7 +118,7 @@ def jackknife_statistic(
     W: Flows,
     statistic: Callable[[np.ndarray], float],
     groups: GroupAssignment,
-    removal_fraction: float = 0.05,
+    removal_fraction: float = _REMOVAL_FRACTION,
     replicates: int = 100,
     seed: int = 0,
 ) -> ResampleEstimate:
@@ -138,7 +140,7 @@ def flows_assortativity(M: np.ndarray) -> float:
 def jackknife_assortativity(
     net: InteractionNetwork,
     groups: GroupAssignment,
-    removal_fraction: float = 0.05,
+    removal_fraction: float = _REMOVAL_FRACTION,
     replicates: int = 100,
     seed: int = 0,
 ) -> ResampleEstimate:
@@ -155,7 +157,7 @@ def jackknife_extremes_sweep(
     net: InteractionNetwork,
     groups: GroupAssignment,
     steps: Sequence[SweepStep],
-    removal_fraction: float = 0.05,
+    removal_fraction: float = _REMOVAL_FRACTION,
     replicates: int = 100,
     seed: int = 0,
 ) -> None:
@@ -197,8 +199,8 @@ def _reshuffle_flows(arrays: models.PurchaseArrays, rep: models.ReshuffleReplica
     input order across calls too."""
     home_lab, loc_lab, weight = lab[rep.home], lab[rep.loc], inv_rate[rep.home]
     sums = np.zeros(k * k)
-    for start in range(0, len(arrays.ev_customer), models._BLOCK_PAIRS):
-        events = slice(start, start + models._BLOCK_PAIRS)
+    for start in range(0, len(arrays.ev_customer), _BLOCK_PAIRS):
+        events = slice(start, start + _BLOCK_PAIRS)
         customer = arrays.ev_customer[events]
         np.add.at(sums, _cells(home_lab, customer, loc_lab, arrays.ev_store[events], k),
                   weight[customer])
@@ -228,7 +230,6 @@ def segregation_inequality_report(
     seed: int = 0,
     eps_grid: Sequence[float] | None = None,
     jackknife_replicates: int = 100,
-    removal_fraction: float = 0.05,
 ) -> list[InequalityRow]:
     """Couple segregation (assortativity) with revenue inequality (GINI).
 
@@ -256,9 +257,8 @@ def segregation_inequality_report(
 
     rev_emp = arrays.revenue()
     total_emp = float(rev_emp.sum())
-    jk_emp = jackknife_statistic(_scored(population_weight(emp_net), groups),
-                                 flows_assortativity, groups,
-                                 removal_fraction, jackknife_replicates, seed)
+    jk_emp = jackknife_statistic(_scored(population_weight(emp_net), groups), flows_assortativity,
+                                 groups, replicates=jackknife_replicates, seed=seed)
     gini_emp = gini(rev_emp)
     rows.append(InequalityRow(
         label="empirical", fraction=None,
@@ -276,9 +276,9 @@ def segregation_inequality_report(
     w = _population_weights(sim, out=sim.flows.weight)
     cells = _edge_cells(sim.flows, groups)
     del sim
-    M, reps = _jackknife_cells(cells, w, groups.k, removal_fraction, jackknife_replicates, seed)
+    M, reps = _jackknife_cells(cells, w, groups.k, _REMOVAL_FRACTION, jackknife_replicates, seed)
     del cells, w
-    jk_sim = _estimate(flows_assortativity, M, reps, removal_fraction)
+    jk_sim = _estimate(flows_assortativity, M, reps, _REMOVAL_FRACTION)
     rows.append(InequalityRow(
         label="gravity", fraction=None,
         assortativity_mean=jk_sim.point, assortativity_std=jk_sim.std,
@@ -303,8 +303,7 @@ def segregation_inequality_report(
             g_vals.append(gini(rep.revenue))
             g_excl.append(gini(rep.revenue[has_store]))
             totals.append(float(rep.revenue.sum()))
-        r_arr = np.array(r_vals)
-        g_arr = np.array(g_vals)
+        r_arr, g_arr = np.array(r_vals), np.array(g_vals)
         rows.append(InequalityRow(
             label="reshuffle", fraction=float(fraction),
             assortativity_mean=float(r_arr.mean()),
@@ -326,9 +325,5 @@ def write_report_csv(rows: Sequence[InequalityRow], path) -> None:
 
 
 def write_report_details(rows: Sequence[InequalityRow], path) -> None:
-    payload = [
-        {"label": r.label, "fraction": r.fraction, "total_revenue": r.total_revenue,
-         "details": r.details}
-        for r in rows
-    ]
-    _write_json(path, payload)
+    _write_json(path, [{"label": r.label, "fraction": r.fraction,
+                        "total_revenue": r.total_revenue, "details": r.details} for r in rows])

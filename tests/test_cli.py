@@ -205,6 +205,9 @@ MALFORMED = {
     **{f"{name} bytes": (name, VALID_CITY[name].encode() + b"\xff\n",
                          "not utf-8 text: invalid start byte")
        for name in ("neighborhoods.csv", "geoposts.csv", "mentions.csv", "purchases.csv")},
+    **{f"{name} byte-order mark": (name, b"\xef\xbb\xbf" + VALID_CITY[name].encode(),
+                                   "the header starts with a UTF-8 byte-order mark")
+       for name in ("neighborhoods.csv", "purchases.csv")},
 }
 
 
@@ -293,6 +296,26 @@ class TestErrors:
         (data / name).write_bytes(content)
         assert main(["ingest", "--data", str(data), "--out", str(tmp_path / "out")]) == 1
         assert f"error: {data / name}: {message}" in capsys.readouterr().err
+
+    def test_zero_population_with_sampled_users_named(self, city_dir, tmp_path, capsys):
+        """A neighborhood whose population in neighborhoods.csv is 0 while
+        sampled users live there (on this city, mention users) cannot be
+        population-weighted: the error names it and the file its population
+        comes from."""
+        home = (city_dir / "purchases.csv").read_text().splitlines()[1].split(",")[4]
+        data = copy_city(city_dir, tmp_path / "city",
+                         (city_dir / "purchases.csv").read_text().splitlines(keepends=True))
+        with open(data / "neighborhoods.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        for row in rows:
+            if row[0] == home:
+                row[3] = "0"
+        with open(data / "neighborhoods.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        assert main(["mixing", "--data", str(data), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"inconsistent census: neighborhood {home!r}" in err
+        assert "population 0 in neighborhoods.csv" in err
 
     def test_internal_error_exits_two(self, tmp_path, monkeypatch):
         def boom(cfg, out):

@@ -18,10 +18,11 @@ from segflow.ingest import CODE_BLOCK, MentionLog, PurchaseLog, filter_active_cu
 from segflow.metrics import neighborhood_diversity, purchase_profiles
 from segflow.models import (adjust_gravity_amounts, fit_gravity, purchase_arrays,
                             reshuffle_locations, simulate_gravity)
-from segflow.network import (_BLOCK_EDGES, Flows, InteractionNetwork, build_mention_network,
-                             build_purchase_network, centroid_distances, population_weight,
-                             sampling_rate, write_network)
-from segflow.segregation import _compact_labels, assign_groups, distance_sweep, mixing_matrix
+from segflow.network import (_BLOCK_EDGES, _BLOCK_PAIRS, Flows, InteractionNetwork,
+                             build_mention_network, build_purchase_network, centroid_distances,
+                             population_weight, sampling_rate, write_network)
+from segflow.segregation import (_compact_labels, assign_groups, default_thresholds,
+                                 distance_sweep, mixing_matrix)
 from segflow.stats import (_reshuffle_flows, flows_assortativity, jackknife_statistic,
                            segregation_inequality_report)
 
@@ -56,6 +57,19 @@ def test_default_sweep_thresholds_hold_less_than_one_matrix():
     steps, peak = peak_bytes(lambda: distance_sweep(net, groups))
     assert len(steps) == 10
     assert peak < MATRIX_BYTES
+
+
+def test_default_thresholds_hold_their_pairs_and_one_block():
+    """The quintiles hold the vector of all n(n-1)/2 pair distances, which
+    they partition, and one block of at most ``_BLOCK_PAIRS`` pairs'
+    haversine terms, whatever n is: 1.3 MB over the 10.2 MB vector on 1600
+    nodes and 1.1 MB over 0.6 MB on 400.  Blocks of 128 rows held 7.7 MB
+    over it on 1600 nodes, a block growing with n."""
+    for n in (1600, 400):
+        table = preset_table(n)
+        thresholds, peak = peak_bytes(lambda: default_thresholds(table))
+        assert len(thresholds) == 5
+        assert peak < 8 * n * (n - 1) // 2 + 64 * _BLOCK_PAIRS
 
 
 def test_mention_weighting_allocates_only_its_result():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from segflow import metrics
+from segflow import metrics, network
 from segflow.ingest import NeighborhoodTable
 from segflow.metrics import (Profiles, individual_diversity, mention_profiles,
                              neighborhood_diversity, pearson,
@@ -151,7 +151,8 @@ def test_entropies_in_blocks_of_rows_equal_the_dict_path_bitwise(monkeypatch):
     """Persons with the same number of targets are summed in blocks of rows
     of at most ``_BLOCK_PAIRS`` terms; with blocks of 64 terms, each entropy
     is still ``individual_diversity``'s, bit for bit."""
-    monkeypatch.setattr(metrics, "_BLOCK_PAIRS", 64)
+    monkeypatch.setattr(metrics, "_BLOCK_PAIRS", 64)     # the p log p terms
+    monkeypatch.setattr(network, "_BLOCK_PAIRS", 64)     # the rows of terms (``_row_blocks``)
     rng = np.random.default_rng(9)
     view = {f"p{i}": {f"t{t}": int(c) for t, c in zip(rng.choice(40, m, replace=False),
                                                         rng.integers(1, 9, m))}

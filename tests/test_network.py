@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 from collections import Counter
 from dataclasses import replace
 
@@ -212,6 +213,10 @@ class TestPopulationWeight:
         assert abs(r_raw - r_weighted) <= 1e-12
 
 
+# the most nodes whose rows of pairs all fit one block of ``_BLOCK_PAIRS``
+ONE_BLOCK = math.isqrt(network._BLOCK_PAIRS)
+
+
 class TestDistances:
     def test_identical_centroids_zero(self):
         table = NeighborhoodTable(["A", "B"], [40.0, 40.0], [-3.0, -3.0], [10, 10], [1.0, 2.0])
@@ -246,21 +251,20 @@ class TestDistances:
         np.fill_diagonal(d, 0.0)
         assert np.array_equal(centroid_distances(table), d)
 
-    @pytest.mark.parametrize("n", [1, network._BLOCK_ROWS - 1, network._BLOCK_ROWS,
-                                   network._BLOCK_ROWS + 1, 1600])
+    @pytest.mark.parametrize("n", [1, ONE_BLOCK - 1, ONE_BLOCK, ONE_BLOCK + 1, 1600])
     def test_blocks_match_whole_matrix_formula_bitwise(self, n):
-        """The row blocks give, bit for bit, the one-shot ``(d + d.T) / 2``
-        over the whole matrix with a zeroed diagonal, also when n is one block
-        or falls one row either side of a block edge."""
+        """The row blocks of at most ``_BLOCK_PAIRS`` pairs give, bit for bit,
+        ``haversine_km`` over the whole matrix at once: on one node, on one
+        node fewer than, as many as and one more than the most whose pairs
+        fit one block (``ONE_BLOCK``, 181), and on 1600 nodes, 20 rows a block."""
         table = preset_table(1600)
         if n < 1600:
             table = NeighborhoodTable(table.ids[:n], table.lat[:n], table.lon[:n],
                                       table.population[:n] + 1, table.ses[:n])
+        blocks = {1: 1, ONE_BLOCK - 1: 1, ONE_BLOCK: 1, ONE_BLOCK + 1: 2, 1600: 80}[n]
+        assert len(network._row_blocks(n, n)) == blocks
         lat, lon = table.lat[:, None], table.lon[:, None]
-        d = haversine_km(lat, lon, lat.T, lon.T)
-        d = (d + d.T) / 2.0
-        np.fill_diagonal(d, 0.0)
-        assert np.array_equal(centroid_distances(table), d)
+        assert np.array_equal(centroid_distances(table), haversine_km(lat, lon, lat.T, lon.T))
 
     def test_edge_distances_match_matrix_bitwise(self):
         """The distance of an edge, from ``haversine_km`` over its two

@@ -268,7 +268,7 @@ class TestInequalityReport:
         """Summing a replicate's events a block at a time into one k x k
         array gives, bit for bit, the cell sums over all its events at once:
         the 8,400 events here in blocks of 1,000, and in one block."""
-        monkeypatch.setattr(models, "_BLOCK_PAIRS", block)
+        monkeypatch.setattr(stats, "_BLOCK_PAIRS", block)
         city, events = small_city
         table, groups = city.table, assign_groups(city.table, k=8)
         arrays = purchase_arrays(events, table)
